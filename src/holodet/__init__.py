@@ -28,7 +28,6 @@ from .extension import (
     genus1_recipe,
     modular_invariance_check,
     pluriharmonic_split,
-    symmetrize,
     symmetrized_evaluator,
     wp_form_genus1,
 )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -30,26 +29,12 @@ import numpy as np
 
 from .catalog import builtin_catalog, load_catalog
 from .errors import DomainError, FitRankError, HolodetError
-from .extension import (
-    ProductPoint,
-    assemble_extension,
-    genus1_extension,
-    genus1_recipe,
-    modular_invariance_check,
-)
+from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
-from .potential_builder import (
-    ConeQuadrature,
-    check_closed_and_holomorphic,
-    cone_potential,
-    verify_boundary_vanishing,
-    verify_mixed_derivative,
-)
-from .report import CheckResult
+from .potential_builder import ConeQuadrature, cone_potential
 from .special_functions import eta, log_eta
 from .torus_spectral import closed_form_log_det, zeta_log_det
-from .verify import run_all
-from .wirtinger import wirtinger_dzbar
+from .verify import extend_checks, normalization_ratios, potential_checks, run_all, zeta0_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -62,6 +47,21 @@ def parse_complex(text: str) -> complex:
         return complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from exc
+
+
+def int_at_least(low: int):
+    """argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def parse_point_pair(text: str) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
@@ -100,7 +100,7 @@ def _print_checks(checks) -> bool:
 
 def cmd_eta(args) -> int:
     try:
-        value = log_eta(args.z) if args.log else eta(args.z, args.terms)
+        value = (log_eta if args.log else eta)(args.z, args.terms)
     except HolodetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -112,25 +112,24 @@ def cmd_eta(args) -> int:
 
 
 def cmd_torus_det(args) -> int:
-    if args.method in ("closed-form", "both"):
-        print(f"closed_form_log_det={fmt(closed_form_log_det(args.z))}")
-    if args.method in ("spectral", "both"):
+    try:
+        if args.method in ("closed-form", "both"):
+            print(f"closed_form_log_det={fmt(closed_form_log_det(args.z))}")
+        if args.method == "closed-form":
+            return EXIT_OK
         r = zeta_log_det(args.z)
-        print(f"spectral_log_det={fmt(r.log_det)}")
-        print(f"tail_bound={r.tail_bound:.6e}")
-        check = CheckResult("zeta0_diagnostic", abs(r.zeta_zero + 1.0), args.tol,
-                            abs(r.zeta_zero + 1.0) <= args.tol,
-                            f"zeta(0)={r.zeta_zero:.12f}")
-        print(check.line())
-        if args.method == "both":
-            y = r.modulus.imag
-            ea = abs(eta(r.modulus))
-            det = math.exp(r.log_det)
-            print(f"ratio_to_y2_eta4={fmt(det / (y ** 2 * ea ** 4))}")
-            print(f"ratio_to_2pi_sqrty_eta2={fmt(det / (2 * math.pi * math.sqrt(y) * ea ** 2))}")
-        if not check.passed:
-            return EXIT_CHECK_FAILED
-    return EXIT_OK
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    print(f"spectral_log_det={fmt(r.log_det)}")
+    print(f"tail_bound={r.tail_bound:.6e}")
+    check = zeta0_check(r, args.tol)
+    print(check.line())
+    if args.method == "both":
+        ratio_sq, ratio_half = normalization_ratios(r)
+        print(f"ratio_to_y2_eta4={fmt(ratio_sq)}")
+        print(f"ratio_to_2pi_sqrty_eta2={fmt(ratio_half)}")
+    return EXIT_OK if check.passed else EXIT_CHECK_FAILED
 
 
 # --- potential ---------------------------------------------------------------
@@ -157,34 +156,16 @@ def cmd_potential(args) -> int:
         print(f"error: form {entry.name!r} needs points in C^{entry.dim}, "
               f"got {z.size} coordinate(s)", file=sys.stderr)
         return EXIT_BAD_INPUT
-    form = entry.build(validate=False)
+    try:
+        # without --verify, polynomial entries must pass their contract check
+        form = entry.build(validate=False if args.verify else None)
+    except HolodetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
     if args.verify:
         samples = [(z, w)] + list(entry.validation_samples())
-        contract = check_closed_and_holomorphic(form, samples)
-        checks = [
-            CheckResult("form_closedness", contract.closedness_residual, 1e-8,
-                        contract.closedness_residual <= 1e-8),
-            CheckResult("form_antiholomorphic", contract.antiholomorphic_residual, 1e-8,
-                        contract.antiholomorphic_residual <= 1e-8),
-        ]
-        boundary = verify_boundary_vanishing(form, samples, quad)
-        checks.append(CheckResult("boundary_vanishing", boundary.max_residual, 1e-10,
-                                  boundary.passed))
-        try:
-            mixed = float(np.max(verify_mixed_derivative(form, z, w, quad)))
-            checks.append(CheckResult("mixed_derivative", mixed, 1e-7, mixed <= 1e-7))
-        except HolodetError as exc:
-            checks.append(CheckResult("mixed_derivative", math.inf, 1e-7, False, str(exc)))
-        ok = _print_checks(checks)
-        if not ok:
-            return EXIT_CHECK_FAILED
-    elif entry.kind == "polynomial":
-        # polynomial entries must pass the contract check before use
-        contract = check_closed_and_holomorphic(form, entry.validation_samples())
-        if not contract.passed:
-            print(f"error: form {entry.name!r} fails closedness/holomorphy "
-                  f"(residual {contract.max_residual:.3e})", file=sys.stderr)
+        if not _print_checks(potential_checks(form, z, w, samples, quad)):
             return EXIT_CHECK_FAILED
 
     try:
@@ -270,27 +251,7 @@ def cmd_extend(args) -> int:
         print(fmt(evaluate(point)))
         return EXIT_OK
 
-    checks = []
-    if args.check == "diagonal":
-        worst = 0.0
-        for x in np.linspace(-0.4, 0.4, 5):
-            for y in np.linspace(0.8, 2.0, 5):
-                worst = max(worst, abs(evaluate(ProductPoint.diagonal(complex(x, y))).imag))
-        checks.append(CheckResult("diagonal_imag", worst, 1e-12, worst <= 1e-12))
-    elif args.check == "invariance":
-        for word in ("T", "S", "STS", "TTST", "STT"):
-            r = modular_invariance_check(point, word)
-            checks.append(CheckResult(f"invariance[{word}]", r.relative_residual, 1e-9,
-                                      r.relative_residual <= 1e-9,
-                                      f"raw diff mod 2pi i/24: {abs(r.l_difference_mod):.3e}"))
-    elif args.check == "holomorphy":
-        worst = 0.0
-        for dz in (0.1, -0.15 + 0.2j):
-            fz = lambda p: evaluate(ProductPoint(p, w))
-            fw = lambda p: evaluate(ProductPoint(z + dz, p))
-            worst = max(worst, abs(wirtinger_dzbar(fz, z + dz, 1e-4)))
-            worst = max(worst, abs(wirtinger_dzbar(fw, w - 0.1j, 1e-4)))
-        checks.append(CheckResult("antiholomorphic_residual", worst, 1e-7, worst <= 1e-7))
+    checks = extend_checks(evaluate, point, args.check)
     print(f"value={fmt(evaluate(point))}")
     return EXIT_OK if _print_checks(checks) else EXIT_CHECK_FAILED
 
@@ -356,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("eta", help="Dedekind eta at a point of the upper half plane")
     q.add_argument("--z", type=parse_complex, required=True, metavar="re,im")
     q.add_argument("--log", action="store_true", help="canonical log(eta) branch instead")
-    q.add_argument("--terms", type=int, default=None, help="explicit q-product truncation")
+    q.add_argument("--terms", type=int_at_least(1), default=None,
+                   help="explicit q-series truncation")
     q.set_defaults(func=cmd_eta)
 
     q = sub.add_parser("torus-det", help="flat-torus determinant (closed form / spectral)")
@@ -374,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep z along a segment (w fixed) and emit CSV")
     q.add_argument("--out", default=None, help="CSV output path (default stdout)")
     q.add_argument("--catalog", default=None, help="extra catalog file")
-    q.add_argument("--nodes", type=int, default=64, help="quadrature nodes per axis")
+    q.add_argument("--nodes", type=int_at_least(2), default=64, help="quadrature nodes per axis")
     q.set_defaults(func=cmd_potential)
 
     q = sub.add_parser("extend", help="holomorphic extension at a point of H x Hbar")
@@ -385,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("polarize", help="fit diagonal CSV samples (re_z,im_z,re_val,im_val)")
     q.add_argument("--samples", required=True)
-    q.add_argument("--degree", type=int, required=True)
+    q.add_argument("--degree", type=int_at_least(0), required=True)
     q.add_argument("--out", default=None, help="JSON output path (default stdout)")
     q.add_argument("--svd-cutoff", type=float, default=1e-10)
     q.set_defaults(func=cmd_polarize)

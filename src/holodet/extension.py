@@ -4,16 +4,18 @@ The genus-1 model: the parameter space is H, its complexification is
 H x Hbar with coordinates (z, w), and the original space sits inside as the
 totally real diagonal {w = conj(z)}.  This module provides
 
-* ``symmetrize``: the real-on-diagonal symmetrization of a holomorphic
-  potential, q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2;
+* ``symmetrized_evaluator``: the real-on-diagonal symmetrization of a
+  holomorphic potential, q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2;
 * ``pluriharmonic_split``: reconstruction of a holomorphic f with
   h = f + conj(f) from a pluriharmonic h, by integrating its (1,0)-gradient
-  along the radial segment from a base point;
+  along the radial segment from a base point, with the shared
+  Gauss-Legendre rule and the shared Wirtinger stencil;
 * ``ExtensionRecipe`` / ``assemble_extension``: the assembled extension
   C * q~(z, w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar));
 * ``genus1_extension``: the explicit eta-function extension
   log(-pi*i*(z - w))^(1/2) + log eta(z) + conj(log eta(wbar)), whose
-  diagonal restriction is log(2 pi y)^(1/2) |eta(z)|^2 -- real;
+  diagonal restriction is log(2 pi y)^(1/2) |eta(z)|^2 -- real; log eta is
+  ``special_functions.log_eta``, the library's one eta path;
 * ``modular_invariance_check``: the phase-free invariance test of
   exp(24 * extension) under the diagonal action of SL(2, Z) words.
 
@@ -38,8 +40,9 @@ from .potential_builder import (
     ProductDomain,
     cone_potential,
 )
-from .special_functions import log_eta
-from .torus_spectral import closed_form_log_det
+from .special_functions import log_eta, require_upper_half
+from .torus_spectral import _gl_nodes, closed_form_log_det
+from .wirtinger import gradient_and_levi
 
 TWO_PI = 2.0 * math.pi
 
@@ -48,9 +51,9 @@ TWO_PI = 2.0 * math.pi
 class ProductPoint:
     """A point (z, w) of the complexified model H x Hbar.
 
-    For scalar entries the genus-1 model constraints Im(z) > 0 > Im(w) are
-    enforced (hence z != w); array entries are passed through for synthetic
-    higher-genus recipes.
+    For scalar entries the genus-1 model constraints are enforced: both
+    finite and Im(z) > 0 > Im(w) (hence z != w).  Array entries are passed
+    through for synthetic higher-genus recipes.
     """
 
     z: complex | np.ndarray
@@ -58,10 +61,10 @@ class ProductPoint:
 
     def __post_init__(self):
         if np.isscalar(self.z) or isinstance(self.z, complex):
-            z = complex(self.z)
+            z = require_upper_half(self.z)
             w = complex(self.w)
-            if not z.imag > 0.0:
-                raise DomainError(f"Im(z) must be positive, got {z!r}")
+            if not cmath.isfinite(w):
+                raise DomainError(f"w must be finite, got {w!r}")
             if not w.imag < 0.0:
                 raise DomainError(f"Im(w) must be negative, got {w!r}")
             object.__setattr__(self, "z", z)
@@ -73,15 +76,8 @@ class ProductPoint:
         return cls(z, z.conjugate())
 
 
-def symmetrize(q: Callable, point: ProductPoint) -> complex:
-    """(q(z, w) + conj(q(wbar, zbar))) / 2; real on the diagonal w = zbar."""
-    z, w = point.z, point.w
-    mirrored = q(np.conj(w), np.conj(z))
-    return 0.5 * (q(z, w) + np.conj(mirrored))
-
-
 def symmetrized_evaluator(q: Callable) -> Callable:
-    """The symmetrization of q as a plain (z, w) evaluator."""
+    """q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2, real on the diagonal w = zbar."""
 
     def q_tilde(z, w):
         return 0.5 * (q(z, w) + np.conj(q(np.conj(w), np.conj(z))))
@@ -91,9 +87,7 @@ def symmetrized_evaluator(q: Callable) -> Callable:
 
 def wp_form_genus1(z: complex) -> complex:
     """Coefficient of the genus-1 Weil-Petersson form: -i (z - zbar)^{-2}."""
-    z = complex(z)
-    if not z.imag > 0:
-        raise DomainError(f"Im(z) must be positive, got {z!r}")
+    z = require_upper_half(z)
     return -1j * (z - z.conjugate()) ** -2
 
 
@@ -127,41 +121,24 @@ def pluriharmonic_split(h: Callable[[complex], float], base: complex,
     """Holomorphic f with h = f + conj(f), from a pluriharmonic h.
 
     f(z) = h(base)/2 + int_{base -> z} dh/dz, the (1,0)-part integrated
-    along the straight segment with Gauss-Legendre nodes; dh/dz is taken by
-    Richardson-refined central Wirtinger differences.  The pluriharmonicity
-    residual |d^2 h / dz dzbar| is checked at every node of every evaluation
-    and failure raises NotPluriharmonicError.  The imaginary constant of f
-    is fixed to 0 at the base point.
+    along the straight segment with Gauss-Legendre nodes.  At every node of
+    every evaluation one Richardson-refined stencil
+    (``wirtinger.gradient_and_levi``) gives both dh/dz and the
+    pluriharmonicity residual |d^2 h / dz dzbar|, nine samples of h per
+    node; a residual above ``tolerance`` raises NotPluriharmonicError.  The
+    imaginary constant of f is fixed to 0 at the base point.
     """
     quad = path_quad or ConeQuadrature()
     base = complex(base)
     h_base = float(h(base))
-    xs, ws = np.polynomial.legendre.leggauss(quad.nodes_per_axis)
-    nodes = 0.5 * (xs + 1.0)
-    weights = 0.5 * ws
-
-    def grad_and_residual(p: complex):
-        def one(step):
-            fpx = h(p + step)
-            fmx = h(p - step)
-            fpy = h(p + 1j * step)
-            fmy = h(p - 1j * step)
-            f0 = h(p)
-            dx = (fpx - fmx) / (2.0 * step)
-            dy = (fpy - fmy) / (2.0 * step)
-            lap = (fpx + fmx + fpy + fmy - 4.0 * f0) / (step * step)
-            return 0.5 * (dx - 1j * dy), 0.25 * lap
-
-        g1, l1 = one(fd_step)
-        g2, l2 = one(0.5 * fd_step)
-        return (4.0 * g2 - g1) / 3.0, (4.0 * l2 - l1) / 3.0
+    nodes, weights = _gl_nodes(0.0, 1.0, quad.nodes_per_axis)
 
     def f(z: complex) -> complex:
         z = complex(z)
         seg = z - base
         total = 0.0 + 0.0j
         for s, wgt in zip(nodes, weights):
-            g, lap = grad_and_residual(base + s * seg)
+            g, lap = gradient_and_levi(h, base + s * seg, fd_step)
             if abs(lap) > tolerance:
                 raise NotPluriharmonicError(
                     f"pluriharmonicity residual {abs(lap):.3e} exceeds {tolerance:g}"
@@ -322,7 +299,7 @@ def genus1_recipe(constant: float, f_mode: str = "split",
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
     elif f_mode == "split":
         target = diagonal or closed_form_log_det
-        # the split path evaluates h at ~10 stencil points per segment node;
+        # the split path evaluates h at 9 stencil points per segment node;
         # a 32-node non-adaptive rule keeps that tractable at ~1e-13 accuracy
         light = ConeQuadrature(nodes_per_axis=min(quad.nodes_per_axis, 32), adaptive=False)
 

@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .wirtinger import wirtinger_dz, wirtinger_dzbar
+from .torus_spectral import _gl_nodes
+from .wirtinger import mixed_second, wirtinger_pair
 
 #: Refuse quadrature when any node comes this close to a declared singularity.
 POLE_GUARD = 1e-3
@@ -114,7 +115,10 @@ def pointwise_coeff(f: Callable, dim: int):
 
 @dataclass(frozen=True)
 class ConeQuadrature:
-    """Tensor Gauss-Legendre on the parameter square, with bisection refine."""
+    """Tensor Gauss-Legendre on the parameter square, with bisection refine.
+
+    Every cell maps the same cached rule (``torus_spectral._gl_nodes``).
+    """
 
     nodes_per_axis: int = 64
     adaptive: bool = True
@@ -126,16 +130,9 @@ class ConeQuadrature:
             raise ValueError("nodes_per_axis must be >= 2")
 
 
-def _gl(n: int):
-    return np.polynomial.legendre.leggauss(n)
-
-
 def _cell_value(form: ClosedHoloForm, dz, dw, quad: ConeQuadrature, s0, s1, t0, t1) -> complex:
-    xs, ws = _gl(quad.nodes_per_axis)
-    ss = s0 + 0.5 * (s1 - s0) * (xs + 1.0)
-    tt = t0 + 0.5 * (t1 - t0) * (xs + 1.0)
-    wss = 0.5 * (s1 - s0) * ws
-    wtt = 0.5 * (t1 - t0) * ws
+    ss, wss = _gl_nodes(s0, s1, quad.nodes_per_axis)
+    tt, wtt = _gl_nodes(t0, t1, quad.nodes_per_axis)
     S, T = np.meshgrid(ss, tt, indexing="ij")
     S, T = S.ravel(), T.ravel()
     Z = form.base_z[None, :] + S[:, None] * dz[None, :]
@@ -212,9 +209,9 @@ def verify_mixed_derivative(form: ClosedHoloForm, z, w, quad: ConeQuadrature | N
                             h: float = 1e-3) -> np.ndarray:
     """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at (z, w).
 
-    Central differences on holomorphic directions plus one Richardson step.
-    The full stencil (offsets up to h per coordinate) must stay inside the
-    declared domain.
+    The derivative is ``wirtinger.mixed_second``: central differences on
+    holomorphic directions plus one Richardson step.  The full stencil
+    (offsets up to h per coordinate) must stay inside the declared domain.
     """
     n = form.dim
     zv = _as_vec(z, n)
@@ -230,20 +227,8 @@ def verify_mixed_derivative(form: ClosedHoloForm, z, w, quad: ConeQuadrature | N
     out = np.empty((n, n), dtype=float)
     for i in range(n):
         for j in range(n):
-            def mixed(step):
-                total = 0.0
-                for sa, sb in ((+1, +1), (+1, -1), (-1, +1), (-1, -1)):
-                    q = cone_potential(
-                        form,
-                        _shifted(zv, i, zv[i] + sa * step),
-                        _shifted(wv, j, wv[j] + sb * step),
-                        quad,
-                    )
-                    total += sa * sb * q
-                return total / (4.0 * step * step)
-
-            fd = (4.0 * mixed(0.5 * h) - mixed(h)) / 3.0
-            out[i, j] = abs(fd - omega[i, j])
+            q = lambda a, b: cone_potential(form, _shifted(zv, i, a), _shifted(wv, j, b), quad)
+            out[i, j] = abs(mixed_second(q, zv[i], wv[j], h) - omega[i, j])
     return out
 
 
@@ -253,10 +238,6 @@ class FormCheckReport:
     antiholomorphic_residual: float
     tolerance: float
     passed: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.closedness_residual, self.antiholomorphic_residual)
 
 
 def check_closed_and_holomorphic(form: ClosedHoloForm, samples, h: float = 1e-3,
@@ -277,10 +258,9 @@ def check_closed_and_holomorphic(form: ClosedHoloForm, samples, h: float = 1e-3,
         for k in range(n):
             fz = lambda c: form.coeff_at(_shifted(zv, k, c), wv)
             fw = lambda c: form.coeff_at(zv, _shifted(wv, k, c))
-            dz_omega[k] = wirtinger_dz(fz, zv[k], h)
-            dw_omega[k] = wirtinger_dz(fw, wv[k], h)
-            anti = max(anti, float(np.max(np.abs(wirtinger_dzbar(fz, zv[k], h)))))
-            anti = max(anti, float(np.max(np.abs(wirtinger_dzbar(fw, wv[k], h)))))
+            dz_omega[k], fz_bar = wirtinger_pair(fz, zv[k], h)
+            dw_omega[k], fw_bar = wirtinger_pair(fw, wv[k], h)
+            anti = max(anti, float(np.max(np.abs(fz_bar))), float(np.max(np.abs(fw_bar))))
         for k in range(n):
             for i in range(n):
                 for j in range(n):

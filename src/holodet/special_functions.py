@@ -8,14 +8,17 @@ Conventions used throughout the library:
 * eta(z) = q^(1/24) * prod_{n>=1} (1 - q^n), with q^(1/24) read as
   exp(pi*i*z/12).
 
-``eta`` moves its argument with the exact unit translation z -> z - k and the
-inversion eta(z) = eta(-1/z) / sqrt(-i z) until Im(z) is large enough for the
-q-product to converge rapidly.  ``log_eta`` always sums the canonical series
+There is one eta path.  ``log_eta`` sums the canonical series
 
     pi*i*z/12 + sum_{n>=1} Log(1 - q^n),
 
 which is the analytic branch of log(eta) on all of H: every factor 1 - q^n
 has positive real part because |q^n| < 1, so each principal Log is safe.
+Below Im(z) = 0.05 it first moves the argument with the exact laws of that
+branch, log eta(z + 1) = log eta(z) + pi*i/12 and
+log eta(-1/z) = log eta(z) + Log(-i z)/2, until the series converges
+rapidly.  ``eta`` is exp(log_eta), and ``closed_form_log_det`` in
+``torus_spectral`` uses 2 Re log_eta, so neither underflows near a cusp.
 """
 
 from __future__ import annotations
@@ -30,12 +33,15 @@ from .errors import BranchPathError, BudgetError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
-#: Hard cap on q-product / q-series terms.  Only reachable for log_eta at
-#: heights Im(z) below roughly 2e-5; eta itself reduces the argument first.
+#: Hard cap on q-series terms in ``eta_term_count``.  log_eta reduces its
+#: argument first, so it never needs more than about 120 terms.
 MAX_ETA_TERMS = 200_000
 
-#: Below this height the product converges too slowly; reduce first.
+#: Below this height the series converges too slowly; reduce first.
 _REDUCE_HEIGHT = 0.05
+
+#: Cap on reduction passes in log_eta; unreachable (see the loop there).
+_MAX_REDUCTIONS = 600
 
 #: The geometric tail bound for the q-series is used only for |q| <= this
 #: (where |log(1-u)| <= 2|u| still holds); after reduction |q| <= 0.731.
@@ -45,8 +51,10 @@ _DEFAULT_REL_TOL = 1e-15
 
 
 def require_upper_half(z: complex, what: str = "z") -> complex:
-    """Validate Im(z) > 0 and return z as a complex number."""
+    """Validate that z is finite with Im(z) > 0 and return it as a complex number."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"{what} must be finite, got {z!r}")
     if not z.imag > 0.0:
         raise DomainError(f"Im({what}) must be positive, got {z!r}")
     return z
@@ -154,7 +162,7 @@ def canonical_modulus(z: complex) -> complex:
 
 
 def eta_term_count(z: complex, rel_tol: float = _DEFAULT_REL_TOL) -> int:
-    """Number of product terms so the dropped tail is below rel_tol (relative).
+    """Number of series terms so the dropped tail is below rel_tol (relative).
 
     Uses sum_{n>N} |log(1 - q^n)| <= 2|q|^{N+1} / (1 - |q|).  Raises
     BudgetError when the bound cannot be met within MAX_ETA_TERMS or when
@@ -176,7 +184,7 @@ def eta_term_count(z: complex, rel_tol: float = _DEFAULT_REL_TOL) -> int:
 
 
 def eta_tail_bound(z: complex, terms: int) -> float:
-    """Bound on the relative error of the q-product truncated after ``terms``.
+    """Bound on the relative error of eta(z, terms), the series truncated after ``terms``.
 
     Returns inf where the geometric bound does not apply (|q| > 0.79).
     """
@@ -188,65 +196,45 @@ def eta_tail_bound(z: complex, terms: int) -> float:
     return math.expm1(log_tail)
 
 
-def _eta_product(z: complex, terms: int) -> complex:
-    q = cmath.exp(2j * math.pi * z)
-    qn = q ** np.arange(1, terms + 1)
-    return cmath.exp(1j * math.pi * z / 12.0) * complex(np.prod(1.0 - qn))
-
-
-def eta(z: complex, terms: int | None = None) -> complex:
-    """Dedekind eta function on the upper half plane.
-
-    With ``terms=None`` the argument is first reduced (unit translations and
-    the inversion) until Im(z) >= 0.05 and the truncation is chosen so the
-    dropped tail is below 1e-15 relative.  An explicit ``terms`` evaluates
-    the product at z as given with exactly that many factors.
-    """
-    z = require_upper_half(z)
-    if terms is not None:
-        terms = int(terms)
-        if terms < 1:
-            raise ValueError("terms must be a positive integer")
-        return _eta_product(z, terms)
-    return _eta_reduced(z, 0)
-
-
-def _eta_reduced(z: complex, depth: int) -> complex:
-    if depth > 128:
-        raise BudgetError("modular reduction did not converge")
-    if z.imag >= _REDUCE_HEIGHT:
-        return _eta_product(z, eta_term_count(z))
-    k = math.floor(z.real + 0.5)
-    if k:
-        # eta(z) = exp(-i*pi*k/12) * eta(z) shifted: eta(z'+k) = e^{i pi k/12} eta(z')
-        return cmath.exp(1j * math.pi * k / 12.0) * _eta_reduced(z - k, depth + 1)
-    # |Re z| <= 1/2 and Im z < 0.05 imply |z| < 1, so inversion raises Im.
-    return _eta_reduced(-1.0 / z, depth + 1) / cmath.sqrt(-1j * z)
-
-
-def log_eta(z: complex) -> complex:
+def log_eta(z: complex, terms: int | None = None) -> complex:
     """Canonical branch of log(eta) on H.
 
     Sums pi*i*z/12 + sum_n Log(1 - q^n) with the principal Log per term;
     each 1 - q^n has positive real part since |q^n| < 1.  This branch is
     analytic on all of H and satisfies exp(log_eta(z)) = eta(z).
+
+    With ``terms=None`` the argument is first moved to Im(z) >= 0.05 by the
+    exact laws log_eta(z + 1) = log_eta(z) + pi*i/12 and
+    log_eta(-1/z) = log_eta(z) + Log(-i z)/2, and the series is truncated
+    so the dropped tail is below 1e-15 (``eta_term_count``).  An explicit
+    ``terms`` sums exactly that many terms at z as given.
     """
     z = require_upper_half(z)
-    absq = math.exp(-TWO_PI * z.imag)
-    if not absq < 1.0:
-        raise DomainError(f"|q| must be < 1, got {absq!r}")  # unreachable for Im(z) > 0
-    if absq <= _TAIL_BOUND_MAX_Q:
-        n = eta_term_count(z)
-    else:
-        # direct series without the geometric shortcut; cap still applies
-        n = math.ceil(math.log(1e15 * 2.0 / (1.0 - absq)) / (TWO_PI * z.imag))
-        if n > MAX_ETA_TERMS:
-            raise BudgetError(
-                f"convergence budget exceeded: {n} series terms needed at Im(z) = {z.imag!r}"
-            )
+    shift = 0j
+    if terms is None:
+        # each pass raises Im(z) by a factor >= 1/(1/4 + 0.05^2) > 3.9, so
+        # even a subnormal height reaches 0.05 within 545 passes
+        for _ in range(_MAX_REDUCTIONS):
+            if z.imag >= _REDUCE_HEIGHT:
+                break
+            k = math.floor(z.real + 0.5)
+            z -= k
+            shift += 1j * math.pi * k / 12.0 - 0.5 * cmath.log(-1j * z)
+            z = -1.0 / z
+        else:
+            raise BudgetError("modular reduction did not converge")
+        terms = eta_term_count(z)
+    terms = int(terms)
+    if terms < 1:
+        raise ValueError("terms must be a positive integer")
     q = cmath.exp(2j * math.pi * z)
-    qn = q ** np.arange(1, n + 1)
-    return 1j * math.pi * z / 12.0 + complex(np.sum(np.log(1.0 - qn)))
+    qn = q ** np.arange(1, terms + 1)
+    return 1j * math.pi * z / 12.0 + complex(np.sum(np.log(1.0 - qn))) + shift
+
+
+def eta(z: complex, terms: int | None = None) -> complex:
+    """Dedekind eta function on the upper half plane: exp(log_eta(z, terms))."""
+    return cmath.exp(log_eta(z, terms))
 
 
 def modular_discriminant(z: complex) -> complex:

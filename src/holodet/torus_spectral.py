@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError, DomainError
-from .special_functions import canonical_modulus, eta, require_upper_half
+from .special_functions import canonical_modulus, log_eta, require_upper_half
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -184,10 +184,18 @@ def heat_trace(z: complex, t: float, trunc: SpectralTruncation | None = None,
 
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    xs, ws = np.polynomial.legendre.leggauss(n)
+    xs.flags.writeable = ws.flags.writeable = False  # shared by every caller
+    return xs, ws
 
 
 def _gl_nodes(a: float, b: float, n: int):
+    """Gauss-Legendre nodes and weights of order n on [a, b].
+
+    The library's one quadrature rule: the spectral t-integrals, the cone
+    cells of ``potential_builder`` and the path of ``pluriharmonic_split``
+    all map the reference rule, which is computed once per order.
+    """
     xs, ws = _gauss_legendre(n)
     half = 0.5 * (b - a)
     return a + half * (xs + 1.0), half * ws
@@ -283,4 +291,4 @@ def closed_form_log_det(z: complex) -> float:
     instead of hardcoding either (see ``holodet.verify``).
     """
     z = require_upper_half(z)
-    return math.log(2.0 * math.pi) + 0.5 * math.log(z.imag) + 2.0 * math.log(abs(eta(z)))
+    return math.log(2.0 * math.pi) + 0.5 * math.log(z.imag) + 2.0 * log_eta(z).real

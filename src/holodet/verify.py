@@ -1,9 +1,11 @@
 """One-shot verification suite behind ``holodet verify-all`` and the tests.
 
 Every check pins its tolerance here; the functions return CheckResult lists
-so the CLI and the test suite share one implementation.  All sample
-geometries are deterministic (fixed grids and a fixed seed), which makes the
-emitted report byte-identical across runs.
+so the CLI and the test suite share one implementation.  The checks that
+``torus-det``, ``potential --verify`` and ``extend --check`` print are the
+parameterized functions below, which the suite calls with its own names and
+grids.  All sample geometries are deterministic (fixed grids and a fixed
+seed), which makes the emitted report byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -36,13 +38,116 @@ from .potential_builder import (
 )
 from .report import CheckResult, RunReport
 from .special_functions import eta
-from .torus_spectral import closed_form_log_det, zeta_log_det
+from .torus_spectral import SpectralDetResult, closed_form_log_det, zeta_log_det
 from .wirtinger import dz_dzbar, wirtinger_dzbar
 
 WORD_SEED = 20250814
 DIAGONAL_CONSTANT = -0.5 * math.log(2.0 * math.pi)  # expected L(z, zbar) - closed form
 
 _SPECTRAL_POINTS = (1j, 2j, 0.3 + 1.1j)
+
+#: modular words of ``extend --check invariance``
+_INVARIANCE_WORDS = ("T", "S", "STS", "TTST", "STT")
+
+
+# --- parameterized checks, shared by the suite and the CLI -------------------
+
+
+def zeta0_check(r: SpectralDetResult, tol: float = 1e-9, name: str = "zeta0_diagnostic",
+                detail: str = "") -> CheckResult:
+    """|zeta(0) + 1| of a spectral result: a flat torus has no constant heat coefficient."""
+    res = abs(r.zeta_zero + 1.0)
+    return CheckResult(name, res, tol, res <= tol, f"zeta(0)={r.zeta_zero:.12f}{detail}")
+
+
+def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
+    """det'(Delta) over y^2 |eta|^4 and over 2 pi y^(1/2) |eta|^2, at the reduced modulus."""
+    y = r.modulus.imag
+    eta_abs = abs(eta(r.modulus))
+    det = math.exp(r.log_det)
+    return det / (y ** 2 * eta_abs ** 4), det / (2.0 * math.pi * math.sqrt(y) * eta_abs ** 2)
+
+
+def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"),
+                         tol: float = 1e-8) -> list[CheckResult]:
+    """Worst closedness and anti-holomorphy residuals over (form, sample pairs) cases."""
+    reports = [check_closed_and_holomorphic(form, samples) for form, samples in cases]
+    closed = max(r.closedness_residual for r in reports)
+    anti = max(r.antiholomorphic_residual for r in reports)
+    return [CheckResult(names[0], closed, tol, closed <= tol),
+            CheckResult(names[1], anti, tol, anti <= tol)]
+
+
+def boundary_check(form: ClosedHoloForm, pairs, quad: ConeQuadrature,
+                   name: str = "boundary_vanishing", tol: float = 1e-10) -> CheckResult:
+    """Worst |q(z, w0)|, |q(z0, w)| over the pairs."""
+    rep = verify_boundary_vanishing(form, pairs, quad, tolerance=tol)
+    return CheckResult(name, rep.max_residual, tol, rep.passed)
+
+
+def mixed_derivative_check(form: ClosedHoloForm, pairs, quad: ConeQuadrature,
+                           name: str = "mixed_derivative", tol: float = 1e-7) -> CheckResult:
+    """Worst entrywise |FD d_z d_w q - Omega| over the pairs; an error fails the check."""
+    try:
+        worst = max(float(np.max(verify_mixed_derivative(form, z, w, quad))) for z, w in pairs)
+    except HolodetError as exc:
+        return CheckResult(name, math.inf, tol, False, str(exc))
+    return CheckResult(name, worst, tol, worst <= tol)
+
+
+def potential_checks(form: ClosedHoloForm, z, w, samples, quad: ConeQuadrature) -> list[CheckResult]:
+    """The checks of ``potential --verify``: contracts and boundary over samples, d_z d_w q at (z, w)."""
+    return [*form_contract_checks([(form, samples)]),
+            boundary_check(form, samples, quad),
+            mixed_derivative_check(form, [(z, w)], quad)]
+
+
+def _diagonal_grid(n: int):
+    return [complex(x, y) for x in np.linspace(-0.4, 0.4, n) for y in np.linspace(0.8, 2.0, n)]
+
+
+def diagonal_imag_check(evaluate, n: int = 5, name: str = "diagonal_imag",
+                        tol: float = 1e-12) -> CheckResult:
+    """Worst |Im L(z, zbar)| of an extension over the n x n grid [-0.4, 0.4] x [0.8, 2]."""
+    worst = max(float(abs(evaluate(ProductPoint.diagonal(z)).imag)) for z in _diagonal_grid(n))
+    return CheckResult(name, worst, tol, worst <= tol)
+
+
+def invariance_checks(point: ProductPoint, words, tol: float = 1e-9) -> list[CheckResult]:
+    """Relative exp(24 L) invariance residual per modular word."""
+    out = []
+    for word in words:
+        r = modular_invariance_check(point, word)
+        out.append(CheckResult(f"invariance[{word}]", r.relative_residual, tol,
+                               r.relative_residual <= tol,
+                               f"raw diff mod 2pi i/24: {abs(r.l_difference_mod):.3e}"))
+    return out
+
+
+def antiholomorphic_check(evaluate, z_points, w_points, name: str = "antiholomorphic_residual",
+                          tol: float = 1e-7, h: float = 1e-4) -> CheckResult:
+    """Worst |d/dzbar| of L(., w) at each (z, w) of z_points and of L(z, .) at each of w_points."""
+    worst = 0.0
+    for z, w in z_points:
+        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(p, w)), z, h)))
+    for z, w in w_points:
+        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(z, p)), w, h)))
+    return CheckResult(name, worst, tol, worst <= tol)
+
+
+def extend_checks(evaluate, point: ProductPoint, kind: str) -> list[CheckResult]:
+    """The checks of ``extend --check diagonal|invariance|holomorphy`` around ``point``."""
+    if kind == "diagonal":
+        return [diagonal_imag_check(evaluate)]
+    if kind == "invariance":
+        return invariance_checks(point, _INVARIANCE_WORDS)
+    z, w = point.z, point.w
+    shifts = (0.1, -0.15 + 0.2j)
+    return [antiholomorphic_check(evaluate, [(z + d, w) for d in shifts],
+                                  [(z + d, w - 0.1j) for d in shifts])]
+
+
+# --- the verify-all suite -----------------------------------------------------
 
 
 def check_spectral_normalization() -> list[CheckResult]:
@@ -52,14 +157,11 @@ def check_spectral_normalization() -> list[CheckResult]:
     ratios_half = []  # against 2 pi y^(1/2) |eta|^2
     for z in _SPECTRAL_POINTS:
         r = zeta_log_det(z)
-        out.append(CheckResult(f"zeta0_diagnostic[z={z}]", abs(r.zeta_zero + 1.0), 1e-9,
-                               abs(r.zeta_zero + 1.0) <= 1e-9,
-                               f"zeta(0)={r.zeta_zero:.12f}, tail={r.tail_bound:.2e}"))
-        y = r.modulus.imag
-        eta_abs = abs(eta(r.modulus))
-        det = math.exp(r.log_det)
-        ratios_sq.append(det / (y ** 2 * eta_abs ** 4))
-        ratios_half.append(det / (2.0 * math.pi * math.sqrt(y) * eta_abs ** 2))
+        out.append(zeta0_check(r, name=f"zeta0_diagnostic[z={z}]",
+                               detail=f", tail={r.tail_bound:.2e}"))
+        sq, half = normalization_ratios(r)
+        ratios_sq.append(sq)
+        ratios_half.append(half)
 
     def spread(vals):
         mean = sum(vals) / len(vals)
@@ -108,17 +210,14 @@ def check_cone_vs_closed_form(fast: bool = False) -> list[CheckResult]:
     pairs = _cone_test_pairs(4 if fast else 10)
     assert all(abs(z - w) >= 1.0 for z, w in pairs)
 
-    mixed = 0.0
     expq = 0.0
     for z, w in pairs:
-        mixed = max(mixed, float(verify_mixed_derivative(form, z, w, quad)[0, 0]))
         q = cone_potential(form, z, w, quad)
         cross = (z - w) * (1j + 1j) / ((1j - w) * (z + 1j))
         expq = max(expq, abs(cmath.exp(q) - cross) / abs(cross))
-    boundary = verify_boundary_vanishing(form, pairs, quad, tolerance=1e-10)
     return [
-        CheckResult("cone_mixed_derivative", mixed, 1e-7, mixed <= 1e-7),
-        CheckResult("cone_boundary_vanishing", boundary.max_residual, 1e-10, boundary.passed),
+        mixed_derivative_check(form, pairs, quad, "cone_mixed_derivative"),
+        boundary_check(form, pairs, quad, "cone_boundary_vanishing"),
         CheckResult("cone_exp_matches_closed_form", expq, 1e-8, expq <= 1e-8),
     ]
 
@@ -142,8 +241,7 @@ def check_synthetic_form_contracts(fast: bool = False) -> list[CheckResult]:
     """mixed_second_of forms: potential identity, closedness, holomorphy."""
     quad = ConeQuadrature(nodes_per_axis=32)
     worst_q = 0.0
-    worst_closed = 0.0
-    worst_anti = 0.0
+    cases = []
     for g, form in _synthetic_forms(3 if fast else 5):
         n = form.dim
         pts = [
@@ -155,13 +253,10 @@ def check_synthetic_form_contracts(fast: bool = False) -> list[CheckResult]:
             oracle = (g.at(zv, wv) - g.at(form.base_z, wv)
                       - g.at(zv, form.base_w) + g.at(form.base_z, form.base_w))
             worst_q = max(worst_q, abs(q - oracle))
-        rep = check_closed_and_holomorphic(form, pts)
-        worst_closed = max(worst_closed, rep.closedness_residual)
-        worst_anti = max(worst_anti, rep.antiholomorphic_residual)
+        cases.append((form, pts))
     return [
         CheckResult("synthetic_potential_identity", worst_q, 1e-9, worst_q <= 1e-9),
-        CheckResult("synthetic_closedness", worst_closed, 1e-8, worst_closed <= 1e-8),
-        CheckResult("synthetic_antiholomorphic", worst_anti, 1e-8, worst_anti <= 1e-8),
+        *form_contract_checks(cases, ("synthetic_closedness", "synthetic_antiholomorphic")),
     ]
 
 
@@ -203,30 +298,16 @@ def check_symmetrizer(fast: bool = False) -> list[CheckResult]:
 
 def check_genus1_extension(fast: bool = False) -> list[CheckResult]:
     n = 3 if fast else 5
-    xs = np.linspace(-0.4, 0.4, n)
-    ys = np.linspace(0.8, 2.0, n)
-    imag_worst = 0.0
-    consts = []
-    for x in xs:
-        for y in ys:
-            z = complex(x, y)
-            val = genus1_extension(ProductPoint.diagonal(z))
-            imag_worst = max(imag_worst, abs(val.imag))
-            consts.append(val.real - closed_form_log_det(z))
+    consts = [genus1_extension(ProductPoint.diagonal(z)).real - closed_form_log_det(z)
+              for z in _diagonal_grid(n)]
     const_drift = max(consts) - min(consts)
     mean_const = sum(consts) / len(consts)
-
-    anti_worst = 0.0
-    for z, w in _cone_test_pairs(4):
-        fz = lambda p: genus1_extension(ProductPoint(p, w))
-        fw = lambda p: genus1_extension(ProductPoint(z, p))
-        anti_worst = max(anti_worst, abs(wirtinger_dzbar(fz, z, 1e-4)))
-        anti_worst = max(anti_worst, abs(wirtinger_dzbar(fw, w, 1e-4)))
+    pairs = _cone_test_pairs(4)
     return [
-        CheckResult("genus1_diagonal_imag", imag_worst, 1e-12, imag_worst <= 1e-12),
+        diagonal_imag_check(genus1_extension, n, "genus1_diagonal_imag"),
         CheckResult("genus1_diagonal_constant", const_drift, 1e-9, const_drift <= 1e-9,
                     f"constant {mean_const:.12f}, expected {DIAGONAL_CONSTANT:.12f}"),
-        CheckResult("genus1_antiholomorphic", anti_worst, 1e-7, anti_worst <= 1e-7),
+        antiholomorphic_check(genus1_extension, pairs, pairs, "genus1_antiholomorphic"),
     ]
 
 
@@ -242,11 +323,8 @@ def _random_words(count: int, max_len: int = 4):
 
 def check_mapping_class_invariance() -> list[CheckResult]:
     point = ProductPoint(0.2 + 1.3j, -0.4 - 0.9j)
-    worst = 0.0
     tested = ["T", "S"] + _random_words(5)
-    for word in tested:
-        r = modular_invariance_check(point, word)
-        worst = max(worst, r.relative_residual)
+    worst = max(c.residual for c in invariance_checks(point, tested))
     return [CheckResult("mapping_class_invariance", worst, 1e-9, worst <= 1e-9,
                         "words: " + ",".join(tested))]
 

@@ -1,76 +1,73 @@
 """Finite-difference Wirtinger derivatives with Richardson extrapolation.
 
-All helpers take a callable of one complex variable (values may be complex
-scalars or numpy arrays) and use 2nd-order central differences; with
-``refine=True`` one Richardson step lifts the truncation error to O(h^4).
+This is the library's only home for difference stencils.  All helpers take
+a callable of complex arguments (values may be complex scalars or numpy
+arrays) and use 2nd-order central differences; with ``refine=True`` one
+Richardson step lifts the truncation error to O(h^4).  Quantities that
+share a stencil are returned together from one set of samples:
+``wirtinger_pair`` gives d/dz and d/dzbar, ``gradient_and_levi`` gives d/dz
+and d^2/dz dzbar of a real function.
 """
 
 from __future__ import annotations
 
-import numpy as np
 
-
-def _dx_dy(f, p: complex, h: float):
-    fx = (f(p + h) - f(p - h)) / (2.0 * h)
-    fy = (f(p + 1j * h) - f(p - 1j * h)) / (2.0 * h)
-    return fx, fy
-
-
-def wirtinger_dz(f, p: complex, h: float = 1e-3, refine: bool = True):
-    """d/dz = (d/dx - i d/dy)/2 at p; equals f'(p) for holomorphic f."""
-
-    def one(step):
-        fx, fy = _dx_dy(f, p, step)
-        return 0.5 * (fx - 1j * fy)
-
+def _richardson(one, h: float, refine: bool) -> tuple:
+    """Entrywise (4 one(h/2) - one(h)) / 3 for a tuple-valued stencil ``one``."""
     if not refine:
         return one(h)
-    return (4.0 * one(0.5 * h) - one(h)) / 3.0
+    fine, coarse = one(0.5 * h), one(h)
+    return tuple((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
+
+
+def wirtinger_pair(f, p: complex, h: float = 1e-3, refine: bool = True) -> tuple:
+    """(d/dz f, d/dzbar f) at p, with d/dz = (d/dx - i d/dy)/2 and d/dzbar its conjugate.
+
+    For holomorphic f the first is f'(p) and the second vanishes.
+    """
+
+    def one(step):
+        fx = (f(p + step) - f(p - step)) / (2.0 * step)
+        fy = (f(p + 1j * step) - f(p - 1j * step)) / (2.0 * step)
+        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+    return _richardson(one, h, refine)
 
 
 def wirtinger_dzbar(f, p: complex, h: float = 1e-3, refine: bool = True):
     """d/dzbar = (d/dx + i d/dy)/2 at p; vanishes for holomorphic f."""
+    return wirtinger_pair(f, p, h, refine)[1]
+
+
+def gradient_and_levi(u, p: complex, h: float = 1e-3, refine: bool = True) -> tuple:
+    """(d/dz u, d^2 u / dz dzbar) at p from the same five samples per step.
+
+    d^2/dz dzbar is a quarter of the Laplacian; it vanishes for
+    pluriharmonic u.
+    """
+    u0 = u(p)
 
     def one(step):
-        fx, fy = _dx_dy(f, p, step)
-        return 0.5 * (fx + 1j * fy)
+        upx, umx = u(p + step), u(p - step)
+        upy, umy = u(p + 1j * step), u(p - 1j * step)
+        dx = (upx - umx) / (2.0 * step)
+        dy = (upy - umy) / (2.0 * step)
+        lap = (upx + umx + upy + umy - 4.0 * u0) / (step * step)
+        return 0.5 * (dx - 1j * dy), 0.25 * lap
 
-    if not refine:
-        return one(h)
-    return (4.0 * one(0.5 * h) - one(h)) / 3.0
+    return _richardson(one, h, refine)
 
 
-def antiholomorphic_residual(f, p: complex, h: float = 1e-3) -> float:
-    """max |d/dzbar f| entrywise, as a holomorphy check at p."""
-    r = wirtinger_dzbar(f, p, h)
-    return float(np.max(np.abs(r)))
+def dz_dzbar(u, p: complex, h: float = 1e-3, refine: bool = True):
+    """d^2 u / dz dzbar = Laplacian/4 of a real-valued function at p."""
+    return gradient_and_levi(u, p, h, refine)[1]
 
 
 def mixed_second(q, z: complex, w: complex, h: float = 1e-3, refine: bool = True):
     """d^2 q / dz dw by a central 4-point stencil on holomorphic directions."""
 
     def one(step):
-        return (
-            q(z + step, w + step)
-            - q(z + step, w - step)
-            - q(z - step, w + step)
-            + q(z - step, w - step)
-        ) / (4.0 * step * step)
+        return ((q(z + step, w + step) - q(z + step, w - step)
+                 - q(z - step, w + step) + q(z - step, w - step)) / (4.0 * step * step),)
 
-    if not refine:
-        return one(h)
-    return (4.0 * one(0.5 * h) - one(h)) / 3.0
-
-
-def dz_dzbar(u, p: complex, h: float = 1e-3, refine: bool = True):
-    """d^2 u / dz dzbar = Laplacian/4 of a real-valued function at p."""
-
-    def one(step):
-        lap = (
-            u(p + step) + u(p - step) + u(p + 1j * step) + u(p - 1j * step) - 4.0 * u(p)
-        ) / (step * step)
-        return 0.25 * lap
-
-    if not refine:
-        return one(h)
-    return (4.0 * one(0.5 * h) - one(h)) / 3.0
+    return _richardson(one, h, refine)[0]

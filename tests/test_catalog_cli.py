@@ -138,6 +138,18 @@ class TestCliEta:
         assert run_cli("eta", "--z", "bogus").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("eta", "--z", "0,1", "--terms", "0"),
+    ("potential", "--form", "const1", "--at", "0,2;0,-2", "--nodes", "1"),
+    ("polarize", "--samples", "unused.csv", "--degree", "-1"),
+])
+def test_out_of_range_option_exits_2(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert f"argument {argv[-2]}: must be >=" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 class TestCliTorusDet:
     def test_closed_form_value(self):
         out = run_cli("torus-det", "--z", "0,1", "--method", "closed-form")
@@ -149,6 +161,20 @@ class TestCliTorusDet:
         out = run_cli("torus-det", "--z", "0,1", "--method", "spectral")
         assert out.returncode == 0
         assert "PASS zeta0_diagnostic" in out.stdout
+
+    @pytest.mark.parametrize("z", ["0,-1", "nan,1"])
+    def test_domain_error_exits_2(self, z):
+        out = run_cli("torus-det", "--z", z)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+    def test_budget_error_propagates(self):
+        # a failed certificate is not an input error: it must not become exit 2
+        from holodet.cli import main
+        from holodet.errors import BudgetError
+
+        with pytest.raises(BudgetError):
+            main(["torus-det", "--z", "0,140", "--method", "spectral"])
 
     def test_translation_invariant_output(self):
         a = run_cli("torus-det", "--z", "0,1", "--method", "both")
@@ -243,6 +269,11 @@ class TestCliExtend:
 
     def test_domain_violation_exits_2(self):
         assert run_cli("extend", "--point", "0,-1;0,1").returncode == 2
+
+    def test_non_finite_point_exits_2(self):
+        out = run_cli("extend", "--point", "nan,1;0,-1")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
 
 
 class TestCliPolarize:

@@ -16,7 +16,6 @@ from holodet.extension import (
     i_wp_form_genus1,
     modular_invariance_check,
     pluriharmonic_split,
-    symmetrize,
     symmetrized_evaluator,
     word_to_matrix,
     wp_form_genus1,
@@ -37,6 +36,12 @@ class TestProductPoint:
         with pytest.raises(DomainError):
             ProductPoint(1j, 1j)
 
+    @pytest.mark.parametrize("z, w", [(complex("nan+1j"), -1j), (complex(0, math.inf), -1j),
+                                      (1j, complex("nan-1j")), (1j, complex(0, -math.inf))])
+    def test_rejects_non_finite(self, z, w):
+        with pytest.raises(DomainError, match="finite"):
+            ProductPoint(z, w)
+
     def test_diagonal_constructor(self):
         p = ProductPoint.diagonal(0.3 + 0.8j)
         assert p.w == (0.3 - 0.8j)
@@ -44,19 +49,19 @@ class TestProductPoint:
 
 class TestSymmetrize:
     def test_bilinear(self):
-        q = lambda z, w: z * w
+        qt = symmetrized_evaluator(lambda z, w: z * w)
         p = ProductPoint(0.5 + 1.2j, 0.1 - 0.7j)
-        assert abs(symmetrize(q, p) - p.z * p.w) < 1e-15
+        assert abs(qt(p.z, p.w) - p.z * p.w) < 1e-15
         d = ProductPoint.diagonal(0.5 + 1.2j)
-        val = symmetrize(q, d)
+        val = qt(d.z, d.w)
         assert abs(val.imag) < 1e-15 and val.real == pytest.approx(abs(d.z) ** 2)
 
     def test_linear_imaginary(self):
-        q = lambda z, w: 1j * z
+        qt = symmetrized_evaluator(lambda z, w: 1j * z)
         p = ProductPoint(0.4 + 1.1j, -0.2 - 0.6j)
-        assert abs(symmetrize(q, p) - 0.5j * (p.z - p.w)) < 1e-15
+        assert abs(qt(p.z, p.w) - 0.5j * (p.z - p.w)) < 1e-15
         d = ProductPoint.diagonal(0.4 + 1.1j)
-        assert symmetrize(q, d) == pytest.approx(-1.1)
+        assert qt(d.z, d.w) == pytest.approx(-1.1)
 
     def test_genus1_cone_potential_diagonal(self):
         form = genus1_pole_form()
@@ -108,6 +113,15 @@ class TestPluriharmonicSplit:
         f = pluriharmonic_split(lambda z: cmath.exp(z).real, 1j)
         for z in (1j + 0.3, 1j - 0.2 + 0.4j):
             assert abs(wirtinger_dzbar(f, z, 1e-3)) < 1e-7
+
+    def test_h_samples_per_evaluation(self):
+        # the gradient and the pluriharmonicity residual share one set of samples
+        calls = []
+        h = lambda z: calls.append(z) or (z * z).real
+        f = pluriharmonic_split(h, 1j, ConeQuadrature(nodes_per_axis=32, adaptive=False))
+        calls.clear()
+        f(0.3 + 1.2j)
+        assert len(calls) <= 320
 
     def test_rejects_non_pluriharmonic(self):
         f = pluriharmonic_split(lambda z: abs(z) ** 2, 1j)

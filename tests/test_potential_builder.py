@@ -224,3 +224,29 @@ class TestHolomorphyOfPotential:
         fw = lambda p: cone_potential(form, z, p, quad)
         assert abs(wirtinger_dzbar(fz, z, 1e-4)) < 1e-7
         assert abs(wirtinger_dzbar(fw, w, 1e-4)) < 1e-7
+
+
+class TestSharedMechanisms:
+    def test_gauss_legendre_rule_computed_once_per_order(self, monkeypatch):
+        from holodet.extension import pluriharmonic_split
+        from holodet.torus_spectral import zeta_log_det
+
+        calls = []
+        real = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n) or real(n))
+        form = pole_form()
+        quads = (ConeQuadrature(nodes_per_axis=64), ConeQuadrature(nodes_per_axis=32, adaptive=False))
+        f = pluriharmonic_split(lambda z: (z * z).real, 1j, quads[1])
+
+        def work():
+            for quad in quads:
+                cone_potential(form, 0.3 + 0.9j, -0.2 - 1.1j, quad)
+            zeta_log_det(0.3 + 1.1j)
+            f(0.2 + 1.3j)
+
+        work()  # warm call: each order is computed at most once
+        assert len(calls) == len(set(calls))
+        calls.clear()
+        work()
+        assert calls == []

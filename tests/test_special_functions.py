@@ -88,7 +88,15 @@ class TestEta:
 
     def test_term_budget_exceeded(self):
         with pytest.raises(BudgetError):
-            log_eta(1e-5j)
+            eta_term_count(1e-5j)
+
+    @pytest.mark.parametrize("z", [complex("nan+1j"), complex(0, math.inf),
+                                   complex(math.inf, 1), complex(-math.inf, 1),
+                                   complex(0.5, math.nan)])
+    def test_rejects_non_finite(self, z):
+        for func in (eta, log_eta, eta_term_count):
+            with pytest.raises(DomainError, match="finite"):
+                func(z)
 
 
 class TestLogEta:
@@ -106,6 +114,42 @@ class TestLogEta:
             lhs = cmath.exp(log_eta(z))
             rhs = eta(z)
             assert abs(lhs - rhs) <= 1e-13 * abs(rhs)
+
+
+def log_eta_oracle(z: complex) -> complex:
+    """Canonical series in mpmath, summed at z as given until |q^n| < 1e-25."""
+    zm = mp.mpc(z.real, z.imag)
+    q = mp.e ** (2j * mp.pi * zm)
+    total, qn = 1j * mp.pi * zm / 12, q
+    while abs(qn) > mp.mpf(10) ** -25:
+        total += mp.log(1 - qn)
+        qn *= q
+    return complex(total)
+
+
+class TestCusps:
+    """log_eta and the closed form near the cusp 0, where the series alone fails."""
+
+    def reference(self, z):
+        if z == 1e-5j:
+            # the series needs ~10^6 terms here; use mpmath's eta at -1/z = 1e5 i
+            # and the inversion law log eta(-1/z) = log eta(z) + Log(-i z)/2
+            return complex(mp.log(mp.eta(mp.mpc(0, 1e5))) - mp.log(mp.mpf(1e-5)) / 2)
+        return log_eta_oracle(z)
+
+    @pytest.mark.parametrize("z", [1e-5j, 0.001j, 0.123 + 0.004j])
+    def test_log_eta_matches_mpmath(self, z):
+        ref = self.reference(z)
+        assert abs(log_eta(z) - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("z", [1e-5j, 0.001j, 0.123 + 0.004j])
+    def test_closed_form_matches_mpmath(self, z):
+        from holodet.torus_spectral import closed_form_log_det
+
+        ref = math.log(2 * math.pi) + 0.5 * math.log(z.imag) + 2 * self.reference(z).real
+        value = closed_form_log_det(z)
+        assert math.isfinite(value)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
 
 
 class TestDiscriminant:

@@ -116,6 +116,10 @@ class TestZetaDet:
         b = zeta_log_det(1j)
         assert abs(a.log_det - b.log_det) < 1e-10
 
+    def test_rejects_non_finite_modulus(self):
+        with pytest.raises(DomainError):
+            zeta_log_det(complex("nan+1j"))
+
     def test_tail_certificate(self):
         trunc = SpectralTruncation()
         r = zeta_log_det(0.3 + 1.1j, trunc)

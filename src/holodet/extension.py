@@ -40,7 +40,7 @@ from .potential_builder import (
     ProductDomain,
     cone_potential,
 )
-from .special_functions import log_eta, require_upper_half
+from .special_functions import log_eta
 from .torus_spectral import _gl_nodes, closed_form_log_det
 from .wirtinger import gradient_and_levi
 
@@ -61,10 +61,11 @@ class ProductPoint:
 
     def __post_init__(self):
         if np.isscalar(self.z) or isinstance(self.z, complex):
-            z = require_upper_half(self.z)
-            w = complex(self.w)
-            if not cmath.isfinite(w):
-                raise DomainError(f"w must be finite, got {w!r}")
+            z, w = complex(self.z), complex(self.w)
+            if not (cmath.isfinite(z) and cmath.isfinite(w)):
+                raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
+            if not z.imag > 0.0:
+                raise DomainError(f"Im(z) must be positive, got {z!r}")
             if not w.imag < 0.0:
                 raise DomainError(f"Im(w) must be negative, got {w!r}")
             object.__setattr__(self, "z", z)
@@ -87,7 +88,9 @@ def symmetrized_evaluator(q: Callable) -> Callable:
 
 def wp_form_genus1(z: complex) -> complex:
     """Coefficient of the genus-1 Weil-Petersson form: -i (z - zbar)^{-2}."""
-    z = require_upper_half(z)
+    z = complex(z)
+    if not (cmath.isfinite(z) and z.imag > 0.0):
+        raise DomainError(f"z must be finite with Im(z) > 0, got {z!r}")
     return -1j * (z - z.conjugate()) ** -2
 
 

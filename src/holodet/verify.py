@@ -68,9 +68,9 @@ def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
     return det / (y ** 2 * eta_abs ** 4), det / (2.0 * math.pi * math.sqrt(y) * eta_abs ** 2)
 
 
-def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"),
-                         tol: float = 1e-8) -> list[CheckResult]:
+def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic")) -> list[CheckResult]:
     """Worst closedness and anti-holomorphy residuals over (form, sample pairs) cases."""
+    tol = 1e-8
     reports = [check_closed_and_holomorphic(form, samples) for form, samples in cases]
     closed = max(r.closedness_residual for r in reports)
     anti = max(r.antiholomorphic_residual for r in reports)
@@ -79,15 +79,17 @@ def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"
 
 
 def boundary_check(form: ClosedHoloForm, pairs, quad: ConeQuadrature,
-                   name: str = "boundary_vanishing", tol: float = 1e-10) -> CheckResult:
+                   name: str = "boundary_vanishing") -> CheckResult:
     """Worst |q(z, w0)|, |q(z0, w)| over the pairs."""
+    tol = 1e-10
     rep = verify_boundary_vanishing(form, pairs, quad, tolerance=tol)
     return CheckResult(name, rep.max_residual, tol, rep.passed)
 
 
 def mixed_derivative_check(form: ClosedHoloForm, pairs, quad: ConeQuadrature,
-                           name: str = "mixed_derivative", tol: float = 1e-7) -> CheckResult:
+                           name: str = "mixed_derivative") -> CheckResult:
     """Worst entrywise |FD d_z d_w q - Omega| over the pairs; an error fails the check."""
+    tol = 1e-7
     try:
         worst = max(float(np.max(verify_mixed_derivative(form, z, w, quad))) for z, w in pairs)
     except HolodetError as exc:
@@ -106,15 +108,16 @@ def _diagonal_grid(n: int):
     return [complex(x, y) for x in np.linspace(-0.4, 0.4, n) for y in np.linspace(0.8, 2.0, n)]
 
 
-def diagonal_imag_check(evaluate, n: int = 5, name: str = "diagonal_imag",
-                        tol: float = 1e-12) -> CheckResult:
+def diagonal_imag_check(evaluate, n: int = 5, name: str = "diagonal_imag") -> CheckResult:
     """Worst |Im L(z, zbar)| of an extension over the n x n grid [-0.4, 0.4] x [0.8, 2]."""
+    tol = 1e-12
     worst = max(float(abs(evaluate(ProductPoint.diagonal(z)).imag)) for z in _diagonal_grid(n))
     return CheckResult(name, worst, tol, worst <= tol)
 
 
-def invariance_checks(point: ProductPoint, words, tol: float = 1e-9) -> list[CheckResult]:
+def invariance_checks(point: ProductPoint, words) -> list[CheckResult]:
     """Relative exp(24 L) invariance residual per modular word."""
+    tol = 1e-9
     out = []
     for word in words:
         r = modular_invariance_check(point, word)
@@ -124,14 +127,15 @@ def invariance_checks(point: ProductPoint, words, tol: float = 1e-9) -> list[Che
     return out
 
 
-def antiholomorphic_check(evaluate, z_points, w_points, name: str = "antiholomorphic_residual",
-                          tol: float = 1e-7, h: float = 1e-4) -> CheckResult:
+def antiholomorphic_check(evaluate, z_points, w_points,
+                          name: str = "antiholomorphic_residual") -> CheckResult:
     """Worst |d/dzbar| of L(., w) at each (z, w) of z_points and of L(z, .) at each of w_points."""
+    tol = 1e-7
     worst = 0.0
     for z, w in z_points:
-        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(p, w)), z, h)))
+        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(p, w)), z, 1e-4)))
     for z, w in w_points:
-        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(z, p)), w, h)))
+        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(z, p)), w, 1e-4)))
     return CheckResult(name, worst, tol, worst <= tol)
 
 

@@ -87,6 +87,11 @@ def fmt(value) -> str:
     return f"{value.real:.15g}{value.imag:+.15g}i"
 
 
+def _error(message, code: int) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def _print_checks(checks) -> bool:
     ok = True
     for c in checks:
@@ -102,8 +107,7 @@ def cmd_eta(args) -> int:
     try:
         value = (log_eta if args.log else eta)(args.z, args.terms)
     except HolodetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_BAD_INPUT)
     print(fmt(value))
     return EXIT_OK
 
@@ -119,8 +123,7 @@ def cmd_torus_det(args) -> int:
             return EXIT_OK
         r = zeta_log_det(args.z)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_BAD_INPUT)
     print(f"spectral_log_det={fmt(r.log_det)}")
     print(f"tail_bound={r.tail_bound:.6e}")
     check = zeta0_check(r, args.tol)
@@ -148,20 +151,17 @@ def cmd_potential(args) -> int:
     try:
         entry = _load_entry(args)
     except (KeyError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_BAD_INPUT)
     quad = ConeQuadrature(nodes_per_axis=args.nodes)
     z, w = np.asarray(args.at[0], complex), np.asarray(args.at[1], complex)
     if z.size != entry.dim:
-        print(f"error: form {entry.name!r} needs points in C^{entry.dim}, "
-              f"got {z.size} coordinate(s)", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(f"form {entry.name!r} needs points in C^{entry.dim}, "
+                      f"got {z.size} coordinate(s)", EXIT_BAD_INPUT)
     try:
         # without --verify, polynomial entries must pass their contract check
         form = entry.build(validate=False if args.verify else None)
     except HolodetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _error(exc, EXIT_CHECK_FAILED)
 
     if args.verify:
         samples = [(z, w)] + list(entry.validation_samples())
@@ -173,22 +173,19 @@ def cmd_potential(args) -> int:
             return _emit_grid(args, form, quad, z, w)
         q = cone_potential(form, z, w, quad)
     except HolodetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(exc, EXIT_BAD_INPUT)
     print(f"q={fmt(q)}")
     return EXIT_OK
 
 
 def _emit_grid(args, form, quad, z0, w) -> int:
     if form.dim != 1:
-        print("error: --grid sweeps are supported for one-variable forms only", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error("--grid sweeps are supported for one-variable forms only", EXIT_BAD_INPUT)
     try:
         a_s, b_s, n_s = args.grid.split(":")
-        a, b, n = parse_complex(a_s), parse_complex(b_s), int(n_s)
+        a, b, n = parse_complex(a_s), parse_complex(b_s), int_at_least(1)(n_s)
     except (ValueError, argparse.ArgumentTypeError) as exc:
-        print(f"error: --grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(f"--grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", EXIT_BAD_INPUT)
     wc = complex(w[0])
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for k in range(n):
@@ -228,31 +225,27 @@ def _parse_recipe_file(path):
 def cmd_extend(args) -> int:
     zb, wb = args.point
     if len(zb) != 1:
-        print("error: extend works on the genus-1 model; give scalar z;w", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    z, w = zb[0], wb[0]
+        return _error("extend works on the genus-1 model; give scalar z;w", EXIT_BAD_INPUT)
     try:
-        point = ProductPoint(z, w)
+        point = ProductPoint(zb[0], wb[0])
+        if args.recipe:
+            try:
+                recipe = _parse_recipe_file(args.recipe)
+            except (OSError, ValueError) as exc:
+                return _error(exc, EXIT_BAD_INPUT)
+            evaluate = lambda p: assemble_extension(recipe, p)
+        else:
+            evaluate = genus1_extension
+        if not args.check:
+            print(fmt(evaluate(point)))
+            return EXIT_OK
+        checks = extend_checks(evaluate, point, args.check)
+        value = evaluate(point)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
-    if args.recipe:
-        try:
-            recipe = _parse_recipe_file(args.recipe)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        evaluate = lambda p: assemble_extension(recipe, p)
-    else:
-        evaluate = genus1_extension
-
-    if not args.check:
-        print(fmt(evaluate(point)))
-        return EXIT_OK
-
-    checks = extend_checks(evaluate, point, args.check)
-    print(f"value={fmt(evaluate(point))}")
+        return _error(exc, EXIT_BAD_INPUT)
+    except HolodetError as exc:
+        return _error(exc, EXIT_CHECK_FAILED)
+    print(f"value={fmt(value)}")
     return EXIT_OK if _print_checks(checks) else EXIT_CHECK_FAILED
 
 
@@ -263,13 +256,11 @@ def cmd_polarize(args) -> int:
     try:
         samples = load_diagonal_csv(args.samples)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error: malformed samples CSV: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        return _error(f"malformed samples CSV: {exc}", EXIT_BAD_INPUT)
     try:
         fit = polarize_fit(samples, args.degree, args.svd_cutoff)
     except FitRankError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+        return _error(exc, EXIT_CHECK_FAILED)
     payload = {
         "degree": fit.degree,
         "center": [fit.center.real, fit.center.imag],

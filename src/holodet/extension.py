@@ -7,9 +7,8 @@ totally real diagonal {w = conj(z)}.  This module provides
 * ``symmetrized_evaluator``: the real-on-diagonal symmetrization of a
   holomorphic potential, q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2;
 * ``pluriharmonic_split``: reconstruction of a holomorphic f with
-  h = f + conj(f) from a pluriharmonic h, by integrating its (1,0)-gradient
-  along the radial segment from a base point, with the shared
-  Gauss-Legendre rule and the shared Wirtinger stencil;
+  h = f + conj(f) from a pluriharmonic h on a disc, by the Schwarz formula:
+  one FFT of h sampled on the boundary circle of a Cayley coordinate;
 * ``ExtensionRecipe`` / ``assemble_extension``: the assembled extension
   C * q~(z, w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar));
 * ``genus1_extension``: the explicit eta-function extension
@@ -33,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NotPluriharmonicError
+from .errors import BudgetError, DomainError, NotPluriharmonicError
 from .potential_builder import (
     ClosedHoloForm,
     ConeQuadrature,
@@ -41,10 +40,12 @@ from .potential_builder import (
     cone_potential,
 )
 from .special_functions import log_eta
-from .torus_spectral import _gl_nodes, closed_form_log_det
-from .wirtinger import gradient_and_levi
+from .torus_spectral import closed_form_log_det
 
 TWO_PI = 2.0 * math.pi
+
+#: Boundary samples of h per Schwarz split; f keeps the first N/2 coefficients.
+SPLIT_SAMPLES = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,38 +118,52 @@ def genus1_pole_form(ball_height: float = 5.0, ball_radius: float = 4.9) -> Clos
     return ClosedHoloForm(1, coeff, 1j, -1j, dom, pole_clearance=clearance)
 
 
-def pluriharmonic_split(h: Callable[[complex], float], base: complex,
-                        path_quad: ConeQuadrature | None = None,
-                        fd_step: float = 1e-4,
-                        tolerance: float = 1e-6) -> Callable[[complex], complex]:
-    """Holomorphic f with h = f + conj(f), from a pluriharmonic h.
+def pluriharmonic_split(h: Callable[[complex], float], center: complex,
+                        radius: float) -> Callable[[complex], complex]:
+    """Holomorphic f with h = 2 Re f on the disc D = D(c, r) in H: the Schwarz formula.
 
-    f(z) = h(base)/2 + int_{base -> z} dh/dz, the (1,0)-part integrated
-    along the straight segment with Gauss-Legendre nodes.  At every node of
-    every evaluation one Richardson-refined stencil
-    (``wirtinger.gradient_and_levi``) gives both dh/dz and the
-    pluriharmonicity residual |d^2 h / dz dzbar|, nine samples of h per
-    node; a residual above ``tolerance`` raises NotPluriharmonicError.  The
-    imaginary constant of f is fixed to 0 at the base point.
+    The Cayley coordinate phi(z) = (z - a)/(z - conj(a)), with
+    a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  h is sampled
+    once at N = SPLIT_SAMPLES points of the boundary equally spaced in phi;
+    H = rfft(samples)/N gives f = H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n
+    (the trapezoidal rule), shifted so that Im f(c) = 0.  The build raises
+    BudgetError when the top 16 |H_n| sum above 1e-8, and
+    NotPluriharmonicError when |h - 2 Re f| > 1e-8 max(1, max|h|) at 8 points
+    of |phi| = rho/2.  f raises DomainError outside the closed disc.
     """
-    quad = path_quad or ConeQuadrature()
-    base = complex(base)
-    h_base = float(h(base))
-    nodes, weights = _gl_nodes(0.0, 1.0, quad.nodes_per_axis)
+    c, r = complex(center), float(radius)
+    if not (cmath.isfinite(c) and 0.0 < r < c.imag):
+        raise DomainError(f"split disc D({c!r}, {r!r}) must be a disc in the upper half plane")
+    a = complex(c.real, math.sqrt(c.imag ** 2 - r ** 2))
+    rho = (c.imag - a.imag) / r
+
+    def from_phi(p):
+        return (a - a.conjugate() * p) / (1.0 - p)
+
+    n = SPLIT_SAMPLES
+    circle = rho * np.exp(TWO_PI * 1j * np.arange(n) / n)
+    samples = np.array([float(h(z)) for z in from_phi(circle)])
+    coeffs = np.fft.rfft(samples)[: n // 2] / n
+    tail = float(np.sum(np.abs(coeffs[-16:])))
+    if tail > 1e-8:
+        raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds 1e-8 on D({c!r}, {r!r})")
+    coeffs[0] *= 0.5
+
+    def series(z: complex) -> complex:
+        return complex(np.polynomial.polynomial.polyval((z - a) / (z - a.conjugate()) / rho, coeffs))
+
+    coeffs[0] -= 1j * series(c).imag
 
     def f(z: complex) -> complex:
         z = complex(z)
-        seg = z - base
-        total = 0.0 + 0.0j
-        for s, wgt in zip(nodes, weights):
-            g, lap = gradient_and_levi(h, base + s * seg, fd_step)
-            if abs(lap) > tolerance:
-                raise NotPluriharmonicError(
-                    f"pluriharmonicity residual {abs(lap):.3e} exceeds {tolerance:g}"
-                )
-            total += wgt * g * seg
-        return 0.5 * h_base + total
+        if not abs(z - c) <= r * (1 + 1e-12):
+            raise DomainError(f"z = {z!r} outside the split disc D({c!r}, {r!r})")
+        return series(z)
 
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(samples))))
+    res = max(abs(float(h(z)) - 2.0 * series(z).real) for z in from_phi(0.5 * circle[:: n // 8]))
+    if res > tol:
+        raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
     return f
 
 
@@ -270,8 +285,7 @@ def modular_invariance_check(point: ProductPoint, generator) -> InvarianceResult
 
 def genus1_recipe(constant: float, f_mode: str = "split",
                   quad: ConeQuadrature | None = None,
-                  diagonal: Callable[[complex], float] | None = None,
-                  split_base: complex = 1.4j) -> ExtensionRecipe:
+                  diagonal: Callable[[complex], float] | None = None) -> ExtensionRecipe:
     """Assemble a genus-1 recipe around the cone potential of (z-w)^{-2}.
 
     ``f_mode``:
@@ -280,8 +294,8 @@ def genus1_recipe(constant: float, f_mode: str = "split",
                    the analytic f matching the eta closed form at C = -1/2;
       * "eta2"  -- f = 2 log_eta(z) - log 2 + Log(z+i), matching the
                    spectral determinant at C = 1;
-      * "split" -- f reconstructed by ``pluriharmonic_split`` from the
-                   diagonal data diagonal(z) - C q~(z, zbar) - log(Im tau),
+      * "split" -- f reconstructed by ``pluriharmonic_split`` on the form's
+                   z-ball from diagonal(z) - C q~(z, zbar) - log(Im tau),
                    with ``diagonal`` defaulting to the closed-form log det.
     """
     quad = quad or ConeQuadrature()
@@ -302,21 +316,17 @@ def genus1_recipe(constant: float, f_mode: str = "split",
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
     elif f_mode == "split":
         target = diagonal or closed_form_log_det
-        # the split path evaluates h at 9 stencil points per segment node;
-        # a 32-node non-adaptive rule keeps that tractable at ~1e-13 accuracy
+        # the split samples h SPLIT_SAMPLES + 8 times; a 32-node non-adaptive
+        # rule keeps that tractable at ~1e-13 accuracy
         light = ConeQuadrature(nodes_per_axis=min(quad.nodes_per_axis, 32), adaptive=False)
 
-        def q_light(z, w):
-            return cone_potential(form, z, w, light)
-
-        q_tilde_light = symmetrized_evaluator(q_light)
-
         def h(z: complex) -> float:
+            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one cone potential
             z = complex(z)
-            qt = q_tilde_light(z, np.conj(z))
+            qt = cone_potential(form, z, z.conjugate(), light)
             return float(target(z)) - constant * qt.real - math.log(z.imag)
 
-        f = pluriharmonic_split(h, split_base, light)
+        f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
     else:
         raise ValueError(f"unknown f_mode {f_mode!r}")
 

@@ -15,6 +15,9 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.passed))  # numpy bools are not JSON booleans
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         out = f"{status} {self.name} residual={self.residual:.6e} tol={self.tolerance:.1e}"

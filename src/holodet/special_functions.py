@@ -33,8 +33,9 @@ from .errors import BranchPathError, BudgetError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
-#: Hard cap on q-series terms in ``eta_term_count``.  log_eta reduces its
-#: argument first, so it never needs more than about 120 terms.
+#: Hard cap on q-series terms, in ``eta_term_count`` and on an explicit
+#: ``terms``.  log_eta reduces its argument first, so it never needs more
+#: than about 120 terms.
 MAX_ETA_TERMS = 200_000
 
 #: Below this height the series converges too slowly; reduce first.
@@ -207,7 +208,8 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     exact laws log_eta(z + 1) = log_eta(z) + pi*i/12 and
     log_eta(-1/z) = log_eta(z) + Log(-i z)/2, and the series is truncated
     so the dropped tail is below 1e-15 (``eta_term_count``).  An explicit
-    ``terms`` sums exactly that many terms at z as given.
+    ``terms`` sums exactly that many terms at z as given; more than
+    MAX_ETA_TERMS raise BudgetError before anything is allocated.
     """
     z = require_upper_half(z)
     shift = 0j
@@ -227,6 +229,8 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     terms = int(terms)
     if terms < 1:
         raise ValueError("terms must be a positive integer")
+    if terms > MAX_ETA_TERMS:
+        raise BudgetError(f"{terms} eta terms requested, cap {MAX_ETA_TERMS}")
     q = cmath.exp(2j * math.pi * z)
     qn = q ** np.arange(1, terms + 1)
     return 1j * math.pi * z / 12.0 + complex(np.sum(np.log(1.0 - qn))) + shift

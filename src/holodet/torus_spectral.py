@@ -192,9 +192,9 @@ def _gauss_legendre(n: int):
 def _gl_nodes(a: float, b: float, n: int):
     """Gauss-Legendre nodes and weights of order n on [a, b].
 
-    The library's one quadrature rule: the spectral t-integrals, the cone
-    cells of ``potential_builder`` and the path of ``pluriharmonic_split``
-    all map the reference rule, which is computed once per order.
+    The library's one quadrature rule: the spectral t-integrals and the
+    cone cells of ``potential_builder`` map the reference rule, which is
+    computed once per order.
     """
     xs, ws = _gauss_legendre(n)
     half = 0.5 * (b - a)

@@ -3,10 +3,8 @@
 This is the library's only home for difference stencils.  All helpers take
 a callable of complex arguments (values may be complex scalars or numpy
 arrays) and use 2nd-order central differences; with ``refine=True`` one
-Richardson step lifts the truncation error to O(h^4).  Quantities that
-share a stencil are returned together from one set of samples:
-``wirtinger_pair`` gives d/dz and d/dzbar, ``gradient_and_levi`` gives d/dz
-and d^2/dz dzbar of a real function.
+Richardson step lifts the truncation error to O(h^4).  ``wirtinger_pair``
+returns d/dz and d/dzbar together from one set of samples.
 """
 
 from __future__ import annotations
@@ -39,28 +37,16 @@ def wirtinger_dzbar(f, p: complex, h: float = 1e-3, refine: bool = True):
     return wirtinger_pair(f, p, h, refine)[1]
 
 
-def gradient_and_levi(u, p: complex, h: float = 1e-3, refine: bool = True) -> tuple:
-    """(d/dz u, d^2 u / dz dzbar) at p from the same five samples per step.
-
-    d^2/dz dzbar is a quarter of the Laplacian; it vanishes for
-    pluriharmonic u.
-    """
+def dz_dzbar(u, p: complex, h: float = 1e-3, refine: bool = True):
+    """d^2 u / dz dzbar = Laplacian/4 of a real-valued function at p."""
     u0 = u(p)
 
     def one(step):
-        upx, umx = u(p + step), u(p - step)
-        upy, umy = u(p + 1j * step), u(p - 1j * step)
-        dx = (upx - umx) / (2.0 * step)
-        dy = (upy - umy) / (2.0 * step)
-        lap = (upx + umx + upy + umy - 4.0 * u0) / (step * step)
-        return 0.5 * (dx - 1j * dy), 0.25 * lap
+        lap = (u(p + step) + u(p - step) + u(p + 1j * step) + u(p - 1j * step)
+               - 4.0 * u0) / (step * step)
+        return (0.25 * lap,)
 
-    return _richardson(one, h, refine)
-
-
-def dz_dzbar(u, p: complex, h: float = 1e-3, refine: bool = True):
-    """d^2 u / dz dzbar = Laplacian/4 of a real-valued function at p."""
-    return gradient_and_levi(u, p, h, refine)[1]
+    return _richardson(one, h, refine)[0]
 
 
 def mixed_second(q, z: complex, w: complex, h: float = 1e-3, refine: bool = True):

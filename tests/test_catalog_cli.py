@@ -137,6 +137,13 @@ class TestCliEta:
     def test_unparsable_exits_2(self):
         assert run_cli("eta", "--z", "bogus").returncode == 2
 
+    def test_terms_above_cap_exits_2(self):
+        from holodet.special_functions import MAX_ETA_TERMS
+
+        out = run_cli("eta", "--z", "0,1", "--terms", str(MAX_ETA_TERMS + 1))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
 
 @pytest.mark.parametrize("argv", [
     ("eta", "--z", "0,1", "--terms", "0"),
@@ -226,6 +233,13 @@ class TestCliPotential:
         assert lines[0] == "re_z,im_z,re_w,im_w,re_q,im_q"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_grid_without_points_exits_2(self, n):
+        out = run_cli("potential", "--form", "wp_genus1", "--at", "0,2;0,-2",
+                      f"--grid=-0.4,1.0:0.4,1.0:{n}")
+        assert out.returncode == 2
+        assert out.stdout == "" and out.stderr.startswith("error:")
+
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text(
@@ -267,8 +281,26 @@ class TestCliExtend:
         vb = complex(b.stdout.strip().replace("i", "j"))
         assert abs(va - vb) < 1e-10
 
-    def test_domain_violation_exits_2(self):
+    def test_domain_violation_exits_2(self, tmp_path):
         assert run_cli("extend", "--point", "0,-1;0,1").returncode == 2
+        # 9.95i is a point of H outside the pole form's z-ball D(5i, 4.9)
+        for mode in ("zero", "split"):
+            path = tmp_path / f"{mode}.txt"
+            path.write_text(f"constant -0.5\nf_mode {mode}\n")
+            out = run_cli("extend", "--point", "0,9.95;0,-1", "--recipe", str(path))
+            assert out.returncode == 2
+            assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+    def test_other_library_error_exits_1(self, monkeypatch, capsys):
+        from holodet import cli
+        from holodet.errors import BudgetError
+
+        def fail(point):
+            raise BudgetError("budget exhausted")
+
+        monkeypatch.setattr(cli, "genus1_extension", fail)
+        assert cli.main(["extend", "--point", "0,1;0,-1"]) == 1
+        assert capsys.readouterr().err == "error: budget exhausted\n"
 
     def test_non_finite_point_exits_2(self):
         out = run_cli("extend", "--point", "nan,1;0,-1")
@@ -329,3 +361,5 @@ class TestCliVerifyAll:
         b = run_cli("verify-all", "--fast", "--json", str(j2))
         assert a.stdout == b.stdout
         assert j1.read_bytes() == j2.read_bytes()
+        checks = json.loads(j1.read_text())["checks"]
+        assert all(type(c["pass"]) is bool for c in checks)

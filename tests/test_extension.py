@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holodet.errors import DomainError, NotPluriharmonicError
+from holodet.errors import BudgetError, DomainError, NotPluriharmonicError
 from holodet.extension import (
     ExtensionRecipe,
     ProductPoint,
@@ -23,6 +25,7 @@ from holodet.extension import (
 from holodet.potential_builder import ConeQuadrature, cone_potential
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
+from holodet.verify import DIAGONAL_CONSTANT
 from holodet.wirtinger import dz_dzbar, wirtinger_dzbar
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -91,18 +94,18 @@ class TestWpForm:
 
 class TestPluriharmonicSplit:
     def test_quadratic(self):
-        f = pluriharmonic_split(lambda z: (z * z).real, 1j)
+        f = pluriharmonic_split(lambda z: (z * z).real, 1j, radius=0.95)
         for z in (0.3 + 1.2j, 1j, -0.4 + 0.7j, 0.5 + 1.5j):
             assert abs(f(z) - z * z / 2) < 1e-10  # imaginary constant is 0 here
             assert abs((z * z).real - 2 * f(z).real) < 1e-10
 
     def test_constant(self):
-        f = pluriharmonic_split(lambda z: 3.5, 1j)
+        f = pluriharmonic_split(lambda z: 3.5, 1j, radius=0.95)
         assert abs(f(0.4 + 0.9j) - 1.75) < 1e-12
 
     def test_log_modulus(self):
         h = lambda z: math.log(abs(z - 5.0) ** 2)
-        f = pluriharmonic_split(h, 1j)
+        f = pluriharmonic_split(h, 1j, radius=0.95)
         for z in (0.6 + 1.1j, -0.3 + 0.5j):
             assert abs(h(z) - 2 * f(z).real) < 1e-10
             # f = log(z - 5) + const: compare via exponentials
@@ -110,24 +113,68 @@ class TestPluriharmonicSplit:
             assert abs(ratio) < 1e-10
 
     def test_holomorphy_of_f(self):
-        f = pluriharmonic_split(lambda z: cmath.exp(z).real, 1j)
+        f = pluriharmonic_split(lambda z: cmath.exp(z).real, 1j, radius=0.95)
         for z in (1j + 0.3, 1j - 0.2 + 0.4j):
             assert abs(wirtinger_dzbar(f, z, 1e-3)) < 1e-7
 
     def test_h_samples_per_evaluation(self):
-        # per node: the centre once and four points at each of two Richardson steps,
-        # shared by the gradient and the pluriharmonicity residual
+        # the build samples the boundary circle and 8 check points once;
+        # evaluating f sums the stored series and never samples h
         calls = []
         h = lambda z: calls.append(z) or (z * z).real
-        f = pluriharmonic_split(h, 1j, ConeQuadrature(nodes_per_axis=32, adaptive=False))
+        f = pluriharmonic_split(h, 1j, radius=0.95)
+        assert len(calls) == 264
         calls.clear()
         f(0.3 + 1.2j)
-        assert len(calls) == 9 * 32
+        assert calls == []
 
     def test_rejects_non_pluriharmonic(self):
-        f = pluriharmonic_split(lambda z: abs(z) ** 2, 1j)
         with pytest.raises(NotPluriharmonicError):
-            f(0.5 + 1.2j)
+            pluriharmonic_split(lambda z: abs(z) ** 2, 1j, radius=0.95)
+
+    def test_rejects_points_outside_the_disc(self):
+        f = pluriharmonic_split(lambda z: (z * z).real, 1j, radius=0.95)
+        f(1j + 0.95)  # the closed disc
+        for z in (1j + 0.96, 2.5j, 0.01j):
+            with pytest.raises(DomainError):
+                f(z)
+
+    @pytest.mark.parametrize("center, radius", [(1j, 1.0), (1j, 0.0), (-1j, 0.5), (complex("nan+1j"), 0.5)])
+    def test_rejects_discs_not_in_the_half_plane(self, center, radius):
+        with pytest.raises(DomainError):
+            pluriharmonic_split(lambda z: 0.0, center, radius)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-2.0, 2.0), cy=st.floats(0.2, 5.0), share=st.floats(0.05, 0.95),
+           coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                           min_size=1, max_size=9),
+           probes=st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 2 * math.pi)),
+                           min_size=1, max_size=5))
+    def test_polynomial_reconstruction_property(self, cx, cy, share, coeffs, probes):
+        # h = Re sum a_k (z - c)^k of degree <= 8 on D(c, r), r <= 0.95 Im c.
+        # z = infinity, the pole of a polynomial, lies on |phi| = 1; for
+        # r/Im c above about 0.93 the degree-8 series needs more than N/2
+        # terms, and the tail certificate refuses the build
+        c, r = complex(cx, cy), share * cy
+        a = [complex(re, im) * r ** -k for k, (re, im) in enumerate(coeffs)]
+        h = lambda z: sum(ak * (z - c) ** k for k, ak in enumerate(a)).real
+        try:
+            f = pluriharmonic_split(h, c, r)
+        except BudgetError:
+            assert share > 0.9
+            return
+        for s, t in probes:
+            z = c + s * r * cmath.exp(1j * t)
+            assert abs(h(z) - 2.0 * f(z).real) < 1e-10
+        with pytest.raises(DomainError):
+            f(c + 1.01 * r * cmath.exp(1j * probes[0][1]))
+
+    @pytest.mark.parametrize("z, w", [(0.15j, -0.15j), (9.5j, -0.6j), (0.3 + 0.3j, -9.5j),
+                                      (2 + 3j, -1 - 4j), (-0.3629 + 0.7727j, -0.4177 - 2.4941j)])
+    def test_genus1_split_recipe_matches_eta_oracle(self, z, w):
+        rec = genus1_recipe(-0.5, "split")
+        p = ProductPoint(z, w)
+        assert abs(assemble_extension(rec, p) - (genus1_extension(p) - DIAGONAL_CONSTANT)) < 1e-10
 
 
 class TestAssembleExtension:

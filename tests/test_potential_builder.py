@@ -228,7 +228,6 @@ class TestHolomorphyOfPotential:
 
 class TestSharedMechanisms:
     def test_gauss_legendre_rule_computed_once_per_order(self, monkeypatch):
-        from holodet.extension import pluriharmonic_split
         from holodet.torus_spectral import zeta_log_det
 
         calls = []
@@ -237,13 +236,11 @@ class TestSharedMechanisms:
                             lambda n: calls.append(n) or real(n))
         form = pole_form()
         quads = (ConeQuadrature(nodes_per_axis=64), ConeQuadrature(nodes_per_axis=32, adaptive=False))
-        f = pluriharmonic_split(lambda z: (z * z).real, 1j, quads[1])
 
         def work():
             for quad in quads:
                 cone_potential(form, 0.3 + 0.9j, -0.2 - 1.1j, quad)
             zeta_log_det(0.3 + 1.1j)
-            f(0.2 + 1.3j)
 
         work()  # warm call: each order is computed at most once
         assert len(calls) == len(set(calls))

@@ -90,6 +90,13 @@ class TestEta:
         with pytest.raises(BudgetError):
             eta_term_count(1e-5j)
 
+    def test_explicit_terms_above_cap_raise(self):
+        from holodet.special_functions import MAX_ETA_TERMS
+
+        for func in (eta, log_eta):
+            with pytest.raises(BudgetError):
+                func(1j, MAX_ETA_TERMS + 1)
+
     @pytest.mark.parametrize("z", [complex("nan+1j"), complex(0, math.inf),
                                    complex(math.inf, 1), complex(-math.inf, 1),
                                    complex(0.5, math.nan)])

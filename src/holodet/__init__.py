@@ -43,6 +43,7 @@ from .potential_builder import (
     ProductDomain,
     check_closed_and_holomorphic,
     cone_potential,
+    cone_potentials,
     verify_boundary_vanishing,
     verify_mixed_derivative,
 )

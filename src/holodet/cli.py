@@ -31,7 +31,7 @@ from .catalog import builtin_catalog, load_catalog
 from .errors import DomainError, FitRankError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
-from .potential_builder import ConeQuadrature, cone_potential
+from .potential_builder import ConeQuadrature, cone_potential, cone_potentials
 from .special_functions import eta, log_eta
 from .torus_spectral import closed_form_log_det, zeta_log_det
 from .verify import extend_checks, normalization_ratios, potential_checks, run_all, zeta0_check
@@ -187,12 +187,11 @@ def _emit_grid(args, form, quad, z0, w) -> int:
     except (ValueError, argparse.ArgumentTypeError) as exc:
         return _error(f"--grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", EXIT_BAD_INPUT)
     wc = complex(w[0])
+    zs = np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
+    qs = cone_potentials(form, zs, np.full(n, wc), quad).values
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
-    for k in range(n):
-        s = k / max(n - 1, 1)
-        z = a + s * (b - a)
-        q = cone_potential(form, z, wc, quad)
-        rows.append(",".join(repr(v) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
+    for z, q in zip(zs, qs):
+        rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
     text = "\n".join(rows) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -7,8 +7,8 @@ totally real diagonal {w = conj(z)}.  This module provides
 * ``symmetrized_evaluator``: the real-on-diagonal symmetrization of a
   holomorphic potential, q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2;
 * ``pluriharmonic_split``: reconstruction of a holomorphic f with
-  h = f + conj(f) from a pluriharmonic h on a disc, by the Schwarz formula:
-  one FFT of h sampled on the boundary circle of a Cayley coordinate;
+  h = f + conj(f) from a batched pluriharmonic h on a disc, by the Schwarz
+  formula: one FFT of h sampled on the boundary circle of a Cayley coordinate;
 * ``ExtensionRecipe`` / ``assemble_extension``: the assembled extension
   C * q~(z, w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar));
 * ``genus1_extension``: the explicit eta-function extension
@@ -38,6 +38,7 @@ from .potential_builder import (
     ConeQuadrature,
     ProductDomain,
     cone_potential,
+    cone_potentials,
 )
 from .special_functions import log_eta
 from .torus_spectral import closed_form_log_det
@@ -46,6 +47,8 @@ TWO_PI = 2.0 * math.pi
 
 #: Boundary samples of h per Schwarz split; f keeps the first N/2 coefficients.
 SPLIT_SAMPLES = 256
+#: N doubles from SPLIT_SAMPLES while the tail certificate fails, up to this.
+SPLIT_MAX_SAMPLES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +121,21 @@ def genus1_pole_form(ball_height: float = 5.0, ball_radius: float = 4.9) -> Clos
     return ClosedHoloForm(1, coeff, 1j, -1j, dom, pole_clearance=clearance)
 
 
-def pluriharmonic_split(h: Callable[[complex], float], center: complex,
+def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
                         radius: float) -> Callable[[complex], complex]:
     """Holomorphic f with h = 2 Re f on the disc D = D(c, r) in H: the Schwarz formula.
 
+    ``h`` is batched: given an array of points it returns their real values.
     The Cayley coordinate phi(z) = (z - a)/(z - conj(a)), with
     a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  h is sampled
-    once at N = SPLIT_SAMPLES points of the boundary equally spaced in phi;
-    H = rfft(samples)/N gives f = H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n
-    (the trapezoidal rule), shifted so that Im f(c) = 0.  The build raises
-    BudgetError when the top 16 |H_n| sum above 1e-8, and
-    NotPluriharmonicError when |h - 2 Re f| > 1e-8 max(1, max|h|) at 8 points
-    of |phi| = rho/2.  f raises DomainError outside the closed disc.
+    at N = SPLIT_SAMPLES points of the boundary equally spaced in phi and at
+    8 points of |phi| = rho/2, in one call; H = rfft(samples)/N gives
+    f = H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal rule),
+    shifted so that Im f(c) = 0.  While the top 16 |H_n| sum above 1e-8, N
+    doubles (one more call of h, at the midpoints) up to SPLIT_MAX_SAMPLES,
+    and past it the build raises BudgetError.  It raises
+    NotPluriharmonicError when |h - 2 Re f| > 1e-8 max(1, max|h|) at the 8
+    inner points.  f raises DomainError outside the closed disc.
     """
     c, r = complex(center), float(radius)
     if not (cmath.isfinite(c) and 0.0 < r < c.imag):
@@ -140,17 +146,28 @@ def pluriharmonic_split(h: Callable[[complex], float], center: complex,
     def from_phi(p):
         return (a - a.conjugate() * p) / (1.0 - p)
 
+    def circle(n, offset=0.0):
+        return rho * np.exp(TWO_PI * 1j * (np.arange(n) + offset) / n)
+
     n = SPLIT_SAMPLES
-    circle = rho * np.exp(TWO_PI * 1j * np.arange(n) / n)
-    samples = np.array([float(h(z)) for z in from_phi(circle)])
-    coeffs = np.fft.rfft(samples)[: n // 2] / n
-    tail = float(np.sum(np.abs(coeffs[-16:])))
-    if tail > 1e-8:
-        raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds 1e-8 on D({c!r}, {r!r})")
+    inner = from_phi(0.5 * circle(8))
+    values = np.asarray(h(np.concatenate([from_phi(circle(n)), inner])), dtype=float)
+    samples, h_inner = values[:n], values[n:]
+    while True:
+        coeffs = np.fft.rfft(samples)[: n // 2] / n
+        tail = float(np.sum(np.abs(coeffs[-16:])))
+        if tail <= 1e-8:
+            break
+        if n >= SPLIT_MAX_SAMPLES:
+            raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds 1e-8 on D({c!r}, {r!r}) "
+                              f"with {n} samples")
+        mid = np.asarray(h(from_phi(circle(n, 0.5))), dtype=float)
+        samples = np.stack([samples, mid], axis=1).ravel()
+        n *= 2
     coeffs[0] *= 0.5
 
-    def series(z: complex) -> complex:
-        return complex(np.polynomial.polynomial.polyval((z - a) / (z - a.conjugate()) / rho, coeffs))
+    def series(z):
+        return np.polynomial.polynomial.polyval((z - a) / (z - a.conjugate()) / rho, coeffs)
 
     coeffs[0] -= 1j * series(c).imag
 
@@ -158,10 +175,10 @@ def pluriharmonic_split(h: Callable[[complex], float], center: complex,
         z = complex(z)
         if not abs(z - c) <= r * (1 + 1e-12):
             raise DomainError(f"z = {z!r} outside the split disc D({c!r}, {r!r})")
-        return series(z)
+        return complex(series(z))
 
     tol = 1e-8 * max(1.0, float(np.max(np.abs(samples))))
-    res = max(abs(float(h(z)) - 2.0 * series(z).real) for z in from_phi(0.5 * circle[:: n // 8]))
+    res = float(np.max(np.abs(h_inner - 2.0 * series(inner).real)))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
     return f
@@ -316,15 +333,14 @@ def genus1_recipe(constant: float, f_mode: str = "split",
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
     elif f_mode == "split":
         target = diagonal or closed_form_log_det
-        # the split samples h SPLIT_SAMPLES + 8 times; a 32-node non-adaptive
+        # h's one call takes SPLIT_SAMPLES + 8 points; a 32-node non-adaptive
         # rule keeps that tractable at ~1e-13 accuracy
         light = ConeQuadrature(nodes_per_axis=min(quad.nodes_per_axis, 32), adaptive=False)
 
-        def h(z: complex) -> float:
-            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one cone potential
-            z = complex(z)
-            qt = cone_potential(form, z, z.conjugate(), light)
-            return float(target(z)) - constant * qt.real - math.log(z.imag)
+        def h(Z: np.ndarray) -> np.ndarray:
+            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone potential
+            qt = cone_potentials(form, Z, Z.conj(), light).values
+            return np.array([float(target(z)) for z in Z]) - constant * qt.real - np.log(Z.imag)
 
         f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
     else:

@@ -228,7 +228,7 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
         terms = eta_term_count(z)
     terms = int(terms)
     if terms < 1:
-        raise ValueError("terms must be a positive integer")
+        raise DomainError(f"terms must be a positive integer, got {terms}")
     if terms > MAX_ETA_TERMS:
         raise BudgetError(f"{terms} eta terms requested, cap {MAX_ETA_TERMS}")
     q = cmath.exp(2j * math.pi * z)

@@ -100,11 +100,11 @@ class TestPluriharmonicSplit:
             assert abs((z * z).real - 2 * f(z).real) < 1e-10
 
     def test_constant(self):
-        f = pluriharmonic_split(lambda z: 3.5, 1j, radius=0.95)
+        f = pluriharmonic_split(lambda z: np.full(z.shape, 3.5), 1j, radius=0.95)
         assert abs(f(0.4 + 0.9j) - 1.75) < 1e-12
 
     def test_log_modulus(self):
-        h = lambda z: math.log(abs(z - 5.0) ** 2)
+        h = lambda z: np.log(np.abs(z - 5.0) ** 2)
         f = pluriharmonic_split(h, 1j, radius=0.95)
         for z in (0.6 + 1.1j, -0.3 + 0.5j):
             assert abs(h(z) - 2 * f(z).real) < 1e-10
@@ -113,24 +113,24 @@ class TestPluriharmonicSplit:
             assert abs(ratio) < 1e-10
 
     def test_holomorphy_of_f(self):
-        f = pluriharmonic_split(lambda z: cmath.exp(z).real, 1j, radius=0.95)
+        f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
         for z in (1j + 0.3, 1j - 0.2 + 0.4j):
             assert abs(wirtinger_dzbar(f, z, 1e-3)) < 1e-7
 
     def test_h_samples_per_evaluation(self):
-        # the build samples the boundary circle and 8 check points once;
-        # evaluating f sums the stored series and never samples h
+        # the build samples the boundary circle and 8 check points in one
+        # batched call; evaluating f sums the stored series and never samples h
         calls = []
-        h = lambda z: calls.append(z) or (z * z).real
+        h = lambda z: calls.append(z.shape) or (z * z).real
         f = pluriharmonic_split(h, 1j, radius=0.95)
-        assert len(calls) == 264
+        assert calls == [(264,)]
         calls.clear()
         f(0.3 + 1.2j)
         assert calls == []
 
     def test_rejects_non_pluriharmonic(self):
         with pytest.raises(NotPluriharmonicError):
-            pluriharmonic_split(lambda z: abs(z) ** 2, 1j, radius=0.95)
+            pluriharmonic_split(lambda z: np.abs(z) ** 2, 1j, radius=0.95)
 
     def test_rejects_points_outside_the_disc(self):
         f = pluriharmonic_split(lambda z: (z * z).real, 1j, radius=0.95)
@@ -142,7 +142,7 @@ class TestPluriharmonicSplit:
     @pytest.mark.parametrize("center, radius", [(1j, 1.0), (1j, 0.0), (-1j, 0.5), (complex("nan+1j"), 0.5)])
     def test_rejects_discs_not_in_the_half_plane(self, center, radius):
         with pytest.raises(DomainError):
-            pluriharmonic_split(lambda z: 0.0, center, radius)
+            pluriharmonic_split(lambda z: np.zeros(z.shape), center, radius)
 
     @settings(max_examples=25, deadline=None)
     @given(cx=st.floats(-2.0, 2.0), cy=st.floats(0.2, 5.0), share=st.floats(0.05, 0.95),
@@ -153,21 +153,41 @@ class TestPluriharmonicSplit:
     def test_polynomial_reconstruction_property(self, cx, cy, share, coeffs, probes):
         # h = Re sum a_k (z - c)^k of degree <= 8 on D(c, r), r <= 0.95 Im c.
         # z = infinity, the pole of a polynomial, lies on |phi| = 1; for
-        # r/Im c above about 0.93 the degree-8 series needs more than N/2
-        # terms, and the tail certificate refuses the build
+        # r/Im c above about 0.93 the degree-8 series needs more than 128
+        # terms, and the build doubles its samples instead of refusing
         c, r = complex(cx, cy), share * cy
         a = [complex(re, im) * r ** -k for k, (re, im) in enumerate(coeffs)]
         h = lambda z: sum(ak * (z - c) ** k for k, ak in enumerate(a)).real
-        try:
-            f = pluriharmonic_split(h, c, r)
-        except BudgetError:
-            assert share > 0.9
-            return
+        f = pluriharmonic_split(h, c, r)
         for s, t in probes:
             z = c + s * r * cmath.exp(1j * t)
             assert abs(h(z) - 2.0 * f(z).real) < 1e-10
         with pytest.raises(DomainError):
             f(c + 1.01 * r * cmath.exp(1j * probes[0][1]))
+
+    @pytest.mark.parametrize("radius, sizes", [(0.9, [264]), (0.95, [264, 256]),
+                                               (0.99, [264, 256, 512])])
+    def test_samples_double_while_the_tail_is_too_large(self, radius, sizes):
+        # Re((z - i)/r)^8 on D(i, r): N = 256 resolves r = 0.9, r = 0.95 needs
+        # N = 512 and r = 0.99 N = 1024; each doubling samples the midpoints only
+        calls = []
+        h = lambda z: calls.append(np.size(z)) or (((z - 1j) / radius) ** 8).real
+        f = pluriharmonic_split(h, 1j, radius)
+        assert calls == sizes
+        calls.clear()
+        for s, t in ((0.0, 0.0), (0.5, 1.0), (0.9, 2.5), (0.99, 4.0)):
+            z = 1j + s * radius * cmath.exp(1j * t)
+            assert abs(h(z) - 2.0 * f(z).real) < 1e-12
+
+    def test_sample_cap_raises_budget_error(self):
+        # Re 1/(z - 1.96i) has its pole just outside D(i, 0.95): no N up to the cap resolves it
+        from holodet.extension import SPLIT_MAX_SAMPLES
+
+        calls = []
+        h = lambda z: calls.append(np.size(z)) or (1.0 / (z - 1.96j)).real
+        with pytest.raises(BudgetError, match=f"{SPLIT_MAX_SAMPLES} samples"):
+            pluriharmonic_split(h, 1j, 0.95)
+        assert sum(calls) == SPLIT_MAX_SAMPLES + 8
 
     @pytest.mark.parametrize("z, w", [(0.15j, -0.15j), (9.5j, -0.6j), (0.3 + 0.3j, -9.5j),
                                       (2 + 3j, -1 - 4j), (-0.3629 + 0.7727j, -0.4177 - 2.4941j)])

@@ -7,11 +7,13 @@ import pytest
 from holodet.errors import DomainError, QuadratureError
 from holodet.polymap import PolyMap, random_polymap
 from holodet.potential_builder import (
+    PASS_NODES,
     ClosedHoloForm,
     ConeQuadrature,
     ProductDomain,
     check_closed_and_holomorphic,
     cone_potential,
+    cone_potentials,
     pointwise_coeff,
     verify_boundary_vanishing,
     verify_mixed_derivative,
@@ -113,6 +115,97 @@ class TestConePotential:
                               HALF_PLANE_BALLS)
         q = cone_potential(form, 1 + 2j, -1 - 2j, ConeQuadrature(nodes_per_axis=8))
         assert abs(q - (1 + 2j - 1j) * (-1 - 2j + 1j)) < 1e-12
+
+
+def pole_power_form(c, k, base_z, base_w, seen=None):
+    def coeff(Z, W):
+        if seen is not None:
+            seen.append(Z.shape[0])
+        return (c * (Z[:, 0] - W[:, 0]) ** -k).reshape(-1, 1, 1)
+
+    def clearance(Z, W):
+        return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
+
+    return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS, pole_clearance=clearance)
+
+
+def pole_power_closed_form(c, k, z, w, z0, w0):
+    # G with d_z d_w G = (z - w)^-k; every z - w here lies in the upper half plane
+    if k == 2:
+        G = lambda a, b: np.log(a - b)
+    else:
+        G = lambda a, b: -(a - b) ** (2 - k) / ((k - 1) * (k - 2))
+    return c * (G(z, w) - G(z0, w) - G(z, w0) + G(z0, w0))
+
+
+def pole_grid(rng, k, gap):
+    """64 targets on a tilted segment at pole gap ``gap``, with w fixed, and a form."""
+    c = 2.0 * cmath.exp(2j * math.pi * rng.random())
+    z0, w0 = complex(rng.uniform(-0.3, 0.3), rng.uniform(0.8, 1.5)), complex(rng.uniform(-0.3, 0.3), -rng.uniform(0.8, 1.5))
+    wy = 0.15 + (gap - 0.3) * rng.random()
+    w = complex(rng.uniform(-0.3, 0.3), -wy)
+    half = rng.uniform(0.1, 0.6)
+    Z = w.real + np.linspace(-half, half, 64) + 1j * (gap - wy)
+    return c, z0, w0, Z, np.full(64, w)
+
+
+class TestBatchedCells:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_grids_match_closed_form_and_errors_bound_it(self, k):
+        rng = np.random.default_rng(40 + k)
+        for gap in (0.35, 0.5, 1.0, 2.5, 6.0):
+            c, z0, w0, Z, W = pole_grid(rng, k, gap)
+            res = cone_potentials(pole_power_form(c, k, z0, w0), Z, W)
+            exact = pole_power_closed_form(c, k, Z, W, z0, w0)
+            err = np.abs(res.values - exact)
+            scale = np.maximum(1.0, np.abs(exact))
+            assert np.all(err <= 1e-12 * scale), (gap, err.max())
+            assert np.all(err <= res.errors + 1e-14 * scale), gap
+            assert np.all(res.cells == 1), gap
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_one_rule_per_resolved_target_and_passes_capped(self, n):
+        seen = []
+        c, z0, w0, Z, W = pole_grid(np.random.default_rng(3), 3, 1.5)
+        res = cone_potentials(pole_power_form(c, 3, z0, w0, seen), Z, W, ConeQuadrature(nodes_per_axis=n))
+        assert np.all(res.cells == 1)
+        assert sum(seen) == Z.size * n * n
+        assert max(seen) <= PASS_NODES
+
+    def test_refused_first_cell_subdivides(self):
+        form = pole_form()
+        z, w = 0.05 + 0.12j, -0.05 - 0.12j
+        res = cone_potentials(form, [z], [w], ConeQuadrature(nodes_per_axis=8))
+        assert res.cells[0] > 1
+        exact = pole_closed_form(z, w)
+        assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
+        assert abs(res.values[0] - exact) <= res.errors[0] + 1e-14 * abs(exact)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 33, 64, 100])
+    def test_estimate_for_every_order(self, n):
+        # a bilinear potential resolves in one cell at any order
+        Z, W = np.array([2j, 1 + 1.5j]), np.array([-2j, -0.5 - 1.2j])
+        res = cone_potentials(constant_form(0.7 - 0.2j), Z, W, ConeQuadrature(nodes_per_axis=n))
+        assert np.all(res.cells == 1)
+        assert np.allclose(res.values, (0.7 - 0.2j) * (Z - 1j) * (W + 1j), rtol=0, atol=1e-13)
+        # a single rule's estimate bounds its error on the pole form
+        exact = np.array([pole_closed_form(z, w) for z, w in PAIRS])
+        Z, W = np.array(PAIRS).T
+        res = cone_potentials(pole_form(), Z, W, ConeQuadrature(nodes_per_axis=n, adaptive=False))
+        assert np.all(np.abs(res.values - exact) <= res.errors + 1e-14)
+        if n >= 4:  # below four nodes the tail is not extrapolated: see _coefficient_tail
+            res = cone_potentials(pole_form(), Z, W, ConeQuadrature(nodes_per_axis=n))
+            assert np.all(np.abs(res.values - exact) <= 1e-12)
+
+    @pytest.mark.parametrize("Z, W", [([[2j, 1j]], [-2j]), (2j, -2j), ([2j, 1j], [-2j]),
+                                      (np.ones((1, 1, 1)) * 2j, [-2j])])
+    def test_wrong_shape_targets_are_domain_errors(self, Z, W):
+        with pytest.raises(DomainError, match="shape"):
+            cone_potentials(pole_form(), Z, W)
+
+    def test_wrong_shape_point_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="C\\^1"):
+            cone_potential(pole_form(), [2j, 1j], -2j)
 
 
 class TestBoundaryVanishing:

@@ -97,6 +97,11 @@ class TestEta:
             with pytest.raises(BudgetError):
                 func(1j, MAX_ETA_TERMS + 1)
 
+    @pytest.mark.parametrize("func, terms", [(log_eta, 0), (eta, -3)])
+    def test_term_count_below_one_is_a_domain_error(self, func, terms):
+        with pytest.raises(DomainError, match="positive integer"):
+            func(1j, terms)
+
     @pytest.mark.parametrize("z", [complex("nan+1j"), complex(0, math.inf),
                                    complex(math.inf, 1), complex(-math.inf, 1),
                                    complex(0.5, math.nan)])

@@ -257,7 +257,8 @@ def cone_potentials(form: ClosedHoloForm, Z, W, quad: ConeQuadrature | None = No
     values = np.zeros(count, dtype=complex)
     errors = np.zeros(count)
     cells = np.zeros(count, dtype=int)
-    # pending cells: target, corner (s0, t0) and depth; the newest go first
+    # pending cells: target, corner (s0, t0) and depth.  The newest go first,
+    # so a refused cell is refined depth first and a hopeless one raises early
     tgt, s0, t0, depth = np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count, int)
     while tgt.size:
         cut = max(tgt.size - per_pass, 0)

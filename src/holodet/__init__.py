@@ -39,7 +39,6 @@ from .polarization import (
 )
 from .potential_builder import (
     ClosedHoloForm,
-    ConeQuadrature,
     ProductDomain,
     check_closed_and_holomorphic,
     cone_potential,

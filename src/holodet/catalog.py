@@ -43,6 +43,9 @@ from .potential_builder import (
     check_closed_and_holomorphic,
 )
 
+#: Closedness and anti-holomorphy residuals a form must stay within.
+CONTRACT_TOLERANCE = 1e-8
+
 # term of a polynomial entry: (i, j, coefficient, alpha, beta)
 PolyTerm = tuple[int, int, complex, tuple[int, ...], tuple[int, ...]]
 # term of a mixed_second_of entry: (coefficient, alpha, beta)
@@ -130,12 +133,11 @@ class FormCatalogEntry:
         if validate is None:
             validate = self.kind == "polynomial"
         if validate:
-            report = check_closed_and_holomorphic(form, self.validation_samples())
-            if not report.passed:
+            closed, anti = check_closed_and_holomorphic(form, self.validation_samples())
+            if not (closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE):
                 raise HolodetError(
                     f"form {self.name!r} failed the closedness/holomorphy check "
-                    f"(closedness {report.closedness_residual:.3e}, "
-                    f"antiholomorphic {report.antiholomorphic_residual:.3e})"
+                    f"(closedness {closed:.3e}, antiholomorphic {anti:.3e})"
                 )
         return form
 

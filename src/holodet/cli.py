@@ -31,7 +31,7 @@ from .catalog import builtin_catalog, load_catalog
 from .errors import DomainError, FitRankError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
-from .potential_builder import ConeQuadrature, cone_potential, cone_potentials
+from .potential_builder import cone_potential, cone_potentials
 from .special_functions import eta, log_eta
 from .torus_spectral import closed_form_log_det, zeta_log_det
 from .verify import extend_checks, normalization_ratios, potential_checks, run_all, zeta0_check
@@ -152,7 +152,6 @@ def cmd_potential(args) -> int:
         entry = _load_entry(args)
     except (KeyError, OSError, ValueError) as exc:
         return _error(exc, EXIT_BAD_INPUT)
-    quad = ConeQuadrature(nodes_per_axis=args.nodes)
     z, w = np.asarray(args.at[0], complex), np.asarray(args.at[1], complex)
     if z.size != entry.dim:
         return _error(f"form {entry.name!r} needs points in C^{entry.dim}, "
@@ -165,20 +164,20 @@ def cmd_potential(args) -> int:
 
     if args.verify:
         samples = [(z, w)] + list(entry.validation_samples())
-        if not _print_checks(potential_checks(form, z, w, samples, quad)):
+        if not _print_checks(potential_checks(form, z, w, samples, args.nodes)):
             return EXIT_CHECK_FAILED
 
     try:
         if args.grid:
-            return _emit_grid(args, form, quad, z, w)
-        q = cone_potential(form, z, w, quad)
+            return _emit_grid(args, form, z, w)
+        q = cone_potential(form, z, w, args.nodes)
     except HolodetError as exc:
         return _error(exc, EXIT_BAD_INPUT)
     print(f"q={fmt(q)}")
     return EXIT_OK
 
 
-def _emit_grid(args, form, quad, z0, w) -> int:
+def _emit_grid(args, form, z0, w) -> int:
     if form.dim != 1:
         return _error("--grid sweeps are supported for one-variable forms only", EXIT_BAD_INPUT)
     try:
@@ -188,7 +187,7 @@ def _emit_grid(args, form, quad, z0, w) -> int:
         return _error(f"--grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", EXIT_BAD_INPUT)
     wc = complex(w[0])
     zs = np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
-    qs = cone_potentials(form, zs, np.full(n, wc), quad).values
+    qs = cone_potentials(form, zs, np.full(n, wc), args.nodes).values
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for z, q in zip(zs, qs):
         rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import BudgetError, DomainError, NotPluriharmonicError
 from .potential_builder import (
     ClosedHoloForm,
-    ConeQuadrature,
     ProductDomain,
     cone_potential,
     cone_potentials,
@@ -300,9 +299,7 @@ def modular_invariance_check(point: ProductPoint, generator) -> InvarianceResult
 # --- ready-made genus-1 recipes ---------------------------------------------
 
 
-def genus1_recipe(constant: float, f_mode: str = "split",
-                  quad: ConeQuadrature | None = None,
-                  diagonal: Callable[[complex], float] | None = None) -> ExtensionRecipe:
+def genus1_recipe(constant: float, f_mode: str = "split") -> ExtensionRecipe:
     """Assemble a genus-1 recipe around the cone potential of (z-w)^{-2}.
 
     ``f_mode``:
@@ -312,16 +309,11 @@ def genus1_recipe(constant: float, f_mode: str = "split",
       * "eta2"  -- f = 2 log_eta(z) - log 2 + Log(z+i), matching the
                    spectral determinant at C = 1;
       * "split" -- f reconstructed by ``pluriharmonic_split`` on the form's
-                   z-ball from diagonal(z) - C q~(z, zbar) - log(Im tau),
-                   with ``diagonal`` defaulting to the closed-form log det.
+                   z-ball from the closed-form log det minus C q~(z, zbar)
+                   and log(Im tau).
     """
-    quad = quad or ConeQuadrature()
     form = genus1_pole_form()
-
-    def q_raw(z, w):
-        return cone_potential(form, z, w, quad)
-
-    q_tilde = symmetrized_evaluator(q_raw)
+    q_tilde = symmetrized_evaluator(lambda z, w: cone_potential(form, z, w))
     period = lambda z: np.array([[z]], dtype=complex)
 
     if f_mode == "zero":
@@ -332,15 +324,13 @@ def genus1_recipe(constant: float, f_mode: str = "split",
     elif f_mode == "eta2":
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
     elif f_mode == "split":
-        target = diagonal or closed_form_log_det
-        # h's one call takes SPLIT_SAMPLES + 8 points; a 32-node non-adaptive
-        # rule keeps that tractable at ~1e-13 accuracy
-        light = ConeQuadrature(nodes_per_axis=min(quad.nodes_per_axis, 32), adaptive=False)
-
         def h(Z: np.ndarray) -> np.ndarray:
-            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone potential
-            qt = cone_potentials(form, Z, Z.conj(), light).values
-            return np.array([float(target(z)) for z in Z]) - constant * qt.real - np.log(Z.imag)
+            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone
+            # potential; h's one call takes SPLIT_SAMPLES + 8 points, and 32
+            # nodes resolve each of them in one cell to about 1e-13
+            qt = cone_potentials(form, Z, Z.conj(), nodes=32).values
+            return (np.array([closed_form_log_det(z) for z in Z])
+                    - constant * qt.real - np.log(Z.imag))
 
         f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
     else:

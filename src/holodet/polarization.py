@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import FitRankError
+from .errors import DomainError, FitRankError
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -135,7 +135,7 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int,
     """
     degree = int(degree)
     if degree < 0:
-        raise ValueError("degree must be >= 0")
+        raise DomainError("degree must be >= 0")
     n_coef = (degree + 1) ** 2
     pts, vals = samples.points, samples.values
     if len(pts) < n_coef:

@@ -18,7 +18,7 @@ fixing the centers, so nothing is lost by that choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -33,6 +33,12 @@ POLE_GUARD = 1e-3
 
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.
 PASS_NODES = 1 << 12
+
+#: A cell is accepted when its tail is within this times max(area, 1e-6).
+CELL_TOLERANCE = 1e-12
+
+#: A cell still refused at this subdivision depth raises QuadratureError.
+MAX_DEPTH = 8
 
 #: Per node of an axis: coefficient tails below this share of a cell's
 #: |integrand| mass are rounding noise.  Rounding alone leaves tails of about
@@ -70,12 +76,6 @@ class ProductDomain:
     def dim(self) -> int:
         return self.z_center.size
 
-    def contains_z(self, pt) -> bool:
-        return bool(_inside(_as_vec(pt, self.dim), self.z_center, self.z_radius))
-
-    def contains_w(self, pt) -> bool:
-        return bool(_inside(_as_vec(pt, self.dim), self.w_center, self.w_radius))
-
 
 @dataclass(frozen=True)
 class ClosedHoloForm:
@@ -102,48 +102,16 @@ class ClosedHoloForm:
     def __post_init__(self):
         object.__setattr__(self, "base_z", _as_vec(self.base_z, self.dim))
         object.__setattr__(self, "base_w", _as_vec(self.base_w, self.dim))
-        if not self.domain.contains_z(self.base_z):
+        dom = self.domain
+        if not _inside(self.base_z, dom.z_center, dom.z_radius):
             raise DomainError("base_z outside the declared z-domain")
-        if not self.domain.contains_w(self.base_w):
+        if not _inside(self.base_w, dom.w_center, dom.w_radius):
             raise DomainError("base_w outside the declared w-domain")
 
     def coeff_at(self, z, w) -> np.ndarray:
         zv = _as_vec(z, self.dim)
         wv = _as_vec(w, self.dim)
         return self.coeff(zv[None, :], wv[None, :])[0]
-
-
-def pointwise_coeff(f: Callable, dim: int):
-    """Wrap a per-point evaluator f(z, w) -> (n, n) into the batched contract."""
-
-    def coeff(zpts, wpts):
-        zpts = np.atleast_2d(zpts)
-        wpts = np.atleast_2d(wpts)
-        out = np.empty((zpts.shape[0], dim, dim), dtype=complex)
-        for k in range(zpts.shape[0]):
-            out[k] = np.asarray(f(zpts[k], wpts[k]), dtype=complex).reshape(dim, dim)
-        return out
-
-    return coeff
-
-
-@dataclass(frozen=True)
-class ConeQuadrature:
-    """Tensor Gauss-Legendre on the parameter square, one rule per cell.
-
-    Every cell maps the same cached rule (``torus_spectral._gl_nodes``);
-    with ``adaptive`` a cell whose estimated error exceeds its budget splits
-    in four, at most ``max_subdivisions`` times.
-    """
-
-    nodes_per_axis: int = 64
-    adaptive: bool = True
-    max_subdivisions: int = 8
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if self.nodes_per_axis < 2:
-            raise ValueError("nodes_per_axis must be >= 2")
 
 
 class ConePotentials(NamedTuple):
@@ -218,24 +186,26 @@ def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     return np.einsum("cstij,ci,cj->cst", C.reshape(cells, n, n, form.dim, form.dim), dz, dw)
 
 
-def cone_potentials(form: ClosedHoloForm, Z, W, quad: ConeQuadrature | None = None) -> ConePotentials:
+def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentials:
     """Potentials q(z_k, w_k) of the form at K target pairs, in batched passes.
 
     ``Z`` and ``W`` hold K points of C^n each, shape (K, n) (or (K,) when
-    n = 1).  Every cell of a target's parameter square is one n x n tensor
-    rule of the cached Gauss-Legendre order.  Its error estimate is read off
-    the same samples: the decay of the integrand's top Legendre coefficients
-    along every node line, in s and in t (``_coefficient_tail``; Trefethen,
-    ATAP, ch. 19).  A tail within n * ``_ROUNDING`` of the cell's |integrand|
-    mass is rounding noise, which no subdivision lowers.  A cell is accepted
-    when its tail is within tolerance * max(area, 1e-6), 1e-15 |value| or
-    that floor; otherwise it splits in four for a later pass, and past
-    ``max_subdivisions`` the call raises QuadratureError.  Each pass
-    evaluates at most PASS_NODES nodes, all of them under the pole guard.
-    The result holds per target the value, the summed estimates of its
-    accepted cells (at least the rounding floor) and their count.
+    n = 1).  Every cell of a target's parameter square is one tensor rule of
+    ``nodes`` cached Gauss-Legendre nodes per axis (at least 2, else
+    DomainError).  Its error estimate is read off the same samples: the
+    decay of the integrand's top Legendre coefficients along every node
+    line, in s and in t (``_coefficient_tail``; Trefethen, ATAP, ch. 19).
+    A tail within nodes * ``_ROUNDING`` of the cell's |integrand| mass is
+    rounding noise, which no subdivision lowers.  A cell is accepted when
+    its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or
+    that floor; otherwise it splits in four for a later pass, and at depth
+    MAX_DEPTH the call raises QuadratureError.  Each pass evaluates at most
+    PASS_NODES nodes, all of them under the pole guard.  The result holds
+    per target the value, the summed estimates of its accepted cells (at
+    least the rounding floor) and their count.
     """
-    quad = quad or ConeQuadrature()
+    if nodes < 2:
+        raise DomainError(f"cone quadrature needs at least 2 nodes per axis, got {nodes}")
     Z, W = _targets(Z, form.dim, "z"), _targets(W, form.dim, "w")
     if Z.shape != W.shape:
         raise DomainError(f"z targets of shape {Z.shape} but w targets of shape {W.shape}")
@@ -248,7 +218,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W, quad: ConeQuadrature | None = No
             shown = complex(bad[0]) if bad.size == 1 else bad
             raise DomainError(f"{block} = {shown!r} outside the declared {block}-domain")
     dz, dw = Z - form.base_z, W - form.base_w
-    n = quad.nodes_per_axis
+    n = nodes
     xs, ws = _gl_nodes(0.0, 1.0, n)
     weights = np.outer(ws, ws)
     per_pass = max(1, PASS_NODES // (n * n))
@@ -274,19 +244,19 @@ def cone_potentials(form: ClosedHoloForm, Z, W, quad: ConeQuadrature | None = No
         tail = area * _coefficient_tail(F, ws)
         floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
         est = np.maximum(tail, floor)
-        budget = np.maximum(quad.tolerance * np.maximum(area, 1e-6), 1e-15 * np.abs(cell))
-        ok = tail <= np.maximum(budget, floor) if quad.adaptive else np.ones(k.size, bool)
+        budget = np.maximum(CELL_TOLERANCE * np.maximum(area, 1e-6), 1e-15 * np.abs(cell))
+        ok = tail <= np.maximum(budget, floor)
         np.add.at(values, k[ok], cell[ok])
         np.add.at(errors, k[ok], est[ok])
         np.add.at(cells, k[ok], 1)
         if ok.all():
             continue
         refused = ~ok
-        if d[refused].max() >= quad.max_subdivisions:
+        if d[refused].max() >= MAX_DEPTH:
             worst = float(est[refused][np.argmax(d[refused])])
             raise QuadratureError(
                 f"cone quadrature did not converge (cell error {worst:.3e} after "
-                f"{quad.max_subdivisions} subdivisions); a singularity may be near the chain"
+                f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
             )
         half = 0.5 * side[refused]
         tgt = np.concatenate([tgt, np.repeat(k[refused], 4)])
@@ -296,30 +266,58 @@ def cone_potentials(form: ClosedHoloForm, Z, W, quad: ConeQuadrature | None = No
     return ConePotentials(values, errors, cells)
 
 
-def cone_potential(form: ClosedHoloForm, z, w, quad: ConeQuadrature | None = None) -> complex:
+def cone_potential(form: ClosedHoloForm, z, w, nodes: int = 64) -> complex:
     """Potential q(z, w) of the form: a one-target ``cone_potentials`` call."""
     zv = _as_vec(z, form.dim)
     wv = _as_vec(w, form.dim)
-    return complex(cone_potentials(form, zv[None, :], wv[None, :], quad).values[0])
+    return complex(cone_potentials(form, zv[None, :], wv[None, :], nodes).values[0])
 
 
-@dataclass(frozen=True)
-class BoundaryReport:
-    max_residual: float
-    tolerance: float
-    passed: bool
-    residuals: tuple = field(default_factory=tuple)
-
-
-def verify_boundary_vanishing(form: ClosedHoloForm, samples, quad: ConeQuadrature | None = None,
-                              tolerance: float = 1e-10) -> BoundaryReport:
-    """Check q(z, w0) = 0 and q(z0, w) = 0 over sample pairs (z, w), in one batched call."""
+def verify_boundary_vanishing(form: ClosedHoloForm, samples, nodes: int = 64) -> np.ndarray:
+    """|q(z, w0)| and |q(z0, w)| per sample pair (z, w), interleaved, from one batched call."""
     n = form.dim
     Z = np.array([p for z, _ in samples for p in (_as_vec(z, n), form.base_z)]).reshape(-1, n)
     W = np.array([p for _, w in samples for p in (form.base_w, _as_vec(w, n))]).reshape(-1, n)
-    res = np.abs(cone_potentials(form, Z, W, quad).values)
-    worst = float(res.max()) if res.size else 0.0
-    return BoundaryReport(worst, tolerance, worst <= tolerance, tuple(res.tolist()))
+    return np.abs(cone_potentials(form, Z, W, nodes).values)
+
+
+def verify_mixed_derivative(form: ClosedHoloForm, z, w, nodes: int = 64) -> np.ndarray:
+    """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at (z, w).
+
+    The derivative is ``wirtinger.mixed_second`` with step 1e-3: central
+    differences on holomorphic directions plus one Richardson step.  It runs
+    once on all n^2 entries as arrays, so each stencil point is one batched
+    ``cone_potentials`` call: 8 calls for any n.  The full stencil (offsets
+    up to the step per coordinate) must stay inside the declared domain.
+    """
+    h = 1e-3
+    n = form.dim
+    zv = _as_vec(z, n)
+    wv = _as_vec(w, n)
+    dom = form.domain
+    offsets = h * np.concatenate([np.eye(n), -np.eye(n)])
+    if not _inside(zv + offsets, dom.z_center, dom.z_radius).all():
+        raise DomainError("FD stencil leaves the z-domain")
+    if not _inside(wv + offsets, dom.w_center, dom.w_radius).all():
+        raise DomainError("FD stencil leaves the w-domain")
+
+    # entry m = (i, j) moves coordinate i of z and coordinate j of w
+    i, j = np.divmod(np.arange(n * n), n)
+    rows = np.arange(n * n)
+    Z0, W0 = np.tile(zv, (n * n, 1)), np.tile(wv, (n * n, 1))
+
+    def q(a, b):
+        Z, W = Z0.copy(), W0.copy()
+        Z[rows, i] = a
+        W[rows, j] = b
+        # object entries: the stencil then divides with Python's complex
+        # arithmetic, as on scalars; numpy divides a complex by a real through
+        # its reciprocal, which rounds differently in the last bit
+        return cone_potentials(form, Z, W, nodes).values.astype(object)
+
+    omega = form.coeff_at(zv, wv)
+    d = mixed_second(q, zv[i], wv[j], h)
+    return np.abs(d - omega.ravel()).astype(float).reshape(n, n)
 
 
 def _shifted(v: np.ndarray, k: int, c: complex) -> np.ndarray:
@@ -328,48 +326,14 @@ def _shifted(v: np.ndarray, k: int, c: complex) -> np.ndarray:
     return out
 
 
-def verify_mixed_derivative(form: ClosedHoloForm, z, w, quad: ConeQuadrature | None = None,
-                            h: float = 1e-3) -> np.ndarray:
-    """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at (z, w).
-
-    The derivative is ``wirtinger.mixed_second``: central differences on
-    holomorphic directions plus one Richardson step.  The full stencil
-    (offsets up to h per coordinate) must stay inside the declared domain.
-    """
-    n = form.dim
-    zv = _as_vec(z, n)
-    wv = _as_vec(w, n)
-    for k in range(n):
-        for s in (+h, -h):
-            if not form.domain.contains_z(_shifted(zv, k, zv[k] + s)):
-                raise DomainError("FD stencil leaves the z-domain")
-            if not form.domain.contains_w(_shifted(wv, k, wv[k] + s)):
-                raise DomainError("FD stencil leaves the w-domain")
-
-    omega = form.coeff_at(zv, wv)
-    out = np.empty((n, n), dtype=float)
-    for i in range(n):
-        for j in range(n):
-            q = lambda a, b: cone_potential(form, _shifted(zv, i, a), _shifted(wv, j, b), quad)
-            out[i, j] = abs(mixed_second(q, zv[i], wv[j], h) - omega[i, j])
-    return out
-
-
-@dataclass(frozen=True)
-class FormCheckReport:
-    closedness_residual: float
-    antiholomorphic_residual: float
-    tolerance: float
-    passed: bool
-
-
-def check_closed_and_holomorphic(form: ClosedHoloForm, samples, h: float = 1e-3,
-                                 tolerance: float = 1e-8) -> FormCheckReport:
-    """FD residuals of the closedness symmetries and of anti-holomorphy.
+def check_closed_and_holomorphic(form: ClosedHoloForm, samples) -> tuple[float, float]:
+    """Worst FD residuals of closedness and of anti-holomorphy over the sample pairs.
 
     Closedness of a purely mixed (2,0)-form is equivalent to
     d_{z^k} Omega_ij = d_{z^i} Omega_kj and d_{w^k} Omega_ij = d_{w^j} Omega_ik.
+    The derivatives are ``wirtinger.wirtinger_pair`` with step 1e-3.
     """
+    h = 1e-3
     n = form.dim
     closed = 0.0
     anti = 0.0
@@ -389,5 +353,4 @@ def check_closed_and_holomorphic(form: ClosedHoloForm, samples, h: float = 1e-3,
                 for j in range(n):
                     closed = max(closed, abs(dz_omega[k][i, j] - dz_omega[i][k, j]))
                     closed = max(closed, abs(dw_omega[k][i, j] - dw_omega[j][i, k]))
-    passed = closed <= tolerance and anti <= tolerance
-    return FormCheckReport(closed, anti, tolerance, passed)
+    return closed, anti

@@ -45,13 +45,13 @@ class SpectralTruncation:
 
     def __post_init__(self):
         if self.split_time <= 0:
-            raise ValueError("split_time must be positive")
+            raise DomainError("split_time must be positive")
         if self.lattice_radius < 1:
-            raise ValueError("lattice_radius must be >= 1")
+            raise DomainError("lattice_radius must be >= 1")
         if self.quadrature_nodes < 2:
-            raise ValueError("quadrature_nodes must be >= 2")
+            raise DomainError("quadrature_nodes must be >= 2")
         if self.tail_tolerance <= 0:
-            raise ValueError("tail_tolerance must be positive")
+            raise DomainError("tail_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def torus_eigenvalues(z: complex, radius: int) -> TorusSpectrum:
     z = require_upper_half(z)
     radius = int(radius)
     if radius < 1:
-        raise ValueError("radius must be >= 1")
+        raise DomainError("radius must be >= 1")
     x, y = _reduced_x(z), z.imag
     idx = np.arange(-radius, radius + 1)
     m, n = np.meshgrid(idx, idx, indexing="ij")
@@ -176,7 +176,7 @@ def heat_trace(z: complex, t: float, trunc: SpectralTruncation | None = None,
     elif method == "poisson":
         value, tail = _theta_poisson(z, t, trunc)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     if tail > trunc.tail_tolerance:
         raise BudgetError(f"heat trace tail bound {tail:.3e} exceeds tolerance")
     return value

@@ -22,7 +22,7 @@ from holodet.extension import (
     word_to_matrix,
     wp_form_genus1,
 )
-from holodet.potential_builder import ConeQuadrature, cone_potential
+from holodet.potential_builder import cone_potential
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
 from holodet.verify import DIAGONAL_CONSTANT
@@ -280,8 +280,7 @@ class TestRecipeUniqueness:
         # vanish, and so do pointwise off-diagonal differences
         from holodet.polarization import uniqueness_residual
 
-        quad = ConeQuadrature(nodes_per_axis=32, adaptive=False)
-        rec = genus1_recipe(-0.5, f_mode="eta", quad=quad)
+        rec = genus1_recipe(-0.5, f_mode="eta")
         f1 = lambda z, w: assemble_extension(rec, ProductPoint(z, w))
         f2 = lambda z, w: genus1_extension(ProductPoint(z, w))
         center, radius = 1.4j, 0.25

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holodet.errors import BudgetError, DomainError
+from holodet.polarization import DiagonalSampleSet, polarize_fit
 from holodet.special_functions import eta
 from holodet.torus_spectral import (
     SpectralTruncation,
@@ -80,6 +81,25 @@ class TestHeatTrace:
     def test_budget_error_with_tiny_cap(self):
         with pytest.raises(BudgetError):
             heat_trace(1j, 0.9, SpectralTruncation(lattice_radius=1, tail_tolerance=1e-14), method="poisson")
+
+
+
+KERNEL_ARGUMENTS = {
+    "polarize_fit degree -1": lambda: polarize_fit(
+        DiagonalSampleSet.from_function(closed_form_log_det, 1.5j, 0.3, 8), -1),
+    "torus_eigenvalues radius 0": lambda: torus_eigenvalues(1j, 0),
+    "heat_trace method x": lambda: heat_trace(1j, 0.9, method="x"),
+    "split_time 0": lambda: SpectralTruncation(split_time=0.0),
+    "lattice_radius 0": lambda: SpectralTruncation(lattice_radius=0),
+    "quadrature_nodes 1": lambda: SpectralTruncation(quadrature_nodes=1),
+    "tail_tolerance 0": lambda: SpectralTruncation(tail_tolerance=0.0),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_ARGUMENTS.values(), ids=KERNEL_ARGUMENTS.keys())
+def test_bad_kernel_argument_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestZetaDet:

@@ -2,7 +2,7 @@
 
 Modules
 -------
-special_functions   branch-managed logs and the Dedekind eta function
+special_functions   the Dedekind eta function and modular reduction
 torus_spectral      flat-torus spectrum, heat trace, zeta-regularized determinant
 potential_builder   cone-integrated holomorphic potentials of closed (2,0)-forms
 extension           symmetrization, pluriharmonic splitting, assembled extensions
@@ -12,7 +12,6 @@ verify              one-shot verification suite behind ``holodet verify-all``
 """
 
 from .errors import (
-    BranchPathError,
     BudgetError,
     DomainError,
     FitRankError,
@@ -47,13 +46,9 @@ from .potential_builder import (
     verify_mixed_derivative,
 )
 from .special_functions import (
-    BranchedLog,
     canonical_modulus,
-    continue_log,
     eta,
-    half_power,
     log_eta,
-    modular_discriminant,
 )
 from .torus_spectral import (
     SpectralDetResult,

@@ -17,10 +17,6 @@ class QuadratureError(HolodetError):
     """Adaptive quadrature failed to converge, or a node hit a singularity guard."""
 
 
-class BranchPathError(HolodetError):
-    """A path for analytic continuation is invalid or insufficiently refined."""
-
-
 class FitRankError(HolodetError):
     """A least-squares fit is rank deficient (insufficient samples or dispersion)."""
 

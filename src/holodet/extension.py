@@ -18,9 +18,15 @@ totally real diagonal {w = conj(z)}.  This module provides
 * ``modular_invariance_check``: the phase-free invariance test of
   exp(24 * extension) under the diagonal action of SL(2, Z) words.
 
-Branch notes.  On H x Hbar one has Im(z - w) > 0, hence -pi*i*(z - w) and
-(z - w)/2i both have positive real part, so the principal logarithm is
-continuous on the whole model domain; no branch tracking is needed there.
+The period term.  With M = (tau(z) - conj(tau(wbar)))/2i, Re M equals
+(Im tau(z) + Im tau(wbar))/2, which is positive definite when tau(z) and
+tau(wbar) lie in Siegel space.  Then every eigenvalue mu_k of M has
+Re mu_k > 0, so sum_k Log mu_k with the principal Log is a continuous
+logarithm of the holomorphic det M, hence holomorphic, for every genus g.
+The principal Log of det M itself is not: arg det M ranges over
+(-g pi/2, g pi/2) and for g >= 3 crosses the cut.  In genus 1 the one
+eigenvalue is (z - w)/2i, whose real part Im(z - w)/2 is positive on
+H x Hbar; likewise -pi*i*(z - w) in the eta extension.
 """
 
 from __future__ import annotations
@@ -95,11 +101,6 @@ def wp_form_genus1(z: complex) -> complex:
     if not (cmath.isfinite(z) and z.imag > 0.0):
         raise DomainError(f"z must be finite with Im(z) > 0, got {z!r}")
     return -1j * (z - z.conjugate()) ** -2
-
-
-def i_wp_form_genus1(z: complex) -> complex:
-    """Coefficient (z - zbar)^{-2} of i * wp_form_genus1, the potential target."""
-    return 1j * wp_form_genus1(z)
 
 
 def genus1_pole_form(ball_height: float = 5.0, ball_radius: float = 4.9) -> ClosedHoloForm:
@@ -188,19 +189,20 @@ class ExtensionRecipe:
     """Ingredients of an assembled holomorphic extension.
 
     ``q_tilde``: symmetrized potential evaluator on the product domain;
-    ``period_map``: holomorphic map to symmetric g x g matrices;
-    ``f``: holomorphic function of the first block; ``genus_constant``:
-    the prefactor of q_tilde (an input, never computed here).
+    ``period_map``: holomorphic map to symmetric g x g matrices in Siegel
+    space, its size g being the genus; ``f``: holomorphic function of the
+    first block; ``genus_constant``: the prefactor of q_tilde (an input,
+    never computed here).
     """
 
     q_tilde: Callable
     period_map: Callable
     f: Callable
     genus_constant: float
-    genus: int = 1
 
 
 def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
+    """log det M = sum_k Log mu_k over the eigenvalues mu_k of M = (tau(z) - conj(tau(wbar)))/2i."""
     tau_z = np.atleast_2d(np.asarray(recipe.period_map(z), dtype=complex))
     tau_w = np.atleast_2d(np.asarray(recipe.period_map(wbar), dtype=complex))
     for name, tau in (("tau(z)", tau_z), ("tau(wbar)", tau_w)):
@@ -208,15 +210,14 @@ def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
         if sym > 1e-12 * (1.0 + float(np.max(np.abs(tau)))):
             raise DomainError(f"{name} is not symmetric: residual {sym:.3e}")
     mat = (tau_z - np.conj(tau_w)) / 2j
-    det = complex(np.linalg.det(mat))
-    if abs(det) <= 1e-12:
+    if not np.linalg.eigvalsh(mat.real)[0] > 0.0:
+        raise DomainError("Re of the period-matrix difference is not positive definite; "
+                          "outside Siegel space")
+    mu = np.linalg.eigvals(mat)
+    if abs(np.prod(mu)) <= 1e-12:
         raise DomainError("period-matrix difference is not invertible; outside the extension domain")
-    if recipe.genus == 1:
-        # on the model domain with tau = id the scalar (z - w)/2i stays in
-        # the right half plane, so the principal branch is the analytic
-        # continuation from the diagonal (where the argument is Im tau > 0)
-        return cmath.log(complex(mat[0, 0]))
-    return cmath.log(det)  # principal log of the determinant
+    logs = [cmath.log(m) for m in mu]
+    return sum(logs[1:], logs[0])  # in genus 1 exactly Log M_00
 
 
 def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint) -> complex:
@@ -258,7 +259,7 @@ def word_to_matrix(word: str) -> np.ndarray:
         elif ch == "S":
             mat = mat @ _S_MAT
         else:
-            raise ValueError(f"unknown generator {ch!r}; expected 'T' or 'S'")
+            raise DomainError(f"unknown generator {ch!r}; expected 'T' or 'S'")
     return mat
 
 
@@ -334,6 +335,6 @@ def genus1_recipe(constant: float, f_mode: str = "split") -> ExtensionRecipe:
 
         f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
     else:
-        raise ValueError(f"unknown f_mode {f_mode!r}")
+        raise DomainError(f"unknown f_mode {f_mode!r}")
 
-    return ExtensionRecipe(q_tilde, period, f, float(constant), genus=1)
+    return ExtensionRecipe(q_tilde, period, f, float(constant))

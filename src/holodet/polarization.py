@@ -31,7 +31,7 @@ def disc_samples(center: complex, radius: float, count: int) -> np.ndarray:
     Vandermonde-type fit system well conditioned.
     """
     if count < 1:
-        raise ValueError("count must be positive")
+        raise DomainError(f"count must be positive, got {count}")
     n_rings = max(3, round(math.sqrt(count / 2.0)))
     per_ring = -(-count // n_rings)  # ceil
     pts = []
@@ -41,14 +41,6 @@ def disc_samples(center: complex, radius: float, count: int) -> np.ndarray:
             th = 2.0 * math.pi * k / per_ring + j * _GOLDEN_ANGLE
             pts.append(center + r * complex(math.cos(th), math.sin(th)))
     return np.asarray(pts[:count], dtype=complex)
-
-
-def random_disc_samples(center: complex, radius: float, count: int, seed: int) -> np.ndarray:
-    """Seeded uniform samples in the disc, for when randomness is wanted."""
-    rng = np.random.default_rng(seed)
-    r = radius * np.sqrt(rng.uniform(0.0, 1.0, count))
-    th = rng.uniform(0.0, 2.0 * math.pi, count)
-    return center + r * np.exp(1j * th)
 
 
 @dataclass(frozen=True, eq=False)

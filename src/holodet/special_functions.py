@@ -1,4 +1,4 @@
-"""Branch-managed complex elementary functions and the Dedekind eta function.
+"""The Dedekind eta function on H and the modular reduction of its argument.
 
 Conventions used throughout the library:
 
@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchPathError, BudgetError, DomainError
+from .errors import BudgetError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,87 +58,6 @@ def require_upper_half(z: complex, what: str = "z") -> complex:
     if not z.imag > 0.0:
         raise DomainError(f"Im({what}) must be positive, got {z!r}")
     return z
-
-
-def _principal_winding(value: complex) -> int:
-    """Winding index w with Im(value) - 2*pi*w in (-pi, pi]."""
-    w = round(value.imag / TWO_PI)
-    d = value.imag - TWO_PI * w
-    if d <= -math.pi:
-        w -= 1
-    elif d > math.pi:
-        w += 1
-    return int(w)
-
-
-@dataclass(frozen=True)
-class BranchedLog:
-    """A complex logarithm value with an explicit winding index.
-
-    ``value`` is the logarithm on its chosen sheet; ``winding`` counts full
-    2*pi crossings relative to the principal branch, so that
-    value - winding*2*pi*i always lies in the principal strip Im in (-pi, pi].
-    """
-
-    value: complex
-    winding: int
-
-    def __post_init__(self):
-        d = self.value.imag - TWO_PI * self.winding
-        if not (-math.pi - 1e-9 < d <= math.pi + 1e-9):
-            raise ValueError(
-                f"winding {self.winding} inconsistent with Im(value) = {self.value.imag!r}"
-            )
-
-    @classmethod
-    def principal(cls, u: complex) -> "BranchedLog":
-        """Principal logarithm of u != 0 with winding 0."""
-        u = complex(u)
-        if u == 0:
-            raise DomainError("log of zero")
-        return cls(cmath.log(u), 0)
-
-
-def continue_log(path, initial: BranchedLog) -> BranchedLog:
-    """Analytically continue a logarithm along a path of nonzero points.
-
-    ``initial`` must be a logarithm of the first path point.  Consecutive
-    points must differ in argument by less than pi/2; refine the path
-    otherwise.  The returned winding is updated whenever the continuation
-    crosses the principal cut.
-    """
-    pts = [complex(p) for p in path]
-    if not pts:
-        raise BranchPathError("empty path")
-    for p in pts:
-        if p == 0:
-            raise BranchPathError("path passes through 0, where log is singular")
-    if abs(cmath.exp(initial.value) - pts[0]) > 1e-12 * abs(pts[0]):
-        raise BranchPathError("initial value is not a logarithm of the first path point")
-    val = initial.value
-    for a, b in zip(pts, pts[1:]):
-        step = cmath.log(b / a)
-        if abs(step.imag) >= 0.5 * math.pi:
-            raise BranchPathError(
-                "consecutive path points differ in argument by >= pi/2; refine the path"
-            )
-        val += step
-    return BranchedLog(val, _principal_winding(val))
-
-
-def half_power(u: complex, branch_hint: BranchedLog | None = None) -> complex:
-    """Branch-consistent square root exp(L/2), L a chosen log of u.
-
-    Without a hint the principal branch is used.  A hint shifts the sheet:
-    L = Log(u) + 2*pi*i*hint.winding, so winding -1 on u = -1 gives -i.
-    """
-    u = complex(u)
-    if u == 0:
-        raise DomainError("half_power of zero")
-    ell = cmath.log(u)
-    if branch_hint is not None:
-        ell += TWO_PI * 1j * branch_hint.winding
-    return cmath.exp(0.5 * ell)
 
 
 def canonical_modulus(z: complex) -> complex:
@@ -240,7 +158,3 @@ def eta(z: complex, terms: int | None = None) -> complex:
     """Dedekind eta function on the upper half plane: exp(log_eta(z, terms))."""
     return cmath.exp(log_eta(z, terms))
 
-
-def modular_discriminant(z: complex) -> complex:
-    """Weight-12 discriminant eta(z)**24; invariant under z -> z + 1."""
-    return eta(z) ** 24

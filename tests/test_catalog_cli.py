@@ -291,6 +291,13 @@ class TestCliExtend:
             assert out.returncode == 2
             assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
+    def test_unknown_f_mode_exits_2(self, tmp_path):
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant -0.5\nf_mode bogus\n")
+        out = run_cli("extend", "--point", "0,1;0,-1", "--recipe", str(path))
+        assert out.returncode == 2
+        assert "f_mode" in out.stderr and "Traceback" not in out.stderr
+
     def test_other_library_error_exits_1(self, monkeypatch, capsys):
         from holodet import cli
         from holodet.errors import BudgetError

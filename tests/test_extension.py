@@ -15,7 +15,6 @@ from holodet.extension import (
     genus1_extension,
     genus1_pole_form,
     genus1_recipe,
-    i_wp_form_genus1,
     modular_invariance_check,
     pluriharmonic_split,
     symmetrized_evaluator,
@@ -25,7 +24,7 @@ from holodet.extension import (
 from holodet.potential_builder import cone_potential
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
-from holodet.verify import DIAGONAL_CONSTANT
+from holodet.verify import DIAGONAL_CONSTANT, antiholomorphic_check
 from holodet.wirtinger import dz_dzbar, wirtinger_dzbar
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -81,7 +80,6 @@ class TestSymmetrize:
 class TestWpForm:
     def test_value_at_i(self):
         assert wp_form_genus1(1j) == pytest.approx(0.25j)
-        assert i_wp_form_genus1(1j) == pytest.approx(-0.25)
 
     def test_log_potential_reproduces_it(self):
         # d_z d_zbar log(z - zbar) at i equals -1/4
@@ -89,7 +87,7 @@ class TestWpForm:
         assert abs(dz_dzbar(u, 1j, 1e-3) - (-0.25)) < 1e-8
 
     def test_quarter_scaling(self):
-        assert i_wp_form_genus1(2j) == pytest.approx(-1 / 16)
+        assert wp_form_genus1(2j) == pytest.approx(1j / 16)
 
 
 class TestPluriharmonicSplit:
@@ -246,7 +244,7 @@ class TestAssembleExtension:
     def test_rejects_asymmetric_period_map(self):
         rec = ExtensionRecipe(lambda z, w: 0.0,
                               lambda z: np.array([[z, 1.0], [0.0, z]]),
-                              lambda z: 0.0, 0.0, genus=2)
+                              lambda z: 0.0, 0.0)
         with pytest.raises(DomainError):
             assemble_extension(rec, ProductPoint(1j, -1j))
 
@@ -254,14 +252,14 @@ class TestAssembleExtension:
         # tau_22 constant and real makes the second diagonal entry vanish
         rec = ExtensionRecipe(lambda z, w: 0.0,
                               lambda z: np.array([[z, 0.0], [0.0, 3.0]]),
-                              lambda z: 0.0, 0.0, genus=2)
+                              lambda z: 0.0, 0.0)
         with pytest.raises(DomainError):
             assemble_extension(rec, ProductPoint(1j, -1j))
 
     def test_synthetic_genus2_holomorphy(self):
         rec = ExtensionRecipe(lambda z, w: 0.0,
                               lambda z: np.array([[2 * z, 0.3 * z], [0.3 * z, 3 * z + 1j]]),
-                              lambda z: 0.1 * z * z, 0.0, genus=2)
+                              lambda z: 0.1 * z * z, 0.0)
         p = ProductPoint(0.5 + 1.4j, -0.6 - 1.1j)
         fz = lambda a: assemble_extension(rec, ProductPoint(a, p.w))
         fw = lambda a: assemble_extension(rec, ProductPoint(p.z, a))
@@ -271,6 +269,53 @@ class TestAssembleExtension:
         for z in (1j, 0.3 + 0.9j):
             val = assemble_extension(rec, ProductPoint.diagonal(z))
             assert abs(val.imag) < 1e-12
+
+
+def genus3_recipe():
+    # tau(z) = z I + 0.01 J (J all ones): at wbar = i, M = (z + i)/2i I, and
+    # along z = -x + i, arg det M = 3 arctan(x/2) passes pi at x = 2 sqrt(3)
+    return ExtensionRecipe(lambda z, w: 0.0,
+                           lambda z: z * np.eye(3) + 0.01 * np.ones((3, 3)),
+                           lambda z: 0.0, 0.0)
+
+
+class TestPeriodTerm:
+    def test_genus3_term_is_continuous_across_the_cut(self):
+        rec = genus3_recipe()
+        vals = np.array([assemble_extension(rec, ProductPoint(-x + 1j, -1j))
+                         for x in np.linspace(3.0, 4.0, 201)])
+        assert vals[0].imag < math.pi < vals[-1].imag
+        assert np.max(np.abs(np.diff(vals))) < 0.01
+
+    def test_genus3_holomorphic_at_the_crossing(self):
+        rec = genus3_recipe()
+        z, w = -2 * math.sqrt(3) + 1j, -1j
+        evaluate = lambda p: assemble_extension(rec, p)
+        check = antiholomorphic_check(evaluate, [(z, w)], [(z, w)])
+        assert check.passed, check.residual
+        # and it is a logarithm of det M = ((z + i)/2i)^3, not of one block
+        det = ((z - w) / 2j) ** 3
+        assert abs(cmath.exp(evaluate(ProductPoint(z, w))) - det) < 1e-13 * abs(det)
+
+    def test_genus_is_the_size_of_tau(self):
+        # no genus argument: both blocks of diag(z, 2z) enter the term
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: np.diag([z, 2 * z]),
+                              lambda z: 0.0, 0.0)
+        p = ProductPoint(0.3 + 1j, -0.2 - 1.5j)
+        expected = cmath.log((p.z - p.w) / 2j) + cmath.log((p.z - p.w) / 1j)
+        assert abs(assemble_extension(rec, p) - expected) < 1e-14
+
+    def test_indefinite_real_part_is_a_domain_error(self):
+        # Re M = diag(1, -1) at (i, -i): det M = -1 is invertible, but M is
+        # outside Siegel space
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: np.diag([z, -z]),
+                              lambda z: 0.0, 0.0)
+        with pytest.raises(DomainError, match="positive definite"):
+            assemble_extension(rec, ProductPoint(1j, -1j))
+
+    def test_unknown_f_mode_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="f_mode"):
+            genus1_recipe(-0.5, f_mode="bogus")
 
 
 class TestRecipeUniqueness:
@@ -350,3 +395,7 @@ class TestModularInvariance:
             r = modular_invariance_check(p, word)
             assert r.relative_residual < 1e-9, word
             assert abs(r.l_difference_mod) < 1e-9, word
+
+    def test_unknown_letter_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="generator"):
+            modular_invariance_check(ProductPoint(1j, -1j), "TX")

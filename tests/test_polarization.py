@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holodet.errors import FitRankError
+from holodet.errors import DomainError, FitRankError
 from holodet.polarization import (
     DiagonalSampleSet,
     disc_samples,
     load_diagonal_csv,
     polarize_fit,
-    random_disc_samples,
     save_diagonal_csv,
     uniqueness_residual,
 )
@@ -155,11 +154,10 @@ class TestSampling:
         np.fill_diagonal(d, np.inf)
         assert d.min() > 1e-3  # well dispersed
 
-    def test_random_samples_seeded(self):
-        a = random_disc_samples(0, 1.0, 50, seed=42)
-        b = random_disc_samples(0, 1.0, 50, seed=42)
-        assert np.array_equal(a, b)
-        assert np.max(np.abs(a)) <= 1.0
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_nonpositive_count_is_a_domain_error(self, count):
+        with pytest.raises(DomainError, match="count"):
+            disc_samples(0.5j, 0.2, count)
 
 
 class TestCsv:

@@ -21,6 +21,7 @@ inputs; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -298,7 +299,9 @@ def cmd_verify_all(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``holodet`` parser, built once per process; parsing leaves it unchanged."""
     p = argparse.ArgumentParser(prog="holodet", description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)

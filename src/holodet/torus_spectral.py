@@ -17,7 +17,8 @@ The modulus is first reduced to the standard fundamental domain; the unit
 translation and the inversion z -> -1/z act on the lattice by similarities,
 and the determinant is reported for the canonical representative so that the
 result is invariant under both generators.  All lattice sums carry certified
-geometric tail bounds.
+geometric tail bounds.  One routine, ``_theta_sums``, evaluates the heat
+trace at an array of times; each half of the t-integral is one call.
 """
 
 from __future__ import annotations
@@ -89,72 +90,99 @@ def torus_eigenvalues(z: complex, radius: int) -> TorusSpectrum:
     return TorusSpectrum(z, radius, lam)
 
 
-def _gauss_tail(a: float, start: float) -> float:
-    """Bound for sum_{k>=0} exp(-a (start+k)^2), start >= 0, a > 0."""
+#: Most terms one padded lattice batch may hold (8 bytes each); a longer node
+#: list is split so the working set stays near this size.
+LATTICE_BATCH_TERMS = 1 << 16
+
+
+def _gauss_tail(a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Bound for sum_{k>=0} exp(-a (start+k)^2), elementwise; start >= 0, a > 0."""
     e0 = a * start * start
-    if e0 > 700.0:
-        return 0.0
-    r = math.exp(-a * (2.0 * start + 1.0))
-    return math.exp(-e0) / (1.0 - r)
+    r = np.exp(-a * (2.0 * start + 1.0))
+    with np.errstate(divide="ignore"):  # r == 1 for a -> 0: an infinite bound
+        return np.where(e0 > 700.0, 0.0, np.exp(-e0) / (1.0 - r))
 
 
-def _lattice_gauss_sum(a_out: float, a_in: float, x: float, target: float, cap: int):
-    """sum over (j,k) in Z^2 of exp(-a_out j^2 - a_in (k - j x)^2), |x| <= 1/2.
+def _lattice_boxes(a_out: np.ndarray, a_in: np.ndarray, target, cap: int):
+    """Box radii J, K and certified tail bounds of each node's lattice sum.
 
-    Returns (value, tail_bound, J, K); raises BudgetError when the certified
-    tail cannot reach ``target`` within box radius ``cap``.
+    The sum is over (j,k) in Z^2 of exp(-a_out j^2 - a_in (k - j x)^2) with
+    |x| <= 1/2; |j| <= J and |k| <= K leave a tail below ``target``.  Raises
+    BudgetError when some node needs J > cap or K > 2 cap.
     """
-    s_in_all = 1.0 + math.sqrt(math.pi / a_in)
-
-    guess = math.ceil(math.sqrt(max(math.log(4.0 * s_in_all / target), 1.0) / a_out))
-    J = max(1, min(guess, cap))
-    while 2.0 * s_in_all * _gauss_tail(a_out, J + 1) > 0.5 * target:
-        J += max(1, J // 4)
-        if J > cap:
+    s_in_all = 1.0 + np.sqrt(np.pi / a_in)
+    guess = np.ceil(np.sqrt(np.maximum(np.log(4.0 * s_in_all / target), 1.0) / a_out))
+    J = np.clip(guess, 1, cap).astype(int)
+    while True:
+        t_out = 2.0 * s_in_all * _gauss_tail(a_out, J + 1)
+        grow = t_out > 0.5 * target
+        if not grow.any():
+            break
+        J = np.where(grow, J + np.maximum(1, J // 4), J)
+        if (J > cap).any():
             raise BudgetError("lattice sum tail cannot reach tolerance within radius cap")
-    t_out = 2.0 * s_in_all * _gauss_tail(a_out, J + 1)
 
     s_out_box = 1.0 + 2.0 * _gauss_tail(a_out, 1.0)
-    guess = math.ceil(0.5 * J + math.sqrt(max(math.log(4.0 * s_out_box / target), 1.0) / a_in))
-    K = max(1, min(guess, 2 * cap))
-    while 2.0 * s_out_box * _gauss_tail(a_in, max(K + 1 - 0.5 * J, 0.5)) > 0.5 * target:
-        K += max(1, K // 4)
-        if K > 2 * cap:
+    guess = np.ceil(0.5 * J + np.sqrt(np.maximum(np.log(4.0 * s_out_box / target), 1.0) / a_in))
+    K = np.clip(guess, 1, 2 * cap).astype(int)
+    while True:
+        t_in = 2.0 * s_out_box * _gauss_tail(a_in, np.maximum(K + 1 - 0.5 * J, 0.5))
+        grow = t_in > 0.5 * target
+        if not grow.any():
+            break
+        K = np.where(grow, K + np.maximum(1, K // 4), K)
+        if (K > 2 * cap).any():
             raise BudgetError("lattice sum tail cannot reach tolerance within radius cap")
-    t_in = 2.0 * s_out_box * _gauss_tail(a_in, max(K + 1 - 0.5 * J, 0.5))
-
-    j = np.arange(-J, J + 1)
-    k = np.arange(-K, K + 1)
-    jj, kk = np.meshgrid(j, k, indexing="ij")
-    expo = a_out * jj.astype(float) ** 2 + a_in * (kk - jj * x) ** 2
-    value = float(np.sum(np.exp(-expo)))
-    return value, t_out + t_in, J, K
+    return J, K, t_out + t_in
 
 
-def _theta_direct(z: complex, t: float, trunc: SpectralTruncation):
-    """Theta(t) by direct eigenvalue summation, with tail bound."""
-    x, y = _reduced_x(z), z.imag
-    a_out = FOUR_PI_SQ * t            # coefficient of m^2
-    a_in = FOUR_PI_SQ * t / (y * y)   # coefficient of (n - m x)^2
-    value, tail, _, _ = _lattice_gauss_sum(a_out, a_in, x, trunc.tail_tolerance, trunc.lattice_radius)
-    return value, tail
+def _theta_sums(z: complex, ts, trunc: SpectralTruncation, poisson: bool):
+    """Theta(t) less its origin term at every t of ``ts``, with tail bounds.
 
-
-def _theta_poisson(z: complex, t: float, trunc: SpectralTruncation, drop_origin: bool = False):
-    """Theta(t) = (A/4 pi t) sum_{u in Z+zZ} exp(-|u|^2/4t), with tail bound.
-
-    With ``drop_origin`` the u = 0 term is excluded, giving the remainder
-    R(t) = Theta(t) - A/(4 pi t) without cancellation.
+    Direct: sum over the nonzero eigenvalues of exp(-t lambda) = Theta(t) - 1.
+    Poisson (``poisson``): (A/4 pi t) sum over u != 0 in Z+zZ of
+    exp(-|u|^2/4t) = Theta(t) - A/(4 pi t), without cancellation.
+    Each node keeps its own box; the nodes are summed together in one
+    buffer padded to the largest box, split at LATTICE_BATCH_TERMS terms.
     """
     x, y = _reduced_x(z), z.imag
-    pref = y / (4.0 * math.pi * t)
-    a_out = y * y / (4.0 * t)   # coefficient of q^2 in |p + q z|^2
-    a_in = 1.0 / (4.0 * t)      # coefficient of (p + q x)^2
-    target = trunc.tail_tolerance / max(pref, 1.0)
-    value, tail, _, _ = _lattice_gauss_sum(a_out, a_in, -x, target, trunc.lattice_radius)
-    if drop_origin:
-        value -= 1.0
-    return pref * value, pref * tail
+    ts = np.asarray(ts, dtype=float)
+    if poisson:
+        pref = y / (4.0 * math.pi * ts)
+        a_out = y * y / (4.0 * ts)   # coefficient of q^2 in |p + q z|^2
+        a_in = 1.0 / (4.0 * ts)      # coefficient of (p + q x)^2
+        target = trunc.tail_tolerance / np.maximum(pref, 1.0)
+        x = -x
+    else:
+        pref = 1.0
+        a_out = FOUR_PI_SQ * ts            # coefficient of m^2
+        a_in = FOUR_PI_SQ * ts / (y * y)   # coefficient of (n - m x)^2
+        target = trunc.tail_tolerance
+    J, K, tail = _lattice_boxes(a_out, a_in, target, trunc.lattice_radius)
+
+    rows, cols = 2 * J + 1, 2 * K + 1
+    sums = np.empty(ts.shape)
+    lo = 0
+    while lo < ts.size:
+        # a batch's padded size grows with its length: cut before the budget
+        size = (np.arange(1, ts.size - lo + 1) * np.maximum.accumulate(rows[lo:])
+                * np.maximum.accumulate(cols[lo:]))
+        hi = lo + max(1, int(np.searchsorted(size, LATTICE_BATCH_TERMS, side="right")))
+        Jm, Km = int(J[lo:hi].max()), int(K[lo:hi].max())
+        j = np.arange(-Jm, Jm + 1, dtype=float)
+        k = np.arange(-Km, Km + 1, dtype=float)
+        d = k[None, :] - j[:, None] * x
+        # expo[i, j, k] = a_out j^2 + a_in (k - j x)^2, +inf outside node i's box
+        expo = np.multiply.outer(a_in[lo:hi], d * d)
+        outside = np.abs(j) > J[lo:hi, None]
+        expo += np.where(outside, np.inf, np.multiply.outer(a_out[lo:hi], j * j))[:, :, None]
+        expo += np.where(np.abs(k) > K[lo:hi, None], np.inf, 0.0)[:, None, :]
+        expo[:, Jm, Km] = np.inf  # the origin term
+        np.negative(expo, out=expo)
+        np.exp(expo, out=expo)
+        sums[lo:hi] = expo.sum(axis=(1, 2))
+        lo = hi
+    return pref * sums, pref * tail
 
 
 def heat_trace(z: complex, t: float, trunc: SpectralTruncation | None = None,
@@ -171,15 +199,14 @@ def heat_trace(z: complex, t: float, trunc: SpectralTruncation | None = None,
     trunc = trunc or SpectralTruncation()
     if method == "auto":
         method = "poisson" if t < trunc.split_time else "direct"
-    if method == "direct":
-        value, tail = _theta_direct(z, t, trunc)
-    elif method == "poisson":
-        value, tail = _theta_poisson(z, t, trunc)
-    else:
+    if method not in ("direct", "poisson"):
         raise DomainError(f"unknown method {method!r}")
+    poisson = method == "poisson"
+    (value,), (tail,) = _theta_sums(z, [t], trunc, poisson)
     if tail > trunc.tail_tolerance:
         raise BudgetError(f"heat trace tail bound {tail:.3e} exceeds tolerance")
-    return value
+    origin = z.imag / (4.0 * math.pi * t) if poisson else 1.0
+    return float(value + origin)
 
 
 @lru_cache(maxsize=32)
@@ -231,29 +258,24 @@ def zeta_log_det(z: complex, trunc: SpectralTruncation | None = None) -> Spectra
     ell_sq = _shortest_vector_sq(zc)  # = 1 on the fundamental domain
     t_min = ell_sq / 180.0
 
-    # Remainder R(t) = Theta(t) - A/(4 pi t), summed without cancellation.
-    def remainder(t: float):
-        return _theta_poisson(zc, t, trunc, drop_origin=True)
+    # Remainder R(t) = Theta(t) - A/(4 pi t) at t_min and at the nodes of
+    # int_{t_min}^{s0} R(t)/t dt, log substitution t = e^u
+    us, ws = _gl_nodes(math.log(t_min), math.log(s0), n_gl)
+    r_vals, r_tails = _theta_sums(zc, np.concatenate(([t_min], np.exp(us))), trunc, poisson=True)
+    s_small, s_small_tail = r_vals[0], r_tails[0]
 
     # cutoff bound for int_0^{t_min} R(t)/t dt
-    s_small, s_small_tail = remainder(t_min)
     s0_sum = s_small * (4.0 * math.pi * t_min) / y  # lattice sum without prefactor
     cut_low = area * (s0_sum + 1e-300) / (math.pi * ell_sq)
 
     tail_total = cut_low + s_small_tail
-
-    # int_{t_min}^{s0} R(t)/t dt, log substitution t = e^u
-    us, ws = _gl_nodes(math.log(t_min), math.log(s0), n_gl)
-    i_low = 0.0
-    for u, w in zip(us, ws):
-        val, tl = remainder(math.exp(u))
-        i_low += w * val
-        tail_total += abs(w) * tl
+    i_low = np.dot(ws, r_vals[1:])
+    tail_total += np.dot(np.abs(ws), r_tails[1:])
 
     # upper cutoff T_max from the certified decay of Theta(t) - 1
     lam1 = FOUR_PI_SQ * min(1.0, 1.0 / (y * y))
-    theta_s0, theta_s0_tail = _theta_direct(zc, s0, trunc)
-    m_b = (theta_s0 - 1.0 + theta_s0_tail) * math.exp(lam1 * s0)
+    (theta_s0,), (theta_s0_tail,) = _theta_sums(zc, [s0], trunc, poisson=False)
+    m_b = (theta_s0 + theta_s0_tail) * math.exp(lam1 * s0)
     t_max = 2.0 * s0
     for _ in range(400):
         if m_b * math.exp(-lam1 * t_max) / (lam1 * t_max) <= trunc.tail_tolerance / 10.0:
@@ -264,11 +286,9 @@ def zeta_log_det(z: complex, trunc: SpectralTruncation | None = None) -> Spectra
 
     # int_{s0}^{T_max} (Theta(t) - 1)/t dt, same log substitution
     us, ws = _gl_nodes(math.log(s0), math.log(t_max), n_gl)
-    i_high = 0.0
-    for u, w in zip(us, ws):
-        val, tl = _theta_direct(zc, math.exp(u), trunc)
-        i_high += w * (val - 1.0)
-        tail_total += abs(w) * tl
+    vals, tails = _theta_sums(zc, np.exp(us), trunc, poisson=False)
+    i_high = np.dot(ws, vals)
+    tail_total += np.dot(np.abs(ws), tails)
 
     if tail_total > trunc.tail_tolerance * 10.0:
         raise BudgetError(f"aggregate tail bound {tail_total:.3e} exceeds budget")

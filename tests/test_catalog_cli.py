@@ -183,6 +183,18 @@ class TestCliTorusDet:
         with pytest.raises(BudgetError):
             main(["torus-det", "--z", "0,140", "--method", "spectral"])
 
+    def test_repeated_main_keeps_defaults(self, capsys):
+        # main reuses one parser: the first call's --method must not stick
+        from holodet.cli import main
+
+        assert main(["torus-det", "--z", "0,1", "--method", "closed-form"]) == 0
+        assert "spectral_log_det=" not in capsys.readouterr().out
+        assert main(["torus-det", "--z", "0,1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("=")[0] for line in lines[:3]] == [
+            "closed_form_log_det", "spectral_log_det", "tail_bound"]
+        assert lines[3].startswith("PASS zeta0_diagnostic")
+
     def test_translation_invariant_output(self):
         a = run_cli("torus-det", "--z", "0,1", "--method", "both")
         b = run_cli("torus-det", "--z", "1,1", "--method", "both")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holodet import torus_spectral
 from holodet.errors import BudgetError, DomainError
 from holodet.polarization import DiagonalSampleSet, polarize_fit
 from holodet.special_functions import eta
@@ -82,6 +85,60 @@ class TestHeatTrace:
         with pytest.raises(BudgetError):
             heat_trace(1j, 0.9, SpectralTruncation(lattice_radius=1, tail_tolerance=1e-14), method="poisson")
 
+    def test_vanishing_coefficient_is_a_budget_error(self):
+        # exp(-a) rounds to 1 for t this small, so the geometric tail bound is infinite
+        with pytest.raises(BudgetError):
+            heat_trace(1j, 1e-20, method="direct")
+
+
+def brute_lattice_sum(a_out, a_in, x, radius=60):
+    """sum over |j|, |k| <= radius, (j, k) != 0, of exp(-a_out j^2 - a_in (k - j x)^2)."""
+    j, k = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij")
+    terms = np.exp(-(a_out * j.astype(float) ** 2 + a_in * (k - j * x) ** 2))
+    terms[radius, radius] = 0.0
+    return float(np.sum(terms))
+
+
+class TestLatticeSums:
+    """The batched lattice routine against one brute-force sum per node."""
+
+    TS = {False: [3.0, 0.5, 1.7, 0.8, 2.4, 1.0, 0.6],       # direct side
+          True: [0.9, 0.0056, 0.3, 1.0, 0.02, 0.6, 0.1]}    # Poisson side
+
+    @pytest.mark.parametrize("poisson", [False, True], ids=["direct", "poisson"])
+    @pytest.mark.parametrize("z", [1j, 0.3 + 1.1j, -0.45 + 2.7j])
+    def test_each_node_matches_brute_force(self, z, poisson):
+        trunc = SpectralTruncation()
+        ts = np.array(self.TS[poisson])
+        values, tails = torus_spectral._theta_sums(z, ts, trunc, poisson)
+        x, y = z.real, z.imag
+        for t, value, tail in zip(ts, values, tails):
+            if poisson:
+                pref = y / (4 * math.pi * t)
+                expected = pref * brute_lattice_sum(y * y / (4 * t), 1 / (4 * t), -x)
+            else:
+                pref = 1.0
+                expected = brute_lattice_sum(FOUR_PI_SQ * t, FOUR_PI_SQ * t / y ** 2, x)
+            assert abs(value - expected) <= 1e-14 * abs(expected), (t, value, expected)
+            assert 0 <= tail <= trunc.tail_tolerance * min(pref, 1.0)
+
+    def test_batches_split_at_the_term_budget(self, monkeypatch):
+        trunc = SpectralTruncation()
+        ts = np.geomspace(0.01, 1.0, 40)
+        whole = torus_spectral._theta_sums(0.2 + 1.3j, ts, trunc, True)
+        monkeypatch.setattr(torus_spectral, "LATTICE_BATCH_TERMS", 500)
+        split = torus_spectral._theta_sums(0.2 + 1.3j, ts, trunc, True)
+        assert np.allclose(whole[0], split[0], rtol=1e-14, atol=0) and np.array_equal(whole[1], split[1])
+
+    def test_three_lattice_calls_per_determinant(self, monkeypatch):
+        calls = []
+        real = torus_spectral._theta_sums
+        monkeypatch.setattr(torus_spectral, "_theta_sums",
+                            lambda z, ts, trunc, poisson: calls.append((len(ts), poisson))
+                            or real(z, ts, trunc, poisson))
+        zeta_log_det(0.3 + 1.1j)
+        assert calls == [(65, True), (1, False), (64, False)]
+
 
 
 KERNEL_ARGUMENTS = {
@@ -139,6 +196,26 @@ class TestZetaDet:
     def test_rejects_non_finite_modulus(self):
         with pytest.raises(DomainError):
             zeta_log_det(complex("nan+1j"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(x=st.floats(-0.5, 0.5), log_height=st.floats(0.0, math.log(130.0)),
+           word=st.text(alphabet="STU", max_size=8))
+    def test_matches_eta_on_sl2z_orbits(self, x, log_height, word):
+        # U is T^-1; the word moves a fundamental-domain point around its orbit
+        z = complex(x, max(math.exp(log_height), math.sqrt(1 - x * x)))
+        for letter in word:
+            z = -1 / z if letter == "S" else z + (1 if letter == "T" else -1)
+        trunc = SpectralTruncation()
+        r = zeta_log_det(z, trunc)
+        zc = r.modulus
+        expected = 2 * math.log(zc.imag) + 4 * math.log(abs(eta(zc)))
+        assert abs(r.log_det - expected) <= 1e-10
+        assert r.tail_bound <= 10 * trunc.tail_tolerance
+
+    @pytest.mark.parametrize("z", [0.5 + 135j, 0.001j], ids=["height 135", "near the cusp 0"])
+    def test_height_limit_is_a_budget_error(self, z):
+        with pytest.raises(BudgetError):
+            zeta_log_det(z)
 
     def test_tail_certificate(self):
         trunc = SpectralTruncation()

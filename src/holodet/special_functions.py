@@ -14,11 +14,12 @@ There is one eta path.  ``log_eta`` sums the canonical series
 
 which is the analytic branch of log(eta) on all of H: every factor 1 - q^n
 has positive real part because |q^n| < 1, so each principal Log is safe.
-Below Im(z) = 0.05 it first moves the argument with the exact laws of that
+Below Im(z) = 1/2 it first moves the argument with the exact laws of that
 branch, log eta(z + 1) = log eta(z) + pi*i/12 and
-log eta(-1/z) = log eta(z) + Log(-i z)/2, until the series converges
-rapidly.  ``eta`` is exp(log_eta), and ``closed_form_log_det`` in
-``torus_spectral`` uses 2 Re log_eta, so neither underflows near a cusp.
+log eta(-1/z) = log eta(z) + Log(-i z)/2; from there |q| <= e^(-pi) and
+12 terms reach a relative tail of 1e-15.  ``eta`` is exp(log_eta), and
+``closed_form_log_det`` in ``torus_spectral`` uses 2 Re log_eta, so neither
+underflows near a cusp.
 """
 
 from __future__ import annotations
@@ -26,25 +27,23 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 from .errors import BudgetError, DomainError
 
 TWO_PI = 2.0 * math.pi
 
 #: Hard cap on q-series terms, in ``eta_term_count`` and on an explicit
 #: ``terms``.  log_eta reduces its argument first, so it never needs more
-#: than about 120 terms.
+#: than 12 terms.
 MAX_ETA_TERMS = 200_000
 
-#: Below this height the series converges too slowly; reduce first.
-_REDUCE_HEIGHT = 0.05
+#: Below this height log_eta reduces first; above it |q| <= e^(-pi).
+_REDUCE_HEIGHT = 0.5
 
 #: Cap on reduction passes in log_eta; unreachable (see the loop there).
 _MAX_REDUCTIONS = 600
 
 #: The geometric tail bound for the q-series is used only for |q| <= this
-#: (where |log(1-u)| <= 2|u| still holds); after reduction |q| <= 0.731.
+#: (where |log(1-u)| <= 2|u| still holds); after reduction |q| <= 0.0433.
 _TAIL_BOUND_MAX_Q = 0.79
 
 _DEFAULT_REL_TOL = 1e-15
@@ -122,7 +121,7 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     each 1 - q^n has positive real part since |q^n| < 1.  This branch is
     analytic on all of H and satisfies exp(log_eta(z)) = eta(z).
 
-    With ``terms=None`` the argument is first moved to Im(z) >= 0.05 by the
+    With ``terms=None`` the argument is first moved to Im(z) >= 1/2 by the
     exact laws log_eta(z + 1) = log_eta(z) + pi*i/12 and
     log_eta(-1/z) = log_eta(z) + Log(-i z)/2, and the series is truncated
     so the dropped tail is below 1e-15 (``eta_term_count``).  An explicit
@@ -132,8 +131,9 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     z = require_upper_half(z)
     shift = 0j
     if terms is None:
-        # each pass raises Im(z) by a factor >= 1/(1/4 + 0.05^2) > 3.9, so
-        # even a subnormal height reaches 0.05 within 545 passes
+        # each pass divides Im(z) by |z|^2 <= 1/4 + Im(z)^2: by more than 3.9
+        # below 0.05, which a subnormal height reaches within 545 passes,
+        # and by at least 2 from there to 1/2, which takes 4 more
         for _ in range(_MAX_REDUCTIONS):
             if z.imag >= _REDUCE_HEIGHT:
                 break
@@ -150,8 +150,11 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     if terms > MAX_ETA_TERMS:
         raise BudgetError(f"{terms} eta terms requested, cap {MAX_ETA_TERMS}")
     q = cmath.exp(2j * math.pi * z)
-    qn = q ** np.arange(1, terms + 1)
-    return 1j * math.pi * z / 12.0 + complex(np.sum(np.log(1.0 - qn))) + shift
+    total, qn = 0j, 1.0 + 0j
+    for _ in range(terms):
+        qn *= q
+        total += cmath.log(1.0 - qn)
+    return 1j * math.pi * z / 12.0 + total + shift
 
 
 def eta(z: complex, terms: int | None = None) -> complex:

@@ -1,12 +1,18 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import holodet.polarization as polarization
 from holodet.errors import DomainError, FitRankError
 from holodet.polarization import (
     DiagonalSampleSet,
@@ -16,6 +22,8 @@ from holodet.polarization import (
     save_diagonal_csv,
     uniqueness_residual,
 )
+
+SRC = Path(polarization.__file__).parents[1]
 
 
 class TestFitBasics:
@@ -144,11 +152,121 @@ class TestUniqueness:
         assert uniqueness_residual(fit.evaluate, shifted, center, radius, degree) < 1e-5
 
 
+def monomial_table(degree, seed):
+    rng = np.random.default_rng(seed)
+    shape = (degree + 1, degree + 1)
+    return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+
+def scaled_polynomial(table, center, radius):
+    powers = np.arange(len(table))
+
+    def phi(z):
+        u = (z - center) / radius
+        return complex(u ** powers @ table @ np.conj(u) ** powers)
+
+    return phi
+
+
+class TestRingFit:
+    @pytest.mark.parametrize("degree", range(15))
+    def test_random_tables_come_back(self, degree):
+        # the exact Zernike-to-monomial map amplifies the ulp-level rounding
+        # of the samples by its row norm (1.3e10 at D = 14), which bounds any
+        # fit from double samples; the error scaled by it stays at 1e-16
+        center, radius = 0.3 + 1.2j, 0.4
+        norm = np.max(np.abs(polarization._to_monomials(degree)).sum(axis=1))
+        for seed in range(3):
+            table = monomial_table(degree, 100 * degree + seed)
+            s = DiagonalSampleSet.from_function(scaled_polynomial(table, center, radius),
+                                                center, radius, 2 * (degree + 1) ** 2)
+            fit = polarize_fit(s, degree)
+            assert fit.conditioning == 1.0
+            assert np.max(np.abs(fit.scaled_coefficients - table)) <= 1e-14 * norm
+
+    def test_radial_gram_is_identity(self):
+        degree = 20
+        _, project, synth, _ = polarization._ring_rule(degree, degree + 1, 2 * degree + 1)
+        gram = np.matmul(project, synth)  # per mode m, (D+1) x (D+1)
+        for m in range(-degree, degree + 1):
+            size = degree + 1 - abs(m)
+            block = gram[m + degree]
+            assert np.max(np.abs(block[:size, :size] - np.eye(size))) < 1e-12
+            assert not block[size:].any()
+
+    def test_ring_and_scattered_paths_agree(self):
+        # the same points fitted with and without their layout: the paths
+        # weigh the degree > 6 tail of log(z - zbar) differently, which on
+        # D(2i, 0.3) is ~(0.3/4)^7
+        s = DiagonalSampleSet.from_function(lambda z: cmath.log(z - np.conj(z)), 2j, 0.3, 98)
+        scattered = DiagonalSampleSet(s.points, s.values, s.center, s.radius)
+        ring, lsq = polarize_fit(s, 6), polarize_fit(scattered, 6)
+        assert ring.conditioning == 1.0 and lsq.conditioning > 1.0
+        assert np.max(np.abs(ring.scaled_coefficients - lsq.scaled_coefficients)) < 1e-9
+
+    def test_ring_sets_take_no_least_squares(self, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        f = lambda z: cmath.exp(z).real
+        for count in (30, 98, 242, 500):
+            s = DiagonalSampleSet.from_function(f, 0.5j, 0.2, count)
+            rings, per_ring = s.layout
+            for degree in range(min(rings - 1, (per_ring - 1) // 2) + 1):
+                polarize_fit(s, degree)
+        assert calls == []
+        polarize_fit(DiagonalSampleSet(s.points, s.values, s.center, s.radius), 3)
+        assert calls == [1]
+
+    def test_verify_check_is_thread_independent(self):
+        code = ("from holodet.verify import check_polarization_uniqueness as c; "
+                "print([repr(r.residual) for r in c()])")
+        outs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True, check=True)
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]
+
+
+class TestScatteredChecks:
+    def test_dispersion_check_spans_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(polarization, "_PAIR_BLOCK", 64)
+        pts = disc_samples(0, 1.0, 200)
+        pts[-1] = pts[0] + 1e-12  # the pair falls in the first and the last block
+        s = DiagonalSampleSet(pts, np.zeros(len(pts)), 0, 1.0)
+        with pytest.raises(FitRankError, match="dispersion"):
+            polarize_fit(s, 2)
+
+    def test_dispersion_check_memory_is_bounded(self):
+        rng = np.random.default_rng(7)
+        pts = np.sqrt(rng.uniform(0, 1, 3000)) * np.exp(2j * np.pi * rng.uniform(0, 1, 3000))
+        s = DiagonalSampleSet(pts, pts * np.conj(pts), 0, 1.0)
+        tracemalloc.start()
+        try:
+            fit = polarize_fit(s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(fit.coefficients[1, 1] - 1.0) < 1e-9
+        assert peak < 16e6  # a full 3000 x 3000 distance matrix is 216 MB
+
+    def test_zero_count_is_a_domain_error(self):
+        f = lambda z, w: z * w
+        with pytest.raises(DomainError, match="count"):
+            uniqueness_residual(f, f, 0, 1.0, 3, count=0)
+
+
 class TestSampling:
     def test_disc_samples_deterministic_and_inside(self):
         a = disc_samples(1 + 2j, 0.7, 100)
         b = disc_samples(1 + 2j, 0.7, 100)
         assert np.array_equal(a, b)
+        assert len(a) == 7 * 15  # complete rings
         assert np.max(np.abs(a - (1 + 2j))) <= 0.7 + 1e-12
         d = np.abs(a[:, None] - a[None, :])
         np.fill_diagonal(d, np.inf)

@@ -3,6 +3,8 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holodet.errors import BudgetError, DomainError
 from holodet.special_functions import (
@@ -160,7 +162,7 @@ class TestCusps:
 class TestDiscriminant:
     # the laws of Delta = eta^24 read on log_eta, where they are exact code:
     # Delta(z + 1) = Delta(z) and Delta(-1/z) = z^12 Delta(z).  z and -1/z lie
-    # above Im 0.05, so log_eta sums the series with no reduction
+    # above Im 0.5, so log_eta sums the series with no reduction
 
     def test_translation_invariance(self):
         for z in GRID[::3]:
@@ -168,8 +170,61 @@ class TestDiscriminant:
 
     def test_inversion_weight_twelve(self):
         for z in (0.3 + 1.1j, -0.25 + 0.9j, 0.1 + 1.6j):
-            assert min(z.imag, (-1 / z).imag) > 0.05
+            assert min(z.imag, (-1 / z).imag) > 0.5
             assert abs(log_eta(-1 / z) - log_eta(z) - 0.5 * cmath.log(-1j * z)) < 1e-13
+
+
+def log_eta_pentagonal(z: complex) -> complex:
+    """pi*i*z/12 + principal Log of Euler's pentagonal series for prod (1 - q^n), in mpmath.
+
+    The series sum_n (-1)^n q^(n(3n-1)/2) (1 + q^n) needs only ~sqrt(1/Im z)
+    terms; near a cusp the product is about exp(-pi/(12 Im z)), so the
+    working precision covers that cancellation.  Its Log is principal: it
+    differs from the canonical branch by 2 pi i k.
+    """
+    dps = int(math.pi / (12 * z.imag) / 2.3) + 40
+    with mp.workdps(dps):
+        zm = mp.mpc(z.real, z.imag)
+        q = mp.expjpi(2 * zm)
+        total, term, step, qn, n = mp.mpc(1), mp.mpc(1), q, q, 1
+        while True:
+            term *= step  # q^(n(3n-1)/2)
+            total += (-1) ** n * term * (1 + qn)
+            if abs(term) < mp.mpf(10) ** -dps:
+                return complex(1j * mp.pi * zm / 12 + mp.log(total))
+            n, step, qn = n + 1, step * q ** 3, qn * q
+
+
+@st.composite
+def near_rationals(draw):
+    """A point within 1e-3 of p/q, q <= 7, and its image under a word in S, T, T^-1."""
+    den = draw(st.integers(1, 7))
+    num = draw(st.integers(-den, den))
+    y = draw(st.floats(3e-4, 1e-3))
+    x = draw(st.floats(-1.0, 1.0)) * math.sqrt(1e-6 - y * y)
+    z = num / den + complex(x, y)
+    image = z
+    for letter in draw(st.lists(st.sampled_from("STU"), max_size=6)):
+        image = -1 / image if letter == "S" else image + (1 if letter == "T" else -1)
+    return z, image
+
+
+class TestNearRationals:
+    """Near a cusp log_eta makes several reduction passes before it sums the series."""
+
+    @given(near_rationals())
+    @settings(max_examples=15, deadline=None)
+    def test_matches_pentagonal_series(self, points):
+        for z in points:
+            if z.imag < 3e-4:  # an image pushed this low costs the oracle too much
+                continue
+            value = log_eta(z)
+            ref = log_eta_pentagonal(z)
+            ref += 2j * math.pi * round((value.imag - ref.imag) / (2 * math.pi))
+            # near p/q one rounding of z (relative 2^-52) moves log eta by up
+            # to about 2^-52 |z| / Im z relative; the reduction pays it once
+            rel = 1e-13 + 4 * 2.0 ** -52 * abs(z) / z.imag
+            assert abs(value - ref) <= rel * abs(ref)
 
 
 class TestCanonicalModulus:

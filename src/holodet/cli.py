@@ -125,6 +125,8 @@ def cmd_torus_det(args) -> int:
         r = zeta_log_det(args.z)
     except DomainError as exc:
         return _error(exc, EXIT_BAD_INPUT)
+    except HolodetError as exc:
+        return _error(exc, EXIT_CHECK_FAILED)
     print(f"spectral_log_det={fmt(r.log_det)}")
     print(f"tail_bound={r.tail_bound:.6e}")
     check = zeta0_check(r, args.tol)

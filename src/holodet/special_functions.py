@@ -48,6 +48,10 @@ _TAIL_BOUND_MAX_Q = 0.79
 
 _DEFAULT_REL_TOL = 1e-15
 
+#: log_eta sums ceil(_ETA_TERMS_HEIGHT / Im z) terms after its reduction, at
+#: least eta_term_count's count for every Im z >= 1/2 (|q| <= e^-pi).
+_ETA_TERMS_HEIGHT = math.log(2.0 / (_DEFAULT_REL_TOL * (1.0 - math.exp(-math.pi)))) / TWO_PI
+
 
 def require_upper_half(z: complex, what: str = "z") -> complex:
     """Validate that z is finite with Im(z) > 0 and return it as a complex number."""
@@ -124,7 +128,7 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
     With ``terms=None`` the argument is first moved to Im(z) >= 1/2 by the
     exact laws log_eta(z + 1) = log_eta(z) + pi*i/12 and
     log_eta(-1/z) = log_eta(z) + Log(-i z)/2, and the series is truncated
-    so the dropped tail is below 1e-15 (``eta_term_count``).  An explicit
+    so the dropped tail is below 1e-15 (``eta_term_count`` at |q| = e^-pi).  An explicit
     ``terms`` sums exactly that many terms at z as given; more than
     MAX_ETA_TERMS raise BudgetError before anything is allocated.
     """
@@ -143,7 +147,7 @@ def log_eta(z: complex, terms: int | None = None) -> complex:
             z = -1.0 / z
         else:
             raise BudgetError("modular reduction did not converge")
-        terms = eta_term_count(z)
+        terms = math.ceil(_ETA_TERMS_HEIGHT / z.imag)
     terms = int(terms)
     if terms < 1:
         raise DomainError(f"terms must be a positive integer, got {terms}")

@@ -37,7 +37,7 @@ from .potential_builder import (
     verify_mixed_derivative,
 )
 from .report import CheckResult, RunReport
-from .special_functions import eta
+from .special_functions import eta, log_eta
 from .torus_spectral import SpectralDetResult, closed_form_log_det, zeta_log_det
 from .wirtinger import dz_dzbar, wirtinger_dzbar
 
@@ -183,6 +183,11 @@ def check_spectral_normalization() -> list[CheckResult]:
         detail = f"neither normalization constant (spreads {s_sq:.3e}, {s_half:.3e})"
         res = min(s_sq, s_half)
     out.append(CheckResult("spectral_ratio_constancy", res, 1e-8, res <= 1e-8, detail))
+
+    # reduced heights 135 and 1000, compared as logs: det' underflows there
+    res = max(abs(r.log_det - 2.0 * math.log(r.modulus.imag) - 4.0 * log_eta(r.modulus).real)
+              for r in map(zeta_log_det, (0.5 + 135j, 0.001j)))
+    out.append(CheckResult("spectral_beyond_height_limit", res, 1e-8, res <= 1e-8))
     return out
 
 

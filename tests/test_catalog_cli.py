@@ -175,13 +175,23 @@ class TestCliTorusDet:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
-    def test_budget_error_propagates(self):
-        # a failed certificate is not an input error: it must not become exit 2
-        from holodet.cli import main
+    def test_budget_error_exits_1(self, monkeypatch, capsys):
+        # a failed certificate is not an input error: exit 1 with one line, not 2
+        from holodet import cli
         from holodet.errors import BudgetError
 
-        with pytest.raises(BudgetError):
-            main(["torus-det", "--z", "0,140", "--method", "spectral"])
+        def fail(z):
+            raise BudgetError("aggregate tail bound exceeds budget")
+
+        monkeypatch.setattr(cli, "zeta_log_det", fail)
+        assert cli.main(["torus-det", "--z", "0,1", "--method", "spectral"]) == 1
+        assert capsys.readouterr().err == "error: aggregate tail bound exceeds budget\n"
+
+    def test_height_135_exits_0(self, capsys):
+        from holodet.cli import main
+
+        assert main(["torus-det", "--z=0.5,135", "--method", "both"]) == 0
+        assert "PASS zeta0_diagnostic" in capsys.readouterr().out
 
     def test_repeated_main_keeps_defaults(self, capsys):
         # main reuses one parser: the first call's --method must not stick

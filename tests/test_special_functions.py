@@ -2,6 +2,7 @@ import cmath
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -80,6 +81,13 @@ class TestEta:
         for extra in (5, 20, 80):
             drift = abs(eta(z, terms=n + extra) - base)
             assert drift <= abs(base) * eta_tail_bound(z, n)
+
+    def test_reduced_term_count_covers_eta_term_count(self):
+        # log_eta's count after reduction, ceil(c / Im z), is never below the rule's
+        from holodet.special_functions import _ETA_TERMS_HEIGHT
+
+        for y in np.linspace(0.5, 10.5, 20_000):
+            assert math.ceil(_ETA_TERMS_HEIGHT / y) >= eta_term_count(1j * y), y
 
     def test_term_budget_exceeded(self):
         with pytest.raises(BudgetError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from holodet import torus_spectral
 from holodet.errors import BudgetError, DomainError
 from holodet.polarization import DiagonalSampleSet, polarize_fit
-from holodet.special_functions import eta
+from holodet.special_functions import eta, log_eta
 from holodet.torus_spectral import (
     SpectralTruncation,
     closed_form_log_det,
@@ -91,22 +91,28 @@ class TestHeatTrace:
             heat_trace(1j, 1e-20, method="direct")
 
 
-def brute_lattice_sum(a_out, a_in, x, radius=60):
-    """sum over |j|, |k| <= radius, (j, k) != 0, of exp(-a_out j^2 - a_in (k - j x)^2)."""
-    j, k = np.meshgrid(np.arange(-radius, radius + 1), np.arange(-radius, radius + 1), indexing="ij")
+def brute_lattice_sum(a_out, a_in, x):
+    """sum over (j, k) != 0 of exp(-a_out j^2 - a_in (k - j x)^2), |x| <= 1/2.
+
+    The box |j| <= J, |k| <= K is sized to the coefficients: every dropped
+    term is below e^-46 (1e-20) of the nearest kept one on its axis.
+    """
+    big_j = math.ceil(math.sqrt(46 / a_out))
+    big_k = math.ceil(math.sqrt(46 / a_in) + big_j * abs(x))
+    j, k = np.meshgrid(np.arange(-big_j, big_j + 1), np.arange(-big_k, big_k + 1), indexing="ij")
     terms = np.exp(-(a_out * j.astype(float) ** 2 + a_in * (k - j * x) ** 2))
-    terms[radius, radius] = 0.0
+    terms[big_j, big_k] = 0.0
     return float(np.sum(terms))
 
 
 class TestLatticeSums:
-    """The batched lattice routine against one brute-force sum per node."""
+    """The hybrid theta sum against one brute-force lattice sum per node."""
 
     TS = {False: [3.0, 0.5, 1.7, 0.8, 2.4, 1.0, 0.6],       # direct side
           True: [0.9, 0.0056, 0.3, 1.0, 0.02, 0.6, 0.1]}    # Poisson side
 
     @pytest.mark.parametrize("poisson", [False, True], ids=["direct", "poisson"])
-    @pytest.mark.parametrize("z", [1j, 0.3 + 1.1j, -0.45 + 2.7j])
+    @pytest.mark.parametrize("z", [1j, 0.3 + 1.1j, -0.45 + 2.7j, 0.45 + 130j, 0.2 + 1000j])
     def test_each_node_matches_brute_force(self, z, poisson):
         trunc = SpectralTruncation()
         ts = np.array(self.TS[poisson])
@@ -122,14 +128,6 @@ class TestLatticeSums:
             assert abs(value - expected) <= 1e-14 * abs(expected), (t, value, expected)
             assert 0 <= tail <= trunc.tail_tolerance * min(pref, 1.0)
 
-    def test_batches_split_at_the_term_budget(self, monkeypatch):
-        trunc = SpectralTruncation()
-        ts = np.geomspace(0.01, 1.0, 40)
-        whole = torus_spectral._theta_sums(0.2 + 1.3j, ts, trunc, True)
-        monkeypatch.setattr(torus_spectral, "LATTICE_BATCH_TERMS", 500)
-        split = torus_spectral._theta_sums(0.2 + 1.3j, ts, trunc, True)
-        assert np.allclose(whole[0], split[0], rtol=1e-14, atol=0) and np.array_equal(whole[1], split[1])
-
     def test_three_lattice_calls_per_determinant(self, monkeypatch):
         calls = []
         real = torus_spectral._theta_sums
@@ -138,7 +136,6 @@ class TestLatticeSums:
                             or real(z, ts, trunc, poisson))
         zeta_log_det(0.3 + 1.1j)
         assert calls == [(65, True), (1, False), (64, False)]
-
 
 
 KERNEL_ARGUMENTS = {
@@ -197,25 +194,36 @@ class TestZetaDet:
         with pytest.raises(DomainError):
             zeta_log_det(complex("nan+1j"))
 
+    @staticmethod
+    def assert_matches_eta(z):
+        trunc = SpectralTruncation()
+        r = zeta_log_det(z, trunc)
+        zc = r.modulus
+        expected = 2 * math.log(zc.imag) + 4 * log_eta(zc).real
+        assert abs(r.log_det - expected) <= 1e-10, (z, zc, r.log_det - expected)
+        assert r.tail_bound <= 10 * trunc.tail_tolerance
+
     @settings(max_examples=40, deadline=None)
-    @given(x=st.floats(-0.5, 0.5), log_height=st.floats(0.0, math.log(130.0)),
+    @given(x=st.floats(-0.5, 0.5), log_height=st.floats(0.0, math.log(1e3)),
            word=st.text(alphabet="STU", max_size=8))
     def test_matches_eta_on_sl2z_orbits(self, x, log_height, word):
         # U is T^-1; the word moves a fundamental-domain point around its orbit
         z = complex(x, max(math.exp(log_height), math.sqrt(1 - x * x)))
         for letter in word:
             z = -1 / z if letter == "S" else z + (1 if letter == "T" else -1)
-        trunc = SpectralTruncation()
-        r = zeta_log_det(z, trunc)
-        zc = r.modulus
-        expected = 2 * math.log(zc.imag) + 4 * math.log(abs(eta(zc)))
-        assert abs(r.log_det - expected) <= 1e-10
-        assert r.tail_bound <= 10 * trunc.tail_tolerance
+        self.assert_matches_eta(z)
 
-    @pytest.mark.parametrize("z", [0.5 + 135j, 0.001j], ids=["height 135", "near the cusp 0"])
-    def test_height_limit_is_a_budget_error(self, z):
-        with pytest.raises(BudgetError):
-            zeta_log_det(z)
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 7), p=st.integers(-7, 7), radius=st.floats(2e-4, 1e-3),
+           angle=st.floats(0.01, math.pi - 0.01))
+    def test_matches_eta_near_rational_cusps(self, q, p, radius, angle):
+        # within 1e-3 of p/q the reduced height reaches sin(angle) / (q^2 radius)
+        self.assert_matches_eta(p / q + radius * complex(math.cos(angle), math.sin(angle)))
+
+    @pytest.mark.parametrize("z", [0.5 + 135j, 0.001j, 0.5 + 0.001j, 0.2 + 1000j])
+    def test_matches_eta_above_height_130(self, z):
+        # reduced heights 135, 1000, 250 and 1000
+        self.assert_matches_eta(z)
 
     def test_tail_certificate(self):
         trunc = SpectralTruncation()

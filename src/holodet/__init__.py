@@ -3,7 +3,7 @@
 Modules
 -------
 special_functions   the Dedekind eta function and modular reduction
-torus_spectral      flat-torus spectrum, heat trace, zeta-regularized determinant
+torus_spectral      flat-torus heat trace and zeta-regularized determinant
 potential_builder   cone-integrated holomorphic potentials of closed (2,0)-forms
 extension           symmetrization, pluriharmonic splitting, assembled extensions
 polarization        reconstruction of holomorphic functions from diagonal samples
@@ -52,11 +52,7 @@ from .special_functions import (
 )
 from .torus_spectral import (
     SpectralDetResult,
-    SpectralTruncation,
-    TorusSpectrum,
     closed_form_log_det,
-    heat_trace,
-    torus_eigenvalues,
     zeta_log_det,
 )
 

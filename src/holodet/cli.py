@@ -106,7 +106,7 @@ def _print_checks(checks) -> bool:
 
 def cmd_eta(args) -> int:
     try:
-        value = (log_eta if args.log else eta)(args.z, args.terms)
+        value = (log_eta if args.log else eta)(args.z)
     except HolodetError as exc:
         return _error(exc, EXIT_BAD_INPUT)
     print(fmt(value))
@@ -162,6 +162,8 @@ def cmd_potential(args) -> int:
     try:
         # without --verify, polynomial entries must pass their contract check
         form = entry.build(validate=False if args.verify else None)
+    except DomainError as exc:
+        return _error(exc, EXIT_BAD_INPUT)
     except HolodetError as exc:
         return _error(exc, EXIT_CHECK_FAILED)
 
@@ -174,8 +176,10 @@ def cmd_potential(args) -> int:
         if args.grid:
             return _emit_grid(args, form, z, w)
         q = cone_potential(form, z, w, args.nodes)
-    except HolodetError as exc:
+    except DomainError as exc:
         return _error(exc, EXIT_BAD_INPUT)
+    except HolodetError as exc:
+        return _error(exc, EXIT_CHECK_FAILED)
     print(f"q={fmt(q)}")
     return EXIT_OK
 
@@ -311,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("eta", help="Dedekind eta at a point of the upper half plane")
     q.add_argument("--z", type=parse_complex, required=True, metavar="re,im")
     q.add_argument("--log", action="store_true", help="canonical log(eta) branch instead")
-    q.add_argument("--terms", type=int_at_least(1), default=None,
-                   help="explicit q-series truncation")
     q.set_defaults(func=cmd_eta)
 
     q = sub.add_parser("torus-det", help="flat-torus determinant (closed form / spectral)")

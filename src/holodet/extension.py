@@ -103,10 +103,10 @@ def wp_form_genus1(z: complex) -> complex:
     return -1j * (z - z.conjugate()) ** -2
 
 
-def genus1_pole_form(ball_height: float = 5.0, ball_radius: float = 4.9) -> ClosedHoloForm:
+def genus1_pole_form() -> ClosedHoloForm:
     r"""The model form (z - w)^{-2} dz /\ dw with bases (i, -i).
 
-    Domain: balls of the given radius around +/- i*ball_height, which cover
+    Domain: balls of radius 4.9 around +/- 5i, which cover
     the working strip 0.1 < |Im| < 9.9 of the half planes while staying off
     the real axis.
     """
@@ -117,7 +117,7 @@ def genus1_pole_form(ball_height: float = 5.0, ball_radius: float = 4.9) -> Clos
     def clearance(Z, W):
         return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
 
-    dom = ProductDomain.of_balls(1j * ball_height, ball_radius, -1j * ball_height, ball_radius)
+    dom = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
     return ClosedHoloForm(1, coeff, 1j, -1j, dom, pole_clearance=clearance)
 
 

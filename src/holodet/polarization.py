@@ -80,6 +80,8 @@ class DiagonalSampleSet:
         vals = np.asarray(self.values, dtype=complex).ravel()
         if pts.shape != vals.shape:
             raise ValueError("points and values must have equal length")
+        if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
+            raise ValueError("sample points and values must be finite")
         if np.max(np.abs(pts - self.center)) > self.radius * (1 + 1e-9):
             raise ValueError("sample points outside the declared disc")
         if self.layout is not None and self.layout[0] * self.layout[1] != len(pts):
@@ -307,8 +309,7 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int,
 
 
 def uniqueness_residual(f1: Callable, f2: Callable, center: complex, radius: float,
-                        degree: int, count: int | None = None,
-                        svd_cutoff: float = 1e-10) -> float:
+                        degree: int, count: int | None = None) -> float:
     """Max fitted |a_{ab}| of the difference of two extensions on a diagonal disc.
 
     Near zero certifies that f1 and f2 coincide (to fit accuracy) as
@@ -323,7 +324,7 @@ def uniqueness_residual(f1: Callable, f2: Callable, center: complex, radius: flo
         return f1(z, zb) - f2(z, zb)
 
     samples = DiagonalSampleSet.from_function(diag, center, radius, count)
-    fit = polarize_fit(samples, degree, svd_cutoff)
+    fit = polarize_fit(samples, degree)
     return fit.max_coefficient()
 
 

@@ -1,13 +1,11 @@
-"""Flat-torus Laplacian: spectrum, heat trace, and zeta-regularized determinant.
+"""Flat-torus Laplacian: heat trace and zeta-regularized determinant.
 
 The torus with modulus z in H is C/(Z + zZ) with the flat metric inherited
 from C (area y = Im z).  Its Laplace spectrum is the dual-lattice family
 
     lambda_{m,n} = 4 pi^2 (m^2 + (n - m x)^2 / y^2),   (m, n) in Z^2,
 
-with the zero mode at (0,0).  Re(z) is reduced mod 1 before enumeration;
-this leaves the lattice Z + zZ (hence the spectrum) unchanged and makes the
-boxed enumeration invariant under z -> z + 1.
+with the zero mode at (0,0).
 
 ``zeta_log_det`` evaluates log det'(Delta) = -zeta'(0) by the split-integral
 method: Gamma(s) zeta(s) = int_0^s0 t^{s-1} (Theta(t) - 1) dt + int_{s0}^inf,
@@ -21,8 +19,9 @@ evaluates the heat trace at an array of times, as the hybrid theta sum of
 Kronecker's limit formula (direct in m, Poisson-summed in n; Chowla-Selberg,
 J. reine angew. Math. 227, 1967): each of its 1-D sums carries a certified
 tail bound, so the oracle holds at every height.  Each half of the numeric
-t-integral is one call.  Above height 1e4 the absolute error, about 1e-14 of
-|log det'| ~ pi y / 3, passes 1e-10.
+t-integral is one call.  The split time, quadrature order, box cap and tail
+target are module constants.  Above height 1e4 the absolute error, about
+1e-14 of |log det'| ~ pi y / 3, passes 1e-10.
 """
 
 from __future__ import annotations
@@ -33,41 +32,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetError, DomainError
+from .errors import BudgetError
 from .special_functions import canonical_modulus, log_eta, require_upper_half
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
-
-@dataclass(frozen=True)
-class SpectralTruncation:
-    """Regularization bookkeeping for heat-trace and zeta evaluations.
-
-    ``lattice_radius`` caps each 1-D box of the theta sum; a sum that needs
-    more terms raises BudgetError.
-    """
-
-    split_time: float = 1.0
-    lattice_radius: int = 64
-    quadrature_nodes: int = 64
-    tail_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if self.split_time <= 0:
-            raise DomainError("split_time must be positive")
-        if self.lattice_radius < 1:
-            raise DomainError("lattice_radius must be >= 1")
-        if self.quadrature_nodes < 2:
-            raise DomainError("quadrature_nodes must be >= 2")
-        if self.tail_tolerance <= 0:
-            raise DomainError("tail_tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class TorusSpectrum:
-    modulus: complex
-    truncation_radius: int
-    eigenvalues: np.ndarray  # sorted ascending; zero mode included once
+#: The split-integral's fixed settings: the split time s0, the Gauss-Legendre
+#: order of each half, the cap on each 1-D box of the theta sum (a sum that
+#: needs more terms raises BudgetError) and the target of the tail bound.
+SPLIT_TIME = 1.0
+QUADRATURE_NODES = 64
+LATTICE_RADIUS = 64
+TAIL_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -78,24 +54,6 @@ class SpectralDetResult:
     zeta_zero: float
     tail_bound: float
     modulus: complex  # canonical representative actually used
-
-
-def _reduced_x(z: complex) -> float:
-    return z.real - math.floor(z.real + 0.5)
-
-
-def torus_eigenvalues(z: complex, radius: int) -> TorusSpectrum:
-    """All lambda_{m,n} for |m|, |n| <= radius, sorted ascending."""
-    z = require_upper_half(z)
-    radius = int(radius)
-    if radius < 1:
-        raise DomainError("radius must be >= 1")
-    x, y = _reduced_x(z), z.imag
-    idx = np.arange(-radius, radius + 1)
-    m, n = np.meshgrid(idx, idx, indexing="ij")
-    lam = FOUR_PI_SQ * (m ** 2 + (n - m * x) ** 2 / y ** 2)
-    lam = np.sort(lam.ravel())
-    return TorusSpectrum(z, radius, lam)
 
 
 #: Terms below 2^-53 of a sum's first term are dropped, whatever the tail
@@ -120,8 +78,10 @@ def _box(a: np.ndarray, first: np.ndarray, coef: np.ndarray, target, cap: int):
     return n, coef * np.exp(-a * (n + 1) ** 2) / gap
 
 
-def _theta_sums(z: complex, ts, trunc: SpectralTruncation, poisson: bool):
+def _theta_sums(z: complex, ts, poisson: bool):
     """Theta(t) less its origin term at every t of ``ts``, with tail bounds.
+
+    z must satisfy |Re z| <= 1/2, as ``canonical_modulus`` output does.
 
     Direct: Theta(t) - 1; Poisson (``poisson``): Theta(t) - A/(4 pi t).  Both
     sum Theta(t) = amp sum_{m,k} g_m g_k cos(2 pi k m x), amp = y/sqrt(4 pi t),
@@ -131,7 +91,7 @@ def _theta_sums(z: complex, ts, trunc: SpectralTruncation, poisson: bool):
     as (A/4 pi t) 2 sum_{j>=1} exp(-j^2/4t); direct sums the m = 0 row less 1
     directly when 4 pi^2 t/y^2 >= pi, else as amp (1 + 2 sum_{k>=1} g_k) - 1.
     """
-    x, y = _reduced_x(z), z.imag
+    x, y = z.real, z.imag
     ts = np.asarray(ts, dtype=float)
     amp = y / np.sqrt(4.0 * math.pi * ts)
     pref = y / (4.0 * math.pi * ts)
@@ -147,14 +107,14 @@ def _theta_sums(z: complex, ts, trunc: SpectralTruncation, poisson: bool):
     if poisson:
         a[0], coef[0], coef[1] = 1.0 / (4.0 * ts), 2.0 * pref, 2.0
         first = np.array([[1], [0], [1]])
-        target = trunc.tail_tolerance * np.minimum(pref, 1.0) / 3.0
+        target = TAIL_TOLERANCE * np.minimum(pref, 1.0) / 3.0
     else:
         direct_row = a[1] >= math.pi * y * y
         a[0] = np.where(direct_row, a[1] / (y * y), np.inf)  # inf: no direct terms
         coef[0], coef[1] = 2.0, 2.0 * (amp + 1.0)
         first = np.array([[1], [1], [0]])
-        target = trunc.tail_tolerance / 3.0
-    n, tails = _box(a, first, coef, target, trunc.lattice_radius)
+        target = TAIL_TOLERANCE / 3.0
+    n, tails = _box(a, first, coef, target, LATTICE_RADIUS)
 
     j = np.arange(1.0, n + 1.0)
     g = np.exp(-a[:, :, None] * (j * j))  # g[r, node, j - 1] = exp(-a[r] j^2)
@@ -166,33 +126,6 @@ def _theta_sums(z: complex, ts, trunc: SpectralTruncation, poisson: bool):
     if not poisson:
         values += np.where(direct_row, 0.0, (amp - 1.0) + 2.0 * amp * sums[2])
     return values, tails.sum(axis=0)
-
-
-def heat_trace(z: complex, t: float, trunc: SpectralTruncation | None = None,
-               method: str = "auto") -> float:
-    """Heat trace Theta(t) = sum over the spectrum of exp(-t lambda).
-
-    For t below ``trunc.split_time`` the Poisson-summed form is used, above
-    it the direct eigenvalue sum; ``method`` may force either path.  The
-    certified truncation tail is kept below ``trunc.tail_tolerance``.  The
-    theta sum's box grows like 1/sqrt(t) and sqrt(t)/y: at the default
-    ``lattice_radius`` it fits for 2.2e-4 <= t <= 28 y^2 (28 min(1, y^2)
-    in the Poisson form), and BudgetError is raised outside.
-    """
-    z = require_upper_half(z)
-    if not t > 0:
-        raise DomainError(f"t must be positive, got {t!r}")
-    trunc = trunc or SpectralTruncation()
-    if method == "auto":
-        method = "poisson" if t < trunc.split_time else "direct"
-    if method not in ("direct", "poisson"):
-        raise DomainError(f"unknown method {method!r}")
-    poisson = method == "poisson"
-    (value,), (tail,) = _theta_sums(z, [t], trunc, poisson)
-    if tail > trunc.tail_tolerance:
-        raise BudgetError(f"heat trace tail bound {tail:.3e} exceeds tolerance")
-    origin = z.imag / (4.0 * math.pi * t) if poisson else 1.0
-    return float(value + origin)
 
 
 @lru_cache(maxsize=32)
@@ -214,17 +147,7 @@ def _gl_nodes(a: float, b: float, n: int):
     return a + half * (xs + 1.0), half * ws
 
 
-def _shortest_vector_sq(z: complex) -> float:
-    best = math.inf
-    for p in (-1, 0, 1):
-        for q in (-1, 0, 1):
-            if p == 0 and q == 0:
-                continue
-            best = min(best, abs(p + q * z) ** 2)
-    return best
-
-
-def zeta_log_det(z: complex, trunc: SpectralTruncation | None = None) -> SpectralDetResult:
+def zeta_log_det(z: complex) -> SpectralDetResult:
     """log det'(Delta) = -zeta'(0) for the flat torus of modulus z.
 
     The modulus is reduced to the fundamental domain first (see module
@@ -234,25 +157,21 @@ def zeta_log_det(z: complex, trunc: SpectralTruncation | None = None) -> Spectra
     coefficient numerically, so it carries real information about the
     pipeline (it must come out as -1 + O(tail)).
     """
-    trunc = trunc or SpectralTruncation()
     zc = canonical_modulus(z)
     y = zc.imag
-    area = y
-    s0 = trunc.split_time
-    n_gl = trunc.quadrature_nodes
-
-    ell_sq = _shortest_vector_sq(zc)  # = 1 on the fundamental domain
-    t_min = ell_sq / 180.0
+    s0 = SPLIT_TIME
+    # the shortest lattice vector of a fundamental-domain modulus has length 1
+    t_min = 1.0 / 180.0
 
     # Remainder R(t) = Theta(t) - A/(4 pi t) at t_min and at the nodes of
     # int_{t_min}^{s0} R(t)/t dt, log substitution t = e^u
-    us, ws = _gl_nodes(math.log(t_min), math.log(s0), n_gl)
-    r_vals, r_tails = _theta_sums(zc, np.concatenate(([t_min], np.exp(us))), trunc, poisson=True)
+    us, ws = _gl_nodes(math.log(t_min), math.log(s0), QUADRATURE_NODES)
+    r_vals, r_tails = _theta_sums(zc, np.concatenate(([t_min], np.exp(us))), poisson=True)
     s_small, s_small_tail = r_vals[0], r_tails[0]
 
     # cutoff bound for int_0^{t_min} R(t)/t dt
     s0_sum = s_small * (4.0 * math.pi * t_min) / y  # lattice sum without prefactor
-    cut_low = area * (s0_sum + 1e-300) / (math.pi * ell_sq)
+    cut_low = y * (s0_sum + 1e-300) / math.pi
 
     tail_total = cut_low + s_small_tail
     i_low = np.dot(ws, r_vals[1:])
@@ -260,27 +179,27 @@ def zeta_log_det(z: complex, trunc: SpectralTruncation | None = None) -> Spectra
 
     # upper cutoff T_max from the certified decay of Theta(t) - 1
     lam1 = FOUR_PI_SQ * min(1.0, 1.0 / (y * y))
-    (theta_s0,), (theta_s0_tail,) = _theta_sums(zc, [s0], trunc, poisson=False)
+    (theta_s0,), (theta_s0_tail,) = _theta_sums(zc, [s0], poisson=False)
     m_b = (theta_s0 + theta_s0_tail) * math.exp(lam1 * s0)
     t_max = 2.0 * s0
     for _ in range(400):
-        if m_b * math.exp(-lam1 * t_max) / (lam1 * t_max) <= trunc.tail_tolerance / 10.0:
+        if m_b * math.exp(-lam1 * t_max) / (lam1 * t_max) <= TAIL_TOLERANCE / 10.0:
             break
         t_max *= 1.5
     cut_high = m_b * math.exp(-lam1 * t_max) / (lam1 * t_max)
     tail_total += cut_high + theta_s0_tail
 
     # int_{s0}^{T_max} (Theta(t) - 1)/t dt, same log substitution
-    us, ws = _gl_nodes(math.log(s0), math.log(t_max), n_gl)
-    vals, tails = _theta_sums(zc, np.exp(us), trunc, poisson=False)
+    us, ws = _gl_nodes(math.log(s0), math.log(t_max), QUADRATURE_NODES)
+    vals, tails = _theta_sums(zc, np.exp(us), poisson=False)
     i_high = np.dot(ws, vals)
     tail_total += np.dot(np.abs(ws), tails)
 
-    if tail_total > trunc.tail_tolerance * 10.0:
+    if tail_total > TAIL_TOLERANCE * 10.0:
         raise BudgetError(f"aggregate tail bound {tail_total:.3e} exceeds budget")
 
     h0 = i_low + i_high
-    log_det = np.euler_gamma + math.log(s0) + area / (4.0 * math.pi * s0) - h0
+    log_det = np.euler_gamma + math.log(s0) + y / (4.0 * math.pi * s0) - h0
 
     # zeta(0) diagnostic: measured constant term of the heat expansion minus
     # the zero-mode count; the flat torus has no constant term.

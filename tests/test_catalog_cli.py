@@ -137,16 +137,14 @@ class TestCliEta:
     def test_unparsable_exits_2(self):
         assert run_cli("eta", "--z", "bogus").returncode == 2
 
-    def test_terms_above_cap_exits_2(self):
-        from holodet.special_functions import MAX_ETA_TERMS
-
-        out = run_cli("eta", "--z", "0,1", "--terms", str(MAX_ETA_TERMS + 1))
+    def test_terms_is_not_an_option(self):
+        out = run_cli("eta", "--z", "0,1", "--terms", "5")
         assert out.returncode == 2
-        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+        assert "unrecognized arguments: --terms 5" in out.stderr
 
 
 @pytest.mark.parametrize("argv", [
-    ("eta", "--z", "0,1", "--terms", "0"),
+    ("potential", "--form", "const1", "--at", "0,2;0,-2", "--nodes", "-4"),
     ("potential", "--form", "const1", "--at", "0,2;0,-2", "--nodes", "1"),
     ("polarize", "--samples", "unused.csv", "--degree", "-1"),
 ])
@@ -262,6 +260,24 @@ class TestCliPotential:
         assert out.returncode == 2
         assert out.stdout == "" and out.stderr.startswith("error:")
 
+    def test_base_point_outside_domain_exits_2(self, tmp_path):
+        path = tmp_path / "cat.txt"
+        path.write_text(
+            "form offbase\n  kind pole_power\n  dim 1\n"
+            "  base_z 0 20\n  base_w 0 -1\n"
+            "  domain_z 0 5 4.9\n  domain_w 0 -5 4.9\nend\n")
+        out = run_cli("potential", "--form", "offbase", "--at", "0,2;0,-2",
+                      "--catalog", str(path))
+        assert out.returncode == 2
+        assert "base_z outside" in out.stderr and "Traceback" not in out.stderr
+
+    def test_quadrature_failure_exits_1(self):
+        # below four nodes per axis the pole form's cells cannot certify
+        out = run_cli("potential", "--form", "wp_genus1", "--at", "0.3,1;0,-1.2",
+                      "--nodes", "3")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text(
@@ -370,6 +386,17 @@ class TestCliPolarize:
         path.write_text("x,y\n1,2\n")
         out = run_cli("polarize", "--samples", str(path), "--degree", "2")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("row", ["0.1,0,nan,0", "nan,0.1,0.01,0", "0.1,0,inf,0"],
+                             ids=["nan value", "nan coordinate", "inf value"])
+    def test_non_finite_sample_exits_2(self, tmp_path, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text("re_z,im_z,re_val,im_val\n0,0.2,0.04,0\n-0.3,0,0.09,0\n"
+                        f"0.2,0.1,0.05,0\n{row}\n")
+        out = run_cli("polarize", "--samples", str(path), "--degree", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "malformed samples CSV" in out.stderr and "Traceback" not in out.stderr
 
 
 class TestCliVerifyAll:

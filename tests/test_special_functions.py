@@ -7,12 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holodet.errors import BudgetError, DomainError
+from holodet.errors import DomainError
 from holodet.special_functions import (
     canonical_modulus,
     eta,
-    eta_tail_bound,
-    eta_term_count,
     log_eta,
 )
 
@@ -74,42 +72,21 @@ class TestEta:
         with pytest.raises(DomainError):
             eta(0.5 + 0j)
 
-    def test_truncation_monotonicity(self):
-        z = 0.1 + 0.9j
-        n = eta_term_count(z)
-        base = eta(z, terms=n)
-        for extra in (5, 20, 80):
-            drift = abs(eta(z, terms=n + extra) - base)
-            assert drift <= abs(base) * eta_tail_bound(z, n)
-
-    def test_reduced_term_count_covers_eta_term_count(self):
-        # log_eta's count after reduction, ceil(c / Im z), is never below the rule's
+    def test_reduced_term_count_meets_tail_bound(self):
+        # log_eta's count after reduction, N = ceil(c / Im z), makes the tail
+        # bound 2|q|^(N+1) / (1 - |q|) at most 1e-15 at every height >= 1/2
         from holodet.special_functions import _ETA_TERMS_HEIGHT
 
         for y in np.linspace(0.5, 10.5, 20_000):
-            assert math.ceil(_ETA_TERMS_HEIGHT / y) >= eta_term_count(1j * y), y
-
-    def test_term_budget_exceeded(self):
-        with pytest.raises(BudgetError):
-            eta_term_count(1e-5j)
-
-    def test_explicit_terms_above_cap_raise(self):
-        from holodet.special_functions import MAX_ETA_TERMS
-
-        for func in (eta, log_eta):
-            with pytest.raises(BudgetError):
-                func(1j, MAX_ETA_TERMS + 1)
-
-    @pytest.mark.parametrize("func, terms", [(log_eta, 0), (eta, -3)])
-    def test_term_count_below_one_is_a_domain_error(self, func, terms):
-        with pytest.raises(DomainError, match="positive integer"):
-            func(1j, terms)
+            absq = math.exp(-2 * math.pi * y)
+            n = math.ceil(_ETA_TERMS_HEIGHT / y)
+            assert 2 * absq ** (n + 1) / (1 - absq) <= 1e-15, y
 
     @pytest.mark.parametrize("z", [complex("nan+1j"), complex(0, math.inf),
                                    complex(math.inf, 1), complex(-math.inf, 1),
                                    complex(0.5, math.nan)])
     def test_rejects_non_finite(self, z):
-        for func in (eta, log_eta, eta_term_count):
+        for func in (eta, log_eta):
             with pytest.raises(DomainError, match="finite"):
                 func(z)
 

@@ -9,86 +9,50 @@ from holodet import torus_spectral
 from holodet.errors import BudgetError, DomainError
 from holodet.polarization import DiagonalSampleSet, polarize_fit
 from holodet.special_functions import eta, log_eta
-from holodet.torus_spectral import (
-    SpectralTruncation,
-    closed_form_log_det,
-    heat_trace,
-    torus_eigenvalues,
-    zeta_log_det,
-)
+from holodet.torus_spectral import closed_form_log_det, zeta_log_det
 
 FOUR_PI_SQ = 4 * math.pi ** 2
 
 
-class TestEigenvalues:
-    def test_square_torus_radius_one(self):
-        # brute-force enumeration of (m, n) in {-1,0,1}^2: |n - m i|^2 = m^2 + n^2
-        lam = torus_eigenvalues(1j, 1).eigenvalues
-        expected = sorted(
-            FOUR_PI_SQ * (m * m + n * n) for m in (-1, 0, 1) for n in (-1, 0, 1)
-        )
-        assert np.allclose(lam, expected, rtol=1e-14)
-        assert lam[0] == 0.0 and np.all(lam[1:] > 0)
-
-    def test_smallest_nonzero_at_2i(self):
-        lam = torus_eigenvalues(2j, 3).eigenvalues
-        assert abs(lam[1] - math.pi ** 2) < 1e-12
-
-    def test_translation_gives_same_multiset(self):
-        a = torus_eigenvalues(0.3 + 1.1j, 4).eigenvalues
-        b = torus_eigenvalues(1.3 + 1.1j, 4).eigenvalues
-        assert np.allclose(a, b, rtol=1e-13)
-
-    def test_negation_symmetry(self):
-        z = 0.2 + 0.9j
-        x = z.real
-        lam = lambda m, n: FOUR_PI_SQ * (m * m + (n - m * x) ** 2 / z.imag ** 2)
-        for m, n in [(1, 2), (2, -1), (3, 0)]:
-            assert abs(lam(m, n) - lam(-m, -n)) < 1e-12
-
-    def test_weyl_law(self):
-        # validates the dual-lattice eigenvalue formula: the counting error
-        # against area*lambda/4pi stays below C sqrt(lambda)
-        lam = torus_eigenvalues(1j, 20).eigenvalues
-        for cut in np.geomspace(100.0, 10000.0, 13):
-            n_below = int(np.sum(lam <= cut))
-            err = abs(n_below - cut / (4 * math.pi))
-            assert err <= 2.5 * math.sqrt(cut) + 10.0
+def theta_at(z, t, poisson):
+    """Theta(t) at one time from one _theta_sums node, origin term added back."""
+    (value,), (tail,) = torus_spectral._theta_sums(z, [t], poisson)
+    assert 0 <= tail <= torus_spectral.TAIL_TOLERANCE
+    return value + (z.imag / (4 * math.pi * t) if poisson else 1.0)
 
 
 class TestHeatTrace:
     def test_large_time_limit(self):
-        theta = heat_trace(1j, 10.0)
+        theta = theta_at(1j, 10.0, poisson=False)
         assert theta - 1.0 < 9 * math.exp(-40 * math.pi ** 2) + 1e-15
 
     def test_small_time_area_law(self):
-        assert abs(1e-3 * heat_trace(1j, 1e-3) - 1 / (4 * math.pi)) < 1e-12
+        assert abs(1e-3 * theta_at(1j, 1e-3, poisson=True) - 1 / (4 * math.pi)) < 1e-12
 
     def test_direct_poisson_agree_at_split(self):
-        t = 1.0
-        d = heat_trace(1j, t, method="direct")
-        p = heat_trace(1j, t, method="poisson")
+        t = torus_spectral.SPLIT_TIME
+        d = theta_at(1j, t, poisson=False)
+        p = theta_at(1j, t, poisson=True)
         assert abs(d - p) < 1e-12
 
     def test_direct_poisson_agree_on_window(self):
         for z in (1j, 0.3 + 1.1j, 2j):
             for t in np.linspace(0.5, 2.0, 7):
-                d = heat_trace(z, t, method="direct")
-                p = heat_trace(z, t, method="poisson")
+                d = theta_at(z, t, poisson=False)
+                p = theta_at(z, t, poisson=True)
                 assert abs(d - p) <= 1e-11 * max(1.0, d)
 
-    def test_rejects_bad_time(self):
-        with pytest.raises(DomainError):
-            heat_trace(1j, 0.0)
-
     def test_budget_error_with_tiny_cap(self):
+        # the Poisson side's k = 0 column at t = 0.9 needs about 11 terms for 1e-14
+        t = 0.9
         with pytest.raises(BudgetError):
-            heat_trace(1j, 0.9, SpectralTruncation(lattice_radius=1, tail_tolerance=1e-14), method="poisson")
+            torus_spectral._box(np.array([[1 / (4 * t)]]), np.array([[1]]),
+                                np.array([[2 / (4 * math.pi * t)]]), 1e-14, cap=1)
 
     def test_vanishing_coefficient_is_a_budget_error(self):
-        # exp(-a) rounds to 1 for t this small, so the geometric tail bound is infinite
+        # a = 4 pi^2 t is 4e-19 here, so the box the tail bound needs is far past the cap
         with pytest.raises(BudgetError):
-            heat_trace(1j, 1e-20, method="direct")
+            torus_spectral._theta_sums(1j, [1e-20], poisson=False)
 
 
 def brute_lattice_sum(a_out, a_in, x):
@@ -114,9 +78,8 @@ class TestLatticeSums:
     @pytest.mark.parametrize("poisson", [False, True], ids=["direct", "poisson"])
     @pytest.mark.parametrize("z", [1j, 0.3 + 1.1j, -0.45 + 2.7j, 0.45 + 130j, 0.2 + 1000j])
     def test_each_node_matches_brute_force(self, z, poisson):
-        trunc = SpectralTruncation()
         ts = np.array(self.TS[poisson])
-        values, tails = torus_spectral._theta_sums(z, ts, trunc, poisson)
+        values, tails = torus_spectral._theta_sums(z, ts, poisson)
         x, y = z.real, z.imag
         for t, value, tail in zip(ts, values, tails):
             if poisson:
@@ -126,14 +89,14 @@ class TestLatticeSums:
                 pref = 1.0
                 expected = brute_lattice_sum(FOUR_PI_SQ * t, FOUR_PI_SQ * t / y ** 2, x)
             assert abs(value - expected) <= 1e-14 * abs(expected), (t, value, expected)
-            assert 0 <= tail <= trunc.tail_tolerance * min(pref, 1.0)
+            assert 0 <= tail <= torus_spectral.TAIL_TOLERANCE * min(pref, 1.0)
 
     def test_three_lattice_calls_per_determinant(self, monkeypatch):
         calls = []
         real = torus_spectral._theta_sums
         monkeypatch.setattr(torus_spectral, "_theta_sums",
-                            lambda z, ts, trunc, poisson: calls.append((len(ts), poisson))
-                            or real(z, ts, trunc, poisson))
+                            lambda z, ts, poisson: calls.append((len(ts), poisson))
+                            or real(z, ts, poisson))
         zeta_log_det(0.3 + 1.1j)
         assert calls == [(65, True), (1, False), (64, False)]
 
@@ -141,12 +104,6 @@ class TestLatticeSums:
 KERNEL_ARGUMENTS = {
     "polarize_fit degree -1": lambda: polarize_fit(
         DiagonalSampleSet.from_function(closed_form_log_det, 1.5j, 0.3, 8), -1),
-    "torus_eigenvalues radius 0": lambda: torus_eigenvalues(1j, 0),
-    "heat_trace method x": lambda: heat_trace(1j, 0.9, method="x"),
-    "split_time 0": lambda: SpectralTruncation(split_time=0.0),
-    "lattice_radius 0": lambda: SpectralTruncation(lattice_radius=0),
-    "quadrature_nodes 1": lambda: SpectralTruncation(quadrature_nodes=1),
-    "tail_tolerance 0": lambda: SpectralTruncation(tail_tolerance=0.0),
 }
 
 
@@ -185,9 +142,10 @@ class TestZetaDet:
         assert abs(zeta_log_det(z + 1).log_det - base) < 1e-9
         assert abs(zeta_log_det(-1 / z).log_det - base) < 1e-9
 
-    def test_split_time_independence(self):
-        a = zeta_log_det(1j, SpectralTruncation(split_time=0.7))
+    def test_split_time_independence(self, monkeypatch):
         b = zeta_log_det(1j)
+        monkeypatch.setattr(torus_spectral, "SPLIT_TIME", 0.7)
+        a = zeta_log_det(1j)
         assert abs(a.log_det - b.log_det) < 1e-10
 
     def test_rejects_non_finite_modulus(self):
@@ -196,12 +154,11 @@ class TestZetaDet:
 
     @staticmethod
     def assert_matches_eta(z):
-        trunc = SpectralTruncation()
-        r = zeta_log_det(z, trunc)
+        r = zeta_log_det(z)
         zc = r.modulus
         expected = 2 * math.log(zc.imag) + 4 * log_eta(zc).real
         assert abs(r.log_det - expected) <= 1e-10, (z, zc, r.log_det - expected)
-        assert r.tail_bound <= 10 * trunc.tail_tolerance
+        assert r.tail_bound <= 10 * torus_spectral.TAIL_TOLERANCE
 
     @settings(max_examples=40, deadline=None)
     @given(x=st.floats(-0.5, 0.5), log_height=st.floats(0.0, math.log(1e3)),
@@ -226,9 +183,8 @@ class TestZetaDet:
         self.assert_matches_eta(z)
 
     def test_tail_certificate(self):
-        trunc = SpectralTruncation()
-        r = zeta_log_det(0.3 + 1.1j, trunc)
-        assert 0 <= r.tail_bound <= trunc.tail_tolerance
+        r = zeta_log_det(0.3 + 1.1j)
+        assert 0 <= r.tail_bound <= torus_spectral.TAIL_TOLERANCE
 
 
 class TestClosedForm:

@@ -34,6 +34,11 @@ POLE_GUARD = 1e-3
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.
 PASS_NODES = 1 << 12
 
+#: Gauss-Legendre orders per axis a cone cell may use, below the cap
+#: ``nodes``.  Every cell starts at the first; a refused one climbs to the
+#: rung its Legendre tail predicts.
+ORDERS = (20, 24, 32, 48, 64)
+
 #: A cell is accepted when its tail is within this times max(area, 1e-6).
 CELL_TOLERANCE = 1e-12
 
@@ -120,6 +125,7 @@ class ConePotentials(NamedTuple):
     values: np.ndarray  # complex potentials q(z_k, w_k)
     errors: np.ndarray  # estimated absolute errors, summed over accepted cells
     cells: np.ndarray   # accepted cells per target
+    orders: np.ndarray  # largest rule order per axis among a target's accepted cells
 
 
 @lru_cache(maxsize=32)
@@ -136,24 +142,30 @@ def _legendre_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Truncation error of the n x n rule on each cell of F, per unit area.
+def _tail_and_decay(F: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Truncation error of the n x n rule on each cell of F, per unit area, and its decay.
 
     A_k sums |c_k| of the integrand over the node lines in s and in t,
     weighted by the rule.  The top pair A_{n-1} + A_{n-2} is carried to
     degree 2n, the first one the rule does not integrate, at the decay per
     two degrees shown by the pair below it (at most 1: a tail that does not
     decay is not extrapolated).  Below four nodes there is no pair below,
-    and the estimate is the top coefficients themselves, degree 0 excluded.
+    and the estimate is the top coefficients themselves, degree 0 excluded,
+    with decay 1.
     """
     n = ws.size
     rows = _legendre_rows(n)
     A = ws @ np.abs(F @ rows.T) + np.abs(rows @ F) @ ws
     if n < 4:
-        return A[:, 1:].sum(axis=1)
+        return A[:, 1:].sum(axis=1), np.ones(len(A))
     top, low = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
     decay = np.minimum(np.divide(top, low, out=np.ones_like(top), where=low > 0), 1.0)
-    return top * decay ** ((n + 1) / 2)
+    return top * decay ** ((n + 1) / 2), decay
+
+
+def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """The truncation error alone of ``_tail_and_decay``."""
+    return _tail_and_decay(F, ws)[0]
 
 
 def _targets(points, n: int, block: str) -> np.ndarray:
@@ -191,18 +203,24 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
 
     ``Z`` and ``W`` hold K points of C^n each, shape (K, n) (or (K,) when
     n = 1).  Every cell of a target's parameter square is one tensor rule of
-    ``nodes`` cached Gauss-Legendre nodes per axis (at least 2, else
-    DomainError).  Its error estimate is read off the same samples: the
-    decay of the integrand's top Legendre coefficients along every node
-    line, in s and in t (``_coefficient_tail``; Trefethen, ATAP, ch. 19).
-    A tail within nodes * ``_ROUNDING`` of the cell's |integrand| mass is
-    rounding noise, which no subdivision lowers.  A cell is accepted when
-    its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or
-    that floor; otherwise it splits in four for a later pass, and at depth
-    MAX_DEPTH the call raises QuadratureError.  Each pass evaluates at most
-    PASS_NODES nodes, all of them under the pole guard.  The result holds
-    per target the value, the summed estimates of its accepted cells (at
-    least the rounding floor) and their count.
+    cached Gauss-Legendre nodes, at most ``nodes`` per axis (at least 2,
+    else DomainError).  The orders form a ladder: those of ORDERS below
+    ``nodes``, then ``nodes`` itself.  Each cell's error estimate is read off
+    its own samples: the decay of the integrand's top Legendre coefficients
+    along every node line, in s and in t (``_tail_and_decay``; Trefethen,
+    ATAP, ch. 19).  A tail within n * ``_ROUNDING`` of the cell's |integrand|
+    mass is rounding noise, which no refinement lowers.  A cell is accepted
+    when its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value|
+    or that floor.  A cell starts at the lowest rung.  A refused cell whose
+    tail decays by delta < 1 per two degrees would meet that bound at
+    order m with tail * delta^(m - n) equal to it: it runs again at the
+    first rung at or above m (p before h refinement).  When no rung is that
+    high, it splits in four, and the quarters start again at the lowest
+    rung; a cell that must split at depth MAX_DEPTH raises QuadratureError.
+    Each pass runs cells of one order and evaluates at most PASS_NODES
+    nodes, all of them under the pole guard.  The result holds per target
+    the value, the summed estimates of its accepted cells (at least the
+    rounding floor), their count and the largest order among them.
     """
     if nodes < 2:
         raise DomainError(f"cone quadrature needs at least 2 nodes per axis, got {nodes}")
@@ -218,22 +236,27 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
             shown = complex(bad[0]) if bad.size == 1 else bad
             raise DomainError(f"{block} = {shown!r} outside the declared {block}-domain")
     dz, dw = Z - form.base_z, W - form.base_w
-    n = nodes
-    xs, ws = _gl_nodes(0.0, 1.0, n)
-    weights = np.outer(ws, ws)
-    per_pass = max(1, PASS_NODES // (n * n))
+    ladder = np.array([r for r in ORDERS if r < nodes] + [nodes])
 
     count = Z.shape[0]
     values = np.zeros(count, dtype=complex)
     errors = np.zeros(count)
     cells = np.zeros(count, dtype=int)
-    # pending cells: target, corner (s0, t0) and depth.  The newest go first,
-    # so a refused cell is refined depth first and a hopeless one raises early
+    orders = np.zeros(count, dtype=int)
+    # pending cells: target, corner (s0, t0), depth and order.  A pass takes
+    # the newest cells of the newest one's order, so a refused cell is
+    # refined first and a hopeless one raises early
     tgt, s0, t0, depth = np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count, int)
+    order = np.full(count, ladder[0])
     while tgt.size:
-        cut = max(tgt.size - per_pass, 0)
-        k, a, b, d = tgt[cut:], s0[cut:], t0[cut:], depth[cut:]
-        tgt, s0, t0, depth = tgt[:cut], s0[:cut], t0[:cut], depth[:cut]
+        n = int(order[-1])
+        take = np.flatnonzero(order == n)[-max(1, PASS_NODES // (n * n)):]
+        rest = np.ones(tgt.size, dtype=bool)
+        rest[take] = False
+        k, a, b, d = tgt[take], s0[take], t0[take], depth[take]
+        tgt, s0, t0, depth, order = tgt[rest], s0[rest], t0[rest], depth[rest], order[rest]
+        xs, ws = _gl_nodes(0.0, 1.0, n)
+        weights = np.outer(ws, ws)
         side = 0.5 ** d
         F = _integrand(form, dz[k], dw[k], a[:, None] + side[:, None] * xs,
                        b[:, None] + side[:, None] * xs)
@@ -241,29 +264,44 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
         # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
         # per complex gemv, and a one-pass einsum rounds worse
         cell = area * (F * weights).sum(axis=(1, 2))
-        tail = area * _coefficient_tail(F, ws)
+        tail, decay = _tail_and_decay(F, ws)
+        tail *= area
         floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
         est = np.maximum(tail, floor)
         budget = np.maximum(CELL_TOLERANCE * np.maximum(area, 1e-6), 1e-15 * np.abs(cell))
-        ok = tail <= np.maximum(budget, floor)
+        bound = np.maximum(budget, floor)
+        ok = tail <= bound
         np.add.at(values, k[ok], cell[ok])
         np.add.at(errors, k[ok], est[ok])
         np.add.at(cells, k[ok], 1)
+        np.maximum.at(orders, k[ok], n)
         if ok.all():
             continue
-        refused = ~ok
-        if d[refused].max() >= MAX_DEPTH:
-            worst = float(est[refused][np.argmax(d[refused])])
+        refused = np.flatnonzero(~ok)
+        k, a, b, d, half = k[refused], a[refused], b[refused], d[refused], 0.5 * side[refused]
+        # a refused tail exceeds its bound > 0, and at order m it would be
+        # tail * decay^(m - n): m lies above n when the tail decays, and
+        # nowhere when it does not
+        slope = np.log(decay[refused])
+        need = n + np.divide(np.log(bound[refused] / tail[refused]), slope,
+                             out=np.full(slope.shape, np.inf), where=slope < 0)
+        rung = np.searchsorted(ladder, need)
+        climb, split = rung < ladder.size, rung == ladder.size
+        if np.any(d[split] >= MAX_DEPTH):
+            worst = float(est[refused][split & (d >= MAX_DEPTH)].max())
             raise QuadratureError(
                 f"cone quadrature did not converge (cell error {worst:.3e} after "
                 f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
             )
-        half = 0.5 * side[refused]
-        tgt = np.concatenate([tgt, np.repeat(k[refused], 4)])
-        s0 = np.concatenate([s0, (a[refused, None] + half[:, None] * [0, 1, 0, 1]).ravel()])
-        t0 = np.concatenate([t0, (b[refused, None] + half[:, None] * [0, 0, 1, 1]).ravel()])
-        depth = np.concatenate([depth, np.repeat(d[refused] + 1, 4)])
-    return ConePotentials(values, errors, cells)
+        tgt = np.concatenate([tgt, np.repeat(k[split], 4), k[climb]])
+        s0 = np.concatenate([s0, (a[split, None] + half[split, None] * [0, 1, 0, 1]).ravel(),
+                             a[climb]])
+        t0 = np.concatenate([t0, (b[split, None] + half[split, None] * [0, 0, 1, 1]).ravel(),
+                             b[climb]])
+        depth = np.concatenate([depth, np.repeat(d[split] + 1, 4), d[climb]])
+        order = np.concatenate([order, np.full(4 * np.count_nonzero(split), ladder[0]),
+                                ladder[rung[climb]]])
+    return ConePotentials(values, errors, cells, orders)
 
 
 def cone_potential(form: ClosedHoloForm, z, w, nodes: int = 64) -> complex:

@@ -106,10 +106,10 @@ class TestAcceptance:
     def test_corrupted_build_fails_named_check(self, monkeypatch):
         # wrong eta prefactor (z-dependent) must break ratio constancy
         import holodet.verify as verify_mod
-        from holodet.special_functions import eta as true_eta
+        from holodet.special_functions import log_eta as true_log_eta
 
-        monkeypatch.setattr(verify_mod, "eta",
-                            lambda z: math.e ** (1j * math.pi * z / 12) * true_eta(z))
+        monkeypatch.setattr(verify_mod, "log_eta",
+                            lambda z: 1j * math.pi * z / 12 + true_log_eta(z))
         checks = verify_mod.check_spectral_normalization()
         bad = [c for c in checks if not c.passed]
         assert any(c.name == "spectral_ratio_constancy" for c in bad)

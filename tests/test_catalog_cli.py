@@ -191,6 +191,15 @@ class TestCliTorusDet:
         assert main(["torus-det", "--z=0.5,135", "--method", "both"]) == 0
         assert "PASS zeta0_diagnostic" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("z", ["0,720", "0,0.001"])
+    def test_above_height_710_prints_both_ratios(self, z):
+        # det' and |eta| underflow at these reduced heights; their ratios do not
+        out = run_cli("torus-det", f"--z={z}")
+        assert out.returncode == 0 and "Traceback" not in out.stderr
+        ratios = dict(line.split("=") for line in out.stdout.splitlines() if line.startswith("ratio"))
+        assert float(ratios["ratio_to_y2_eta4"]) == pytest.approx(1.0, abs=1e-8)
+        assert 0.0 < float(ratios["ratio_to_2pi_sqrty_eta2"]) < 1e-100
+
     def test_repeated_main_keeps_defaults(self, capsys):
         # main reuses one parser: the first call's --method must not stick
         from holodet.cli import main

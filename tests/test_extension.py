@@ -76,6 +76,24 @@ class TestSymmetrize:
             lap = dz_dzbar(u, z, 1e-3)
             assert abs(lap - (z - np.conj(z)) ** -2) < 1e-6
 
+    def test_form_takes_both_halves_from_one_batched_call(self, monkeypatch):
+        import holodet.extension as extension
+
+        calls = []
+        real = extension.cone_potentials
+        monkeypatch.setattr(extension, "cone_potentials",
+                            lambda form, Z, W: calls.append(len(Z)) or real(form, Z, W))
+        form = genus1_pole_form()
+        qt = symmetrized_evaluator(form)
+        scalar = symmetrized_evaluator(lambda z, w: cone_potential(form, z, w))
+        z, w = 0.3 + 0.9j, -0.2 - 1.4j
+        assert abs(qt(z, w) - scalar(z, w)) <= 1e-15
+        grid = np.array([[1j, 0.3 + 0.9j, -0.4 + 1.6j]])
+        values = qt(grid, grid.conj())
+        assert values.shape == grid.shape
+        assert np.all(np.abs(values - [scalar(p, np.conj(p)) for p in grid[0]]) <= 1e-15)
+        assert calls == [2, 6]
+
 
 class TestWpForm:
     def test_value_at_i(self):

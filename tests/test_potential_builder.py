@@ -3,17 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import holodet.potential_builder as potential_builder
 from holodet.catalog import CONTRACT_TOLERANCE
 from holodet.errors import DomainError, QuadratureError
 from holodet.polymap import PolyMap, random_polymap
 from holodet.potential_builder import (
+    ORDERS,
     PASS_NODES,
     ClosedHoloForm,
     ProductDomain,
     _coefficient_tail,
     _integrand,
+    _tail_and_decay,
     check_closed_and_holomorphic,
     cone_potential,
     cone_potentials,
@@ -155,13 +159,54 @@ class TestBatchedCells:
             assert np.all(res.cells == 1), gap
 
     @pytest.mark.parametrize("n", [64, 128])
-    def test_one_rule_per_resolved_target_and_passes_capped(self, n):
-        seen = []
-        c, z0, w0, Z, W = pole_grid(np.random.default_rng(3), 3, 1.5)
-        res = cone_potentials(pole_power_form(c, 3, z0, w0, seen), Z, W, nodes=n)
+    def test_one_rule_per_resolved_target_and_passes_capped(self, n, monkeypatch):
+        seen, passes = [], []
+        real = potential_builder._integrand
+        monkeypatch.setattr(potential_builder, "_integrand",
+                            lambda form, dz, dw, S, T: passes.append(S.shape) or real(form, dz, dw, S, T))
+        # targets from far off the pole to close to it: orders from the first rung to 48
+        Z, W = 0.2 + 1j * np.geomspace(0.15, 2.0, 64), np.full(64, 0.1 - 0.15j)
+        res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j, seen), Z, W, nodes=n)
         assert np.all(res.cells == 1)
-        assert sum(seen) == Z.size * n * n
+        assert len(set(res.orders.tolist())) > 2
+        # nodes evaluated: order^2 per cell, summed over passes of one order each
+        assert sum(seen) == sum(cells * order * order for cells, order in passes)
+        assert all(cells * order * order <= PASS_NODES for cells, order in passes)
         assert max(seen) <= PASS_NODES
+        # a target's accepted rule, plus the first rung it climbed from
+        climbed = res.orders > ORDERS[0]
+        assert sum(seen) >= np.sum(res.orders ** 2) + np.sum(climbed) * ORDERS[0] ** 2
+
+    def test_target_refused_at_first_rung_climbs_on_one_cell(self):
+        z, w = 0.2 + 0.15j, 0.1 - 0.15j
+        res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j), [z], [w])
+        assert res.cells[0] == 1 and res.orders[0] > ORDERS[0]
+        exact = pole_power_closed_form(1.0, 4, z, w, 4j, -1j)
+        assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
+
+    def test_non_decaying_integrand_subdivides(self):
+        # e^{iA(z - z0)} e^{-iA(w - w0)} along real segments of length 1.5 at A = 40:
+        # its Legendre coefficients are flat to degree about 60, past the first rung
+        A, dz = 40.0, 1.5
+
+        def coeff(Z, W):
+            return np.exp(1j * A * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
+
+        form = ClosedHoloForm(1, coeff, 1j, -1j, HALF_PLANE_BALLS)
+        xs, ws = _gl_nodes(0.0, 1.0, ORDERS[0])
+        F = _integrand(form, np.array([[dz]]), np.array([[-dz]]), xs[None], xs[None])
+        assert _tail_and_decay(F, ws)[1][0] == 1.0
+        res = cone_potentials(form, [1j + dz], [-1j - dz])
+        assert res.cells[0] > 1
+        exact = (cmath.exp(1j * A * dz) - 1) * (cmath.exp(1j * A * dz) - 1) / (A * A)
+        assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
+
+    @pytest.mark.parametrize("n", [5, 16, 20, 33, 64, 100])
+    def test_orders_never_exceed_the_cap(self, n):
+        Z = np.concatenate([np.array(PAIRS)[:, 0], 0.2 + 1j * np.geomspace(0.15, 2.0, 8)])
+        W = np.concatenate([np.array(PAIRS)[:, 1], np.full(8, 0.1 - 0.15j)])
+        res = cone_potentials(pole_power_form(1.0, 2, 4j, -1j), Z, W, nodes=n)
+        assert np.all(res.orders <= n) and np.all(res.orders >= min(n, ORDERS[0]))
 
     def test_refused_first_cell_subdivides(self):
         form = pole_form()
@@ -193,6 +238,28 @@ class TestBatchedCells:
         else:
             res = cone_potentials(pole_form(), Z, W, nodes=n)
             assert np.all(np.abs(res.values - exact) <= 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), gap=st.floats(0.35, 6.0), low=st.floats(0.0, 1.0),
+           x=st.floats(-0.3, 0.3), half=st.floats(0.05, 0.4), phase=st.floats(0.0, 1.0),
+           bz=st.floats(0.8, 1.5), bw=st.floats(0.8, 1.5))
+    def test_adaptive_orders_match_a_fixed_64_rule_and_the_closed_form(
+            self, k, gap, low, x, half, phase, bz, bw):
+        c = 2.0 * cmath.exp(2j * math.pi * phase)
+        wy = 0.15 + (gap - 0.35) * low  # Im z = gap - wy stays >= 0.2
+        Z = x + np.linspace(-half, half, 8) + 1j * (gap - wy)
+        W = np.full(8, complex(-x, -wy))
+        z0, w0 = complex(0.1, bz), complex(-0.1, -bw)
+        form = pole_power_form(c, k, z0, w0)
+        res = cone_potentials(form, Z, W)
+        xs, ws = _gl_nodes(0.0, 1.0, 64)
+        S = np.tile(xs, (Z.size, 1))
+        F = _integrand(form, (Z - z0)[:, None], (W - w0)[:, None], S, S)
+        fixed = (F * np.outer(ws, ws)).sum(axis=(1, 2))
+        exact = pole_power_closed_form(c, k, Z, W, z0, w0)
+        assert np.all(np.abs(res.values - fixed) <= 1e-12 * np.abs(exact))
+        assert np.all(np.abs(res.values - exact) <= 1e-12 * np.abs(exact))
+        assert np.all(res.orders <= 64)
 
     @pytest.mark.parametrize("Z, W", [([[2j, 1j]], [-2j]), (2j, -2j), ([2j, 1j], [-2j]),
                                       (np.ones((1, 1, 1)) * 2j, [-2j])])

@@ -32,7 +32,7 @@ from .catalog import builtin_catalog, load_catalog
 from .errors import DomainError, FitRankError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
-from .potential_builder import ORDERS, cone_potential, cone_potentials
+from .potential_builder import FIRST_ORDER, cone_potential, cone_potentials
 from .special_functions import eta, log_eta
 from .torus_spectral import closed_form_log_det, zeta_log_det
 from .verify import extend_checks, normalization_ratios, potential_checks, run_all, zeta0_check
@@ -333,9 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--out", default=None, help="CSV output path (default stdout)")
     q.add_argument("--catalog", default=None, help="extra catalog file")
     q.add_argument("--nodes", type=int_at_least(2), default=64, metavar="N",
-                   help="at most N quadrature nodes per axis; a cell starts at the lowest "
-                        f"order of {', '.join(map(str, ORDERS))} below N, then N, and "
-                        "climbs while its Legendre tail asks for more")
+                   help=f"at most N quadrature nodes per axis; a cell runs first at "
+                        f"min({FIRST_ORDER}, N) nodes, then at N, then splits in four")
     q.set_defaults(func=cmd_potential)
 
     q = sub.add_parser("extend", help="holomorphic extension at a point of H x Hbar")

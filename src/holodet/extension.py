@@ -86,21 +86,18 @@ class ProductPoint:
         return cls(z, z.conjugate())
 
 
-def symmetrized_evaluator(q: Callable | ClosedHoloForm) -> Callable:
+def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
     """q~(z, w) = (q(z, w) + conj(q(wbar, zbar))) / 2, real on the diagonal w = zbar.
 
-    ``q`` is a potential evaluator, or a one-variable form whose cone
-    potential is q.  For a form, q~ at scalar or array points (z, w) takes
-    both halves from one ``cone_potentials`` call over the stacked targets.
+    ``q`` is batched: given 1-D arrays Z and W of target pairs it returns
+    their potentials.  q~ at scalar or array points (z, w) takes both halves
+    from one call of q over the stacked targets.
     """
-    if not isinstance(q, ClosedHoloForm):
-        return lambda z, w: 0.5 * (q(z, w) + np.conj(q(np.conj(w), np.conj(z))))
-    form = q
 
     def q_tilde(z, w):
         z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-        halves = cone_potentials(form, np.concatenate([z.ravel(), w.conj().ravel()]),
-                                 np.concatenate([w.ravel(), z.conj().ravel()])).values
+        halves = np.asarray(q(np.concatenate([z.ravel(), w.conj().ravel()]),
+                              np.concatenate([w.ravel(), z.conj().ravel()])))
         return (0.5 * (halves[:z.size] + halves[z.size:].conj())).reshape(z.shape)[()]
 
     return q_tilde
@@ -325,7 +322,7 @@ def genus1_recipe(constant: float, f_mode: str = "split") -> ExtensionRecipe:
                    and log(Im tau).
     """
     form = genus1_pole_form()
-    q_tilde = symmetrized_evaluator(form)
+    q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
     period = lambda z: np.array([[z]], dtype=complex)
 
     if f_mode == "zero":

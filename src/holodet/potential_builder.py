@@ -34,10 +34,9 @@ POLE_GUARD = 1e-3
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.
 PASS_NODES = 1 << 12
 
-#: Gauss-Legendre orders per axis a cone cell may use, below the cap
-#: ``nodes``.  Every cell starts at the first; a refused one climbs to the
-#: rung its Legendre tail predicts.
-ORDERS = (20, 24, 32, 48, 64)
+#: Gauss-Legendre order per axis every cone cell tries first, below the cap
+#: ``nodes``; a cell it refuses runs again at the cap before it splits.
+FIRST_ORDER = 20
 
 #: A cell is accepted when its tail is within this times max(area, 1e-6).
 CELL_TOLERANCE = 1e-12
@@ -142,30 +141,24 @@ def _legendre_rows(n: int) -> np.ndarray:
     return rows
 
 
-def _tail_and_decay(F: np.ndarray, ws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation error of the n x n rule on each cell of F, per unit area, and its decay.
+def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Truncation error of the n x n rule on each cell of F, per unit area.
 
     A_k sums |c_k| of the integrand over the node lines in s and in t,
     weighted by the rule.  The top pair A_{n-1} + A_{n-2} is carried to
     degree 2n, the first one the rule does not integrate, at the decay per
     two degrees shown by the pair below it (at most 1: a tail that does not
     decay is not extrapolated).  Below four nodes there is no pair below,
-    and the estimate is the top coefficients themselves, degree 0 excluded,
-    with decay 1.
+    and the estimate is the top coefficients themselves, degree 0 excluded.
     """
     n = ws.size
     rows = _legendre_rows(n)
     A = ws @ np.abs(F @ rows.T) + np.abs(rows @ F) @ ws
     if n < 4:
-        return A[:, 1:].sum(axis=1), np.ones(len(A))
+        return A[:, 1:].sum(axis=1)
     top, low = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
     decay = np.minimum(np.divide(top, low, out=np.ones_like(top), where=low > 0), 1.0)
-    return top * decay ** ((n + 1) / 2), decay
-
-
-def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """The truncation error alone of ``_tail_and_decay``."""
-    return _tail_and_decay(F, ws)[0]
+    return top * decay ** ((n + 1) / 2)
 
 
 def _targets(points, n: int, block: str) -> np.ndarray:
@@ -204,23 +197,22 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
     ``Z`` and ``W`` hold K points of C^n each, shape (K, n) (or (K,) when
     n = 1).  Every cell of a target's parameter square is one tensor rule of
     cached Gauss-Legendre nodes, at most ``nodes`` per axis (at least 2,
-    else DomainError).  The orders form a ladder: those of ORDERS below
-    ``nodes``, then ``nodes`` itself.  Each cell's error estimate is read off
-    its own samples: the decay of the integrand's top Legendre coefficients
-    along every node line, in s and in t (``_tail_and_decay``; Trefethen,
-    ATAP, ch. 19).  A tail within n * ``_ROUNDING`` of the cell's |integrand|
-    mass is rounding noise, which no refinement lowers.  A cell is accepted
-    when its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value|
-    or that floor.  A cell starts at the lowest rung.  A refused cell whose
-    tail decays by delta < 1 per two degrees would meet that bound at
-    order m with tail * delta^(m - n) equal to it: it runs again at the
-    first rung at or above m (p before h refinement).  When no rung is that
-    high, it splits in four, and the quarters start again at the lowest
-    rung; a cell that must split at depth MAX_DEPTH raises QuadratureError.
-    Each pass runs cells of one order and evaluates at most PASS_NODES
-    nodes, all of them under the pole guard.  The result holds per target
-    the value, the summed estimates of its accepted cells (at least the
-    rounding floor), their count and the largest order among them.
+    else DomainError).  Each cell's error estimate is read off its own
+    samples: the decay of the integrand's top Legendre coefficients along
+    every node line, in s and in t (``_coefficient_tail``; Trefethen, ATAP,
+    ch. 19).  A tail within n * ``_ROUNDING`` of the cell's |integrand| mass
+    is rounding noise, which no refinement lowers.  A cell is accepted when
+    its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or
+    that floor.  Every cell runs first at min(FIRST_ORDER, ``nodes``); a
+    refused one runs again at ``nodes`` (p before h refinement), and one
+    refused at ``nodes`` splits in four, the quarters starting again at the
+    first order.  So every cell the fixed ``nodes`` rule would accept is
+    accepted at the same depth or higher up; a cell refused at ``nodes`` at
+    depth MAX_DEPTH raises QuadratureError.  Each pass runs cells of one
+    order and evaluates at most PASS_NODES nodes per coefficient call, all
+    of them under the pole guard.  The result holds per target the value,
+    the summed estimates of its accepted cells (at least the rounding
+    floor), their count and the largest order among them.
     """
     if nodes < 2:
         raise DomainError(f"cone quadrature needs at least 2 nodes per axis, got {nodes}")
@@ -236,7 +228,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
             shown = complex(bad[0]) if bad.size == 1 else bad
             raise DomainError(f"{block} = {shown!r} outside the declared {block}-domain")
     dz, dw = Z - form.base_z, W - form.base_w
-    ladder = np.array([r for r in ORDERS if r < nodes] + [nodes])
+    first = min(FIRST_ORDER, nodes)
 
     count = Z.shape[0]
     values = np.zeros(count, dtype=complex)
@@ -247,7 +239,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
     # the newest cells of the newest one's order, so a refused cell is
     # refined first and a hopeless one raises early
     tgt, s0, t0, depth = np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count, int)
-    order = np.full(count, ladder[0])
+    order = np.full(count, first)
     while tgt.size:
         n = int(order[-1])
         take = np.flatnonzero(order == n)[-max(1, PASS_NODES // (n * n)):]
@@ -264,43 +256,36 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
         # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
         # per complex gemv, and a one-pass einsum rounds worse
         cell = area * (F * weights).sum(axis=(1, 2))
-        tail, decay = _tail_and_decay(F, ws)
-        tail *= area
+        tail = area * _coefficient_tail(F, ws)
         floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
         est = np.maximum(tail, floor)
         budget = np.maximum(CELL_TOLERANCE * np.maximum(area, 1e-6), 1e-15 * np.abs(cell))
-        bound = np.maximum(budget, floor)
-        ok = tail <= bound
+        ok = tail <= np.maximum(budget, floor)
         np.add.at(values, k[ok], cell[ok])
         np.add.at(errors, k[ok], est[ok])
         np.add.at(cells, k[ok], 1)
         np.maximum.at(orders, k[ok], n)
         if ok.all():
             continue
-        refused = np.flatnonzero(~ok)
-        k, a, b, d, half = k[refused], a[refused], b[refused], d[refused], 0.5 * side[refused]
-        # a refused tail exceeds its bound > 0, and at order m it would be
-        # tail * decay^(m - n): m lies above n when the tail decays, and
-        # nowhere when it does not
-        slope = np.log(decay[refused])
-        need = n + np.divide(np.log(bound[refused] / tail[refused]), slope,
-                             out=np.full(slope.shape, np.inf), where=slope < 0)
-        rung = np.searchsorted(ladder, need)
-        climb, split = rung < ladder.size, rung == ladder.size
-        if np.any(d[split] >= MAX_DEPTH):
-            worst = float(est[refused][split & (d >= MAX_DEPTH)].max())
-            raise QuadratureError(
-                f"cone quadrature did not converge (cell error {worst:.3e} after "
-                f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
-            )
-        tgt = np.concatenate([tgt, np.repeat(k[split], 4), k[climb]])
-        s0 = np.concatenate([s0, (a[split, None] + half[split, None] * [0, 1, 0, 1]).ravel(),
-                             a[climb]])
-        t0 = np.concatenate([t0, (b[split, None] + half[split, None] * [0, 0, 1, 1]).ravel(),
-                             b[climb]])
-        depth = np.concatenate([depth, np.repeat(d[split] + 1, 4), d[climb]])
-        order = np.concatenate([order, np.full(4 * np.count_nonzero(split), ladder[0]),
-                                ladder[rung[climb]]])
+        refused = ~ok
+        k, a, b, d = k[refused], a[refused], b[refused], d[refused]
+        if n < nodes:  # the same cells again, at the cap
+            redo = nodes
+        else:  # quarters, at the first order again
+            if d.max() >= MAX_DEPTH:
+                worst = float(est[refused][np.argmax(d)])
+                raise QuadratureError(
+                    f"cone quadrature did not converge (cell error {worst:.3e} after "
+                    f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
+                )
+            half = 0.5 * side[refused]
+            k, d = np.repeat(k, 4), np.repeat(d + 1, 4)
+            a = (a[:, None] + half[:, None] * [0, 1, 0, 1]).ravel()
+            b = (b[:, None] + half[:, None] * [0, 0, 1, 1]).ravel()
+            redo = first
+        tgt, s0, t0 = np.concatenate([tgt, k]), np.concatenate([s0, a]), np.concatenate([t0, b])
+        depth = np.concatenate([depth, d])
+        order = np.concatenate([order, np.full(k.size, redo)])
     return ConePotentials(values, errors, cells, orders)
 
 

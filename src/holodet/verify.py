@@ -289,7 +289,7 @@ def _symmetrizer_grid(count: int):
 
 def check_symmetrizer(fast: bool = False) -> list[CheckResult]:
     form = genus1_pole_form()
-    q_tilde = symmetrized_evaluator(form)
+    q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
 
     grid = np.array(_symmetrizer_grid(8 if fast else 20))
     imag_worst = float(np.max(np.abs(q_tilde(grid, grid.conj()).imag)))

@@ -21,7 +21,7 @@ from holodet.extension import (
     word_to_matrix,
     wp_form_genus1,
 )
-from holodet.potential_builder import cone_potential
+from holodet.potential_builder import cone_potential, cone_potentials
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
 from holodet.verify import DIAGONAL_CONSTANT, antiholomorphic_check
@@ -67,7 +67,7 @@ class TestSymmetrize:
 
     def test_genus1_cone_potential_diagonal(self):
         form = genus1_pole_form()
-        q = lambda z, w: cone_potential(form, z, w)
+        q = lambda Z, W: cone_potentials(form, Z, W).values
         qt = symmetrized_evaluator(q)
         for z in (1j, 0.3 + 0.9j, -0.4 + 1.6j):
             val = qt(z, np.conj(z))
@@ -76,22 +76,21 @@ class TestSymmetrize:
             lap = dz_dzbar(u, z, 1e-3)
             assert abs(lap - (z - np.conj(z)) ** -2) < 1e-6
 
-    def test_form_takes_both_halves_from_one_batched_call(self, monkeypatch):
-        import holodet.extension as extension
-
+    def test_both_halves_from_one_batched_call(self):
         calls = []
-        real = extension.cone_potentials
-        monkeypatch.setattr(extension, "cone_potentials",
-                            lambda form, Z, W: calls.append(len(Z)) or real(form, Z, W))
         form = genus1_pole_form()
-        qt = symmetrized_evaluator(form)
-        scalar = symmetrized_evaluator(lambda z, w: cone_potential(form, z, w))
+        qt = symmetrized_evaluator(
+            lambda Z, W: calls.append(len(Z)) or cone_potentials(form, Z, W).values)
+
+        def two_calls(z, w):
+            return 0.5 * (cone_potential(form, z, w) + np.conj(cone_potential(form, np.conj(w), np.conj(z))))
+
         z, w = 0.3 + 0.9j, -0.2 - 1.4j
-        assert abs(qt(z, w) - scalar(z, w)) <= 1e-15
+        assert abs(qt(z, w) - two_calls(z, w)) <= 1e-15
         grid = np.array([[1j, 0.3 + 0.9j, -0.4 + 1.6j]])
         values = qt(grid, grid.conj())
         assert values.shape == grid.shape
-        assert np.all(np.abs(values - [scalar(p, np.conj(p)) for p in grid[0]]) <= 1e-15)
+        assert np.all(np.abs(values - [two_calls(p, np.conj(p)) for p in grid[0]]) <= 1e-15)
         assert calls == [2, 6]
 
 

@@ -10,12 +10,13 @@ potential   cone potential of a catalog form, with optional verification
 extend      the genus-1 holomorphic extension (or a recipe file), with
             diagonal / invariance / holomorphy checks
 polarize    fit diagonal CSV samples to a polarized polynomial (JSON out)
-verify-all  the full verification suite
+verify-all  the verification suite
 
 Conventions: complex numbers on the command line are ``re,im``; product
 points are ``z;w``.  Exit codes: 0 success, 1 verification failure,
-2 input/configuration error.  Reports are byte-deterministic for fixed
-inputs; wall-clock timing goes to stderr only.
+2 input/configuration error (an output file that cannot be written is one).
+Reports are byte-deterministic for fixed inputs; wall-clock timing goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -93,6 +94,19 @@ def _error(message, code: int) -> int:
     return code
 
 
+def _write_output(path, text: str) -> int:
+    """Write text to the file at path, or to stdout without a path."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _error(f"cannot write {path}: {exc.strerror or exc}", EXIT_BAD_INPUT)
+    return EXIT_OK
+
+
 def _print_checks(checks) -> bool:
     ok = True
     for c in checks:
@@ -129,7 +143,7 @@ def cmd_torus_det(args) -> int:
         return _error(exc, EXIT_CHECK_FAILED)
     print(f"spectral_log_det={fmt(r.log_det)}")
     print(f"tail_bound={r.tail_bound:.6e}")
-    check = zeta0_check(r, args.tol)
+    check = zeta0_check(r)
     print(check.line())
     if args.method == "both":
         ratio_sq, ratio_half = normalization_ratios(r)
@@ -198,13 +212,7 @@ def _emit_grid(args, form, z0, w) -> int:
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for z, q in zip(zs, qs):
         rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(args.out, "\n".join(rows) + "\n")
 
 
 # --- extend ------------------------------------------------------------------
@@ -218,12 +226,11 @@ def _parse_recipe_file(path):
             if not line:
                 continue
             key, *rest = line.split()
-            if key == "constant":
-                opts["constant"] = float(rest[0])
-            elif key == "f_mode":
-                opts["f_mode"] = rest[0]
-            else:
+            if key not in opts:
                 raise ValueError(f"unknown recipe directive {key!r}")
+            if len(rest) != 1:
+                raise ValueError(f"recipe directive {key!r} takes one value, got {len(rest)}")
+            opts[key] = float(rest[0]) if key == "constant" else rest[0]
     return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
 
 
@@ -260,10 +267,10 @@ def cmd_extend(args) -> int:
 def cmd_polarize(args) -> int:
     try:
         samples = load_diagonal_csv(args.samples)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, DomainError) as exc:
         return _error(f"malformed samples CSV: {exc}", EXIT_BAD_INPUT)
     try:
-        fit = polarize_fit(samples, args.degree, args.svd_cutoff)
+        fit = polarize_fit(samples, args.degree)
     except FitRankError as exc:
         return _error(exc, EXIT_CHECK_FAILED)
     payload = {
@@ -276,12 +283,8 @@ def cmd_polarize(args) -> int:
             [[c.real, c.imag] for c in row] for row in fit.coefficients
         ],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    if _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n"):
+        return EXIT_BAD_INPUT
     print(f"residual={fit.residual:.6e} conditioning={fit.conditioning:.6e}", file=sys.stderr)
     return EXIT_OK
 
@@ -291,14 +294,13 @@ def cmd_polarize(args) -> int:
 
 def cmd_verify_all(args) -> int:
     t0 = time.perf_counter()
-    report = run_all(fast=args.fast)
-    report.wall_time_s = time.perf_counter() - t0
+    report = run_all()
+    wall_time = time.perf_counter() - t0
     for line in report.summary_lines():
         print(line)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json() + "\n")
-    print(f"wall time: {report.wall_time_s:.2f}s", file=sys.stderr)
+    if args.json and _write_output(args.json, report.to_json() + "\n"):
+        return EXIT_BAD_INPUT
+    print(f"wall time: {wall_time:.2f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -320,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("torus-det", help="flat-torus determinant (closed form / spectral)")
     q.add_argument("--z", type=parse_complex, required=True, metavar="re,im")
     q.add_argument("--method", choices=("closed-form", "spectral", "both"), default="both")
-    q.add_argument("--tol", type=float, default=1e-9, help="zeta(0) diagnostic tolerance")
     q.set_defaults(func=cmd_torus_det)
 
     q = sub.add_parser("potential", help="cone potential of a catalog form")
@@ -347,11 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--samples", required=True)
     q.add_argument("--degree", type=int_at_least(0), required=True)
     q.add_argument("--out", default=None, help="JSON output path (default stdout)")
-    q.add_argument("--svd-cutoff", type=float, default=1e-10)
     q.set_defaults(func=cmd_polarize)
 
-    q = sub.add_parser("verify-all", help="run the full verification suite")
-    q.add_argument("--fast", action="store_true", help="trim grids (same tolerances)")
+    q = sub.add_parser("verify-all", help="run the verification suite")
     q.add_argument("--json", default=None, help="also write the JSON report here")
     q.set_defaults(func=cmd_verify_all)
 

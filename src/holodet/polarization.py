@@ -36,6 +36,9 @@ from .torus_spectral import _gauss_legendre
 #: Entries of the pairwise-distance block the dispersion check holds at once.
 _PAIR_BLOCK = 1 << 18
 
+#: Relative singular-value cutoff of the least-squares fit of scattered samples.
+SVD_CUTOFF = 1e-10
+
 
 def _ring_layout(count: int) -> tuple[int, int]:
     """Rings and angles per ring of ``disc_samples(..., count)``."""
@@ -79,13 +82,13 @@ class DiagonalSampleSet:
         pts = np.asarray(self.points, dtype=complex).ravel()
         vals = np.asarray(self.values, dtype=complex).ravel()
         if pts.shape != vals.shape:
-            raise ValueError("points and values must have equal length")
+            raise DomainError("points and values must have equal length")
         if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
-            raise ValueError("sample points and values must be finite")
+            raise DomainError("sample points and values must be finite")
         if np.max(np.abs(pts - self.center)) > self.radius * (1 + 1e-9):
-            raise ValueError("sample points outside the declared disc")
+            raise DomainError("sample points outside the declared disc")
         if self.layout is not None and self.layout[0] * self.layout[1] != len(pts):
-            raise ValueError(f"layout {self.layout} does not match {len(pts)} points")
+            raise DomainError(f"layout {self.layout} does not match {len(pts)} points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 
@@ -116,9 +119,6 @@ class PolarizedPolynomial:
         up = u ** np.arange(d + 1)
         vp = v ** np.arange(d + 1)
         return complex(up @ self.coefficients @ vp)
-
-    def diagonal(self, z: complex) -> complex:
-        return self.evaluate(z, complex(z).conjugate())
 
     @property
     def scaled_coefficients(self) -> np.ndarray:
@@ -247,8 +247,7 @@ def _min_separation(pts: np.ndarray) -> float:
     return best
 
 
-def _scattered_fit(samples: DiagonalSampleSet, vals: np.ndarray, degree: int,
-                   svd_cutoff: float):
+def _scattered_fit(samples: DiagonalSampleSet, vals: np.ndarray, degree: int):
     """Zernike coefficients of vals at the sample points by SVD-truncated least squares.
 
     Returns them with the misfit and the design's conditioning.
@@ -258,26 +257,25 @@ def _scattered_fit(samples: DiagonalSampleSet, vals: np.ndarray, degree: int,
     if len(pts) > 1 and _min_separation(pts) < 1e-8 * samples.radius:
         raise FitRankError("insufficient dispersion: near-duplicate sample points")
     design = _zernike_columns((pts - samples.center) / samples.radius, degree)
-    zern, _, rank, sv = np.linalg.lstsq(design, vals, rcond=svd_cutoff)
+    zern, _, rank, sv = np.linalg.lstsq(design, vals, rcond=SVD_CUTOFF)
     if rank < n_coef:
         raise FitRankError(
             f"insufficient samples/dispersion: {n_coef - rank} of {n_coef} "
-            f"directions fall below the SVD cutoff {svd_cutoff:g}"
+            f"directions fall below the SVD cutoff {SVD_CUTOFF:g}"
         )
     residual = float(np.max(np.abs(design @ zern - vals)))
     conditioning = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     return zern, residual, conditioning
 
 
-def polarize_fit(samples: DiagonalSampleSet, degree: int,
-                 svd_cutoff: float = 1e-10) -> PolarizedPolynomial:
+def polarize_fit(samples: DiagonalSampleSet, degree: int) -> PolarizedPolynomial:
     """Fit the diagonal moment system in the Zernike basis of the sample disc.
 
     A ring-grid set (``layout`` with R >= D+1 rings of M >= 2D+1 angles) is
     fitted by its L^2 projection, exact quadrature for every product of two
     basis functions, so the weighted design is orthonormal and
     ``conditioning`` is 1.  Any other set is fitted by least squares,
-    SVD-truncated at ``svd_cutoff``; it raises FitRankError for too few
+    SVD-truncated at ``SVD_CUTOFF``; it raises FitRankError for too few
     samples, clustered samples, or directions lost below the cutoff (the
     count of truncated directions is reported in the message).
     """
@@ -299,7 +297,7 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int,
         zern, residual = _ring_fit(vals.reshape(layout), degree)
         conditioning = 1.0
     else:
-        zern, residual, conditioning = _scattered_fit(samples, vals, degree, svd_cutoff)
+        zern, residual, conditioning = _scattered_fit(samples, vals, degree)
     zern[0] += mean
 
     scale = samples.radius ** -(np.arange(degree + 1)[:, None] + np.arange(degree + 1)[None, :])
@@ -349,12 +347,3 @@ def load_diagonal_csv(path) -> DiagonalSampleSet:
     center = complex(np.mean(pts))
     radius = float(np.max(np.abs(pts - center))) * (1 + 1e-12) or 1.0
     return DiagonalSampleSet(pts, np.asarray(vals), center, radius)
-
-
-def save_diagonal_csv(path, samples: DiagonalSampleSet) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
-        for p, v in zip(samples.points, samples.values):
-            writer.writerow([repr(float(p.real)), repr(float(p.imag)),
-                             repr(float(v.real)), repr(float(v.imag))])

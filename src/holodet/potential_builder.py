@@ -72,8 +72,8 @@ class ProductDomain:
     w_radius: float
 
     @classmethod
-    def of_balls(cls, z_center, z_radius, w_center, w_radius, dim=None):
-        n = dim or np.atleast_1d(np.asarray(z_center)).size
+    def of_balls(cls, z_center, z_radius, w_center, w_radius):
+        n = np.atleast_1d(np.asarray(z_center)).size
         return cls(_as_vec(z_center, n), float(z_radius), _as_vec(w_center, n), float(w_radius))
 
     @property

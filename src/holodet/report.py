@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -26,32 +25,20 @@ class CheckResult:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunReport:
+    """A command's checks; no wall time, so the JSON is byte-identical across runs."""
+
     command: str
-    inputs: dict = field(default_factory=dict)
-    checks: list = field(default_factory=list)
-    wall_time_s: float | None = None
+    checks: list
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def input_hash(self) -> str:
-        blob = json.dumps(self.inputs, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def add(self, check: CheckResult) -> None:
-        self.checks.append(check)
-
-    def extend(self, checks) -> None:
-        self.checks.extend(checks)
-
-    def to_dict(self, include_timing: bool = False) -> dict:
+    def to_json(self) -> str:
         out = {
             "command": self.command,
-            "inputs": self.inputs,
-            "input_hash": self.input_hash(),
             "checks": [
                 {
                     "name": c.name,
@@ -64,14 +51,7 @@ class RunReport:
             ],
             "pass": self.passed,
         }
-        # wall time is intentionally excluded from the deterministic report
-        # (byte-identical across runs); callers may opt in.
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
-
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), indent=2, sort_keys=True, default=str)
+        return json.dumps(out, indent=2, sort_keys=True, default=str)
 
     def summary_lines(self) -> list[str]:
         lines = [c.line() for c in self.checks]

@@ -5,7 +5,7 @@ so the CLI and the test suite share one implementation.  The checks that
 ``torus-det``, ``potential --verify`` and ``extend --check`` print are the
 parameterized functions below, which the suite calls with its own names and
 grids.  All sample geometries are deterministic (fixed grids and a fixed
-seed), so the report is byte-identical across runs at a fixed BLAS thread count.
+seed), so the report is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -53,9 +53,10 @@ _INVARIANCE_WORDS = ("T", "S", "STS", "TTST", "STT")
 # --- parameterized checks, shared by the suite and the CLI -------------------
 
 
-def zeta0_check(r: SpectralDetResult, tol: float = 1e-9, name: str = "zeta0_diagnostic",
+def zeta0_check(r: SpectralDetResult, name: str = "zeta0_diagnostic",
                 detail: str = "") -> CheckResult:
     """|zeta(0) + 1| of a spectral result: a flat torus has no constant heat coefficient."""
+    tol = 1e-9
     res = abs(r.zeta_zero + 1.0)
     return CheckResult(name, res, tol, res <= tol, f"zeta(0)={r.zeta_zero:.12f}{detail}")
 
@@ -109,14 +110,15 @@ def potential_checks(form: ClosedHoloForm, z, w, samples, nodes: int) -> list[Ch
             mixed_derivative_check(form, [(z, w)], nodes)]
 
 
-def _diagonal_grid(n: int):
-    return [complex(x, y) for x in np.linspace(-0.4, 0.4, n) for y in np.linspace(0.8, 2.0, n)]
+#: 5 x 5 grid on [-0.4, 0.4] x [0.8, 2] of the diagonal checks
+_DIAGONAL_GRID = tuple(complex(x, y) for x in np.linspace(-0.4, 0.4, 5)
+                       for y in np.linspace(0.8, 2.0, 5))
 
 
-def diagonal_imag_check(evaluate, n: int = 5, name: str = "diagonal_imag") -> CheckResult:
-    """Worst |Im L(z, zbar)| of an extension over the n x n grid [-0.4, 0.4] x [0.8, 2]."""
+def diagonal_imag_check(evaluate, name: str = "diagonal_imag") -> CheckResult:
+    """Worst |Im L(z, zbar)| of an extension over the diagonal grid."""
     tol = 1e-12
-    worst = max(float(abs(evaluate(ProductPoint.diagonal(z)).imag)) for z in _diagonal_grid(n))
+    worst = max(float(abs(evaluate(ProductPoint.diagonal(z)).imag)) for z in _DIAGONAL_GRID)
     return CheckResult(name, worst, tol, worst <= tol)
 
 
@@ -217,11 +219,11 @@ def _cone_test_pairs(count: int):
     return pairs
 
 
-def check_cone_vs_closed_form(fast: bool = False) -> list[CheckResult]:
+def check_cone_vs_closed_form() -> list[CheckResult]:
     """The pole form (z-w)^{-2} against its explicit potential."""
     form = genus1_pole_form()
     nodes = 64
-    pairs = _cone_test_pairs(4 if fast else 10)
+    pairs = _cone_test_pairs(10)
     assert all(abs(z - w) >= 1.0 for z, w in pairs)
 
     Z, W = np.array(pairs).T
@@ -235,12 +237,10 @@ def check_cone_vs_closed_form(fast: bool = False) -> list[CheckResult]:
     ]
 
 
-def _synthetic_forms(count: int):
+def _synthetic_forms():
     rng = np.random.default_rng(WORD_SEED)
-    dims = [1, 2, 3, 1, 2]
     out = []
-    for k in range(count):
-        n = dims[k % len(dims)]
+    for n in (1, 2, 3, 1, 2):
         g = random_polymap(n, degree=4, n_terms=10, rng=rng)
         dom = ProductDomain.of_balls(np.zeros(n, complex), 1.2, np.zeros(n, complex), 1.2)
         base_z = np.full(n, 0.1 + 0.1j)
@@ -250,11 +250,11 @@ def _synthetic_forms(count: int):
     return out
 
 
-def check_synthetic_form_contracts(fast: bool = False) -> list[CheckResult]:
+def check_synthetic_form_contracts() -> list[CheckResult]:
     """mixed_second_of forms: potential identity, closedness, holomorphy."""
     worst_q = 0.0
     cases = []
-    for g, form in _synthetic_forms(3 if fast else 5):
+    for g, form in _synthetic_forms():
         n = form.dim
         pts = [
             (np.full(n, 0.45 + 0.3j), np.full(n, -0.2 + 0.4j)),
@@ -280,18 +280,12 @@ def check_nonclosed_negative_control() -> list[CheckResult]:
                         closed > 1e-3, "closedness residual must exceed 1e-3 and fail")]
 
 
-def _symmetrizer_grid(count: int):
-    xs = (-0.4, -0.15, 0.1, 0.35)
-    ys = (0.8, 1.1, 1.4, 1.7, 2.0)
-    grid = [complex(x, y) for x in xs for y in ys]
-    return grid[:count]
-
-
-def check_symmetrizer(fast: bool = False) -> list[CheckResult]:
+def check_symmetrizer() -> list[CheckResult]:
     form = genus1_pole_form()
     q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
 
-    grid = np.array(_symmetrizer_grid(8 if fast else 20))
+    grid = np.array([complex(x, y) for x in (-0.4, -0.15, 0.1, 0.35)
+                     for y in (0.8, 1.1, 1.4, 1.7, 2.0)])
     imag_worst = float(np.max(np.abs(q_tilde(grid, grid.conj()).imag)))
 
     z = np.array([1j, 1 + 2j, -0.5 + 1.5j])
@@ -303,15 +297,14 @@ def check_symmetrizer(fast: bool = False) -> list[CheckResult]:
     ]
 
 
-def check_genus1_extension(fast: bool = False) -> list[CheckResult]:
-    n = 3 if fast else 5
+def check_genus1_extension() -> list[CheckResult]:
     consts = [genus1_extension(ProductPoint.diagonal(z)).real - closed_form_log_det(z)
-              for z in _diagonal_grid(n)]
+              for z in _DIAGONAL_GRID]
     const_drift = max(consts) - min(consts)
     mean_const = sum(consts) / len(consts)
     pairs = _cone_test_pairs(4)
     return [
-        diagonal_imag_check(genus1_extension, n, "genus1_diagonal_imag"),
+        diagonal_imag_check(genus1_extension, "genus1_diagonal_imag"),
         CheckResult("genus1_diagonal_constant", const_drift, 1e-9, const_drift <= 1e-9,
                     f"constant {mean_const:.12f}, expected {DIAGONAL_CONSTANT:.12f}"),
         antiholomorphic_check(genus1_extension, pairs, pairs, "genus1_antiholomorphic"),
@@ -386,26 +379,25 @@ def check_polarization_uniqueness() -> list[CheckResult]:
 
 
 CRITERIA = (
-    ("spectral_normalization", check_spectral_normalization, False),
-    ("spectral_modular_invariance", check_spectral_modular_invariance, False),
-    ("cone_vs_closed_form", check_cone_vs_closed_form, True),
-    ("synthetic_form_contracts", check_synthetic_form_contracts, True),
-    ("nonclosed_negative_control", check_nonclosed_negative_control, False),
-    ("symmetrizer", check_symmetrizer, True),
-    ("genus1_extension", check_genus1_extension, True),
-    ("mapping_class_invariance", check_mapping_class_invariance, False),
-    ("pluriharmonic_split", check_pluriharmonic_split, False),
-    ("polarization_uniqueness", check_polarization_uniqueness, False),
+    check_spectral_normalization,
+    check_spectral_modular_invariance,
+    check_cone_vs_closed_form,
+    check_synthetic_form_contracts,
+    check_nonclosed_negative_control,
+    check_symmetrizer,
+    check_genus1_extension,
+    check_mapping_class_invariance,
+    check_pluriharmonic_split,
+    check_polarization_uniqueness,
 )
 
 
-def run_all(fast: bool = False) -> RunReport:
-    """Run every verification group; deterministic for a fixed ``fast`` flag."""
-    report = RunReport(command="verify-all", inputs={"fast": fast})
-    for _, func, takes_fast in CRITERIA:
+def run_all() -> RunReport:
+    """Run every verification group; the report is deterministic."""
+    checks = []
+    for func in CRITERIA:
         try:
-            checks = func(fast) if takes_fast else func()
+            checks.extend(func())
         except HolodetError as exc:  # a crashed group is a failed check
-            checks = [CheckResult(func.__name__, math.inf, 0.0, False, str(exc))]
-        report.extend(checks)
-    return report
+            checks.append(CheckResult(func.__name__, math.inf, 0.0, False, str(exc)))
+    return RunReport("verify-all", checks)

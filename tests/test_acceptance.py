@@ -41,9 +41,9 @@ def report(number, title, checks, elapsed=None, budget=None):
         assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.2f}s)"
 
 
-def timed(func, *args):
+def timed(func):
     t0 = time.perf_counter()
-    out = func(*args)
+    out = func()
     return out, time.perf_counter() - t0
 
 
@@ -59,11 +59,11 @@ class TestAcceptance:
         report(2, "spectral determinant modular invariance", checks, dt, budget=10.0)
 
     def test_criterion_3_cone_potential_vs_closed_form(self):
-        checks, dt = timed(check_cone_vs_closed_form, False)
+        checks, dt = timed(check_cone_vs_closed_form)
         report(3, "cone potential vs explicit potential of (z-w)^-2", checks, dt, budget=2.0)
 
     def test_criterion_4_synthetic_form_contracts(self):
-        checks, dt = timed(check_synthetic_form_contracts, False)
+        checks, dt = timed(check_synthetic_form_contracts)
         report(4, "potential-equation contracts on synthetic forms", checks, dt, budget=5.0)
 
     def test_criterion_5_negative_control(self):
@@ -79,11 +79,11 @@ class TestAcceptance:
         assert cli_ok
 
     def test_criterion_6_symmetrizer(self):
-        checks, dt = timed(check_symmetrizer, False)
+        checks, dt = timed(check_symmetrizer)
         report(6, "symmetrized potential: diagonal realness and curvature", checks, dt)
 
     def test_criterion_7_genus1_extension(self):
-        checks, dt = timed(check_genus1_extension, False)
+        checks, dt = timed(check_genus1_extension)
         report(7, "eta extension: diagonal, constant, holomorphy", checks, dt)
         # the reported constant is -log(2 pi)/2
         z = 0.2 + 1.3j
@@ -116,8 +116,8 @@ class TestAcceptance:
 
     def test_criterion_11_end_to_end_deterministic(self):
         t0 = time.perf_counter()
-        first = run_all(fast=False)
-        second = run_all(fast=False)
+        first = run_all()
+        second = run_all()
         elapsed = time.perf_counter() - t0
         ok = first.passed and second.passed
         identical = first.to_json() == second.to_json() and \

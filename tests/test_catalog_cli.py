@@ -8,7 +8,7 @@ import pytest
 
 from holodet.catalog import CONTRACT_TOLERANCE, builtin_catalog, load_catalog, parse_catalog
 from holodet.errors import HolodetError
-from holodet.polarization import DiagonalSampleSet, save_diagonal_csv
+from holodet.polarization import DiagonalSampleSet
 from holodet.potential_builder import check_closed_and_holomorphic, cone_potential
 from holodet.report import CheckResult, RunReport
 
@@ -96,26 +96,18 @@ class TestCatalog:
 
 class TestReport:
     def test_json_is_deterministic_and_untimed(self):
-        rep = RunReport("verify-all", {"fast": False})
-        rep.add(CheckResult("alpha", 1e-12, 1e-9, True, "note"))
-        rep.wall_time_s = 1.23
-        a = rep.to_json()
-        rep.wall_time_s = 9.87
-        b = rep.to_json()
+        a = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, True, "note")]).to_json()
+        b = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, True, "note")]).to_json()
         assert a == b
         assert "wall_time" not in a
+        assert json.loads(a).keys() == {"command", "checks", "pass"}
         assert json.loads(a)["pass"] is True
-        assert json.loads(rep.to_json(include_timing=True))["wall_time_s"] == 9.87
 
     def test_failure_propagates(self):
-        rep = RunReport("x")
-        rep.add(CheckResult("good", 0.0, 1.0, True))
-        rep.add(CheckResult("bad", 2.0, 1.0, False))
+        rep = RunReport("x", [CheckResult("good", 0.0, 1.0, True),
+                              CheckResult("bad", 2.0, 1.0, False)])
         assert not rep.passed
         assert rep.summary_lines()[-1].startswith("FAIL")
-
-    def test_input_hash_tracks_inputs(self):
-        assert RunReport("c", {"a": 1}).input_hash() != RunReport("c", {"a": 2}).input_hash()
 
 
 class TestCliEta:
@@ -137,10 +129,17 @@ class TestCliEta:
     def test_unparsable_exits_2(self):
         assert run_cli("eta", "--z", "bogus").returncode == 2
 
-    def test_terms_is_not_an_option(self):
-        out = run_cli("eta", "--z", "0,1", "--terms", "5")
-        assert out.returncode == 2
-        assert "unrecognized arguments: --terms 5" in out.stderr
+
+@pytest.mark.parametrize("argv, removed", [
+    (("eta", "--z", "0,1"), ("--terms", "5")),
+    (("verify-all",), ("--fast",)),
+    (("torus-det", "--z", "0,1"), ("--tol", "1e-9")),
+    (("polarize", "--samples", "unused.csv", "--degree", "1"), ("--svd-cutoff", "1e-10")),
+], ids=["eta-terms", "verify-all-fast", "torus-det-tol", "polarize-svd-cutoff"])
+def test_removed_option_exits_2(argv, removed):
+    out = run_cli(*argv, *removed)
+    assert out.returncode == 2
+    assert f"unrecognized arguments: {' '.join(removed)}" in out.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,6 +344,15 @@ class TestCliExtend:
         assert out.returncode == 2
         assert "f_mode" in out.stderr and "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("directive", ["constant", "f_mode"])
+    def test_directive_without_value_exits_2(self, tmp_path, directive):
+        path = tmp_path / "recipe.txt"
+        path.write_text(f"{directive}\n")
+        out = run_cli("extend", "--point", "0,1;0,-1", "--recipe", str(path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and directive in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_other_library_error_exits_1(self, monkeypatch, capsys):
         from holodet import cli
         from holodet.errors import BudgetError
@@ -366,7 +374,9 @@ class TestCliPolarize:
     def make_csv(self, tmp_path, count=30):
         samples = DiagonalSampleSet.from_function(lambda z: abs(z) ** 2, 0, 1.0, count)
         path = tmp_path / "samples.csv"
-        save_diagonal_csv(path, samples)
+        path.write_text("re_z,im_z,re_val,im_val\n" + "".join(
+            f"{p.real!r},{p.imag!r},{v.real!r},{v.imag!r}\n"
+            for p, v in zip(samples.points.tolist(), samples.values.tolist())))
         return path
 
     def test_fit_to_json(self, tmp_path):
@@ -409,22 +419,39 @@ class TestCliPolarize:
 
 
 class TestCliVerifyAll:
-    def test_fast_suite_passes_quickly(self):
+    def test_suite_passes_quickly(self):
         import time
 
         t0 = time.perf_counter()
-        out = run_cli("verify-all", "--fast")
+        out = run_cli("verify-all")
         elapsed = time.perf_counter() - t0
         assert out.returncode == 0
         assert out.stdout.splitlines()[-1].startswith("PASS overall")
         assert "wall time" in out.stderr and "wall time" not in out.stdout
         assert elapsed < 15.0
 
-    def test_fast_suite_deterministic(self, tmp_path):
+    def test_suite_deterministic(self, tmp_path):
         j1, j2 = tmp_path / "a.json", tmp_path / "b.json"
-        a = run_cli("verify-all", "--fast", "--json", str(j1))
-        b = run_cli("verify-all", "--fast", "--json", str(j2))
+        a = run_cli("verify-all", "--json", str(j1))
+        b = run_cli("verify-all", "--json", str(j2))
         assert a.stdout == b.stdout
         assert j1.read_bytes() == j2.read_bytes()
         checks = json.loads(j1.read_text())["checks"]
         assert all(type(c["pass"]) is bool for c in checks)
+
+
+@pytest.mark.parametrize("argv", [
+    ("potential", "--form", "wp_genus1", "--at", "0,2;0,-2", "--grid=-0.4,1.0:0.4,1.0:3",
+     "--out"),
+    ("polarize", "--samples", "{csv}", "--degree", "1", "--out"),
+    ("verify-all", "--json"),
+], ids=["potential-grid", "polarize", "verify-all"])
+def test_unwritable_output_exits_2(tmp_path, argv):
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("re_z,im_z,re_val,im_val\n0.1,0,0.01,0\n0,0.2,0.04,0\n"
+                        "-0.3,0,0.09,0\n0,-0.1,0.01,0\n0.2,0.2,0.08,0\n")
+    target = tmp_path / "missing" / "out.txt"
+    out = run_cli(*(a.format(csv=csv_path) for a in argv), str(target))
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+    assert str(target) in out.stderr

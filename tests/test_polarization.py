@@ -19,7 +19,6 @@ from holodet.polarization import (
     disc_samples,
     load_diagonal_csv,
     polarize_fit,
-    save_diagonal_csv,
     uniqueness_residual,
 )
 
@@ -55,8 +54,12 @@ class TestFitBasics:
             polarize_fit(s, 2)
 
     def test_points_outside_disc_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             DiagonalSampleSet(np.array([2.0 + 0j]), np.array([0j]), 0, 1.0)
+
+    def test_non_finite_difference_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="finite"):
+            uniqueness_residual(lambda z, w: float("nan"), lambda z, w: 0.0, 0, 1.0, 3)
 
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=100))
     @settings(max_examples=25, deadline=None)
@@ -74,7 +77,8 @@ class TestFitBasics:
         s = DiagonalSampleSet.from_function(phi, 0.2 - 0.1j, 1.3, 2 * (degree + 1) ** 2)
         fit = polarize_fit(s, degree)
         probe = 0.2 - 0.1j + 0.9 * cmath.exp(0.7j)
-        assert abs(fit.diagonal(probe) - phi(probe)) < 1e-9 * max(1.0, abs(phi(probe)))
+        value = fit.evaluate(probe, probe.conjugate())
+        assert abs(value - phi(probe)) < 1e-9 * max(1.0, abs(phi(probe)))
 
     def test_degree_stability(self):
         f = lambda z: cmath.exp(z).real + 0.3 * abs(z) ** 2
@@ -282,7 +286,9 @@ class TestCsv:
     def test_roundtrip(self, tmp_path):
         s = DiagonalSampleSet.from_function(lambda z: z * np.conj(z) + 1j, 0.5j, 0.4, 25)
         path = tmp_path / "diag.csv"
-        save_diagonal_csv(path, s)
+        path.write_text("re_z,im_z,re_val,im_val\n" + "".join(
+            f"{p.real!r},{p.imag!r},{v.real!r},{v.imag!r}\n"
+            for p, v in zip(s.points.tolist(), s.values.tolist())))
         loaded = load_diagonal_csv(path)
         assert np.allclose(loaded.points, s.points)
         assert np.allclose(loaded.values, s.values)

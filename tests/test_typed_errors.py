@@ -21,7 +21,6 @@ PARSERS = {
     ("cli", "parse_point_pair"),
     ("cli", "_parse_recipe_file"),
     ("polarization", "load_diagonal_csv"),
-    ("polarization", "DiagonalSampleSet.__post_init__"),
 }
 
 

@@ -46,9 +46,9 @@ from .potential_builder import (
     verify_mixed_derivative,
 )
 from .special_functions import (
-    canonical_modulus,
     eta,
     log_eta,
+    reduce,
 )
 from .torus_spectral import (
     SpectralDetResult,

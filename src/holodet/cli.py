@@ -121,8 +121,10 @@ def _print_checks(checks) -> bool:
 def cmd_eta(args) -> int:
     try:
         value = (log_eta if args.log else eta)(args.z)
-    except HolodetError as exc:
+    except DomainError as exc:
         return _error(exc, EXIT_BAD_INPUT)
+    except HolodetError as exc:
+        return _error(exc, EXIT_CHECK_FAILED)
     print(fmt(value))
     return EXIT_OK
 

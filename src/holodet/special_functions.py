@@ -8,16 +8,16 @@ Conventions used throughout the library:
 * eta(z) = q^(1/24) * prod_{n>=1} (1 - q^n), with q^(1/24) read as
   exp(pi*i*z/12).
 
-There is one eta path.  ``log_eta`` sums the canonical series
+There is one reduction, ``reduce``, and one eta path, ``log_eta``: the
+canonical branch pi*i*z/12 + sum_n Log(1 - q^n), analytic on all of H, read
+at the reduced point z_c = gamma z by the transformation law (Apostol,
+*Modular Functions and Dirichlet Series*, Thm 3.4), for c > 0
 
-    pi*i*z/12 + sum_{n>=1} Log(1 - q^n),
+    log eta(z) = Log P(q) - pi i/(12 c u) - Log(-i u)/2 + pi i (s(d, c) - d/(12 c)),
 
-which is the analytic branch of log(eta) on all of H: every factor 1 - q^n
-has positive real part because |q^n| < 1, so each principal Log is safe.
-Below Im(z) = 1/2 it first moves the argument with the exact laws of that
-branch, log eta(z + 1) = log eta(z) + pi*i/12 and
-log eta(-1/z) = log eta(z) + Log(-i z)/2; from there |q| <= e^(-pi) and
-12 terms reach a relative tail of 1e-15.  ``eta`` is exp(log_eta), and
+with u = c z + d, q = exp(2 pi i z_c), s the Dedekind sum and P(q) = 1 - q -
+q^2 + q^5 + q^7 Euler's pentagonal series, which drops less than
+|q|^12 < 1e-28 at Im z_c >= sqrt(3)/2.  ``eta`` is exp(log_eta), and
 ``closed_form_log_det`` in ``torus_spectral`` uses 2 Re log_eta, so neither
 underflows near a cusp.
 """
@@ -29,18 +29,7 @@ import math
 
 from .errors import BudgetError, DomainError
 
-TWO_PI = 2.0 * math.pi
-
-#: Below this height log_eta reduces first; above it |q| <= e^(-pi).
-_REDUCE_HEIGHT = 0.5
-
-#: Cap on reduction passes in log_eta; unreachable (see the loop there).
-_MAX_REDUCTIONS = 600
-
-#: log_eta sums N = ceil(_ETA_TERMS_HEIGHT / Im z) terms after its reduction.
-#: The dropped tail obeys sum_{n>N} |Log(1 - q^n)| <= 2|q|^(N+1) / (1 - |q|),
-#: and this N makes that at most 1e-15 for every |q| <= e^(-pi).
-_ETA_TERMS_HEIGHT = math.log(2.0 / (1e-15 * (1.0 - math.exp(-math.pi)))) / TWO_PI
+_TWO_PI_I, _PI_I_12 = 2j * math.pi, 1j * math.pi / 12.0
 
 
 def require_upper_half(z: complex, what: str = "z") -> complex:
@@ -53,58 +42,75 @@ def require_upper_half(z: complex, what: str = "z") -> complex:
     return z
 
 
-def canonical_modulus(z: complex) -> complex:
-    """Reduce z in H to the standard fundamental domain |Re| <= 1/2, |z| >= 1.
+def reduce(z: complex):
+    """((a, b, c, d), u, z_c): gamma in SL(2, Z) with c > 0 (or c = 0, d = 1), u = c z + d.
 
-    Uses only the exact lattice moves z -> z - k and z -> -1/z, so the
-    associated torus is unchanged up to isometry class of its similarity
-    orbit.  The loop terminates because each inversion strictly increases
-    Im(z) while |z| < 1.
+    z_c = gamma z lies in F (|Re| <= 1/2, |z| >= 1).  Each move z -> -1/z is
+    multiplied into gamma and followed by one map of z itself, with Re u =
+    c x + d rounded once, so every z -> z - k is chosen at a point within a
+    few ulps of the exact image.  BudgetError once c reaches 2^26 or z_c
+    overflows (below height ~1e-15).
     """
     z = require_upper_half(z)
-    for _ in range(256):
-        k = math.floor(z.real + 0.5)
-        if k:
-            z = z - k
-        if abs(z) < 1.0 - 1e-15:
-            z = -1.0 / z
-        else:
-            return z
-    return z  # within float noise of the |z| = 1 boundary
+    shift = math.floor(z.real + 0.5)
+    w = z - shift  # exact
+    x = w.real
+    a, b, c, d, u = 1, 0, 0, 1, 1 + 0j  # the moves so far, acting on z - shift
+    for _ in range(600):  # each pass lifts Im w; ~550 lift 5e-324 into F
+        if c:
+            if c < 0:
+                a, b, c, d = -a, -b, -c, -d
+            hi = 134217729.0 * x  # Dekker's split: c hi and c (x - hi) are exact for c < 2^26
+            hi -= hi - x
+            u = complex((c * hi + d) + c * (x - hi), c * z.imag)
+            w = a % c / c - 1.0 / (c * u)  # a cancels from z_c = a/c - 1/(c u)
+            if not (c < 1 << 26 and cmath.isfinite(w)):
+                raise BudgetError(f"modular reduction of {z!r} needs c >= 2^26 or overflows")
+            k = math.floor(w.real + 0.5)
+            w -= k
+            a = a % c - k * c
+            b = (a * d - 1) // c
+        if abs(w) >= 1.0 - 1e-12:  # in F up to rounding
+            return (a, b - a * shift, c, d - c * shift), u, w
+        w = -1.0 / w
+        a, b, c, d = -c, -d, a, b
+    raise BudgetError("modular reduction did not converge")
+
+
+def dedekind_sum(d: int, c: int) -> int:
+    """12 c s(d, c), an integer, for c > 0 and gcd(d, c) = 1; s is the Dedekind sum.
+
+    Reciprocity, s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4, run along
+    Euclid on (c, h = d mod c) telescopes to h + t + c (k_0 - k_1 + ... - 3 [n odd])
+    over the n quotients k_j, with t h = 1 mod c the Bezout coefficient.
+    """
+    h = d % c
+    r0, r1, t0, t1, alternating, sign = c, h, 0, 1, 0, 1
+    while r1:
+        k = r0 // r1
+        alternating += sign * k
+        sign = -sign
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return h + t0 + c * (alternating - 3 * (sign < 0))
 
 
 def log_eta(z: complex) -> complex:
-    """Canonical branch of log(eta) on H.
+    """Canonical branch of log(eta) on H, read at ``reduce``'s z_c (see the module docstring).
 
-    Sums pi*i*z/12 + sum_n Log(1 - q^n) with the principal Log per term;
-    each 1 - q^n has positive real part since |q^n| < 1.  This branch is
-    analytic on all of H and satisfies exp(log_eta(z)) = eta(z).
-
-    The argument is first moved to Im(z) >= 1/2 by the exact laws
-    log_eta(z + 1) = log_eta(z) + pi*i/12 and
-    log_eta(-1/z) = log_eta(z) + Log(-i z)/2, and the series is truncated
-    so the dropped tail is below 1e-15 (see ``_ETA_TERMS_HEIGHT``).
+    For c = 0 it is pi i z/12 + Log P(q).  BudgetError if ``reduce`` or the value overflows.
     """
-    z = require_upper_half(z)
-    shift = 0j
-    # each pass divides Im(z) by |z|^2 <= 1/4 + Im(z)^2: by more than 3.9
-    # below 0.05, which a subnormal height reaches within 545 passes,
-    # and by at least 2 from there to 1/2, which takes 4 more
-    for _ in range(_MAX_REDUCTIONS):
-        if z.imag >= _REDUCE_HEIGHT:
-            break
-        k = math.floor(z.real + 0.5)
-        z -= k
-        shift += 1j * math.pi * k / 12.0 - 0.5 * cmath.log(-1j * z)
-        z = -1.0 / z
+    (a, b, c, d), u, zc = reduce(z)
+    q = cmath.exp(_TWO_PI_I * zc)
+    q2 = q * q
+    value = cmath.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2))
+    if c == 0:
+        value += _PI_I_12 * (zc - b)  # zc - b = z exactly
     else:
-        raise BudgetError("modular reduction did not converge")
-    q = cmath.exp(2j * math.pi * z)
-    total, qn = 0j, 1.0 + 0j
-    for _ in range(math.ceil(_ETA_TERMS_HEIGHT / z.imag)):
-        qn *= q
-        total += cmath.log(1.0 - qn)
-    return 1j * math.pi * z / 12.0 + total + shift
+        phase = (dedekind_sum(d, c) - d) / c if c > 1 else -d  # s(d, 1) = 0
+        value += _PI_I_12 * (phase - 1.0 / (c * u)) - 0.5 * cmath.log(-1j * u)
+    if not cmath.isfinite(value):
+        raise BudgetError(f"log_eta({z!r}) overflows")
+    return value
 
 
 def eta(z: complex) -> complex:

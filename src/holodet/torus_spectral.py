@@ -11,7 +11,7 @@ with the zero mode at (0,0).
 method: Gamma(s) zeta(s) = int_0^s0 t^{s-1} (Theta(t) - 1) dt + int_{s0}^inf,
 with the divergent small-t part (A/4pi t - 1) integrated in closed form and
 the exponentially small remainders integrated numerically on a log grid.
-The modulus is first reduced to the standard fundamental domain; the unit
+The modulus is first reduced to the fundamental domain by ``reduce``; the unit
 translation and the inversion z -> -1/z act on the lattice by similarities,
 and the determinant is reported for the canonical representative so that the
 result is invariant under both generators.  One routine, ``_theta_sums``,
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BudgetError
-from .special_functions import canonical_modulus, log_eta, require_upper_half
+from .special_functions import log_eta, reduce, require_upper_half
 
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 
@@ -81,7 +81,7 @@ def _box(a: np.ndarray, first: np.ndarray, coef: np.ndarray, target, cap: int):
 def _theta_sums(z: complex, ts, poisson: bool):
     """Theta(t) less its origin term at every t of ``ts``, with tail bounds.
 
-    z must satisfy |Re z| <= 1/2, as ``canonical_modulus`` output does.
+    z must satisfy |Re z| <= 1/2, as the z_c of ``reduce`` does.
 
     Direct: Theta(t) - 1; Poisson (``poisson``): Theta(t) - A/(4 pi t).  Both
     sum Theta(t) = amp sum_{m,k} g_m g_k cos(2 pi k m x), amp = y/sqrt(4 pi t),
@@ -157,7 +157,7 @@ def zeta_log_det(z: complex) -> SpectralDetResult:
     coefficient numerically, so it carries real information about the
     pipeline (it must come out as -1 + O(tail)).
     """
-    zc = canonical_modulus(z)
+    zc = reduce(z)[2]
     y = zc.imag
     s0 = SPLIT_TIME
     # the shortest lattice vector of a fundamental-domain modulus has length 1

@@ -130,6 +130,16 @@ class TestCliEta:
         assert run_cli("eta", "--z", "bogus").returncode == 2
 
 
+@pytest.mark.parametrize("argv", [("eta", "--log", "--z=0.3,1e-300"), ("eta", "--z=0,5e-324"),
+                                  ("torus-det", "--z=0,1e-310")])
+def test_below_the_reach_of_the_reduction_exits_1(argv):
+    # a BudgetError from the modular reduction, not a nan or a traceback
+    out = run_cli(*argv)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+    assert "nan" not in out.stdout
+
+
 @pytest.mark.parametrize("argv, removed", [
     (("eta", "--z", "0,1"), ("--terms", "5")),
     (("verify-all",), ("--fast",)),

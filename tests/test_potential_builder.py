@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holodet.potential_builder as potential_builder
@@ -249,6 +249,8 @@ class TestBatchedCells:
     @given(k=st.sampled_from([2, 3, 4]), gap=st.floats(0.35, 6.0), low=st.floats(0.0, 1.0),
            x=st.floats(-0.3, 0.3), half=st.floats(0.05, 0.4), phase=st.floats(0.0, 1.0),
            bz=st.floats(0.8, 1.5), bw=st.floats(0.8, 1.5))
+    # a target at the base point z0, where the exact value is 0
+    @example(k=2, gap=0.95, low=0.0, x=0.05, half=0.05, phase=0.0, bz=0.8, bw=1.0)
     def test_adaptive_orders_match_a_fixed_64_rule_and_the_closed_form(
             self, k, gap, low, x, half, phase, bz, bw):
         c = 2.0 * cmath.exp(2j * math.pi * phase)
@@ -263,8 +265,9 @@ class TestBatchedCells:
         F = _integrand(form, (Z - z0)[:, None], (W - w0)[:, None], S, S)
         fixed = (F * np.outer(ws, ws)).sum(axis=(1, 2))
         exact = pole_power_closed_form(c, k, Z, W, z0, w0)
-        assert np.all(np.abs(res.values - fixed) <= 1e-12 * np.abs(exact))
-        assert np.all(np.abs(res.values - exact) <= 1e-12 * np.abs(exact))
+        # the closed form's four logs round at about 1e-16 absolute
+        assert np.all(np.abs(res.values - fixed) <= 1e-12 * np.abs(exact) + 1e-14)
+        assert np.all(np.abs(res.values - exact) <= 1e-12 * np.abs(exact) + 1e-14)
         assert np.all(res.orders <= 64)
 
     @pytest.mark.parametrize("Z, W", [([[2j, 1j]], [-2j]), (2j, -2j), ([2j, 1j], [-2j]),

@@ -1,17 +1,18 @@
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holodet.errors import DomainError
+from holodet.errors import BudgetError, DomainError
 from holodet.special_functions import (
-    canonical_modulus,
+    dedekind_sum,
     eta,
     log_eta,
+    reduce,
 )
 
 mp.mp.dps = 40
@@ -72,15 +73,18 @@ class TestEta:
         with pytest.raises(DomainError):
             eta(0.5 + 0j)
 
-    def test_reduced_term_count_meets_tail_bound(self):
-        # log_eta's count after reduction, N = ceil(c / Im z), makes the tail
-        # bound 2|q|^(N+1) / (1 - |q|) at most 1e-15 at every height >= 1/2
-        from holodet.special_functions import _ETA_TERMS_HEIGHT
-
-        for y in np.linspace(0.5, 10.5, 20_000):
-            absq = math.exp(-2 * math.pi * y)
-            n = math.ceil(_ETA_TERMS_HEIGHT / y)
-            assert 2 * absq ** (n + 1) / (1 - absq) <= 1e-15, y
+    def test_five_term_series_matches_the_product_in_f(self):
+        # log_eta sums 1 - q - q^2 + q^5 + q^7 at the reduced point; in F,
+        # Im z >= sqrt(3)/2, the rest of the product is below |q|^12 < 1e-28
+        corner = complex(-0.5, math.sqrt(3) / 2)
+        for z in [corner, 1j] + [z for z in GRID if abs(z) >= 1]:
+            assert reduce(z) == ((1, 0, 0, 1), 1, z)
+            zm = mp.mpc(z.real, z.imag)
+            q = mp.expjpi(2 * zm)
+            product = mp.fprod(1 - q ** k for k in range(1, 400))
+            assert abs(1 - q - q ** 2 + q ** 5 + q ** 7 - product) < 1e-28
+            ref = complex(1j * mp.pi * zm / 12 + mp.log(product))
+            assert abs(log_eta(z) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("z", [complex("nan+1j"), complex(0, math.inf),
                                    complex(math.inf, 1), complex(-math.inf, 1),
@@ -206,19 +210,67 @@ class TestNearRationals:
             value = log_eta(z)
             ref = log_eta_pentagonal(z)
             ref += 2j * math.pi * round((value.imag - ref.imag) / (2 * math.pi))
-            # near p/q one rounding of z (relative 2^-52) moves log eta by up
-            # to about 2^-52 |z| / Im z relative; the reduction pays it once
-            rel = 1e-13 + 4 * 2.0 ** -52 * abs(z) / z.imag
-            assert abs(value - ref) <= rel * abs(ref)
+            # every map starts from z itself, with c z + d rounded once: no loss near p/q
+            assert abs(value - ref) <= 1e-14 * abs(ref)
 
 
-class TestCanonicalModulus:
+def exact_image(gamma, z):
+    """gamma z in exact rationals, for the float z as given."""
+    a, b, c, d = gamma
+    x, y = Fraction(z.real), Fraction(z.imag)
+    den = (c * x + d) ** 2 + (c * y) ** 2
+    return ((a * x + b) * (c * x + d) + a * c * y * y) / den, y / den
+
+
+class TestReduce:
     def test_fixed_points(self):
         for z in (1j, 2j, 0.3 + 1.1j):
-            assert canonical_modulus(z) == z
+            assert reduce(z) == ((1, 0, 0, 1), 1, z)
 
     def test_orbit_collapse(self):
         z = 0.3 + 1.1j
         for w in (z + 3, -1 / z, -1 / (z - 1) + 2):
-            c = canonical_modulus(w)
-            assert abs(c - z) < 1e-12
+            _, _, zc = reduce(w)
+            assert abs(zc - z) < 1e-12
+
+    @given(st.one_of(near_rationals().map(lambda pair: pair[1]),
+                     st.builds(complex, st.floats(-1e6, 1e6),
+                               st.floats(-15, 1).map(lambda e: 10.0 ** e))))
+    @example(complex(-2.704289281130843, 2.2204971052921466e-15))  # float moves alone miss F
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_exact_rational_image(self, z):
+        (a, b, c, d), u, zc = reduce(z)
+        assert a * d - b * c == 1 and (c > 0 or (c, d) == (0, 1))
+        assert abs(zc.real) <= 0.5 and abs(zc) >= 1 - 1e-12
+        re, im = exact_image((a, b, c, d), z)
+        # a few ulps of the two terms of z_c = a/c - 1/(c u), a taken mod c
+        ulps = 4 * 2.0 ** -53 * (abs(zc) + (1 / abs(c * u) if c else 0))
+        assert abs(Fraction(zc.real) - re) <= ulps and abs(Fraction(zc.imag) - im) <= ulps
+        assert abs(u - (c * z + d)) <= 4 * 2.0 ** -53 * (c * abs(z) + abs(d))
+
+    @pytest.mark.parametrize("z", [0.3 + 1e-300j, 5e-324j, 1e-310j, complex(1e-310, 1e-320)])
+    def test_below_its_reach_is_a_budget_error(self, z):
+        # c reaches 2^26 (0.3 + 1e-300j) or z_c overflows: never NaN, inf or OverflowError
+        from holodet.torus_spectral import closed_form_log_det
+
+        for func in (reduce, log_eta, eta, closed_form_log_det):
+            with pytest.raises(BudgetError):
+                func(z)
+
+    def test_tiny_height_at_a_cusp_is_finite(self):
+        value = log_eta(1e-300j)
+        assert cmath.isfinite(value)
+        assert abs(value.real - (-math.pi / 12e-300 + 0.5 * math.log(1e300))) < 1e-15 * 1e299
+
+
+def dedekind_definition(d, c):
+    def saw(x):
+        return Fraction(0) if x.denominator == 1 else x - math.floor(x) - Fraction(1, 2)
+    return sum(saw(Fraction(r, c)) * saw(Fraction(d * r, c)) for r in range(1, c))
+
+
+def test_dedekind_sum_matches_its_definition():
+    for c in range(1, 30):
+        for d in range(-2 * c, 2 * c):
+            if math.gcd(d, c) == 1:
+                assert dedekind_sum(d, c) == 12 * c * dedekind_definition(d, c), (d, c)

@@ -28,7 +28,6 @@ from .extension import (
     modular_invariance_check,
     pluriharmonic_split,
     symmetrized_evaluator,
-    wp_form_genus1,
 )
 from .polarization import (
     DiagonalSampleSet,

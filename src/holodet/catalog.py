@@ -84,9 +84,9 @@ class FormCatalogEntry:
             np.asarray(self.domain_w_center, dtype=complex), self.domain_w_radius,
         )
 
-    def build(self, validate: bool | None = None) -> ClosedHoloForm:
-        """Materialize the evaluator.  Polynomial entries are checked for
-        closedness and holomorphy by default (they are the only kind that can
+    def build(self, validate: bool = True) -> ClosedHoloForm:
+        """Materialize the evaluator.  With ``validate``, polynomial entries are
+        checked for closedness and holomorphy (they are the only kind that can
         silently violate the contracts); pass validate=False to build a
         negative control."""
         dom = self.domain()
@@ -130,9 +130,7 @@ class FormCatalogEntry:
         form = ClosedHoloForm(self.dim, coeff, np.asarray(self.base_z, dtype=complex),
                               np.asarray(self.base_w, dtype=complex), dom,
                               pole_clearance=clearance)
-        if validate is None:
-            validate = self.kind == "polynomial"
-        if validate:
+        if validate and self.kind == "polynomial":
             closed, anti = check_closed_and_holomorphic(form, self.validation_samples())
             if not (closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE):
                 raise HolodetError(
@@ -141,16 +139,16 @@ class FormCatalogEntry:
                 )
         return form
 
-    def validation_samples(self, count: int = 3):
-        """Deterministic interior sample pairs for contract checks."""
+    def validation_samples(self):
+        """Three deterministic interior sample pairs for contract checks."""
         zc = np.asarray(self.domain_z_center, dtype=complex)
         wc = np.asarray(self.domain_w_center, dtype=complex)
         bz = np.asarray(self.base_z, dtype=complex)
         bw = np.asarray(self.base_w, dtype=complex)
         out = []
-        for k in range(count):
-            s = 0.25 + 0.2 * k / max(count - 1, 1)
-            phase = np.exp(2j * np.pi * (k + 1) / (count + 2))
+        for k in range(3):
+            s = 0.25 + 0.1 * k
+            phase = np.exp(2j * np.pi * (k + 1) / 5)
             out.append((
                 bz + s * (zc - bz) + 0.15 * self.domain_z_radius * phase * np.ones_like(bz),
                 bw + s * (wc - bw) + 0.15 * self.domain_w_radius * np.conj(phase) * np.ones_like(bw),

@@ -13,8 +13,9 @@ polarize    fit diagonal CSV samples to a polarized polynomial (JSON out)
 verify-all  the verification suite
 
 Conventions: complex numbers on the command line are ``re,im``; product
-points are ``z;w``.  Exit codes: 0 success, 1 verification failure,
-2 input/configuration error (an output file that cannot be written is one).
+points are ``z;w``.  Exit codes: 0 success, 1 verification failure or any
+other library error, 2 input/configuration error (any DomainError; an output
+file that cannot be written is one).
 Reports are byte-deterministic for fixed inputs; wall-clock timing goes to
 stderr only.
 """
@@ -30,7 +31,7 @@ import time
 import numpy as np
 
 from .catalog import builtin_catalog, load_catalog
-from .errors import DomainError, FitRankError, HolodetError
+from .errors import DomainError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
 from .potential_builder import FIRST_ORDER, cone_potential, cone_potentials
@@ -119,13 +120,7 @@ def _print_checks(checks) -> bool:
 
 
 def cmd_eta(args) -> int:
-    try:
-        value = (log_eta if args.log else eta)(args.z)
-    except DomainError as exc:
-        return _error(exc, EXIT_BAD_INPUT)
-    except HolodetError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
-    print(fmt(value))
+    print(fmt((log_eta if args.log else eta)(args.z)))
     return EXIT_OK
 
 
@@ -133,16 +128,11 @@ def cmd_eta(args) -> int:
 
 
 def cmd_torus_det(args) -> int:
-    try:
-        if args.method in ("closed-form", "both"):
-            print(f"closed_form_log_det={fmt(closed_form_log_det(args.z))}")
-        if args.method == "closed-form":
-            return EXIT_OK
-        r = zeta_log_det(args.z)
-    except DomainError as exc:
-        return _error(exc, EXIT_BAD_INPUT)
-    except HolodetError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
+    if args.method in ("closed-form", "both"):
+        print(f"closed_form_log_det={fmt(closed_form_log_det(args.z))}")
+    if args.method == "closed-form":
+        return EXIT_OK
+    r = zeta_log_det(args.z)
     print(f"spectral_log_det={fmt(r.log_det)}")
     print(f"tail_bound={r.tail_bound:.6e}")
     check = zeta0_check(r)
@@ -175,28 +165,17 @@ def cmd_potential(args) -> int:
     if z.size != entry.dim:
         return _error(f"form {entry.name!r} needs points in C^{entry.dim}, "
                       f"got {z.size} coordinate(s)", EXIT_BAD_INPUT)
-    try:
-        # without --verify, polynomial entries must pass their contract check
-        form = entry.build(validate=False if args.verify else None)
-    except DomainError as exc:
-        return _error(exc, EXIT_BAD_INPUT)
-    except HolodetError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
+    # without --verify, polynomial entries must pass their contract check
+    form = entry.build(validate=not args.verify)
 
     if args.verify:
         samples = [(z, w)] + list(entry.validation_samples())
         if not _print_checks(potential_checks(form, z, w, samples, args.nodes)):
             return EXIT_CHECK_FAILED
 
-    try:
-        if args.grid:
-            return _emit_grid(args, form, z, w)
-        q = cone_potential(form, z, w, args.nodes)
-    except DomainError as exc:
-        return _error(exc, EXIT_BAD_INPUT)
-    except HolodetError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
-    print(f"q={fmt(q)}")
+    if args.grid:
+        return _emit_grid(args, form, z, w)
+    print(f"q={fmt(cone_potential(form, z, w, args.nodes))}")
     return EXIT_OK
 
 
@@ -240,26 +219,20 @@ def cmd_extend(args) -> int:
     zb, wb = args.point
     if len(zb) != 1:
         return _error("extend works on the genus-1 model; give scalar z;w", EXIT_BAD_INPUT)
-    try:
-        point = ProductPoint(zb[0], wb[0])
-        if args.recipe:
-            try:
-                recipe = _parse_recipe_file(args.recipe)
-            except (OSError, ValueError) as exc:
-                return _error(exc, EXIT_BAD_INPUT)
-            evaluate = lambda p: assemble_extension(recipe, p)
-        else:
-            evaluate = genus1_extension
-        if not args.check:
-            print(fmt(evaluate(point)))
-            return EXIT_OK
-        checks = extend_checks(evaluate, point, args.check)
-        value = evaluate(point)
-    except DomainError as exc:
-        return _error(exc, EXIT_BAD_INPUT)
-    except HolodetError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
-    print(f"value={fmt(value)}")
+    point = ProductPoint(zb[0], wb[0])
+    if args.recipe:
+        try:
+            recipe = _parse_recipe_file(args.recipe)
+        except (OSError, ValueError) as exc:
+            return _error(exc, EXIT_BAD_INPUT)
+        evaluate = lambda p: assemble_extension(recipe, p)
+    else:
+        evaluate = genus1_extension
+    if not args.check:
+        print(fmt(evaluate(point)))
+        return EXIT_OK
+    checks = extend_checks(evaluate, point, args.check)
+    print(f"value={fmt(evaluate(point))}")
     return EXIT_OK if _print_checks(checks) else EXIT_CHECK_FAILED
 
 
@@ -269,12 +242,9 @@ def cmd_extend(args) -> int:
 def cmd_polarize(args) -> int:
     try:
         samples = load_diagonal_csv(args.samples)
-    except (OSError, ValueError, KeyError, DomainError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         return _error(f"malformed samples CSV: {exc}", EXIT_BAD_INPUT)
-    try:
-        fit = polarize_fit(samples, args.degree)
-    except FitRankError as exc:
-        return _error(exc, EXIT_CHECK_FAILED)
+    fit = polarize_fit(samples, args.degree)
     payload = {
         "degree": fit.degree,
         "center": [fit.center.real, fit.center.imag],
@@ -360,8 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place a library error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DomainError as exc:
+        return _error(exc, EXIT_BAD_INPUT)
+    except HolodetError as exc:
+        return _error(exc, EXIT_CHECK_FAILED)
 
 
 if __name__ == "__main__":

@@ -58,27 +58,21 @@ SPLIT_MAX_SAMPLES = 4096
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
-    """A point (z, w) of the complexified model H x Hbar.
+    """A point (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w)."""
 
-    For scalar entries the genus-1 model constraints are enforced: both
-    finite and Im(z) > 0 > Im(w) (hence z != w).  Array entries are passed
-    through for synthetic higher-genus recipes.
-    """
-
-    z: complex | np.ndarray
-    w: complex | np.ndarray
+    z: complex
+    w: complex
 
     def __post_init__(self):
-        if np.isscalar(self.z) or isinstance(self.z, complex):
-            z, w = complex(self.z), complex(self.w)
-            if not (cmath.isfinite(z) and cmath.isfinite(w)):
-                raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
-            if not z.imag > 0.0:
-                raise DomainError(f"Im(z) must be positive, got {z!r}")
-            if not w.imag < 0.0:
-                raise DomainError(f"Im(w) must be negative, got {w!r}")
-            object.__setattr__(self, "z", z)
-            object.__setattr__(self, "w", w)
+        z, w = complex(self.z), complex(self.w)
+        if not (cmath.isfinite(z) and cmath.isfinite(w)):
+            raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
+        if not z.imag > 0.0:
+            raise DomainError(f"Im(z) must be positive, got {z!r}")
+        if not w.imag < 0.0:
+            raise DomainError(f"Im(w) must be negative, got {w!r}")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "w", w)
 
     @classmethod
     def diagonal(cls, z: complex) -> "ProductPoint":
@@ -101,14 +95,6 @@ def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
         return (0.5 * (halves[:z.size] + halves[z.size:].conj())).reshape(z.shape)[()]
 
     return q_tilde
-
-
-def wp_form_genus1(z: complex) -> complex:
-    """Coefficient of the genus-1 Weil-Petersson form: -i (z - zbar)^{-2}."""
-    z = complex(z)
-    if not (cmath.isfinite(z) and z.imag > 0.0):
-        raise DomainError(f"z must be finite with Im(z) > 0, got {z!r}")
-    return -1j * (z - z.conjugate()) ** -2
 
 
 def genus1_pole_form() -> ClosedHoloForm:
@@ -230,8 +216,7 @@ def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
 
 def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint) -> complex:
     """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar))."""
-    z, w = point.z, point.w
-    wbar = np.conj(w)
+    z, w, wbar = point.z, point.w, point.w.conjugate()
     value = recipe.genus_constant * recipe.q_tilde(z, w) if recipe.genus_constant != 0 else 0.0
     value = value + _log_det_term(recipe, z, wbar)
     value = value + recipe.f(z) + np.conj(recipe.f(wbar))
@@ -245,7 +230,7 @@ def genus1_extension(point: ProductPoint) -> complex:
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
     """
-    z, w = complex(point.z), complex(point.w)
+    z, w = point.z, point.w
     u = -1j * math.pi * (z - w)
     if not u.real > 0.0:
         raise DomainError("(z, w) outside the model domain: -pi i (z - w) left the right half plane")
@@ -280,21 +265,19 @@ def apply_mobius(mat: np.ndarray, z: complex) -> complex:
 @dataclass(frozen=True)
 class InvarianceResult:
     relative_residual: float
-    l_difference: complex
     l_difference_mod: complex  # raw difference reduced mod 2*pi*i/24
 
 
-def modular_invariance_check(point: ProductPoint, generator) -> InvarianceResult:
-    """Invariance of exp(24 * genus1_extension) under a diagonal modular word.
+def modular_invariance_check(point: ProductPoint, word: str) -> InvarianceResult:
+    """Invariance of exp(24 * genus1_extension) under a diagonal modular word over {"T", "S"}.
 
-    ``generator`` is a word over {"T", "S"} or an explicit integer matrix.
     The 24th exponential G = (-pi i (z-w))^12 * eta(z)^24 * conj(eta(wbar))^24
     is exactly invariant (the weight-12 cocycles of the two factors cancel
     against the (z-w)^12 term), so the relative residual is branch-free; it
     is evaluated stably as |exp(24 (L' - L)) - 1|.  The raw difference
     L' - L reduced mod 2*pi*i/24 is reported alongside.
     """
-    mat = word_to_matrix(generator) if isinstance(generator, str) else np.asarray(generator)
+    mat = word_to_matrix(word)
     moved = ProductPoint(apply_mobius(mat, point.z), apply_mobius(mat, point.w))
     l_base = genus1_extension(point)
     l_moved = genus1_extension(moved)
@@ -302,7 +285,7 @@ def modular_invariance_check(point: ProductPoint, generator) -> InvarianceResult
     rel = abs(cmath.exp(24.0 * delta) - 1.0)
     step = TWO_PI / 24.0
     delta_mod = complex(delta.real, delta.imag - step * round(delta.imag / step))
-    return InvarianceResult(rel, delta, delta_mod)
+    return InvarianceResult(rel, delta_mod)
 
 
 # --- ready-made genus-1 recipes ---------------------------------------------

@@ -307,21 +307,20 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int) -> PolarizedPolynomial
 
 
 def uniqueness_residual(f1: Callable, f2: Callable, center: complex, radius: float,
-                        degree: int, count: int | None = None) -> float:
+                        degree: int) -> float:
     """Max fitted |a_{ab}| of the difference of two extensions on a diagonal disc.
 
     Near zero certifies that f1 and f2 coincide (to fit accuracy) as
     holomorphic functions near the diagonal; an injected monomial
-    perturbation comes back at its own magnitude.
+    perturbation comes back at its own magnitude.  The difference is sampled
+    on the ring grid of 2(D+1)^2 points.
     """
-    if count is None:
-        count = 2 * (degree + 1) ** 2
 
     def diag(z: complex) -> complex:
         zb = z.conjugate()
         return f1(z, zb) - f2(z, zb)
 
-    samples = DiagonalSampleSet.from_function(diag, center, radius, count)
+    samples = DiagonalSampleSet.from_function(diag, center, radius, 2 * (degree + 1) ** 2)
     fit = polarize_fit(samples, degree)
     return fit.max_coefficient()
 
@@ -339,8 +338,11 @@ def load_diagonal_csv(path) -> DiagonalSampleSet:
         if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(CSV_FIELDS):
             raise ValueError(f"expected CSV header {','.join(CSV_FIELDS)}")
         for row in reader:
-            pts.append(complex(float(row["re_z"]), float(row["im_z"])))
-            vals.append(complex(float(row["re_val"]), float(row["im_val"])))
+            re_z, im_z, re_val, im_val = (float(row[f]) for f in CSV_FIELDS)
+            if not all(map(math.isfinite, (re_z, im_z, re_val, im_val))):
+                raise ValueError(f"non-finite entry in row {reader.line_num}")
+            pts.append(complex(re_z, im_z))
+            vals.append(complex(re_val, im_val))
     if not pts:
         raise ValueError("no samples in CSV")
     pts = np.asarray(pts)

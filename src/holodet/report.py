@@ -1,4 +1,4 @@
-"""Machine-readable run reports: named checks with residual/tolerance/pass."""
+"""Machine-readable run reports: named checks that pass when residual <= tolerance."""
 
 from __future__ import annotations
 
@@ -11,11 +11,11 @@ class CheckResult:
     name: str
     residual: float
     tolerance: float
-    passed: bool
     detail: str = ""
 
-    def __post_init__(self):
-        object.__setattr__(self, "passed", bool(self.passed))  # numpy bools are not JSON booleans
+    @property
+    def passed(self) -> bool:
+        return bool(self.residual <= self.tolerance)  # a nan fails; numpy bools are not JSON
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -32,13 +32,13 @@ from .errors import BudgetError, DomainError
 _TWO_PI_I, _PI_I_12 = 2j * math.pi, 1j * math.pi / 12.0
 
 
-def require_upper_half(z: complex, what: str = "z") -> complex:
+def require_upper_half(z: complex) -> complex:
     """Validate that z is finite with Im(z) > 0 and return it as a complex number."""
     z = complex(z)
     if not cmath.isfinite(z):
-        raise DomainError(f"{what} must be finite, got {z!r}")
+        raise DomainError(f"z must be finite, got {z!r}")
     if not z.imag > 0.0:
-        raise DomainError(f"Im({what}) must be positive, got {z!r}")
+        raise DomainError(f"Im(z) must be positive, got {z!r}")
     return z
 
 

@@ -147,6 +147,9 @@ def _gl_nodes(a: float, b: float, n: int):
     return a + half * (xs + 1.0), half * ws
 
 
+# Past reduced height about 1e153 the box terms overflow; the budget tests turn
+# every inf or nan into BudgetError, so numpy's warnings about them are noise.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def zeta_log_det(z: complex) -> SpectralDetResult:
     """log det'(Delta) = -zeta'(0) for the flat torus of modulus z.
 
@@ -195,7 +198,7 @@ def zeta_log_det(z: complex) -> SpectralDetResult:
     i_high = np.dot(ws, vals)
     tail_total += np.dot(np.abs(ws), tails)
 
-    if tail_total > TAIL_TOLERANCE * 10.0:
+    if not tail_total <= TAIL_TOLERANCE * 10.0:  # a nan bound fails too
         raise BudgetError(f"aggregate tail bound {tail_total:.3e} exceeds budget")
 
     h0 = i_low + i_high

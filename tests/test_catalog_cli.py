@@ -96,16 +96,15 @@ class TestCatalog:
 
 class TestReport:
     def test_json_is_deterministic_and_untimed(self):
-        a = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, True, "note")]).to_json()
-        b = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, True, "note")]).to_json()
+        a = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, "note")]).to_json()
+        b = RunReport("verify-all", [CheckResult("alpha", 1e-12, 1e-9, "note")]).to_json()
         assert a == b
         assert "wall_time" not in a
         assert json.loads(a).keys() == {"command", "checks", "pass"}
         assert json.loads(a)["pass"] is True
 
     def test_failure_propagates(self):
-        rep = RunReport("x", [CheckResult("good", 0.0, 1.0, True),
-                              CheckResult("bad", 2.0, 1.0, False)])
+        rep = RunReport("x", [CheckResult("good", 0.0, 1.0), CheckResult("bad", 2.0, 1.0)])
         assert not rep.passed
         assert rep.summary_lines()[-1].startswith("FAIL")
 
@@ -194,6 +193,13 @@ class TestCliTorusDet:
         assert cli.main(["torus-det", "--z", "0,1", "--method", "spectral"]) == 1
         assert capsys.readouterr().err == "error: aggregate tail bound exceeds budget\n"
 
+    @pytest.mark.parametrize("z", ["0,1e155", "0,1e300", "0,1.7e308"])
+    def test_beyond_the_box_cap_prints_only_the_error(self, z):
+        # the overflowing lattice sums end in a BudgetError, with no numpy warning before it
+        out = run_cli("torus-det", "--method", "spectral", f"--z={z}")
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+
     def test_height_135_exits_0(self, capsys):
         from holodet.cli import main
 
@@ -255,6 +261,12 @@ class TestCliPotential:
         out = run_cli("potential", "--form", "bad_nonclosed",
                       "--at", "0.2,0.1:0,0.1;0,-0.2:0.1,-0.1")
         assert out.returncode == 1
+
+    def test_verify_outside_domain_exits_2(self):
+        # a DomainError met inside the --verify checks exits as it does without --verify
+        out = run_cli("potential", "--form", "wp_genus1", "--at", "20,1.5;0.1,-1.5", "--verify")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
     def test_unknown_form_exits_2(self):
         assert run_cli("potential", "--form", "nosuch", "--at", "0,1;0,-1").returncode == 2

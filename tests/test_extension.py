@@ -19,7 +19,6 @@ from holodet.extension import (
     pluriharmonic_split,
     symmetrized_evaluator,
     word_to_matrix,
-    wp_form_genus1,
 )
 from holodet.potential_builder import cone_potential, cone_potentials
 from holodet.special_functions import log_eta
@@ -95,16 +94,10 @@ class TestSymmetrize:
 
 
 class TestWpForm:
-    def test_value_at_i(self):
-        assert wp_form_genus1(1j) == pytest.approx(0.25j)
-
     def test_log_potential_reproduces_it(self):
         # d_z d_zbar log(z - zbar) at i equals -1/4
         u = lambda p: cmath.log(p - p.conjugate()).real
         assert abs(dz_dzbar(u, 1j, 1e-3) - (-0.25)) < 1e-8
-
-    def test_quarter_scaling(self):
-        assert wp_form_genus1(2j) == pytest.approx(1j / 16)
 
 
 class TestPluriharmonicSplit:
@@ -346,7 +339,7 @@ class TestRecipeUniqueness:
         f1 = lambda z, w: assemble_extension(rec, ProductPoint(z, w))
         f2 = lambda z, w: genus1_extension(ProductPoint(z, w))
         center, radius = 1.4j, 0.25
-        assert uniqueness_residual(f1, f2, center, radius, degree=6, count=120) < 1e-8
+        assert uniqueness_residual(f1, f2, center, radius, degree=6) < 1e-8
         for off in (0.1, -0.08 + 0.05j):
             z = center + 0.1
             w = np.conj(z) + off

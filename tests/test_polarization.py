@@ -260,9 +260,8 @@ class TestScatteredChecks:
         assert peak < 16e6  # a full 3000 x 3000 distance matrix is 216 MB
 
     def test_zero_count_is_a_domain_error(self):
-        f = lambda z, w: z * w
         with pytest.raises(DomainError, match="count"):
-            uniqueness_residual(f, f, 0, 1.0, 3, count=0)
+            DiagonalSampleSet.from_function(lambda z: z, 0, 1.0, 0)
 
 
 class TestSampling:

@@ -182,6 +182,29 @@ class TestZetaDet:
         # reduced heights 135, 1000, 250 and 1000
         self.assert_matches_eta(z)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_extreme_heights_give_a_value_or_a_budget_error(self):
+        # past reduced height about 1e153 the box terms overflow; no numpy
+        # warning, and no non-finite value, may come out of that
+        heights = [*np.logspace(3, 308, 62), 1e154, 1e155, 1.7e308]
+        for y in heights:
+            try:
+                r = zeta_log_det(complex(0.1, y))
+            except BudgetError:
+                continue
+            assert all(map(math.isfinite, (r.log_det, r.zeta_zero, r.tail_bound))), y
+
+    def test_nan_tail_bound_is_a_budget_error(self, monkeypatch):
+        theta_sums = torus_spectral._theta_sums
+
+        def nan_tails(z, ts, poisson):  # nan tails on the small-t half only
+            values, tails = theta_sums(z, ts, poisson)
+            return values, np.full_like(tails, np.nan) if poisson else tails
+
+        monkeypatch.setattr(torus_spectral, "_theta_sums", nan_tails)
+        with pytest.raises(BudgetError, match="nan"):
+            zeta_log_det(1j)
+
     def test_tail_certificate(self):
         r = zeta_log_det(0.3 + 1.1j)
         assert 0 <= r.tail_bound <= torus_spectral.TAIL_TOLERANCE

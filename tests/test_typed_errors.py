@@ -50,3 +50,39 @@ def test_value_error_only_in_text_parsers():
     sites = value_error_sites()
     assert sites - PARSERS == set()
     assert PARSERS - sites == set()  # a parser that no longer raises leaves the list
+
+
+#: what a handler may name only in ``cli.main``: the library's error types,
+#: and the bases that would catch them too
+_LIBRARY_ERRORS = {"Exception", "BaseException"}
+_pending = [holodet.HolodetError]
+while _pending:
+    cls = _pending.pop()
+    _LIBRARY_ERRORS.add(cls.__name__)
+    _pending.extend(cls.__subclasses__())
+
+
+def library_error_handlers(module: str = "cli"):
+    """Scopes of ``module`` holding an ``except`` that names a library error type."""
+    sites = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ExceptHandler):
+                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in caught}
+                if child.type is None or names & _LIBRARY_ERRORS:
+                    sites.add(".".join(scope))
+            walk(child, scope)
+
+    walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), ())
+    return sites
+
+
+def test_only_main_maps_library_errors_to_exit_codes():
+    # a cmd_* function that catches DomainError or HolodetError restates the
+    # exit-code rule; main applies it once to every subcommand
+    assert library_error_handlers() == {"main"}

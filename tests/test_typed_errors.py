@@ -2,7 +2,8 @@
 
 Only the text parsers, whose errors the CLI catches and reports as bad input,
 may raise ValueError.  The guard reads the source with ``ast``, so a new
-``raise ValueError`` anywhere else fails here before any caller sees it.
+``raise ValueError`` anywhere else fails here before any caller sees it.  A
+second guard keeps the mapping of library errors to exit codes in ``cli.main``.
 """
 
 import ast
@@ -52,18 +53,17 @@ def test_value_error_only_in_text_parsers():
     assert PARSERS - sites == set()  # a parser that no longer raises leaves the list
 
 
-#: what a handler may name only in ``cli.main``: the library's error types,
-#: and the bases that would catch them too
-_LIBRARY_ERRORS = {"Exception", "BaseException"}
-_pending = [holodet.HolodetError]
-while _pending:
-    cls = _pending.pop()
-    _LIBRARY_ERRORS.add(cls.__name__)
-    _pending.extend(cls.__subclasses__())
+def _with_subclasses(cls) -> set[str]:
+    return {cls.__name__}.union(*map(_with_subclasses, cls.__subclasses__()))
 
 
-def library_error_handlers(module: str = "cli"):
-    """Scopes of ``module`` holding an ``except`` that names a library error type."""
+#: what an ``except`` may name only in ``cli.main``: the library's error
+#: types, and the bases that would catch them too
+LIBRARY_ERRORS = {"Exception", "BaseException", *_with_subclasses(holodet.HolodetError)}
+
+
+def library_error_handlers():
+    """Scopes of ``cli.py`` holding a bare ``except`` or one naming a library error."""
     sites = set()
 
     def walk(node, scope):
@@ -74,11 +74,11 @@ def library_error_handlers(module: str = "cli"):
             if isinstance(child, ast.ExceptHandler):
                 caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
                 names = {getattr(n, "id", getattr(n, "attr", None)) for n in caught}
-                if child.type is None or names & _LIBRARY_ERRORS:
+                if child.type is None or names & LIBRARY_ERRORS:
                     sites.add(".".join(scope))
             walk(child, scope)
 
-    walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), ())
+    walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")), ())
     return sites
 
 

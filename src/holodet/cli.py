@@ -34,7 +34,7 @@ from .catalog import builtin_catalog, load_catalog
 from .errors import DomainError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
-from .potential_builder import FIRST_ORDER, cone_potential, cone_potentials
+from .potential_builder import cone_potential, cone_potentials
 from .special_functions import eta, log_eta
 from .torus_spectral import closed_form_log_det, zeta_log_det
 from .verify import extend_checks, normalization_ratios, potential_checks, run_all, zeta0_check
@@ -170,12 +170,12 @@ def cmd_potential(args) -> int:
 
     if args.verify:
         samples = [(z, w)] + list(entry.validation_samples())
-        if not _print_checks(potential_checks(form, z, w, samples, args.nodes)):
+        if not _print_checks(potential_checks(form, z, w, samples)):
             return EXIT_CHECK_FAILED
 
     if args.grid:
         return _emit_grid(args, form, z, w)
-    print(f"q={fmt(cone_potential(form, z, w, args.nodes))}")
+    print(f"q={fmt(cone_potential(form, z, w))}")
     return EXIT_OK
 
 
@@ -189,7 +189,7 @@ def _emit_grid(args, form, z0, w) -> int:
         return _error(f"--grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", EXIT_BAD_INPUT)
     wc = complex(w[0])
     zs = np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
-    qs = cone_potentials(form, zs, np.full(n, wc), args.nodes).values
+    qs = cone_potentials(form, zs, np.full(n, wc)).values
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for z, q in zip(zs, qs):
         rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
@@ -305,9 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep z along a segment (w fixed) and emit CSV")
     q.add_argument("--out", default=None, help="CSV output path (default stdout)")
     q.add_argument("--catalog", default=None, help="extra catalog file")
-    q.add_argument("--nodes", type=int_at_least(2), default=64, metavar="N",
-                   help=f"at most N quadrature nodes per axis; a cell runs first at "
-                        f"min({FIRST_ORDER}, N) nodes, then at N, then splits in four")
     q.set_defaults(func=cmd_potential)
 
     q = sub.add_parser("extend", help="holomorphic extension at a point of H x Hbar")

@@ -38,10 +38,10 @@ from typing import Callable
 
 import numpy as np
 
+from .catalog import builtin_catalog
 from .errors import BudgetError, DomainError, NotPluriharmonicError
 from .potential_builder import (  # noqa: F401 -- bench/tests looks cone_potential up here
     ClosedHoloForm,
-    ProductDomain,
     cone_potential,
     cone_potentials,
 )
@@ -98,21 +98,13 @@ def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
 
 
 def genus1_pole_form() -> ClosedHoloForm:
-    r"""The model form (z - w)^{-2} dz /\ dw with bases (i, -i).
+    r"""The model form (z - w)^{-2} dz /\ dw: the catalog entry ``wp_genus1``.
 
-    Domain: balls of radius 4.9 around +/- 5i, which cover
+    Bases (i, -i); domain: balls of radius 4.9 around +/- 5i, which cover
     the working strip 0.1 < |Im| < 9.9 of the half planes while staying off
     the real axis.
     """
-
-    def coeff(Z, W):
-        return ((Z[:, 0] - W[:, 0]) ** -2).reshape(-1, 1, 1)
-
-    def clearance(Z, W):
-        return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
-
-    dom = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
-    return ClosedHoloForm(1, coeff, 1j, -1j, dom, pole_clearance=clearance)
+    return builtin_catalog()["wp_genus1"].build()
 
 
 def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,

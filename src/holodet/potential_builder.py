@@ -34,9 +34,12 @@ POLE_GUARD = 1e-3
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.
 PASS_NODES = 1 << 12
 
-#: Gauss-Legendre order per axis every cone cell tries first, below the cap
-#: ``nodes``; a cell it refuses runs again at the cap before it splits.
+#: Gauss-Legendre order per axis every cone cell tries first; a cell it
+#: refuses runs again at MAX_ORDER before it splits.
 FIRST_ORDER = 20
+
+#: The largest Gauss-Legendre order per axis; a cell refused at it splits.
+MAX_ORDER = 64
 
 #: A cell is accepted when its tail is within this times max(area, 1e-6).
 CELL_TOLERANCE = 1e-12
@@ -131,10 +134,10 @@ class ConePotentials(NamedTuple):
 def _legendre_rows(n: int) -> np.ndarray:
     """Rows taking n Gauss-Legendre samples to Legendre coefficients n - 4 .. n - 1.
 
-    Only degrees >= 0 are kept; coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.
+    Coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.
     """
     xs, ws = _gauss_legendre(n)
-    degrees = np.arange(max(0, n - 4), n)
+    degrees = np.arange(n - 4, n)
     vander = np.polynomial.legendre.legvander(xs, n - 1)[:, degrees]
     rows = ((degrees + 0.5)[:, None] * (vander * ws[:, None]).T).astype(complex)
     rows.flags.writeable = False
@@ -148,14 +151,11 @@ def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
     weighted by the rule.  The top pair A_{n-1} + A_{n-2} is carried to
     degree 2n, the first one the rule does not integrate, at the decay per
     two degrees shown by the pair below it (at most 1: a tail that does not
-    decay is not extrapolated).  Below four nodes there is no pair below,
-    and the estimate is the top coefficients themselves, degree 0 excluded.
+    decay is not extrapolated).
     """
     n = ws.size
     rows = _legendre_rows(n)
     A = ws @ np.abs(F @ rows.T) + np.abs(rows @ F) @ ws
-    if n < 4:
-        return A[:, 1:].sum(axis=1)
     top, low = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
     decay = np.minimum(np.divide(top, low, out=np.ones_like(top), where=low > 0), 1.0)
     return top * decay ** ((n + 1) / 2)
@@ -167,6 +167,8 @@ def _targets(points, n: int, block: str) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n:
         raise DomainError(f"expected {block} targets of shape (K, {n}), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{block} targets must be finite")
     return arr
 
 
@@ -191,31 +193,29 @@ def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     return np.einsum("cstij,ci,cj->cst", C.reshape(cells, n, n, form.dim, form.dim), dz, dw)
 
 
-def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentials:
+def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     """Potentials q(z_k, w_k) of the form at K target pairs, in batched passes.
 
     ``Z`` and ``W`` hold K points of C^n each, shape (K, n) (or (K,) when
     n = 1).  Every cell of a target's parameter square is one tensor rule of
-    cached Gauss-Legendre nodes, at most ``nodes`` per axis (at least 2,
-    else DomainError).  Each cell's error estimate is read off its own
-    samples: the decay of the integrand's top Legendre coefficients along
-    every node line, in s and in t (``_coefficient_tail``; Trefethen, ATAP,
-    ch. 19).  A tail within n * ``_ROUNDING`` of the cell's |integrand| mass
-    is rounding noise, which no refinement lowers.  A cell is accepted when
-    its tail is within CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or
-    that floor.  Every cell runs first at min(FIRST_ORDER, ``nodes``); a
-    refused one runs again at ``nodes`` (p before h refinement), and one
-    refused at ``nodes`` splits in four, the quarters starting again at the
-    first order.  So every cell the fixed ``nodes`` rule would accept is
-    accepted at the same depth or higher up; a cell refused at ``nodes`` at
-    depth MAX_DEPTH raises QuadratureError.  Each pass runs cells of one
-    order and evaluates at most PASS_NODES nodes per coefficient call, all
-    of them under the pole guard.  The result holds per target the value,
-    the summed estimates of its accepted cells (at least the rounding
-    floor), their count and the largest order among them.
+    cached Gauss-Legendre nodes, FIRST_ORDER or MAX_ORDER per axis.  Each
+    cell's error estimate is read off its own samples: the decay of the
+    integrand's top Legendre coefficients along every node line, in s and
+    in t (``_coefficient_tail``; Trefethen, ATAP, ch. 19).  A tail within
+    n * ``_ROUNDING`` of the cell's |integrand| mass is rounding noise,
+    which no refinement lowers.  A cell is accepted when its tail is within
+    CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or that floor.  Every
+    cell runs first at FIRST_ORDER; a refused one runs again at MAX_ORDER
+    (p before h refinement), and one refused at MAX_ORDER splits in four,
+    the quarters starting again at FIRST_ORDER.  So every cell the fixed
+    MAX_ORDER rule would accept is accepted at the same depth or higher up;
+    a cell refused at MAX_ORDER at depth MAX_DEPTH raises QuadratureError.
+    Each pass runs cells of one order and evaluates at most PASS_NODES
+    nodes per coefficient call, all of them under the pole guard.  The
+    result holds per target the value, the summed estimates of its accepted
+    cells (at least the rounding floor), their count and the largest order
+    among them.
     """
-    if nodes < 2:
-        raise DomainError(f"cone quadrature needs at least 2 nodes per axis, got {nodes}")
     Z, W = _targets(Z, form.dim, "z"), _targets(W, form.dim, "w")
     if Z.shape != W.shape:
         raise DomainError(f"z targets of shape {Z.shape} but w targets of shape {W.shape}")
@@ -228,7 +228,6 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
             shown = complex(bad[0]) if bad.size == 1 else bad
             raise DomainError(f"{block} = {shown!r} outside the declared {block}-domain")
     dz, dw = Z - form.base_z, W - form.base_w
-    first = min(FIRST_ORDER, nodes)
 
     count = Z.shape[0]
     values = np.zeros(count, dtype=complex)
@@ -239,7 +238,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
     # the newest cells of the newest one's order, so a refused cell is
     # refined first and a hopeless one raises early
     tgt, s0, t0, depth = np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count, int)
-    order = np.full(count, first)
+    order = np.full(count, FIRST_ORDER)
     while tgt.size:
         n = int(order[-1])
         take = np.flatnonzero(order == n)[-max(1, PASS_NODES // (n * n)):]
@@ -269,8 +268,8 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
             continue
         refused = ~ok
         k, a, b, d = k[refused], a[refused], b[refused], d[refused]
-        if n < nodes:  # the same cells again, at the cap
-            redo = nodes
+        if n < MAX_ORDER:  # the same cells again, at the largest order
+            redo = MAX_ORDER
         else:  # quarters, at the first order again
             if d.max() >= MAX_DEPTH:
                 worst = float(est[refused][np.argmax(d)])
@@ -282,29 +281,29 @@ def cone_potentials(form: ClosedHoloForm, Z, W, nodes: int = 64) -> ConePotentia
             k, d = np.repeat(k, 4), np.repeat(d + 1, 4)
             a = (a[:, None] + half[:, None] * [0, 1, 0, 1]).ravel()
             b = (b[:, None] + half[:, None] * [0, 0, 1, 1]).ravel()
-            redo = first
+            redo = FIRST_ORDER
         tgt, s0, t0 = np.concatenate([tgt, k]), np.concatenate([s0, a]), np.concatenate([t0, b])
         depth = np.concatenate([depth, d])
         order = np.concatenate([order, np.full(k.size, redo)])
     return ConePotentials(values, errors, cells, orders)
 
 
-def cone_potential(form: ClosedHoloForm, z, w, nodes: int = 64) -> complex:
+def cone_potential(form: ClosedHoloForm, z, w) -> complex:
     """Potential q(z, w) of the form: a one-target ``cone_potentials`` call."""
     zv = _as_vec(z, form.dim)
     wv = _as_vec(w, form.dim)
-    return complex(cone_potentials(form, zv[None, :], wv[None, :], nodes).values[0])
+    return complex(cone_potentials(form, zv[None, :], wv[None, :]).values[0])
 
 
-def verify_boundary_vanishing(form: ClosedHoloForm, samples, nodes: int = 64) -> np.ndarray:
+def verify_boundary_vanishing(form: ClosedHoloForm, samples) -> np.ndarray:
     """|q(z, w0)| and |q(z0, w)| per sample pair (z, w), interleaved, from one batched call."""
     n = form.dim
     Z = np.array([p for z, _ in samples for p in (_as_vec(z, n), form.base_z)]).reshape(-1, n)
     W = np.array([p for _, w in samples for p in (form.base_w, _as_vec(w, n))]).reshape(-1, n)
-    return np.abs(cone_potentials(form, Z, W, nodes).values)
+    return np.abs(cone_potentials(form, Z, W).values)
 
 
-def verify_mixed_derivative(form: ClosedHoloForm, z, w, nodes: int = 64) -> np.ndarray:
+def verify_mixed_derivative(form: ClosedHoloForm, z, w) -> np.ndarray:
     """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at (z, w).
 
     The derivative is ``wirtinger.mixed_second`` with step 1e-3: central
@@ -333,14 +332,11 @@ def verify_mixed_derivative(form: ClosedHoloForm, z, w, nodes: int = 64) -> np.n
         Z, W = Z0.copy(), W0.copy()
         Z[rows, i] = a
         W[rows, j] = b
-        # object entries: the stencil then divides with Python's complex
-        # arithmetic, as on scalars; numpy divides a complex by a real through
-        # its reciprocal, which rounds differently in the last bit
-        return cone_potentials(form, Z, W, nodes).values.astype(object)
+        return cone_potentials(form, Z, W).values
 
     omega = form.coeff_at(zv, wv)
     d = mixed_second(q, zv[i], wv[j], h)
-    return np.abs(d - omega.ravel()).astype(float).reshape(n, n)
+    return np.abs(d - omega.ravel()).reshape(n, n)
 
 
 def _shifted(v: np.ndarray, k: int, c: complex) -> np.ndarray:

@@ -82,31 +82,30 @@ def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"
     return [CheckResult(names[0], closed, tol), CheckResult(names[1], anti, tol)]
 
 
-def boundary_check(form: ClosedHoloForm, pairs, nodes: int,
-                   name: str = "boundary_vanishing") -> CheckResult:
+def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing") -> CheckResult:
     """Worst |q(z, w0)|, |q(z0, w)| over the pairs."""
     tol = 1e-10
-    res = verify_boundary_vanishing(form, pairs, nodes)
+    res = verify_boundary_vanishing(form, pairs)
     worst = float(res.max()) if res.size else 0.0
     return CheckResult(name, worst, tol)
 
 
-def mixed_derivative_check(form: ClosedHoloForm, pairs, nodes: int,
+def mixed_derivative_check(form: ClosedHoloForm, pairs,
                            name: str = "mixed_derivative") -> CheckResult:
     """Worst entrywise |FD d_z d_w q - Omega| over the pairs; an error fails the check."""
     tol = 1e-7
     try:
-        worst = max(float(np.max(verify_mixed_derivative(form, z, w, nodes))) for z, w in pairs)
+        worst = max(float(np.max(verify_mixed_derivative(form, z, w))) for z, w in pairs)
     except HolodetError as exc:
         return CheckResult(name, math.inf, tol, str(exc))
     return CheckResult(name, worst, tol)
 
 
-def potential_checks(form: ClosedHoloForm, z, w, samples, nodes: int) -> list[CheckResult]:
+def potential_checks(form: ClosedHoloForm, z, w, samples) -> list[CheckResult]:
     """The checks of ``potential --verify``: contracts and boundary over samples, d_z d_w q at (z, w)."""
     return [*form_contract_checks([(form, samples)]),
-            boundary_check(form, samples, nodes),
-            mixed_derivative_check(form, [(z, w)], nodes)]
+            boundary_check(form, samples),
+            mixed_derivative_check(form, [(z, w)])]
 
 
 #: 5 x 5 grid on [-0.4, 0.4] x [0.8, 2] of the diagonal checks
@@ -220,17 +219,16 @@ def _cone_test_pairs(count: int):
 def check_cone_vs_closed_form() -> list[CheckResult]:
     """The pole form (z-w)^{-2} against its explicit potential."""
     form = genus1_pole_form()
-    nodes = 64
     pairs = _cone_test_pairs(10)
     assert all(abs(z - w) >= 1.0 for z, w in pairs)
 
     Z, W = np.array(pairs).T
-    q = cone_potentials(form, Z, W, nodes).values
+    q = cone_potentials(form, Z, W).values
     cross = (Z - W) * (1j + 1j) / ((1j - W) * (Z + 1j))
     expq = float(np.max(np.abs(np.exp(q) - cross) / np.abs(cross)))
     return [
-        mixed_derivative_check(form, pairs, nodes, "cone_mixed_derivative"),
-        boundary_check(form, pairs, nodes, "cone_boundary_vanishing"),
+        mixed_derivative_check(form, pairs, "cone_mixed_derivative"),
+        boundary_check(form, pairs, "cone_boundary_vanishing"),
         CheckResult("cone_exp_matches_closed_form", expq, 1e-8),
     ]
 

@@ -144,7 +144,8 @@ def test_below_the_reach_of_the_reduction_exits_1(argv):
     (("verify-all",), ("--fast",)),
     (("torus-det", "--z", "0,1"), ("--tol", "1e-9")),
     (("polarize", "--samples", "unused.csv", "--degree", "1"), ("--svd-cutoff", "1e-10")),
-], ids=["eta-terms", "verify-all-fast", "torus-det-tol", "polarize-svd-cutoff"])
+    (("potential", "--form", "const1", "--at", "0,2;0,-2"), ("--nodes", "64")),
+], ids=["eta-terms", "verify-all-fast", "torus-det-tol", "polarize-svd-cutoff", "potential-nodes"])
 def test_removed_option_exits_2(argv, removed):
     out = run_cli(*argv, *removed)
     assert out.returncode == 2
@@ -152,8 +153,6 @@ def test_removed_option_exits_2(argv, removed):
 
 
 @pytest.mark.parametrize("argv", [
-    ("potential", "--form", "const1", "--at", "0,2;0,-2", "--nodes", "-4"),
-    ("potential", "--form", "const1", "--at", "0,2;0,-2", "--nodes", "1"),
     ("polarize", "--samples", "unused.csv", "--degree", "-1"),
 ])
 def test_out_of_range_option_exits_2(argv):
@@ -301,12 +300,23 @@ class TestCliPotential:
         assert out.returncode == 2
         assert "base_z outside" in out.stderr and "Traceback" not in out.stderr
 
-    def test_quadrature_failure_exits_1(self):
-        # below four nodes per axis the pole form's cells cannot certify
-        out = run_cli("potential", "--form", "wp_genus1", "--at", "0.3,1;0,-1.2",
-                      "--nodes", "3")
+    def test_non_finite_target_exits_2_without_a_warning(self):
+        out = run_cli("potential", "--form", "gmix_n2", "--at", "0,0.1:0,0.1;inf,0:0,0")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: w targets must be finite"]
+
+    def test_quadrature_failure_exits_1(self, tmp_path):
+        # overlapping balls: the chain from (0.5, -0.5) to (-0.5, 0.5) meets z = w
+        path = tmp_path / "cat.txt"
+        path.write_text(
+            "form crossing\n  kind pole_power\n  dim 1\n"
+            "  base_z 0.5 0\n  base_w -0.5 0\n"
+            "  domain_z 0 0 1\n  domain_w 0 0 1\nend\n")
+        out = run_cli("potential", "--form", "crossing", "--at=-0.5,0;0.5,0",
+                      "--catalog", str(path))
         assert out.returncode == 1
         assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+        assert "quadrature node within 0.001 of a singularity" in out.stderr
 
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"

@@ -1,0 +1,57 @@
+"""The cone quadrature takes no setting: its orders are module constants.
+
+``FIRST_ORDER`` and ``MAX_ORDER`` in ``potential_builder`` fix the
+Gauss-Legendre ladder of every cone cell.  The guard reads the source with
+``ast``, so a ``nodes`` parameter put back on a public function of the cone
+layer or its checks fails here, and so does a ``--nodes`` option on
+``holodet potential``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import holodet
+from holodet import cli
+
+SRC = Path(holodet.__file__).parent
+
+
+def parameters_named(name: str, modules=("potential_builder", "verify")):
+    """Public functions (module.qualified.name) of the modules with a parameter ``name``."""
+    sites = set()
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+                if (not isinstance(child, ast.ClassDef)
+                        and not any(part.startswith("_") for part in inner)):
+                    a = child.args
+                    if name in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                        sites.add(".".join((module,) + inner))
+                walk(child, module, inner)
+            else:
+                walk(child, module, scope)
+
+    for module in modules:
+        walk(ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8")), module, ())
+    return sites
+
+
+def test_no_public_function_takes_nodes():
+    assert parameters_named("nodes") == set()
+
+
+def test_the_guard_sees_parameters():
+    # the guard finds a parameter that every verifier has
+    assert "potential_builder.cone_potentials" in parameters_named("form")
+    assert "verify.boundary_check" in parameters_named("form")
+
+
+def test_potential_help_lists_no_nodes_option(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["potential", "--help"])
+    help_text = capsys.readouterr().out
+    assert "--form" in help_text and "--nodes" not in help_text

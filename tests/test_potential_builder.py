@@ -12,6 +12,7 @@ from holodet.errors import DomainError, QuadratureError
 from holodet.polymap import PolyMap, random_polymap
 from holodet.potential_builder import (
     FIRST_ORDER,
+    MAX_ORDER,
     PASS_NODES,
     ClosedHoloForm,
     ProductDomain,
@@ -43,6 +44,24 @@ def pole_form(base_z=1j, base_w=-1j):
         return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
 
     return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS, pole_clearance=clearance)
+
+
+def sum_pole_form(base_z, base_w):
+    r"""(z + w)^{-2} dz /\ dw on balls of radius 4 around 0: singular on z + w = 0."""
+    def coeff(Z, W):
+        return ((Z[:, 0] + W[:, 0]) ** -2).reshape(-1, 1, 1)
+
+    def clearance(Z, W):
+        return float(np.min(np.abs(Z[:, 0] + W[:, 0])))
+
+    dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
+    return ClosedHoloForm(1, coeff, base_z, base_w, dom, pole_clearance=clearance)
+
+
+def set_max_order(monkeypatch, cap):
+    """Cone cells run at most ``cap`` nodes per axis, and first at min(FIRST_ORDER, cap)."""
+    monkeypatch.setattr(potential_builder, "MAX_ORDER", cap)
+    monkeypatch.setattr(potential_builder, "FIRST_ORDER", min(FIRST_ORDER, cap))
 
 
 def pole_closed_form(z, w, z0=1j, w0=-1j):
@@ -90,25 +109,16 @@ class TestConePotential:
             cone_potential(pole_form(), 2j, -20j)
 
     def test_singularity_on_chain_is_refused(self):
-        # coefficient singular on z + w = 0; the chain from the bases to
-        # (2, -2) crosses it, so the guard or the refinement budget fires
-        def coeff(Z, W):
-            return ((Z[:, 0] + W[:, 0]) ** -2).reshape(-1, 1, 1)
-
-        def clearance(Z, W):
-            return float(np.min(np.abs(Z[:, 0] + W[:, 0])))
-
-        dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
-        form = ClosedHoloForm(1, coeff, 1.0 + 0j, 1.0 + 0j, dom, pole_clearance=clearance)
+        # the chain from the bases to (2, -2) crosses the singular locus
+        # z + w = 0, so the guard or the refinement budget fires
         with pytest.raises(QuadratureError):
-            cone_potential(form, 2.0 + 0j, -2.0 + 0j)
+            cone_potential(sum_pole_form(1.0 + 0j, 1.0 + 0j), 2.0 + 0j, -2.0 + 0j)
 
-    @pytest.mark.parametrize("nodes", [1, 0, -3])
-    def test_fewer_than_two_nodes_is_a_domain_error(self, nodes):
-        with pytest.raises(DomainError, match="2 nodes"):
-            cone_potentials(pole_form(), [2j], [-2j], nodes)
-        with pytest.raises(DomainError, match="2 nodes"):
-            cone_potential(pole_form(), 2j, -2j, nodes)
+    def test_infinite_target_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="w targets must be finite"):
+            cone_potentials(pole_form(), [2j], [complex("inf-2j")])
+        with pytest.raises(DomainError, match="z targets must be finite"):
+            cone_potential(pole_form(), complex("nan"), -2j)
 
 
 def pole_power_form(c, k, base_z, base_w, seen=None):
@@ -121,6 +131,18 @@ def pole_power_form(c, k, base_z, base_w, seen=None):
         return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
 
     return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS, pole_clearance=clearance)
+
+
+#: e^{iA(z - z0)} e^{-iA(w - w0)} along real segments of length 1.5 at this A:
+#: its Legendre coefficients are flat to degree about 120, past MAX_ORDER = 64
+OSCILLATION = 80.0
+
+
+def oscillating_form():
+    def coeff(Z, W):
+        return np.exp(1j * OSCILLATION * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
+
+    return ClosedHoloForm(1, coeff, 1j, -1j, HALF_PLANE_BALLS)
 
 
 def pole_power_closed_form(c, k, z, w, z0, w0):
@@ -159,13 +181,14 @@ class TestBatchedCells:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_one_rule_per_resolved_target_and_passes_capped(self, n, monkeypatch):
+        set_max_order(monkeypatch, n)
         seen, passes = [], []
         real = potential_builder._integrand
         monkeypatch.setattr(potential_builder, "_integrand",
                             lambda form, dz, dw, S, T: passes.append(S.shape) or real(form, dz, dw, S, T))
         # targets from far off the pole to close to it: some need more than the first order
         Z, W = 0.2 + 1j * np.geomspace(0.15, 2.0, 64), np.full(64, 0.1 - 0.15j)
-        res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j, seen), Z, W, nodes=n)
+        res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j, seen), Z, W)
         assert np.all(res.cells == 1)
         assert set(res.orders.tolist()) == {FIRST_ORDER, n}
         # nodes evaluated: order^2 per cell, summed over passes of one order each
@@ -178,7 +201,7 @@ class TestBatchedCells:
     def test_target_refused_at_first_order_is_accepted_at_the_cap_on_one_cell(self):
         z, w = 0.2 + 0.15j, 0.1 - 0.15j
         res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j), [z], [w])
-        assert res.cells[0] == 1 and res.orders[0] == 64
+        assert res.cells[0] == 1 and res.orders[0] == MAX_ORDER
         exact = pole_power_closed_form(1.0, 4, z, w, 4j, -1j)
         assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
 
@@ -188,46 +211,44 @@ class TestBatchedCells:
         monkeypatch.setattr(potential_builder, "MAX_DEPTH", 0)
         z, w = 0.2 + 0.15j, 0.1 - 0.15j
         res = cone_potentials(pole_power_form(1.0, 4, 4j, -1j), [z], [w])
-        assert res.cells[0] == 1 and res.orders[0] == 64
-        with pytest.raises(QuadratureError):
-            cone_potentials(pole_power_form(1.0, 4, 4j, -1j), [z], [w], nodes=24)
+        assert res.cells[0] == 1 and res.orders[0] == MAX_ORDER
+        # a cell refused at the cap too needs a split, which depth 0 does not allow
+        with pytest.raises(QuadratureError, match="after 0 subdivisions"):
+            cone_potentials(oscillating_form(), [1j + 1.5], [-1j - 1.5])
 
     def test_non_decaying_integrand_subdivides(self):
-        # e^{iA(z - z0)} e^{-iA(w - w0)} along real segments of length 1.5 at A = 80:
-        # its Legendre coefficients are flat to degree about 120, past the cap of 64
-        A, dz = 80.0, 1.5
-
-        def coeff(Z, W):
-            return np.exp(1j * A * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
-
-        form = ClosedHoloForm(1, coeff, 1j, -1j, HALF_PLANE_BALLS)
-        res = cone_potentials(form, [1j + dz], [-1j - dz])
+        A, dz = OSCILLATION, 1.5
+        res = cone_potentials(oscillating_form(), [1j + dz], [-1j - dz])
         assert res.cells[0] > 1
         exact = (cmath.exp(1j * A * dz) - 1) * (cmath.exp(1j * A * dz) - 1) / (A * A)
         # the oscillation cancels |q| down to 3e-5 of the |integrand| mass: absolute bounds
         assert abs(res.values[0] - exact) <= min(1e-12, res.errors[0])
 
     @pytest.mark.parametrize("n", [5, 16, 20, 33, 64, 100])
-    def test_orders_never_exceed_the_cap(self, n):
+    def test_orders_never_exceed_the_cap(self, n, monkeypatch):
+        set_max_order(monkeypatch, n)
         Z = np.concatenate([np.array(PAIRS)[:, 0], 0.2 + 1j * np.geomspace(0.15, 2.0, 8)])
         W = np.concatenate([np.array(PAIRS)[:, 1], np.full(8, 0.1 - 0.15j)])
-        res = cone_potentials(pole_power_form(1.0, 2, 4j, -1j), Z, W, nodes=n)
+        res = cone_potentials(pole_power_form(1.0, 2, 4j, -1j), Z, W)
         assert set(res.orders.tolist()) <= {min(n, FIRST_ORDER), n}
 
     def test_refused_first_cell_subdivides(self):
-        form = pole_form()
-        z, w = 0.05 + 0.12j, -0.05 - 0.12j
-        res = cone_potentials(form, [z], [w], nodes=8)
-        assert res.cells[0] > 1
-        exact = pole_closed_form(z, w)
+        # the singular line z + w = 0 passes at distance 0.1 through the
+        # parameter square: the one cell is refused at both orders and splits
+        z0, w0, z, w = 1 + 0.1j, 1 + 0j, 2 + 0.1j, -2 + 0j
+        res = cone_potentials(sum_pole_form(z0, w0), [z], [w])
+        assert res.cells[0] > 1 and res.orders[0] == MAX_ORDER
+        G = lambda a, b: -cmath.log(a + b)  # d_z d_w G = (z + w)^-2; Im(a + b) >= 0 here
+        exact = G(z, w) - G(z0, w) - G(z, w0) + G(z0, w0)
         assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
         assert abs(res.values[0] - exact) <= res.errors[0] + 1e-14 * abs(exact)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 33, 64, 100])
-    def test_estimate_for_every_order(self, n):
+    @pytest.mark.parametrize("n", [4, 5, 7, 16, 33, 64, 100])
+    def test_estimate_for_every_order(self, n, monkeypatch):
+        set_max_order(monkeypatch, n)
         # a bilinear potential resolves in one cell at any order
         Z, W = np.array([2j, 1 + 1.5j]), np.array([-2j, -0.5 - 1.2j])
-        res = cone_potentials(constant_form(0.7 - 0.2j), Z, W, nodes=n)
+        res = cone_potentials(constant_form(0.7 - 0.2j), Z, W)
         assert np.all(res.cells == 1)
         assert np.allclose(res.values, (0.7 - 0.2j) * (Z - 1j) * (W + 1j), rtol=0, atol=1e-13)
         # one rule on the whole parameter square: its estimate bounds its error on the pole form
@@ -238,12 +259,8 @@ class TestBatchedCells:
         F = _integrand(pole_form(), (Z - 1j)[:, None], (W + 1j)[:, None], S, S)
         value = (F * np.outer(ws, ws)).sum(axis=(1, 2))
         assert np.all(np.abs(value - exact) <= _coefficient_tail(F, ws) + 1e-14)
-        if n < 4:  # below four nodes the tail is not extrapolated: see _coefficient_tail
-            with pytest.raises(QuadratureError):
-                cone_potentials(pole_form(), Z, W, nodes=n)
-        else:
-            res = cone_potentials(pole_form(), Z, W, nodes=n)
-            assert np.all(np.abs(res.values - exact) <= 1e-12)
+        res = cone_potentials(pole_form(), Z, W)
+        assert np.all(np.abs(res.values - exact) <= 1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(k=st.sampled_from([2, 3, 4]), gap=st.floats(0.35, 6.0), low=st.floats(0.0, 1.0),
@@ -345,12 +362,12 @@ class TestMixedDerivative:
         calls = []
         real = potential_builder.cone_potentials
         monkeypatch.setattr(potential_builder, "cone_potentials",
-                            lambda form, Z, W, nodes: calls.append(len(Z)) or real(form, Z, W, nodes))
+                            lambda form, Z, W: calls.append(len(Z)) or real(form, Z, W))
         g = random_polymap(dim, degree=3, n_terms=6, rng=np.random.default_rng(dim))
         dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
         form = ClosedHoloForm(dim, g.mixed_coefficient_evaluator(),
                               np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
-        res = verify_mixed_derivative(form, np.full(dim, 0.4 + 0.2j), np.full(dim, -0.3 + 0.3j), 32)
+        res = verify_mixed_derivative(form, np.full(dim, 0.4 + 0.2j), np.full(dim, -0.3 + 0.3j))
         assert res.shape == (dim, dim) and float(res.max()) < 1e-7
         assert calls == [dim * dim] * 8
 
@@ -400,8 +417,8 @@ class TestHolomorphyOfPotential:
 
         form = pole_form()
         z, w = 0.4 + 1.1j, -0.2 - 0.8j
-        fz = lambda p: cone_potential(form, p, w, nodes=48)
-        fw = lambda p: cone_potential(form, z, p, nodes=48)
+        fz = lambda p: cone_potential(form, p, w)
+        fw = lambda p: cone_potential(form, z, p)
         assert abs(wirtinger_dzbar(fz, z, 1e-4)) < 1e-7
         assert abs(wirtinger_dzbar(fw, w, 1e-4)) < 1e-7
 
@@ -414,14 +431,17 @@ class TestSharedMechanisms:
         real = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda n: calls.append(n) or real(n))
-        form = pole_form()
+        # the second target is refused at the first order and runs at the largest
+        forms = ((pole_form(), 0.3 + 0.9j, -0.2 - 1.1j),
+                 (pole_power_form(1.0, 4, 4j, -1j), 0.2 + 0.15j, 0.1 - 0.15j))
 
         def work():
-            for nodes in (64, 32):
-                cone_potential(form, 0.3 + 0.9j, -0.2 - 1.1j, nodes)
+            orders = [int(cone_potentials(form, [z], [w]).orders[0]) for form, z, w in forms]
             zeta_log_det(0.3 + 1.1j)
+            return orders
 
-        work()  # warm call: each order is computed at most once
+        # warm call: each order is computed at most once
+        assert work() == [FIRST_ORDER, MAX_ORDER]
         assert len(calls) == len(set(calls))
         calls.clear()
         work()

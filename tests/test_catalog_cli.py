@@ -153,7 +153,7 @@ def test_removed_option_exits_2(argv, removed):
 
 
 @pytest.mark.parametrize("argv", [
-    ("polarize", "--samples", "unused.csv", "--degree", "-1"),
+    pytest.param(("polarize", "--samples", "unused.csv", "--degree", "-1"), id="argv2"),
 ])
 def test_out_of_range_option_exits_2(argv):
     out = run_cli(*argv)

@@ -283,7 +283,7 @@ def modular_invariance_check(point: ProductPoint, word: str) -> InvarianceResult
 # --- ready-made genus-1 recipes ---------------------------------------------
 
 
-def genus1_recipe(constant: float, f_mode: str = "split") -> ExtensionRecipe:
+def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
     """Assemble a genus-1 recipe around the cone potential of (z-w)^{-2}.
 
     ``f_mode``:

@@ -19,7 +19,7 @@ fixing the centers, so nothing is lost by that choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -115,11 +115,6 @@ class ClosedHoloForm:
         if not _inside(self.base_w, dom.w_center, dom.w_radius):
             raise DomainError("base_w outside the declared w-domain")
 
-    def coeff_at(self, z, w) -> np.ndarray:
-        zv = _as_vec(z, self.dim)
-        wv = _as_vec(w, self.dim)
-        return self.coeff(zv[None, :], wv[None, :])[0]
-
 
 class ConePotentials(NamedTuple):
     """Result of ``cone_potentials``: one entry per target pair."""
@@ -132,12 +127,12 @@ class ConePotentials(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _legendre_rows(n: int) -> np.ndarray:
-    """Rows taking n Gauss-Legendre samples to Legendre coefficients n - 4 .. n - 1.
+    """Rows taking n Gauss-Legendre samples to Legendre coefficients n//2 - 2, n//2 - 1, n - 2, n - 1.
 
     Coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.
     """
     xs, ws = _gauss_legendre(n)
-    degrees = np.arange(n - 4, n)
+    degrees = np.array([n // 2 - 2, n // 2 - 1, n - 2, n - 1])
     vander = np.polynomial.legendre.legvander(xs, n - 1)[:, degrees]
     rows = ((degrees + 0.5)[:, None] * (vander * ws[:, None]).T).astype(complex)
     rows.flags.writeable = False
@@ -150,19 +145,24 @@ def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
     A_k sums |c_k| of the integrand over the node lines in s and in t,
     weighted by the rule.  The top pair A_{n-1} + A_{n-2} is carried to
     degree 2n, the first one the rule does not integrate, at the decay per
-    two degrees shown by the pair below it (at most 1: a tail that does not
-    decay is not extrapolated).
+    two degrees shown across half the rule, from the pair n - n//2 degrees
+    lower (at most 1: a tail that does not decay is not extrapolated).  An
+    unresolved, aliased integrand shows no geometric decay over that stretch
+    (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
     """
     n = ws.size
     rows = _legendre_rows(n)
     A = ws @ np.abs(F @ rows.T) + np.abs(rows @ F) @ ws
-    top, low = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
-    decay = np.minimum(np.divide(top, low, out=np.ones_like(top), where=low > 0), 1.0)
-    return top * decay ** ((n + 1) / 2)
+    top, mid = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
+    ratio = np.minimum(np.divide(top, mid, out=np.ones_like(top), where=mid > 0), 1.0)
+    return top * (ratio ** (2 / (n - n // 2))) ** ((n + 1) / 2)
 
 
 def _targets(points, n: int, block: str) -> np.ndarray:
-    arr = np.asarray(points, dtype=complex)
+    try:
+        arr = np.asarray(points, dtype=complex)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise DomainError(f"{block} targets are not points of C^{n}: {exc}") from None
     if n == 1 and arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -295,81 +295,79 @@ def cone_potential(form: ClosedHoloForm, z, w) -> complex:
     return complex(cone_potentials(form, zv[None, :], wv[None, :]).values[0])
 
 
-def verify_boundary_vanishing(form: ClosedHoloForm, samples) -> np.ndarray:
-    """|q(z, w0)| and |q(z0, w)| per sample pair (z, w), interleaved, from one batched call."""
-    n = form.dim
-    Z = np.array([p for z, _ in samples for p in (_as_vec(z, n), form.base_z)]).reshape(-1, n)
-    W = np.array([p for _, w in samples for p in (form.base_w, _as_vec(w, n))]).reshape(-1, n)
+def _pair_targets(form: ClosedHoloForm, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The z and the w points of a list of (z, w) pairs, checked, shape (K, n) each."""
+    return (_targets([p[0] for p in pairs], form.dim, "z"),
+            _targets([p[1] for p in pairs], form.dim, "w"))
+
+
+def verify_boundary_vanishing(form: ClosedHoloForm, pairs) -> np.ndarray:
+    """|q(z, w0)| and |q(z0, w)| per pair (z, w), interleaved, from one batched call."""
+    Z, W = _pair_targets(form, pairs)
+    Z = np.stack([Z, np.broadcast_to(form.base_z, Z.shape)], axis=1).reshape(-1, form.dim)
+    W = np.stack([np.broadcast_to(form.base_w, W.shape), W], axis=1).reshape(-1, form.dim)
     return np.abs(cone_potentials(form, Z, W).values)
 
 
-def verify_mixed_derivative(form: ClosedHoloForm, z, w) -> np.ndarray:
-    """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at (z, w).
+def verify_mixed_derivative(form: ClosedHoloForm, pairs) -> np.ndarray:
+    """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at each pair (z, w), shape (K, n, n).
 
     The derivative is ``wirtinger.mixed_second`` with step 1e-3: central
     differences on holomorphic directions plus one Richardson step.  It runs
-    once on all n^2 entries as arrays, so each stencil point is one batched
-    ``cone_potentials`` call: 8 calls for any n.  The full stencil (offsets
+    once on all K n^2 entries as arrays, so each stencil point is one batched
+    ``cone_potentials`` call: 8 calls for any K and n.  The full stencil (offsets
     up to the step per coordinate) must stay inside the declared domain.
     """
     h = 1e-3
-    n = form.dim
-    zv = _as_vec(z, n)
-    wv = _as_vec(w, n)
+    Zp, Wp = _pair_targets(form, pairs)
+    K, n = Zp.shape
     dom = form.domain
     offsets = h * np.concatenate([np.eye(n), -np.eye(n)])
-    if not _inside(zv + offsets, dom.z_center, dom.z_radius).all():
+    if not _inside(Zp[:, None, :] + offsets, dom.z_center, dom.z_radius).all():
         raise DomainError("FD stencil leaves the z-domain")
-    if not _inside(wv + offsets, dom.w_center, dom.w_radius).all():
+    if not _inside(Wp[:, None, :] + offsets, dom.w_center, dom.w_radius).all():
         raise DomainError("FD stencil leaves the w-domain")
 
-    # entry m = (i, j) moves coordinate i of z and coordinate j of w
-    i, j = np.divmod(np.arange(n * n), n)
-    rows = np.arange(n * n)
-    Z0, W0 = np.tile(zv, (n * n, 1)), np.tile(wv, (n * n, 1))
+    # entry (k, i, j) moves coordinate i of z_k and coordinate j of w_k
+    k, i, j = (a.ravel() for a in np.indices((K, n, n)))
+    rows = np.arange(k.size)
 
     def q(a, b):
-        Z, W = Z0.copy(), W0.copy()
+        Z, W = Zp[k], Wp[k]
         Z[rows, i] = a
         W[rows, j] = b
         return cone_potentials(form, Z, W).values
 
-    omega = form.coeff_at(zv, wv)
-    d = mixed_second(q, zv[i], wv[j], h)
-    return np.abs(d - omega.ravel()).reshape(n, n)
+    d = mixed_second(q, Zp[k, i], Wp[k, j], h)
+    return np.abs(d.reshape(K, n, n) - form.coeff(Zp, Wp))
 
 
-def _shifted(v: np.ndarray, k: int, c: complex) -> np.ndarray:
-    out = v.copy()
-    out[k] = c
-    return out
-
-
-def check_closed_and_holomorphic(form: ClosedHoloForm, samples) -> tuple[float, float]:
-    """Worst FD residuals of closedness and of anti-holomorphy over the sample pairs.
+def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, float]:
+    """Worst FD residuals of closedness and of anti-holomorphy over the pairs.
 
     Closedness of a purely mixed (2,0)-form is equivalent to
     d_{z^k} Omega_ij = d_{z^i} Omega_kj and d_{w^k} Omega_ij = d_{w^j} Omega_ik.
-    The derivatives are ``wirtinger.wirtinger_pair`` with step 1e-3.
+    The derivatives are ``wirtinger.wirtinger_pair`` with step 1e-3, each
+    stencil run once over every (pair, coordinate) entry: 16 ``form.coeff``
+    calls for any K and n.
     """
     h = 1e-3
-    n = form.dim
-    closed = 0.0
-    anti = 0.0
-    for z, w in samples:
-        zv = _as_vec(z, n)
-        wv = _as_vec(w, n)
-        dz_omega = np.empty((n, n, n), dtype=complex)
-        dw_omega = np.empty((n, n, n), dtype=complex)
-        for k in range(n):
-            fz = lambda c: form.coeff_at(_shifted(zv, k, c), wv)
-            fw = lambda c: form.coeff_at(zv, _shifted(wv, k, c))
-            dz_omega[k], fz_bar = wirtinger_pair(fz, zv[k], h)
-            dw_omega[k], fw_bar = wirtinger_pair(fw, wv[k], h)
-            anti = max(anti, float(np.max(np.abs(fz_bar))), float(np.max(np.abs(fw_bar))))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    closed = max(closed, abs(dz_omega[k][i, j] - dz_omega[i][k, j]))
-                    closed = max(closed, abs(dw_omega[k][i, j] - dw_omega[j][i, k]))
+    Zp, Wp = _pair_targets(form, pairs)
+    K, n = Zp.shape
+    # entry (k, c) moves coordinate c of z_k, then of w_k
+    k, c = (a.ravel() for a in np.indices((K, n)))
+    rows = np.arange(k.size)
+
+    def moved(block, p):
+        points = [Zp[k], Wp[k]]
+        points[block][rows, c] = p
+        return form.coeff(*points)
+
+    closed = anti = 0.0
+    for block, swap in ((0, (0, 2, 1, 3)), (1, (0, 3, 2, 1))):
+        # D[:, c, i, j] is d_{z^c} Omega_ij, then d_{w^c} Omega_ij
+        f = partial(moved, block)
+        D, bar = (d.reshape(K, n, n, n) for d in wirtinger_pair(f, (Zp, Wp)[block][k, c], h))
+        closed = max(closed, float(np.abs(D - D.transpose(swap)).max(initial=0.0)))
+        anti = max(anti, float(np.abs(bar).max(initial=0.0)))
     return closed, anti

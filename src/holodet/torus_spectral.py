@@ -163,8 +163,9 @@ def zeta_log_det(z: complex) -> SpectralDetResult:
     zc = reduce(z)[2]
     y = zc.imag
     s0 = SPLIT_TIME
-    # the shortest lattice vector of a fundamental-domain modulus has length 1
-    t_min = 1.0 / 180.0
+    # the shortest lattice vector of a fundamental-domain modulus has length 1; the cut
+    # below t_min carries y e^{-1/(4 t_min)} (split logs: log(1e12 y) overflows at 1.8e296)
+    t_min = min(1.0 / 180.0, 0.25 / (math.log(1e12) + math.log(y)))
 
     # Remainder R(t) = Theta(t) - A/(4 pi t) at t_min and at the nodes of
     # int_{t_min}^{s0} R(t)/t dt, log substitution t = e^u

@@ -85,9 +85,7 @@ def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"
 def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing") -> CheckResult:
     """Worst |q(z, w0)|, |q(z0, w)| over the pairs."""
     tol = 1e-10
-    res = verify_boundary_vanishing(form, pairs)
-    worst = float(res.max()) if res.size else 0.0
-    return CheckResult(name, worst, tol)
+    return CheckResult(name, float(verify_boundary_vanishing(form, pairs).max(initial=0.0)), tol)
 
 
 def mixed_derivative_check(form: ClosedHoloForm, pairs,
@@ -95,7 +93,7 @@ def mixed_derivative_check(form: ClosedHoloForm, pairs,
     """Worst entrywise |FD d_z d_w q - Omega| over the pairs; an error fails the check."""
     tol = 1e-7
     try:
-        worst = max(float(np.max(verify_mixed_derivative(form, z, w))) for z, w in pairs)
+        worst = float(np.max(verify_mixed_derivative(form, pairs)))
     except HolodetError as exc:
         return CheckResult(name, math.inf, tol, str(exc))
     return CheckResult(name, worst, tol)

@@ -16,7 +16,7 @@ def _richardson(one, h: float) -> tuple:
     return tuple((4.0 * a - b) / 3.0 for a, b in zip(fine, coarse))
 
 
-def wirtinger_pair(f, p: complex, h: float = 1e-3) -> tuple:
+def wirtinger_pair(f, p: complex, h: float) -> tuple:
     """(d/dz f, d/dzbar f) at p, with d/dz = (d/dx - i d/dy)/2 and d/dzbar its conjugate.
 
     For holomorphic f the first is f'(p) and the second vanishes.
@@ -30,12 +30,12 @@ def wirtinger_pair(f, p: complex, h: float = 1e-3) -> tuple:
     return _richardson(one, h)
 
 
-def wirtinger_dzbar(f, p: complex, h: float = 1e-3):
+def wirtinger_dzbar(f, p: complex, h: float):
     """d/dzbar = (d/dx + i d/dy)/2 at p; vanishes for holomorphic f."""
     return wirtinger_pair(f, p, h)[1]
 
 
-def dz_dzbar(u, p: complex, h: float = 1e-3):
+def dz_dzbar(u, p: complex, h: float):
     """d^2 u / dz dzbar = Laplacian/4 of a real-valued function at p."""
     u0 = u(p)
 
@@ -47,7 +47,7 @@ def dz_dzbar(u, p: complex, h: float = 1e-3):
     return _richardson(one, h)[0]
 
 
-def mixed_second(q, z: complex, w: complex, h: float = 1e-3):
+def mixed_second(q, z: complex, w: complex, h: float):
     """d^2 q / dz dw by a central 4-point stencil on holomorphic directions."""
 
     def one(step):

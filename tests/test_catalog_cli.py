@@ -32,7 +32,7 @@ class TestCatalog:
 
     def test_wp_genus1_is_pole_form(self):
         form = builtin_catalog()["wp_genus1"].build()
-        omega = form.coeff_at(2j, -2j)
+        omega = form.coeff([2j], [-2j])[0]
         assert omega[0, 0] == pytest.approx((4j) ** -2)
 
     def test_gmix_closed(self):
@@ -76,7 +76,7 @@ class TestCatalog:
         entries = parse_catalog(text)
         assert set(entries) == {"mypole", "mymix"}
         pole = entries["mypole"].build()
-        assert pole.coeff_at(2j, -2j)[0, 0] == pytest.approx(2 * (4j) ** -2)
+        assert pole.coeff([2j], [-2j])[0, 0, 0] == pytest.approx(2 * (4j) ** -2)
         mix = entries["mymix"].build()
         assert mix.dim == 2
         path = tmp_path / "cat.txt"
@@ -304,6 +304,30 @@ class TestCliPotential:
         out = run_cli("potential", "--form", "gmix_n2", "--at", "0,0.1:0,0.1;inf,0:0,0")
         assert out.returncode == 2
         assert out.stderr.splitlines() == ["error: w targets must be finite"]
+
+    def test_non_finite_target_under_verify_exits_2_without_a_warning(self):
+        # the contract checks validate the targets before they evaluate the form
+        out = run_cli("potential", "--form", "gmix_n2", "--at", "0,0.1:0,0.1;inf,0:0,0", "--verify")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == ["error: w targets must be finite"]
+
+    def test_target_near_the_pole_matches_the_closed_form(self, tmp_path):
+        # pole gap 0.002 inside the balls D(i, 0.999) x D(-i, 0.999): a decay read
+        # off the top coefficients alone accepted one aliased cell here, 1e-4 off
+        import cmath
+
+        path = tmp_path / "cat.txt"
+        path.write_text(
+            "form near\n  kind pole_power\n  dim 1\n  exponent 2\n"
+            "  base_z 0 1\n  base_w 0 -1\n"
+            "  domain_z 0 1 0.999\n  domain_w 0 -1 0.999\nend\n")
+        out = run_cli("potential", "--form", "near", "--at", "0,0.001;0,-0.001",
+                      "--catalog", str(path))
+        assert out.returncode == 0
+        value = complex(out.stdout.strip().removeprefix("q=").replace("i", "j"))
+        z, w = 0.001j, -0.001j
+        closed = cmath.log(z - w) - cmath.log(1j - w) - cmath.log(z + 1j) + cmath.log(2j)
+        assert abs(value - closed) < 1e-12
 
     def test_quadrature_failure_exits_1(self, tmp_path):
         # overlapping balls: the chain from (0.5, -0.5) to (-0.5, 0.5) meets z = w

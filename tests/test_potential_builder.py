@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -287,6 +288,40 @@ class TestBatchedCells:
         assert np.all(np.abs(res.values - exact) <= 1e-12 * np.abs(exact) + 1e-14)
         assert np.all(res.orders <= 64)
 
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.sampled_from([2, 3, 4]), log_gap=st.floats(math.log(0.002), math.log(6.0)),
+           angle=st.floats(0.25 * math.pi, 0.75 * math.pi), phase=st.floats(0.0, 1.0))
+    # the aliased cell: error 1.2e-4 against an estimate of 1.3e-12 from the top four coefficients
+    @example(k=2, log_gap=math.log(0.002), angle=0.5 * math.pi, phase=0.0)
+    @example(k=4, log_gap=math.log(0.012), angle=0.5 * math.pi, phase=0.0)
+    def test_errors_bound_the_closed_form_near_the_pole(self, k, log_gap, angle, phase):
+        # z - w = gap e^{i angle}, bases +-i, balls D(+-i, r) with r >= 0.999 just
+        # holding the targets: the pole gap on the chain is between 0.7 gap and gap
+        gap = math.exp(log_gap)
+        c = 2.0 * cmath.exp(2j * math.pi * phase)
+        z = 0.5 * gap * cmath.exp(1j * angle)
+        w = -z
+        radius = max(0.999, abs(z - 1j), abs(w + 1j))
+        form = dataclasses.replace(pole_power_form(c, k, 1j, -1j),
+                                   domain=ProductDomain.of_balls(1j, radius, -1j, radius))
+        res = cone_potentials(form, [z], [w])
+        exact = pole_power_closed_form(c, k, z, w, 1j, -1j)
+        assert abs(res.values[0] - exact) <= res.errors[0], (gap, res.cells[0])
+
+    @settings(max_examples=15, deadline=None)
+    @given(log_distance=st.floats(math.log(0.005), math.log(0.5)), a=st.floats(1.5, 3.0))
+    # the crossing line at distance 0.005: error 2.7e-6 against an estimate of 1.3e-10
+    @example(log_distance=math.log(0.005), a=3.0)
+    def test_errors_bound_the_closed_form_across_a_crossing_line(self, log_distance, a):
+        # z(s) + w(t) = 2 + s - (1 + a) t + i d vanishes nowhere but comes within d
+        # of 0 along a line through the parameter square
+        d = math.exp(log_distance)
+        z0, w0, z, w = complex(1, d), 1 + 0j, complex(2, d), complex(-a, 0)
+        res = cone_potentials(sum_pole_form(z0, w0), [z], [w])
+        G = lambda p, q: -cmath.log(p + q)  # d_z d_w G = (z + w)^-2; Im(p + q) = d > 0
+        exact = G(z, w) - G(z0, w) - G(z, w0) + G(z0, w0)
+        assert abs(res.values[0] - exact) <= res.errors[0], (d, res.cells[0])
+
     @pytest.mark.parametrize("Z, W", [([[2j, 1j]], [-2j]), (2j, -2j), ([2j, 1j], [-2j]),
                                       (np.ones((1, 1, 1)) * 2j, [-2j])])
     def test_wrong_shape_targets_are_domain_errors(self, Z, W):
@@ -321,13 +356,13 @@ class TestMixedDerivative:
     def test_constant_form(self):
         # bilinear q has zero FD truncation error: what is left is the
         # quadrature's rounding of q (~1e-15) over the stencil's h^2 = 1e-6
-        res = verify_mixed_derivative(constant_form(), 1 + 1.2j, -0.4 - 0.9j)
+        res = verify_mixed_derivative(constant_form(), [(1 + 1.2j, -0.4 - 0.9j)])
         assert float(res.max()) < 1e-9
 
     def test_pole_form_at_reference_point(self):
-        res = verify_mixed_derivative(pole_form(), 2j, -2j)
+        res = verify_mixed_derivative(pole_form(), [(2j, -2j)])
         # Omega(2i, -2i) = (4i)^{-2} = -1/16
-        assert float(res[0, 0]) < 1e-7
+        assert float(res[0, 0, 0]) < 1e-7
 
     def test_detects_closedness_violation(self):
         # a closed corruption would be faithfully reproduced by the cone
@@ -342,23 +377,25 @@ class TestMixedDerivative:
 
         dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
         form = ClosedHoloForm(2, corrupted, [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
-        res = verify_mixed_derivative(form, np.array([0.3, 0.2j]), np.array([0.25j, -0.2]))
+        res = verify_mixed_derivative(form, [(np.array([0.3, 0.2j]), np.array([0.25j, -0.2]))])
         assert float(res.max()) > 1e-3
 
     def test_stencil_domain_guard(self):
         form = pole_form()
         edge = 5j + 4.9j  # on the boundary of the z-ball: stencil pokes out
         with pytest.raises(DomainError):
-            verify_mixed_derivative(form, edge, -2j)
+            verify_mixed_derivative(form, [(edge, -2j)])
 
     def test_base_point_gauge_invariance(self):
         # moving the bases changes q by F(z) + G(w) only: same mixed derivative
-        a = verify_mixed_derivative(pole_form(1j, -1j), 1 + 1.4j, -0.7 - 1.1j)
-        b = verify_mixed_derivative(pole_form(0.5 + 2j, -0.3 - 1.5j), 1 + 1.4j, -0.7 - 1.1j)
+        a = verify_mixed_derivative(pole_form(1j, -1j), [(1 + 1.4j, -0.7 - 1.1j)])
+        b = verify_mixed_derivative(pole_form(0.5 + 2j, -0.3 - 1.5j), [(1 + 1.4j, -0.7 - 1.1j)])
         assert float(a.max()) < 1e-7 and float(b.max()) < 1e-7
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_eight_batched_calls_for_every_dimension(self, dim, monkeypatch):
+    # ids: the dimension alone for one pair, with "-3pairs" for three
+    @pytest.mark.parametrize("dim, K", [(1, 1), (2, 1), (3, 1), (1, 3), (2, 3), (3, 3)],
+                             ids=["1", "2", "3", "1-3pairs", "2-3pairs", "3-3pairs"])
+    def test_eight_batched_calls_for_every_dimension(self, dim, K, monkeypatch):
         calls = []
         real = potential_builder.cone_potentials
         monkeypatch.setattr(potential_builder, "cone_potentials",
@@ -367,9 +404,11 @@ class TestMixedDerivative:
         dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
         form = ClosedHoloForm(dim, g.mixed_coefficient_evaluator(),
                               np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
-        res = verify_mixed_derivative(form, np.full(dim, 0.4 + 0.2j), np.full(dim, -0.3 + 0.3j))
-        assert res.shape == (dim, dim) and float(res.max()) < 1e-7
-        assert calls == [dim * dim] * 8
+        pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
+                 for m in range(K)]
+        res = verify_mixed_derivative(form, pairs)
+        assert res.shape == (K, dim, dim) and float(res.max()) < 1e-7
+        assert calls == [K * dim * dim] * 8
 
 
 class TestClosedAndHolomorphic:
@@ -409,6 +448,39 @@ class TestClosedAndHolomorphic:
         closed, anti = check_closed_and_holomorphic(pole_form(), PAIRS[:2])
         # n=1 closedness is vacuous; holomorphy holds
         assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sixteen_batched_calls_for_every_dimension(self, dim, K):
+        calls = []
+        g = random_polymap(dim, degree=3, n_terms=6, rng=np.random.default_rng(dim))
+        inner = g.mixed_coefficient_evaluator()
+
+        def coeff(Z, W):
+            calls.append(len(Z))
+            return inner(Z, W)
+
+        dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
+        form = ClosedHoloForm(dim, coeff, np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
+        pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
+                 for m in range(K)]
+        closed, anti = check_closed_and_holomorphic(form, pairs)
+        assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+        assert calls == [K * dim] * 16
+
+    def test_targets_are_checked_before_the_form_is_evaluated(self):
+        def coeff(Z, W):
+            raise AssertionError("evaluated")
+
+        form = ClosedHoloForm(2, coeff, [0.1, 0.1], [0.1, 0.1],
+                              ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5))
+        for pairs, match in (([([0.1, 0.2], [complex("inf"), 0])], "w targets must be finite"),
+                             ([([0.1, 0.2], [0.1])], "shape"),
+                             ([([0.1, 0.2], [0.1, 0.2]), ([0.1], [0.1, 0.2])], "z targets")):
+            for verifier in (check_closed_and_holomorphic, verify_mixed_derivative,
+                             verify_boundary_vanishing):
+                with pytest.raises(DomainError, match=match):
+                    verifier(form, pairs)
 
 
 class TestHolomorphyOfPotential:

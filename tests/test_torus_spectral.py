@@ -182,6 +182,18 @@ class TestZetaDet:
         # reduced heights 135, 1000, 250 and 1000
         self.assert_matches_eta(z)
 
+    def test_spectral_route_reaches_height_1e20(self):
+        # no BudgetError where the closed form gives the value: with a fixed t_min
+        # the cut below it would pass the budget near height 5e10
+        worst = 0.0
+        for y in np.logspace(3, 20, 90):
+            for x in (-0.5, -0.17, 0.0, 0.31):
+                r = zeta_log_det(complex(x, y))
+                expected = 2 * math.log(y) + 4 * log_eta(complex(x, y)).real
+                worst = max(worst, abs(r.log_det - expected) / abs(expected))
+                assert r.tail_bound <= 10 * torus_spectral.TAIL_TOLERANCE, (x, y)
+        assert worst <= 1e-13
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_heights_give_a_value_or_a_budget_error(self):
         # past reduced height about 1e153 the box terms overflow; no numpy

@@ -15,6 +15,10 @@ polynomial       explicit monomials of each Omega_ij; must pass the
 mixed_second_of  Omega_ij = d^2 g / dz^i dw^j for an explicit polynomial g,
                  closed by construction
 
+The constant and the two polynomial kinds build Omega as one matrix
+``PolyMap``.  A ``coeff`` line's indices i, j lie in [0, dim), and every
+``coeff`` or ``gterm`` line gives dim exponents per block.
+
 Example::
 
     form wp_genus1
@@ -67,8 +71,8 @@ class FormCatalogEntry:
     domain_w_radius: float
     coefficient: complex = 1.0
     exponent: int = 2
-    poly_terms: tuple = field(default_factory=tuple)
-    g_terms: tuple = field(default_factory=tuple)
+    poly_terms: tuple[PolyTerm, ...] = field(default_factory=tuple)
+    g_terms: tuple[GTerm, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -77,6 +81,11 @@ class FormCatalogEntry:
             raise ValueError(f"kind {self.kind} requires dim 1")
         if self.kind == "pole_power" and self.exponent < 2:
             raise ValueError("pole_power exponent must be >= 2")
+        for *ij, _, alpha, beta in (*self.g_terms, *self.poly_terms):
+            if not all(0 <= i < self.dim for i in ij):
+                raise ValueError(f"coeff indices {tuple(ij)} outside [0, {self.dim})")
+            if len(alpha) != self.dim or len(beta) != self.dim:
+                raise ValueError(f"exponents {tuple(alpha)} | {tuple(beta)} need {self.dim} per block")
 
     def domain(self) -> ProductDomain:
         return ProductDomain.of_balls(
@@ -91,13 +100,7 @@ class FormCatalogEntry:
         negative control."""
         dom = self.domain()
         clearance = None
-        if self.kind == "constant":
-            c = complex(self.coefficient)
-
-            def coeff(Z, W, _c=c):
-                return np.full((np.atleast_2d(Z).shape[0], 1, 1), _c, dtype=complex)
-
-        elif self.kind == "pole_power":
+        if self.kind == "pole_power":
             c, k = complex(self.coefficient), int(self.exponent)
 
             def coeff(Z, W, _c=c, _k=k):
@@ -111,21 +114,10 @@ class FormCatalogEntry:
         elif self.kind == "mixed_second_of":
             terms = {(tuple(a), tuple(b)): complex(c) for c, a, b in self.g_terms}
             coeff = PolyMap(self.dim, terms).mixed_coefficient_evaluator()
-
-        else:  # polynomial
-            mats: dict[tuple[int, int], dict] = {}
-            for i, j, c, a, b in self.poly_terms:
-                key = (tuple(a), tuple(b))
-                entry = mats.setdefault((int(i), int(j)), {})
-                entry[key] = entry.get(key, 0.0) + complex(c)
-            polys = {ij: PolyMap(self.dim, t) for ij, t in mats.items()}
-
-            def coeff(Z, W, _polys=polys, _n=self.dim):
-                Z, W = np.atleast_2d(Z), np.atleast_2d(W)
-                out = np.zeros((Z.shape[0], _n, _n), dtype=complex)
-                for (i, j), p in _polys.items():
-                    out[:, i, j] = p(Z, W)
-                return out
+        elif self.kind == "polynomial":
+            coeff = PolyMap.matrix(self.dim, self.poly_terms)
+        else:  # constant
+            coeff = PolyMap.matrix(1, [(0, 0, self.coefficient, (0,), (0,))])
 
         form = ClosedHoloForm(self.dim, coeff, np.asarray(self.base_z, dtype=complex),
                               np.asarray(self.base_w, dtype=complex), dom,

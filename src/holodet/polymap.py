@@ -18,68 +18,62 @@ Monomial = tuple[tuple[int, ...], tuple[int, ...]]
 
 @dataclass(frozen=True)
 class PolyMap:
-    """Polynomial sum of c * z^alpha * w^beta with multi-indices per block."""
+    """Polynomial sum of c * z^alpha * w^beta with multi-indices per block.
+
+    The coefficients are scalars or arrays of one ``shape`` shared by every
+    term, so one map holds a whole matrix of polynomials: called on stacked
+    points of shape (M, n) per block it returns shape (M, *shape).
+    """
 
     dim: int
-    terms: dict[Monomial, complex]
+    terms: dict[Monomial, complex | np.ndarray]
+
+    @classmethod
+    def matrix(cls, dim: int, entries) -> "PolyMap":
+        """The dim x dim map whose entry (i, j) sums c * z^alpha * w^beta over its (i, j, c, alpha, beta)."""
+        zero = (0,) * dim
+        terms = {(zero, zero): np.zeros((dim, dim), dtype=complex)}
+        for i, j, c, alpha, beta in entries:
+            key = (tuple(alpha), tuple(beta))
+            terms.setdefault(key, np.zeros((dim, dim), dtype=complex))[i, j] += c
+        return cls(dim, terms)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The shape of every coefficient; () for a map with no terms."""
+        return np.shape(next(iter(self.terms.values()), 0j))
 
     def __call__(self, z, w) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         w = np.atleast_2d(np.asarray(w, dtype=complex))
-        out = np.zeros(z.shape[0], dtype=complex)
-        for (alpha, beta), c in self.terms.items():
-            term = np.full(z.shape[0], c, dtype=complex)
-            for k, a in enumerate(alpha):
-                if a:
-                    term *= z[:, k] ** a
-            for k, b in enumerate(beta):
-                if b:
-                    term *= w[:, k] ** b
-            out += term
+        out = np.zeros(z.shape[:1] + self.shape, dtype=complex)
+        for monomial, c in self.terms.items():
+            term = 1.0
+            for points, exponents in zip((z, w), monomial):
+                for k, e in enumerate(exponents):
+                    if e:
+                        term = term * points[:, k] ** e
+            out += np.multiply.outer(term, c)
         return out
 
-    def at(self, z, w) -> complex:
-        zv = np.atleast_1d(np.asarray(z, dtype=complex))
-        wv = np.atleast_1d(np.asarray(w, dtype=complex))
-        return complex(self(zv[None, :], wv[None, :])[0])
-
-    def dz(self, i: int) -> "PolyMap":
-        out: dict[Monomial, complex] = {}
-        for (alpha, beta), c in self.terms.items():
-            if alpha[i] == 0:
+    def derivative(self, block: int, i: int) -> "PolyMap":
+        """d/dz^i of the map (block 0) or d/dw^i (block 1)."""
+        out: dict[Monomial, complex | np.ndarray] = {}
+        for monomial, c in self.terms.items():
+            e = monomial[block][i]
+            if e == 0:
                 continue
-            a = list(alpha)
-            a[i] -= 1
-            key = (tuple(a), beta)
-            out[key] = out.get(key, 0.0) + c * alpha[i]
+            lowered = list(monomial)
+            lowered[block] = tuple(a - (k == i) for k, a in enumerate(monomial[block]))
+            key = tuple(lowered)
+            out[key] = out.get(key, 0) + c * e
         return PolyMap(self.dim, out)
 
-    def dw(self, j: int) -> "PolyMap":
-        out: dict[Monomial, complex] = {}
-        for (alpha, beta), c in self.terms.items():
-            if beta[j] == 0:
-                continue
-            b = list(beta)
-            b[j] -= 1
-            key = (alpha, tuple(b))
-            out[key] = out.get(key, 0.0) + c * beta[j]
-        return PolyMap(self.dim, out)
-
-    def mixed_coefficient_evaluator(self):
-        """Batched evaluator of the n x n matrix d^2 g / dz^i dw^j."""
+    def mixed_coefficient_evaluator(self) -> "PolyMap":
+        """The n x n matrix d^2 g / dz^i dw^j as one map, (M, n) per block -> (M, n, n)."""
         n = self.dim
-        parts = [[self.dz(i).dw(j) for j in range(n)] for i in range(n)]
-
-        def coeff(zpts: np.ndarray, wpts: np.ndarray) -> np.ndarray:
-            zpts = np.atleast_2d(np.asarray(zpts, dtype=complex))
-            wpts = np.atleast_2d(np.asarray(wpts, dtype=complex))
-            out = np.empty((zpts.shape[0], n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    out[:, i, j] = parts[i][j](zpts, wpts)
-            return out
-
-        return coeff
+        return PolyMap.matrix(n, [(i, j, c, *monomial) for i in range(n) for j in range(n)
+                                  for monomial, c in self.derivative(0, i).derivative(1, j).terms.items()])
 
 
 def monomials_up_to(dim: int, degree: int) -> list[Monomial]:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -20,6 +21,12 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, **kw)
 
 
+# a dim-2 entry around one coeff or gterm line
+POLY_BLOCK = ("form bad\n  kind {kind}\n  dim 2\n  {line}\n"
+              "  base_z 0.1 0.1 0.1 0\n  base_w -0.1 -0.1 -0.1 0\n"
+              "  domain_z 0 0 0 0 1.5\n  domain_w 0 0 0 0 1.5\nend\n")
+
+
 class TestCatalog:
     def test_builtin_names(self):
         cat = builtin_catalog()
@@ -39,6 +46,15 @@ class TestCatalog:
         entry = builtin_catalog()["gmix_n2"]
         closed, anti = check_closed_and_holomorphic(entry.build(), entry.validation_samples())
         assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+
+    def test_polynomial_and_mixed_second_of_give_one_coefficient_map(self):
+        # gmix_n2 is g = (z^1)^2 (w^1)^3 + z^2 w^2: Omega_11 = 6 z^1 (w^1)^2, Omega_22 = 1
+        mixed = builtin_catalog()["gmix_n2"]
+        poly = dataclasses.replace(mixed, kind="polynomial", g_terms=(), poly_terms=(
+            (0, 0, 6.0, (1, 0), (2, 0)), (1, 1, 1.0, (0, 0), (0, 0))))
+        rng = np.random.default_rng(3)
+        Z, W = (rng.uniform(-1, 1, (5, 2)) + 1j * rng.uniform(-1, 1, (5, 2)) for _ in range(2))
+        assert np.array_equal(poly.build().coeff(Z, W), mixed.build().coeff(Z, W))
 
     def test_bad_nonclosed_fails_validation(self):
         entry = builtin_catalog()["bad_nonclosed"]
@@ -88,6 +104,12 @@ class TestCatalog:
         "kind pole_power",
         "form x\nkind pole_power\ndim 1\nbase_z 0 1\nend",
         "form x\nkind pole_power\ndim 1\ncoefficient 1\nend",
+        pytest.param(POLY_BLOCK.format(kind="polynomial", line="coeff 5 0 1 0 | 0 0 | 0 0"),
+                     id="coeff-index-past-dim"),
+        pytest.param(POLY_BLOCK.format(kind="polynomial", line="coeff -1 -1 1 0 | 0 0 | 0 0"),
+                     id="coeff-index-negative"),
+        pytest.param(POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 | 3 0"),
+                     id="gterm-exponents-not-dim"),
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(ValueError):
@@ -341,6 +363,22 @@ class TestCliPotential:
         assert out.returncode == 1
         assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
         assert "quadrature node within 0.001 of a singularity" in out.stderr
+
+    @pytest.mark.parametrize("kind, line", [
+        ("polynomial", "coeff 5 0 1 0 | 0 0 | 0 0"),
+        ("polynomial", "coeff -1 -1 1 0 | 0 0 | 0 0"),
+        ("polynomial", "coeff 1 1 1 0 | 0 | 0 0"),
+        ("mixed_second_of", "gterm 1 0 | 2 | 3 0"),
+    ], ids=["index-past-dim", "index-negative", "coeff-exponents", "gterm-exponents"])
+    def test_malformed_polynomial_data_exits_2(self, tmp_path, kind, line):
+        # an index outside [0, dim) or an exponent list not of length dim: an
+        # IndexError traceback, or a silently wrapped index that --verify passed
+        path = tmp_path / "cat.txt"
+        path.write_text(POLY_BLOCK.format(kind=kind, line=line))
+        out = run_cli("potential", "--form", "bad", "--at", "0.2,0:0.1,0;0,0.1:0,0",
+                      "--verify", "--catalog", str(path))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: catalog line ")
 
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"

@@ -236,6 +236,26 @@ class TestRingFit:
             outs.append(out.stdout)
         assert outs[0] == outs[1]
 
+    def test_unpinned_fits_take_no_threaded_blas_stall(self):
+        # a complex gemv to monomials took about 8 ms per fit at D = 8 under
+        # default OpenBLAS threads; the whole fit takes about 0.05 ms
+        code = ("import time\n"
+                "from holodet.polarization import DiagonalSampleSet, polarize_fit\n"
+                "from holodet.torus_spectral import closed_form_log_det\n"
+                "total = 0.0\n"
+                "for k in range(50):\n"
+                "    s = DiagonalSampleSet.from_function(closed_form_log_det, 1j + 0.01 * k, 0.3, 162)\n"
+                "    t = time.perf_counter()\n"
+                "    polarize_fit(s, 8)\n"
+                "    total += time.perf_counter() - t\n"
+                "print(total)")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert float(out.stdout) < 0.1
+
 
 class TestScatteredChecks:
     def test_dispersion_check_spans_row_blocks(self, monkeypatch):

@@ -99,8 +99,7 @@ class TestConePotential:
         z = np.array([0.4 + 0.2j, -0.3 + 0.1j])
         w = np.array([0.2 - 0.5j, 0.6j])
         q = cone_potential(form, z, w)
-        oracle = (g.at(z, w) - g.at(form.base_z, w)
-                  - g.at(z, form.base_w) + g.at(form.base_z, form.base_w))
+        oracle = g([z, form.base_z, z, form.base_z], [w, w, form.base_w, form.base_w]) @ [1, -1, -1, 1]
         assert abs(q - oracle) < 1e-12
 
     def test_rejects_point_outside_domain(self):
@@ -518,3 +517,51 @@ class TestSharedMechanisms:
         calls.clear()
         work()
         assert calls == []
+
+
+def mixed_second_reference(g: PolyMap, z, w):
+    """d^2 g / dz^i dw^j at one point, summed term by term in plain Python."""
+    n = g.dim
+    out = np.zeros((n, n), dtype=complex)
+    for (alpha, beta), c in g.terms.items():
+        for i in range(n):
+            for j in range(n):
+                a, b = list(alpha), list(beta)
+                value = c * a[i] * b[j]
+                a[i] -= 1
+                b[j] -= 1
+                if value:
+                    out[i, j] += value * math.prod(z[k] ** a[k] * w[k] ** b[k] for k in range(n))
+    return out
+
+
+class TestPolyMap:
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.integers(1, 3), degree=st.integers(0, 5), n_terms=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matrix_map_matches_a_per_term_reference(self, dim, degree, n_terms, seed):
+        rng = np.random.default_rng(seed)
+        g = random_polymap(dim, degree, n_terms, rng)
+        Z = rng.uniform(-1, 1, (4, dim)) + 1j * rng.uniform(-1, 1, (4, dim))
+        W = rng.uniform(-1, 1, (4, dim)) + 1j * rng.uniform(-1, 1, (4, dim))
+        got = g.mixed_coefficient_evaluator()(Z, W)
+        assert got.shape == (4, dim, dim)
+        for m in range(4):
+            ref = mixed_second_reference(g, Z[m], W[m])
+            assert np.allclose(got[m], ref, rtol=1e-13, atol=1e-13)
+
+    def test_synthetic_contracts_make_one_cone_call_per_form(self, monkeypatch):
+        import holodet.verify as verify
+
+        calls = []
+        real = potential_builder.cone_potentials
+
+        def counted(form, Z, W):
+            calls.append(len(Z))
+            return real(form, Z, W)
+
+        monkeypatch.setattr(potential_builder, "cone_potentials", counted)
+        monkeypatch.setattr(verify, "cone_potentials", counted)
+        checks = verify.check_synthetic_form_contracts()
+        assert all(c.passed for c in checks)
+        assert calls == [2] * 5

@@ -16,8 +16,10 @@ mixed_second_of  Omega_ij = d^2 g / dz^i dw^j for an explicit polynomial g,
                  closed by construction
 
 The constant and the two polynomial kinds build Omega as one matrix
-``PolyMap``.  A ``coeff`` line's indices i, j lie in [0, dim), and every
-``coeff`` or ``gterm`` line gives dim exponents per block.
+``PolyMap``; repeated monomials sum, in ``coeff`` and ``gterm`` lines alike.
+``dim`` is at least 1, every number is finite, a ``coeff`` line's indices
+i, j lie in [0, dim), and every ``coeff`` or ``gterm`` line gives dim
+exponents per block.  A line that breaks a rule is a DomainError naming it.
 
 Example::
 
@@ -35,11 +37,13 @@ Example::
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HolodetError
+from .errors import DomainError, HolodetError
 from .polymap import PolyMap
 from .potential_builder import (
     ClosedHoloForm,
@@ -76,16 +80,13 @@ class FormCatalogEntry:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown form kind {self.kind!r}")
+            raise DomainError(f"unknown form kind {self.kind!r}")
         if self.kind in ("constant", "pole_power") and self.dim != 1:
-            raise ValueError(f"kind {self.kind} requires dim 1")
+            raise DomainError(f"kind {self.kind} requires dim 1")
         if self.kind == "pole_power" and self.exponent < 2:
-            raise ValueError("pole_power exponent must be >= 2")
+            raise DomainError("pole_power exponent must be >= 2")
         for *ij, _, alpha, beta in (*self.g_terms, *self.poly_terms):
-            if not all(0 <= i < self.dim for i in ij):
-                raise ValueError(f"coeff indices {tuple(ij)} outside [0, {self.dim})")
-            if len(alpha) != self.dim or len(beta) != self.dim:
-                raise ValueError(f"exponents {tuple(alpha)} | {tuple(beta)} need {self.dim} per block")
+            _check_term(self.dim, ij, alpha, beta)
 
     def domain(self) -> ProductDomain:
         return ProductDomain.of_balls(
@@ -112,8 +113,10 @@ class FormCatalogEntry:
                 return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
 
         elif self.kind == "mixed_second_of":
-            terms = {(tuple(a), tuple(b)): complex(c) for c, a, b in self.g_terms}
-            coeff = PolyMap(self.dim, terms).mixed_coefficient_evaluator()
+            terms = Counter()  # repeated monomials sum, as repeated coeff lines do
+            for c, a, b in self.g_terms:
+                terms[tuple(a), tuple(b)] += complex(c)
+            coeff = PolyMap(self.dim, dict(terms)).mixed_coefficient_evaluator()
         elif self.kind == "polynomial":
             coeff = PolyMap.matrix(self.dim, self.poly_terms)
         else:  # constant
@@ -148,6 +151,14 @@ class FormCatalogEntry:
         return out
 
 
+def _check_term(dim: int, ij, alpha, beta) -> None:
+    """A term's indices lie in [0, dim) and each exponent block has dim entries."""
+    if not all(0 <= i < dim for i in ij):
+        raise DomainError(f"coeff indices {tuple(ij)} outside [0, {dim})")
+    if len(alpha) != dim or len(beta) != dim:
+        raise DomainError(f"exponents {tuple(alpha)} | {tuple(beta)} need {dim} per block")
+
+
 def builtin_catalog() -> dict[str, FormCatalogEntry]:
     """The compiled-in forms the CLI refers to by name."""
     tall = dict(domain_z_center=(5j,), domain_z_radius=4.9,
@@ -180,14 +191,21 @@ def builtin_catalog() -> dict[str, FormCatalogEntry]:
 # --- text format -------------------------------------------------------------
 
 
-def _floats(tokens):
-    return [float(t) for t in tokens]
+def finite_floats(tokens) -> list[float]:
+    """Number tokens of an input text as floats; a malformed or non-finite one is a DomainError."""
+    try:
+        vals = [float(t) for t in tokens]
+    except ValueError as exc:
+        raise DomainError(str(exc)) from None
+    if not all(map(math.isfinite, vals)):
+        raise DomainError(f"expected finite numbers, got {' '.join(tokens)!r}")
+    return vals
 
 
 def _complexes(tokens):
-    vals = _floats(tokens)
+    vals = finite_floats(tokens)
     if len(vals) % 2:
-        raise ValueError(f"odd number of floats for complex data: {tokens}")
+        raise DomainError(f"odd number of floats for complex data: {tokens}")
     return tuple(complex(a, b) for a, b in zip(vals[::2], vals[1::2]))
 
 
@@ -204,78 +222,77 @@ def _split_bar(tokens):
 
 
 def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
-    """Parse the plain-text catalog format; see the module docstring."""
+    """Parse the plain-text catalog format; see the module docstring.
+
+    A malformed line is a DomainError that names it.  A term is checked
+    against ``dim`` at the block's ``end``, and an error there names the
+    term's own line.
+    """
     entries: dict[str, FormCatalogEntry] = {}
-    fields = None
-    name = None
+    fields = name = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        key, args = tokens[0], tokens[1:]
+        key, *args = line.split()
+        at = lineno
         try:
             if key == "form":
                 if fields is not None:
-                    raise ValueError("nested 'form' block")
+                    raise DomainError("nested 'form' block")
                 (name,) = args
-                fields = {"poly_terms": [], "g_terms": []}
+                fields, term_lines = {"poly_terms": (), "g_terms": ()}, []
             elif key == "end":
                 if fields is None:
-                    raise ValueError("'end' outside a form block")
+                    raise DomainError("'end' outside a form block")
+                if "dim" in fields:
+                    for at, (*ij, _, alpha, beta) in term_lines:
+                        _check_term(fields["dim"], ij, alpha, beta)
+                    at = lineno
                 entries[name] = _entry_from_fields(name, fields)
                 fields, name = None, None
             elif fields is None:
-                raise ValueError(f"directive {key!r} outside a form block")
+                raise DomainError(f"directive {key!r} outside a form block")
             elif key == "kind":
                 (fields["kind"],) = args
             elif key == "dim":
-                fields["dim"] = int(args[0])
+                (fields["dim"],) = map(int, args)
+                if fields["dim"] < 1:
+                    raise DomainError(f"dim must be >= 1, got {fields['dim']}")
             elif key == "coefficient":
                 (fields["coefficient"],) = _complexes(args)
             elif key == "exponent":
-                fields["exponent"] = int(args[0])
+                (fields["exponent"],) = map(int, args)
             elif key in ("base_z", "base_w"):
                 fields[key] = _complexes(args)
             elif key in ("domain_z", "domain_w"):
                 *center, radius = args
                 fields[key + "_center"] = _complexes(center)
-                fields[key + "_radius"] = float(radius)
-            elif key == "gterm":
-                coeffs, alpha, beta = _split_bar(args)
-                (c,) = _complexes(coeffs)
-                fields["g_terms"].append((c, tuple(int(a) for a in alpha),
-                                          tuple(int(b) for b in beta)))
-            elif key == "coeff":
+                (fields[key + "_radius"],) = finite_floats([radius])
+            elif key in ("gterm", "coeff"):
                 head, alpha, beta = _split_bar(args)
-                i, j = int(head[0]), int(head[1])
-                (c,) = _complexes(head[2:])
-                fields["poly_terms"].append((i, j, c, tuple(int(a) for a in alpha),
-                                             tuple(int(b) for b in beta)))
+                ij = [int(t) for t in head[:2]] if key == "coeff" else []
+                (c,) = _complexes(head[len(ij):])
+                term = (*ij, c, tuple(map(int, alpha)), tuple(map(int, beta)))
+                fields["poly_terms" if key == "coeff" else "g_terms"] += (term,)
+                term_lines.append((lineno, term))
             else:
-                raise ValueError(f"unknown directive {key!r}")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"catalog line {lineno}: {exc}") from exc
+                raise DomainError(f"unknown directive {key!r}")
+        except (ValueError, DomainError) as exc:
+            raise DomainError(f"catalog line {at}: {exc}") from None
     if fields is not None:
-        raise ValueError("unterminated form block")
+        raise DomainError("unterminated form block")
     return entries
 
 
 def _entry_from_fields(name: str, f: dict) -> FormCatalogEntry:
-    for req in ("kind", "dim", "base_z", "base_w",
-                "domain_z_center", "domain_w_center"):
+    for req in ("kind", "dim", "base_z", "base_w", "domain_z_center", "domain_w_center"):
         if req not in f:
-            raise ValueError(f"form {name!r} missing {req.split('_center')[0]}")
-    return FormCatalogEntry(
-        name=name, kind=f["kind"], dim=f["dim"],
-        base_z=f["base_z"], base_w=f["base_w"],
-        domain_z_center=f["domain_z_center"], domain_z_radius=f["domain_z_radius"],
-        domain_w_center=f["domain_w_center"], domain_w_radius=f["domain_w_radius"],
-        coefficient=f.get("coefficient", 1.0), exponent=f.get("exponent", 2),
-        poly_terms=tuple(f["poly_terms"]), g_terms=tuple(f["g_terms"]),
-    )
+            raise DomainError(f"form {name!r} missing {req.split('_center')[0]}")
+    return FormCatalogEntry(name=name, **f)
 
 
 def load_catalog(path) -> dict[str, FormCatalogEntry]:
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte becomes U+FFFD, so the parser names its line
+    with open(path, encoding="utf-8", errors="replace") as fh:
         return parse_catalog(fh.read())

@@ -14,8 +14,10 @@ verify-all  the verification suite
 
 Conventions: complex numbers on the command line are ``re,im``; product
 points are ``z;w``.  Exit codes: 0 success, 1 verification failure or any
-other library error, 2 input/configuration error (any DomainError; an output
-file that cannot be written is one).
+other library error, 2 input error.  An input error is a DomainError (a point
+outside its domain, or a malformed catalog, recipe or samples CSV) or an
+OSError (a file that cannot be opened or written), and ``main`` alone maps it
+to exit 2; argparse rejects a malformed option value itself.
 Reports are byte-deterministic for fixed inputs; wall-clock timing goes to
 stderr only.
 """
@@ -30,7 +32,7 @@ import time
 
 import numpy as np
 
-from .catalog import builtin_catalog, load_catalog
+from .catalog import builtin_catalog, finite_floats, load_catalog
 from .errors import DomainError, HolodetError
 from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
@@ -69,17 +71,11 @@ def int_at_least(low: int):
 
 def parse_point_pair(text: str) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Parse 'z;w' where each block is coordinates 're,im' joined by ':'."""
-    try:
-        z_s, w_s = text.split(";")
-        z = tuple(parse_complex(c) for c in z_s.split(":"))
-        w = tuple(parse_complex(c) for c in w_s.split(":"))
-        if len(z) != len(w):
-            raise ValueError("z and w blocks have different lengths")
-        return z, w
-    except ValueError as exc:
+    blocks = [tuple(parse_complex(c) for c in block.split(":")) for block in text.split(";")]
+    if len(blocks) != 2 or len(blocks[0]) != len(blocks[1]):
         raise argparse.ArgumentTypeError(
-            f"expected 'z;w' as 're,im[:re,im...];re,im[:re,im...]', got {text!r}"
-        ) from exc
+            f"expected 'z;w' as 're,im[:re,im...];re,im[:re,im...]', got {text!r}")
+    return blocks[0], blocks[1]
 
 
 def fmt(value) -> str:
@@ -95,17 +91,13 @@ def _error(message, code: int) -> int:
     return code
 
 
-def _write_output(path, text: str) -> int:
+def _write_output(path, text: str) -> None:
     """Write text to the file at path, or to stdout without a path."""
-    if not path:
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
+    if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    except OSError as exc:
-        return _error(f"cannot write {path}: {exc.strerror or exc}", EXIT_BAD_INPUT)
-    return EXIT_OK
+    else:
+        sys.stdout.write(text)
 
 
 def _print_checks(checks) -> bool:
@@ -152,19 +144,16 @@ def _load_entry(args):
     if args.catalog:
         catalog.update(load_catalog(args.catalog))
     if args.form not in catalog:
-        raise KeyError(f"unknown form {args.form!r}; available: {', '.join(sorted(catalog))}")
+        raise DomainError(f"unknown form {args.form!r}; available: {', '.join(sorted(catalog))}")
     return catalog[args.form]
 
 
 def cmd_potential(args) -> int:
-    try:
-        entry = _load_entry(args)
-    except (KeyError, OSError, ValueError) as exc:
-        return _error(exc, EXIT_BAD_INPUT)
+    entry = _load_entry(args)
     z, w = np.asarray(args.at[0], complex), np.asarray(args.at[1], complex)
     if z.size != entry.dim:
-        return _error(f"form {entry.name!r} needs points in C^{entry.dim}, "
-                      f"got {z.size} coordinate(s)", EXIT_BAD_INPUT)
+        raise DomainError(f"form {entry.name!r} needs points in C^{entry.dim}, "
+                          f"got {z.size} coordinate(s)")
     # without --verify, polynomial entries must pass their contract check
     form = entry.build(validate=not args.verify)
 
@@ -174,26 +163,27 @@ def cmd_potential(args) -> int:
             return EXIT_CHECK_FAILED
 
     if args.grid:
-        return _emit_grid(args, form, z, w)
+        _emit_grid(args, form, z, w)
+        return EXIT_OK
     print(f"q={fmt(cone_potential(form, z, w))}")
     return EXIT_OK
 
 
-def _emit_grid(args, form, z0, w) -> int:
+def _emit_grid(args, form, z0, w) -> None:
     if form.dim != 1:
-        return _error("--grid sweeps are supported for one-variable forms only", EXIT_BAD_INPUT)
-    try:
-        a_s, b_s, n_s = args.grid.split(":")
-        a, b, n = parse_complex(a_s), parse_complex(b_s), int_at_least(1)(n_s)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        return _error(f"--grid expects 're,im:re,im:N', got {args.grid!r} ({exc})", EXIT_BAD_INPUT)
+        raise DomainError("--grid sweeps are supported for one-variable forms only")
+    parts = [finite_floats(part.split(",")) for part in args.grid.split(":")]
+    n = parts[-1][0]
+    if [len(p) for p in parts] != [2, 2, 1] or n < 1 or not n.is_integer():
+        raise DomainError(f"--grid expects 're,im:re,im:N' with N >= 1, got {args.grid!r}")
+    a, b, n = complex(*parts[0]), complex(*parts[1]), int(n)
     wc = complex(w[0])
     zs = np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
     qs = cone_potentials(form, zs, np.full(n, wc)).values
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for z, q in zip(zs, qs):
         rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
-    return _write_output(args.out, "\n".join(rows) + "\n")
+    _write_output(args.out, "\n".join(rows) + "\n")
 
 
 # --- extend ------------------------------------------------------------------
@@ -201,30 +191,27 @@ def _emit_grid(args, form, z0, w) -> int:
 
 def _parse_recipe_file(path):
     opts = {"constant": 0.0, "f_mode": "zero"}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, *rest = line.split()
             if key not in opts:
-                raise ValueError(f"unknown recipe directive {key!r}")
+                raise DomainError(f"unknown recipe directive {key!r}")
             if len(rest) != 1:
-                raise ValueError(f"recipe directive {key!r} takes one value, got {len(rest)}")
-            opts[key] = float(rest[0]) if key == "constant" else rest[0]
+                raise DomainError(f"recipe directive {key!r} takes one value, got {len(rest)}")
+            (opts[key],) = finite_floats(rest) if key == "constant" else rest
     return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
 
 
 def cmd_extend(args) -> int:
     zb, wb = args.point
     if len(zb) != 1:
-        return _error("extend works on the genus-1 model; give scalar z;w", EXIT_BAD_INPUT)
+        raise DomainError("extend works on the genus-1 model; give scalar z;w")
     point = ProductPoint(zb[0], wb[0])
     if args.recipe:
-        try:
-            recipe = _parse_recipe_file(args.recipe)
-        except (OSError, ValueError) as exc:
-            return _error(exc, EXIT_BAD_INPUT)
+        recipe = _parse_recipe_file(args.recipe)
         evaluate = lambda p: assemble_extension(recipe, p)
     else:
         evaluate = genus1_extension
@@ -240,11 +227,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_polarize(args) -> int:
-    try:
-        samples = load_diagonal_csv(args.samples)
-    except (OSError, ValueError, KeyError) as exc:
-        return _error(f"malformed samples CSV: {exc}", EXIT_BAD_INPUT)
-    fit = polarize_fit(samples, args.degree)
+    fit = polarize_fit(load_diagonal_csv(args.samples), args.degree)
     payload = {
         "degree": fit.degree,
         "center": [fit.center.real, fit.center.imag],
@@ -255,8 +238,7 @@ def cmd_polarize(args) -> int:
             [[c.real, c.imag] for c in row] for row in fit.coefficients
         ],
     }
-    if _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n"):
-        return EXIT_BAD_INPUT
+    _write_output(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"residual={fit.residual:.6e} conditioning={fit.conditioning:.6e}", file=sys.stderr)
     return EXIT_OK
 
@@ -270,8 +252,8 @@ def cmd_verify_all(args) -> int:
     wall_time = time.perf_counter() - t0
     for line in report.summary_lines():
         print(line)
-    if args.json and _write_output(args.json, report.to_json() + "\n"):
-        return EXIT_BAD_INPUT
+    if args.json:
+        _write_output(args.json, report.to_json() + "\n")
     print(f"wall time: {wall_time:.2f}s", file=sys.stderr)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -327,11 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the one place a library error becomes an exit code."""
+    """Run one subcommand; the one place an input or library error becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         return _error(exc, EXIT_BAD_INPUT)
     except HolodetError as exc:
         return _error(exc, EXIT_CHECK_FAILED)

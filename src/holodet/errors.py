@@ -6,7 +6,8 @@ class HolodetError(Exception):
 
 
 class DomainError(HolodetError):
-    """A point lies outside the domain an operation is defined on."""
+    """A point lies outside the domain an operation is defined on, or an input
+    text (catalog, recipe, samples CSV, CLI value) is malformed."""
 
 
 class BudgetError(HolodetError):

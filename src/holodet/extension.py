@@ -218,15 +218,12 @@ def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint) -> complex:
 def genus1_extension(point: ProductPoint) -> complex:
     """Eta-function extension (1/2) Log(-pi i (z-w)) + log_eta(z) + conj(log_eta(wbar)).
 
-    Since Im(z - w) > 0 on the model domain, -pi*i*(z - w) has positive real
+    ``ProductPoint`` keeps Im z > 0 > Im w, so -pi*i*(z - w) has positive real
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
     """
     z, w = point.z, point.w
-    u = -1j * math.pi * (z - w)
-    if not u.real > 0.0:
-        raise DomainError("(z, w) outside the model domain: -pi i (z - w) left the right half plane")
-    return 0.5 * cmath.log(u) + log_eta(z) + np.conj(log_eta(np.conj(w)))
+    return 0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z) + np.conj(log_eta(np.conj(w)))
 
 
 # --- mapping-class (modular) group helpers ---------------------------------

@@ -333,20 +333,27 @@ CSV_FIELDS = ("re_z", "im_z", "re_val", "im_val")
 
 
 def load_diagonal_csv(path) -> DiagonalSampleSet:
-    """Read diagonal samples; disc center/radius are inferred from the points."""
+    """Read diagonal samples; disc center/radius are inferred from the points.
+
+    A malformed header or row is a DomainError that names it.
+    """
     pts, vals = [], []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != list(CSV_FIELDS):
-            raise ValueError(f"expected CSV header {','.join(CSV_FIELDS)}")
-        for row in reader:
-            re_z, im_z, re_val, im_val = (float(row[f]) for f in CSV_FIELDS)
-            if not all(map(math.isfinite, (re_z, im_z, re_val, im_val))):
-                raise ValueError(f"non-finite entry in row {reader.line_num}")
-            pts.append(complex(re_z, im_z))
-            vals.append(complex(re_val, im_val))
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        reader = csv.reader(fh)
+        try:
+            if [f.strip() for f in next(reader, [])] != list(CSV_FIELDS):
+                raise DomainError(f"malformed samples CSV: expected header {','.join(CSV_FIELDS)}")
+            for row in filter(None, reader):
+                re_z, im_z, re_val, im_val = (float(v) for v in row)
+                if not all(map(math.isfinite, (re_z, im_z, re_val, im_val))):
+                    raise DomainError(f"malformed samples CSV row {reader.line_num}: "
+                                      "non-finite entry")
+                pts.append(complex(re_z, im_z))
+                vals.append(complex(re_val, im_val))
+        except (ValueError, csv.Error) as exc:
+            raise DomainError(f"malformed samples CSV row {reader.line_num}: {exc}") from None
     if not pts:
-        raise ValueError("no samples in CSV")
+        raise DomainError("malformed samples CSV: no samples")
     pts = np.asarray(pts)
     center = complex(np.mean(pts))
     radius = float(np.max(np.abs(pts - center))) * (1 + 1e-12) or 1.0

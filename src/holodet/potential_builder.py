@@ -79,10 +79,6 @@ class ProductDomain:
         n = np.atleast_1d(np.asarray(z_center)).size
         return cls(_as_vec(z_center, n), float(z_radius), _as_vec(w_center, n), float(w_radius))
 
-    @property
-    def dim(self) -> int:
-        return self.z_center.size
-
 
 @dataclass(frozen=True)
 class ClosedHoloForm:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from holodet.catalog import CONTRACT_TOLERANCE, builtin_catalog, load_catalog, parse_catalog
-from holodet.errors import HolodetError
+from holodet.errors import DomainError, HolodetError
 from holodet.polarization import DiagonalSampleSet
 from holodet.potential_builder import check_closed_and_holomorphic, cone_potential
 from holodet.report import CheckResult, RunReport
@@ -21,10 +21,27 @@ def run_cli(*args, **kw):
                           capture_output=True, text=True, **kw)
 
 
-# a dim-2 entry around one coeff or gterm line
+# a dim-2 entry around one coeff or gterm line (line 4)
 POLY_BLOCK = ("form bad\n  kind {kind}\n  dim 2\n  {line}\n"
               "  base_z 0.1 0.1 0.1 0\n  base_w -0.1 -0.1 -0.1 0\n"
               "  domain_z 0 0 0 0 1.5\n  domain_w 0 0 0 0 1.5\nend\n")
+
+# a one-variable entry of the given kind, with one more line (line 3)
+ONE_VAR_BLOCK = ("form bad\n  kind {kind}\n  {line}\n  dim 1\n  base_z 0 1\n  base_w 0 -1\n"
+                 "  domain_z 0 5 4.9\n  domain_w 0 -5 4.9\nend\n")
+
+#: (catalog text, the line its error must name): a term is checked against a
+#: dim given before or after it, and a number or dim at its own line
+MALFORMED_LINES = {
+    "coeff-index-past-dim": (POLY_BLOCK.format(kind="polynomial", line="coeff 5 0 1 0 | 0 0 | 0 0"), 4),
+    "gterm-exponents-not-dim": (POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 | 3 0"), 4),
+    "gterm-before-dim": (ONE_VAR_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 0 | 3"), 3),
+    "coefficient-nan": (ONE_VAR_BLOCK.format(kind="pole_power", line="coefficient nan 0"), 3),
+    "gterm-inf": (ONE_VAR_BLOCK.format(kind="mixed_second_of", line="gterm inf 0 | 1 | 1"), 3),
+    "domain-radius-nan": (ONE_VAR_BLOCK.format(kind="constant", line="domain_z 0 5 nan"), 3),
+    "dim-0": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim 0"), 3),
+    "dim-negative": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim -1"), 3),
+}
 
 
 class TestCatalog:
@@ -110,10 +127,26 @@ class TestCatalog:
                      id="coeff-index-negative"),
         pytest.param(POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 | 3 0"),
                      id="gterm-exponents-not-dim"),
+        *(pytest.param(MALFORMED_LINES[k][0], id=k)
+          for k in ("coefficient-nan", "gterm-inf", "dim-0", "dim-negative")),
     ])
     def test_parse_errors(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             parse_catalog(bad)
+
+    @pytest.mark.parametrize("text, line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_parse_error_names_the_offending_line(self, text, line):
+        with pytest.raises(DomainError, match=f"^catalog line {line}: "):
+            parse_catalog(text)
+
+    def test_repeated_gterms_sum(self):
+        # g = 2 z^2 w^3 either way: Omega = 12 z w^2, 1.5 at (0.5, 0.5)
+        def omega(*gterms):
+            lines = "\n".join(f"gterm {t}" for t in gterms)
+            entry = parse_catalog(ONE_VAR_BLOCK.format(kind="mixed_second_of", line=lines))["bad"]
+            return entry.build().coeff([0.5], [0.5])[0, 0, 0]
+
+        assert omega("1 0 | 2 | 3", "1 0 | 2 | 3") == omega("2 0 | 2 | 3") == pytest.approx(1.5)
 
 
 class TestReport:
@@ -380,6 +413,17 @@ class TestCliPotential:
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: catalog line ")
 
+    @pytest.mark.parametrize("text, line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys())
+    def test_malformed_catalog_line_exits_2(self, tmp_path, text, line):
+        # a non-finite number ran the quadrature into nan (exit 1), dim <= 0 failed
+        # later on the point's size, and a term's error named the block's end
+        path = tmp_path / "cat.txt"
+        path.write_text(text)
+        out = run_cli("potential", "--form", "bad", "--at", "0,1;0,-1", "--catalog", str(path))
+        assert out.returncode == 2
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith(f"error: catalog line {line}: ")
+
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text(
@@ -447,6 +491,18 @@ class TestCliExtend:
         assert out.stderr.startswith("error:") and directive in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("text", ["constant nan\nf_mode zero\n", "constant inf\nf_mode eta\n",
+                                      "constant -1e999\nf_mode split\n"],
+                             ids=["nan", "inf", "overflow"])
+    def test_non_finite_constant_exits_2(self, tmp_path, text):
+        # a nan constant printed nan+nani and exited 0; inf also warned
+        path = tmp_path / "recipe.txt"
+        path.write_text(text)
+        out = run_cli("extend", "--point", "0,1;0,-1", "--recipe", str(path))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
     def test_other_library_error_exits_1(self, monkeypatch, capsys):
         from holodet import cli
         from holodet.errors import BudgetError
@@ -512,6 +568,19 @@ class TestCliPolarize:
         assert "malformed samples CSV" in out.stderr and "Traceback" not in out.stderr
 
 
+    @pytest.mark.parametrize("row", ["0.1,1.0,2.0", "0.1,1.0,2.0,0,5"], ids=["short", "long"])
+    def test_row_of_the_wrong_width_exits_2(self, tmp_path, row):
+        # a short row was a TypeError traceback; a long row lost its extra field
+        path = tmp_path / "width.csv"
+        path.write_text("re_z,im_z,re_val,im_val\n0,0.2,0.04,0\n-0.3,0,0.09,0\n"
+                        f"0.2,0.1,0.05,0\n{row}\n")
+        out = run_cli("polarize", "--samples", str(path), "--degree", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: malformed samples CSV row 5: ")
+
+
 class TestCliVerifyAll:
     def test_suite_passes_quickly(self):
         import time
@@ -549,3 +618,21 @@ def test_unwritable_output_exits_2(tmp_path, argv):
     assert out.returncode == 2
     assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
     assert str(target) in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("potential", "--form", "const1", "--at", "0,2;0,-2", "--catalog"),
+    ("extend", "--point", "0,1;0,-1", "--recipe"),
+    ("polarize", "--degree", "1", "--samples"),
+], ids=["catalog", "recipe", "samples"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8 \xe9\n"], ids=["missing", "undecodable"])
+def test_unreadable_input_file_exits_2(tmp_path, argv, content):
+    # a file that cannot be opened names its path; undecodable bytes reach the
+    # parser as U+FFFD, which rejects them as malformed text
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    out = run_cli(*argv, str(path))
+    assert out.returncode == 2
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+    assert content is not None or str(path) in out.stderr

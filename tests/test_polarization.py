@@ -317,5 +317,12 @@ class TestCsv:
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y,u,v\n1,2,3,4\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(DomainError, match="header"):
+            load_diagonal_csv(path)
+
+    def test_oversized_field_is_a_domain_error(self, tmp_path):
+        # the csv module's own field limit raised an untyped csv.Error
+        path = tmp_path / "big.csv"
+        path.write_text("re_z,im_z,re_val,im_val\n0.1,0,0.01,0\n" + "1" * 200_000 + ",0,0,0\n")
+        with pytest.raises(DomainError, match="row 3: field larger"):
             load_diagonal_csv(path)

@@ -1,9 +1,11 @@
-"""No bare ValueError leaves a numerical kernel: kernels raise a HolodetError.
+"""One input-error type, and one place that turns errors into exit codes.
 
-Only the text parsers, whose errors the CLI catches and reports as bad input,
-may raise ValueError.  The guard reads the source with ``ast``, so a new
-``raise ValueError`` anywhere else fails here before any caller sees it.  A
-second guard keeps the mapping of library errors to exit codes in ``cli.main``.
+Every malformed input, a point outside its domain or a malformed line of a
+catalog, recipe or samples CSV, is a DomainError; no module raises ValueError.
+``cli.main`` alone maps a library error to its exit code, and apart from it
+only the argparse types of ``cli.py`` catch anything.  The guards read the
+source with ``ast``, so a new ``raise ValueError`` or a new ``except`` in a
+subcommand fails here before any caller sees it.
 """
 
 import ast
@@ -13,44 +15,43 @@ import holodet
 
 SRC = Path(holodet.__file__).parent
 
-#: (module, enclosing function) pairs allowed to raise ValueError
-PARSERS = {
-    ("catalog", "FormCatalogEntry.__post_init__"),
-    ("catalog", "_complexes"),
-    ("catalog", "parse_catalog"),
-    ("catalog", "_entry_from_fields"),
-    ("cli", "parse_point_pair"),
-    ("cli", "_parse_recipe_file"),
-    ("polarization", "load_diagonal_csv"),
-}
+#: the scopes of ``cli.py`` that may hold an ``except``: main, and the
+#: argparse types, which turn a malformed option value into argparse's error
+CLI_HANDLERS = {"main", "parse_complex", "int_at_least.parse"}
 
 
-def _raises_value_error(node: ast.Raise) -> bool:
+def _raises_value_error(node) -> bool:
+    if not isinstance(node, ast.Raise):
+        return False
     exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
     return isinstance(exc, ast.Name) and exc.id == "ValueError"
 
 
-def value_error_sites():
+def _scopes(tree, keep):
+    """Dotted names of the function and class scopes holding a node that ``keep`` accepts."""
     sites = set()
 
-    def walk(node, module, scope):
+    def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, module, scope + (child.name,))
-            else:
-                if isinstance(child, ast.Raise) and _raises_value_error(child):
-                    sites.add((module, ".".join(scope)))
-                walk(child, module, scope)
+                walk(child, scope + (child.name,))
+                continue
+            if keep(child):
+                sites.add(".".join(scope))
+            walk(child, scope)
 
-    for path in sorted(SRC.glob("*.py")):
-        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, ())
+    walk(tree, ())
     return sites
 
 
-def test_value_error_only_in_text_parsers():
-    sites = value_error_sites()
-    assert sites - PARSERS == set()
-    assert PARSERS - sites == set()  # a parser that no longer raises leaves the list
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_no_value_error_is_raised():
+    sites = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in _scopes(_parse(path), _raises_value_error)}
+    assert sites == set()
 
 
 def _with_subclasses(cls) -> set[str]:
@@ -62,27 +63,22 @@ def _with_subclasses(cls) -> set[str]:
 LIBRARY_ERRORS = {"Exception", "BaseException", *_with_subclasses(holodet.HolodetError)}
 
 
-def library_error_handlers():
-    """Scopes of ``cli.py`` holding a bare ``except`` or one naming a library error."""
-    sites = set()
-
-    def walk(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                walk(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.ExceptHandler):
-                caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
-                names = {getattr(n, "id", getattr(n, "attr", None)) for n in caught}
-                if child.type is None or names & LIBRARY_ERRORS:
-                    sites.add(".".join(scope))
-            walk(child, scope)
-
-    walk(ast.parse((SRC / "cli.py").read_text(encoding="utf-8")), ())
-    return sites
+def _catches_library_error(node) -> bool:
+    if not isinstance(node, ast.ExceptHandler):
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    names = {getattr(n, "id", getattr(n, "attr", None)) for n in caught}
+    return node.type is None or bool(names & LIBRARY_ERRORS)
 
 
 def test_only_main_maps_library_errors_to_exit_codes():
     # a cmd_* function that catches DomainError or HolodetError restates the
     # exit-code rule; main applies it once to every subcommand
-    assert library_error_handlers() == {"main"}
+    assert _scopes(_parse(SRC / "cli.py"), _catches_library_error) == {"main"}
+
+
+def test_only_main_and_the_argparse_types_catch():
+    # an input error propagates to main as a DomainError or OSError, so no
+    # subcommand or helper catches anything to turn it into an exit code
+    handlers = _scopes(_parse(SRC / "cli.py"), lambda n: isinstance(n, ast.ExceptHandler))
+    assert handlers <= CLI_HANDLERS and "main" in handlers

@@ -25,7 +25,6 @@ from .extension import (
     assemble_extension,
     genus1_extension,
     genus1_recipe,
-    modular_invariance_check,
     pluriharmonic_split,
     symmetrized_evaluator,
 )

@@ -269,6 +269,8 @@ def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
                 *center, radius = args
                 fields[key + "_center"] = _complexes(center)
                 (fields[key + "_radius"],) = finite_floats([radius])
+                if fields[key + "_radius"] <= 0.0:
+                    raise DomainError(f"{key} radius must be positive, got {radius}")
             elif key in ("gterm", "coeff"):
                 head, alpha, beta = _split_bar(args)
                 ij = [int(t) for t in head[:2]] if key == "coeff" else []

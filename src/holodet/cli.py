@@ -154,6 +154,7 @@ def cmd_potential(args) -> int:
     if z.size != entry.dim:
         raise DomainError(f"form {entry.name!r} needs points in C^{entry.dim}, "
                           f"got {z.size} coordinate(s)")
+    zs = _grid_points(args.grid, entry.dim) if args.grid else None
     # without --verify, polynomial entries must pass their contract check
     form = entry.build(validate=not args.verify)
 
@@ -162,28 +163,31 @@ def cmd_potential(args) -> int:
         if not _print_checks(potential_checks(form, z, w, samples)):
             return EXIT_CHECK_FAILED
 
-    if args.grid:
-        _emit_grid(args, form, z, w)
+    if zs is not None:
+        _emit_grid(args.out, form, zs, complex(w[0]))
         return EXIT_OK
     print(f"q={fmt(cone_potential(form, z, w))}")
     return EXIT_OK
 
 
-def _emit_grid(args, form, z0, w) -> None:
-    if form.dim != 1:
+def _grid_points(grid: str, dim: int) -> np.ndarray:
+    """The N points of z from a to b that ``--grid=re,im:re,im:N`` names, for a one-variable form."""
+    if dim != 1:
         raise DomainError("--grid sweeps are supported for one-variable forms only")
-    parts = [finite_floats(part.split(",")) for part in args.grid.split(":")]
+    parts = [finite_floats(part.split(",")) for part in grid.split(":")]
     n = parts[-1][0]
     if [len(p) for p in parts] != [2, 2, 1] or n < 1 or not n.is_integer():
-        raise DomainError(f"--grid expects 're,im:re,im:N' with N >= 1, got {args.grid!r}")
+        raise DomainError(f"--grid expects 're,im:re,im:N' with N >= 1, got {grid!r}")
     a, b, n = complex(*parts[0]), complex(*parts[1]), int(n)
-    wc = complex(w[0])
-    zs = np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
-    qs = cone_potentials(form, zs, np.full(n, wc)).values
+    return np.array([a + (k / max(n - 1, 1)) * (b - a) for k in range(n)])
+
+
+def _emit_grid(out, form, zs: np.ndarray, wc: complex) -> None:
+    qs = cone_potentials(form, zs, np.full(zs.size, wc)).values
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
     for z, q in zip(zs, qs):
         rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
-    _write_output(args.out, "\n".join(rows) + "\n")
+    _write_output(out, "\n".join(rows) + "\n")
 
 
 # --- extend ------------------------------------------------------------------

@@ -14,9 +14,7 @@ totally real diagonal {w = conj(z)}.  This module provides
 * ``genus1_extension``: the explicit eta-function extension
   log(-pi*i*(z - w))^(1/2) + log eta(z) + conj(log eta(wbar)), whose
   diagonal restriction is log(2 pi y)^(1/2) |eta(z)|^2 -- real; log eta is
-  ``special_functions.log_eta``, the library's one eta path;
-* ``modular_invariance_check``: the phase-free invariance test of
-  exp(24 * extension) under the diagonal action of SL(2, Z) words.
+  ``special_functions.log_eta``, the library's one eta path.
 
 The period term.  With M = (tau(z) - conj(tau(wbar)))/2i, Re M equals
 (Im tau(z) + Im tau(wbar))/2, which is positive definite when tau(z) and
@@ -226,57 +224,6 @@ def genus1_extension(point: ProductPoint) -> complex:
     return 0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z) + np.conj(log_eta(np.conj(w)))
 
 
-# --- mapping-class (modular) group helpers ---------------------------------
-
-_T_MAT = np.array([[1, 1], [0, 1]], dtype=np.int64)
-_S_MAT = np.array([[0, -1], [1, 0]], dtype=np.int64)
-
-
-def word_to_matrix(word: str) -> np.ndarray:
-    """Product of the generator matrices named by ``word`` (e.g. "STS")."""
-    mat = np.eye(2, dtype=np.int64)
-    for ch in word:
-        if ch == "T":
-            mat = mat @ _T_MAT
-        elif ch == "S":
-            mat = mat @ _S_MAT
-        else:
-            raise DomainError(f"unknown generator {ch!r}; expected 'T' or 'S'")
-    return mat
-
-
-def apply_mobius(mat: np.ndarray, z: complex) -> complex:
-    a, b = mat[0]
-    c, d = mat[1]
-    return (a * z + b) / (c * z + d)
-
-
-@dataclass(frozen=True)
-class InvarianceResult:
-    relative_residual: float
-    l_difference_mod: complex  # raw difference reduced mod 2*pi*i/24
-
-
-def modular_invariance_check(point: ProductPoint, word: str) -> InvarianceResult:
-    """Invariance of exp(24 * genus1_extension) under a diagonal modular word over {"T", "S"}.
-
-    The 24th exponential G = (-pi i (z-w))^12 * eta(z)^24 * conj(eta(wbar))^24
-    is exactly invariant (the weight-12 cocycles of the two factors cancel
-    against the (z-w)^12 term), so the relative residual is branch-free; it
-    is evaluated stably as |exp(24 (L' - L)) - 1|.  The raw difference
-    L' - L reduced mod 2*pi*i/24 is reported alongside.
-    """
-    mat = word_to_matrix(word)
-    moved = ProductPoint(apply_mobius(mat, point.z), apply_mobius(mat, point.w))
-    l_base = genus1_extension(point)
-    l_moved = genus1_extension(moved)
-    delta = l_moved - l_base
-    rel = abs(cmath.exp(24.0 * delta) - 1.0)
-    step = TWO_PI / 24.0
-    delta_mod = complex(delta.real, delta.imag - step * round(delta.imag / step))
-    return InvarianceResult(rel, delta_mod)
-
-
 # --- ready-made genus-1 recipes ---------------------------------------------
 
 
@@ -292,7 +239,11 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
       * "split" -- f reconstructed by ``pluriharmonic_split`` on the form's
                    z-ball from the closed-form log det minus C q~(z, zbar)
                    and log(Im tau).
+
+    A non-finite ``constant`` raises DomainError.
     """
+    if not math.isfinite(constant):
+        raise DomainError(f"genus constant must be finite, got {constant!r}")
     form = genus1_pole_form()
     q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
     period = lambda z: np.array([[z]], dtype=complex)

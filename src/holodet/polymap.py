@@ -9,6 +9,7 @@ g(z, w) - g(z0, w) - g(z, w0) + g(z0, w0).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,25 +78,9 @@ class PolyMap:
 
 
 def monomials_up_to(dim: int, degree: int) -> list[Monomial]:
-    """All (alpha, beta) with total degree over both blocks <= degree."""
-
-    def block(total: int, n: int):
-        if n == 1:
-            for a in range(total + 1):
-                yield (a,)
-            return
-        for a in range(total + 1):
-            for rest in block(total - a, n - 1):
-                yield (a,) + rest
-
-    out = []
-    for d_alpha in range(degree + 1):
-        for alpha in block(d_alpha, dim):
-            if sum(alpha) != d_alpha:
-                continue
-            for beta in block(degree - d_alpha, dim):
-                out.append((alpha, beta))
-    return sorted(set(out))
+    """All (alpha, beta) with total degree over both blocks <= degree, in sorted order."""
+    return [(e[:dim], e[dim:]) for e in itertools.product(range(degree + 1), repeat=2 * dim)
+            if sum(e) <= degree]
 
 
 def random_polymap(dim: int, degree: int, n_terms: int, rng: np.random.Generator) -> PolyMap:

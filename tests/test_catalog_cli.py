@@ -39,6 +39,8 @@ MALFORMED_LINES = {
     "coefficient-nan": (ONE_VAR_BLOCK.format(kind="pole_power", line="coefficient nan 0"), 3),
     "gterm-inf": (ONE_VAR_BLOCK.format(kind="mixed_second_of", line="gterm inf 0 | 1 | 1"), 3),
     "domain-radius-nan": (ONE_VAR_BLOCK.format(kind="constant", line="domain_z 0 5 nan"), 3),
+    "domain-radius-negative": (ONE_VAR_BLOCK.format(kind="pole_power", line="domain_z 0 5 -2"), 3),
+    "domain-radius-zero": (ONE_VAR_BLOCK.format(kind="pole_power", line="domain_w 0 -5 0"), 3),
     "dim-0": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim 0"), 3),
     "dim-negative": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim -1"), 3),
 }
@@ -128,7 +130,8 @@ class TestCatalog:
         pytest.param(POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 | 3 0"),
                      id="gterm-exponents-not-dim"),
         *(pytest.param(MALFORMED_LINES[k][0], id=k)
-          for k in ("coefficient-nan", "gterm-inf", "dim-0", "dim-negative")),
+          for k in ("coefficient-nan", "gterm-inf", "dim-0", "dim-negative",
+                    "domain-radius-negative", "domain-radius-zero")),
     ])
     def test_parse_errors(self, bad):
         with pytest.raises(DomainError):
@@ -344,6 +347,17 @@ class TestCliPotential:
         assert out.returncode == 2
         assert out.stdout == "" and out.stderr.startswith("error:")
 
+    @pytest.mark.parametrize("form, at, grid", [
+        ("wp_genus1", "0,2;0,-2", "bad,1:0,1:3"),
+        ("gmix_n2", "0,0.1:0,0.1;0,0:0,0", "0,1:0,1:3"),
+    ], ids=["malformed", "two-variable"])
+    def test_bad_grid_exits_2_before_verify_checks(self, form, at, grid):
+        # the four contract checks ran and printed PASS before --grid was parsed
+        out = run_cli("potential", "--form", form, "--at", at, "--verify", f"--grid={grid}")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
+
     def test_base_point_outside_domain_exits_2(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text(
@@ -450,6 +464,33 @@ class TestCliExtend:
         out = run_cli("extend", "--point", "0,1;0,-1", "--check", "invariance")
         assert out.returncode == 0
         assert out.stdout.count("PASS invariance") == 5
+
+    def test_invariance_check_at_height_1e10(self):
+        # |L| ~ 2.6e9 there: the rounding of 24 L failed STS and TTST at 1.2e-9 against 1e-9
+        out = run_cli("extend", "--point=0,1e10;0,-1", "--check", "invariance")
+        assert out.returncode == 0
+        assert out.stdout.count("PASS invariance") == 5
+
+    def test_invariance_check_tests_the_recipe(self, tmp_path):
+        # the check evaluated genus1_extension whatever --recipe said
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant -0.5\nf_mode split\n")
+        point = ("--point", "0.1,1.1;-0.2,-0.9", "--check", "invariance")
+        a = run_cli("extend", *point, "--recipe", str(path))
+        b = run_cli("extend", *point)
+        assert a.returncode == 0 and b.returncode == 0
+        checks_a, checks_b = a.stdout.splitlines()[1:], b.stdout.splitlines()[1:]
+        assert len(checks_a) == 5 and all(line.startswith("PASS invariance") for line in checks_a)
+        assert checks_a != checks_b
+
+    def test_invariance_orbit_outside_the_recipe_domain_exits_2(self, tmp_path):
+        # TTST moves 0 + 2i to 1.8 + 0.4i, outside the pole form's z-ball D(5i, 4.9)
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant -0.5\nf_mode split\n")
+        out = run_cli("extend", "--point", "0,2;0,-3", "--recipe", str(path), "--check", "invariance")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
     def test_holomorphy_check(self):
         out = run_cli("extend", "--point", "0.4,1.2;-0.2,-0.8", "--check", "holomorphy")

@@ -10,20 +10,17 @@ from holodet.errors import BudgetError, DomainError, NotPluriharmonicError
 from holodet.extension import (
     ExtensionRecipe,
     ProductPoint,
-    apply_mobius,
     assemble_extension,
     genus1_extension,
     genus1_pole_form,
     genus1_recipe,
-    modular_invariance_check,
     pluriharmonic_split,
     symmetrized_evaluator,
-    word_to_matrix,
 )
 from holodet.potential_builder import cone_potential, cone_potentials
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
-from holodet.verify import DIAGONAL_CONSTANT, antiholomorphic_check
+from holodet.verify import DIAGONAL_CONSTANT, antiholomorphic_check, invariance_checks
 from holodet.wirtinger import dz_dzbar, wirtinger_dzbar
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
@@ -327,6 +324,12 @@ class TestPeriodTerm:
         with pytest.raises(DomainError, match="f_mode"):
             genus1_recipe(-0.5, f_mode="bogus")
 
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_is_a_domain_error(self, constant):
+        # a nan constant gave a nan extension with no error
+        with pytest.raises(DomainError, match="constant"):
+            genus1_recipe(constant, f_mode="zero")
+
 
 class TestRecipeUniqueness:
     def test_diagonal_agreement_implies_global_agreement(self):
@@ -380,32 +383,53 @@ class TestGenus1Extension:
             genus1_extension(ProductPoint.diagonal(0.5 + 0j))
 
 
+def _residual(point, word, evaluate=genus1_extension):
+    (check,) = invariance_checks(evaluate, point, [word])
+    return check.residual
+
+
 class TestModularInvariance:
     def test_translation_exact(self):
-        r = modular_invariance_check(ProductPoint(2j, -3j), "T")
-        assert r.relative_residual < 1e-12
+        assert _residual(ProductPoint(2j, -3j), "T") < 1e-12
 
     def test_inversion(self):
-        r = modular_invariance_check(ProductPoint(2j, -3j), "S")
-        assert r.relative_residual < 1e-9
-        # S: (2i, -3i) -> (i/2, -i/3)
-        m = word_to_matrix("S")
-        assert apply_mobius(m, 2j) == pytest.approx(0.5j)
-        assert apply_mobius(m, -3j) == pytest.approx(-1j / 3)
+        assert _residual(ProductPoint(2j, -3j), "S") < 1e-9
 
     def test_composite_word(self):
-        r = modular_invariance_check(ProductPoint(0.4 + 1.2j, -0.3 - 0.9j), "STS")
-        assert r.relative_residual < 1e-9
+        assert _residual(ProductPoint(0.4 + 1.2j, -0.3 - 0.9j), "STS") < 1e-9
 
     def test_random_words(self):
         rng = np.random.default_rng(11)
         p = ProductPoint(0.2 + 1.4j, -0.5 - 0.8j)
-        for _ in range(5):
-            word = "".join(rng.choice(["T", "S"], size=int(rng.integers(1, 5))))
-            r = modular_invariance_check(p, word)
-            assert r.relative_residual < 1e-9, word
-            assert abs(r.l_difference_mod) < 1e-9, word
+        words = ["".join(rng.choice(["T", "S"], size=int(rng.integers(1, 5)))) for _ in range(5)]
+        for check in invariance_checks(genus1_extension, p, words):
+            assert check.passed and check.residual < 1e-9, check.name
 
     def test_unknown_letter_is_a_domain_error(self):
+        calls = []
         with pytest.raises(DomainError, match="generator"):
-            modular_invariance_check(ProductPoint(1j, -1j), "TX")
+            invariance_checks(lambda p: calls.append(p) or 0j, ProductPoint(1j, -1j), ["T", "TX"])
+        assert calls == []  # rejected before anything is evaluated
+
+    def test_word_acts_rightmost_letter_first(self):
+        # TS: S then T, (2i, -3i) -> (i/2, -i/3) -> (1 + i/2, 1 - i/3); the base point once
+        seen = []
+        invariance_checks(lambda p: seen.append((p.z, p.w)) or 0j, ProductPoint(2j, -3j), ["TS", "ST"])
+        assert seen[0] == (2j, -3j)
+        assert seen[1] == pytest.approx((1 + 0.5j, 1 - 1j / 3))
+        assert seen[2] == pytest.approx((-1 / (1 + 2j), -1 / (1 - 3j)))
+        assert len(seen) == 3
+
+    def test_perturbed_extension_fails_translation(self):
+        # negative control: 1e-6 z breaks T-invariance by 24e-6 in exp(24 L)
+        p = ProductPoint(0.2 + 1.3j, -0.4 - 0.9j)
+        (check,) = invariance_checks(lambda q: genus1_extension(q) + 1e-6 * q.z, p, ["T"])
+        assert check.name == "invariance[T]" and not check.passed
+        assert check.residual == pytest.approx(24e-6, rel=1e-3)
+
+    def test_tolerance_covers_the_rounding_of_24_l(self):
+        # |L| ~ pi y/12 ~ 2.6e9 at height 1e10: the tolerance grows with it
+        checks = invariance_checks(genus1_extension, ProductPoint(1e10j, -1j), ["STS", "TTST"])
+        low = invariance_checks(genus1_extension, ProductPoint(0.2 + 1.3j, -0.4 - 0.9j), ["STS"])
+        assert all(c.passed and c.tolerance > 1e-5 for c in checks)
+        assert low[0].tolerance == pytest.approx(1e-9)

@@ -221,7 +221,10 @@ def genus1_extension(point: ProductPoint) -> complex:
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
     """
     z, w = point.z, point.w
-    return 0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z) + np.conj(log_eta(np.conj(w)))
+    value = 0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z) + np.conj(log_eta(np.conj(w)))
+    if not cmath.isfinite(value):
+        raise BudgetError(f"genus1_extension at ({z!r}, {w!r}) overflows")
+    return value
 
 
 # --- ready-made genus-1 recipes ---------------------------------------------

@@ -200,17 +200,18 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     in t (``_coefficient_tail``; Trefethen, ATAP, ch. 19).  A tail within
     n * ``_ROUNDING`` of the cell's |integrand| mass is rounding noise,
     which no refinement lowers.  A cell is accepted when its tail is within
-    CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or that floor.  Every
-    cell runs first at FIRST_ORDER; a refused one runs again at MAX_ORDER
-    (p before h refinement), and one refused at MAX_ORDER splits in four,
-    the quarters starting again at FIRST_ORDER.  So every cell the fixed
-    MAX_ORDER rule would accept is accepted at the same depth or higher up;
-    a cell refused at MAX_ORDER at depth MAX_DEPTH raises QuadratureError.
-    Each pass runs cells of one order and evaluates at most PASS_NODES
-    nodes per coefficient call, all of them under the pole guard.  The
-    result holds per target the value, the summed estimates of its accepted
-    cells (at least the rounding floor), their count and the largest order
-    among them.
+    CELL_TOLERANCE * max(area, 1e-6), 1e-15 |value| or that floor.  The
+    cells walk one ladder, stage by stage: at each depth from 0 to
+    MAX_DEPTH the cells still refused run at FIRST_ORDER, those refused
+    there run again at MAX_ORDER (p before h refinement), and those refused
+    at both split in four for the next depth (when the two orders are
+    equal, a cell runs once per depth).  So every cell the fixed MAX_ORDER
+    rule would accept is accepted at the same depth or higher up; a cell
+    still refused after depth MAX_DEPTH raises QuadratureError.  Each pass
+    runs at most max(1, PASS_NODES // n^2) cells of one order n, all of
+    their nodes under the pole guard.  The result holds per target the
+    value, the summed estimates of its accepted cells (at least the
+    rounding floor), their count and the largest order among them.
     """
     Z, W = _targets(Z, form.dim, "z"), _targets(W, form.dim, "w")
     if Z.shape != W.shape:
@@ -230,58 +231,41 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     errors = np.zeros(count)
     cells = np.zeros(count, dtype=int)
     orders = np.zeros(count, dtype=int)
-    # pending cells: target, corner (s0, t0), depth and order.  A pass takes
-    # the newest cells of the newest one's order, so a refused cell is
-    # refined first and a hopeless one raises early
-    tgt, s0, t0, depth = np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count, int)
-    order = np.full(count, FIRST_ORDER)
-    while tgt.size:
-        n = int(order[-1])
-        take = np.flatnonzero(order == n)[-max(1, PASS_NODES // (n * n)):]
-        rest = np.ones(tgt.size, dtype=bool)
-        rest[take] = False
-        k, a, b, d = tgt[take], s0[take], t0[take], depth[take]
-        tgt, s0, t0, depth, order = tgt[rest], s0[rest], t0[rest], depth[rest], order[rest]
-        xs, ws = _gl_nodes(0.0, 1.0, n)
-        weights = np.outer(ws, ws)
-        side = 0.5 ** d
-        F = _integrand(form, dz[k], dw[k], a[:, None] + side[:, None] * xs,
-                       b[:, None] + side[:, None] * xs)
+    # the cells still refused, all of side 2^-depth: target k and corner (s0, t0)
+    k, s0, t0 = np.arange(count), np.zeros(count), np.zeros(count)
+    for depth in range(MAX_DEPTH + 1):
+        side = 0.5 ** depth
         area = side * side
-        # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
-        # per complex gemv, and a one-pass einsum rounds worse
-        cell = area * (F * weights).sum(axis=(1, 2))
-        tail = area * _coefficient_tail(F, ws)
-        floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
-        est = np.maximum(tail, floor)
-        budget = np.maximum(CELL_TOLERANCE * np.maximum(area, 1e-6), 1e-15 * np.abs(cell))
-        ok = tail <= np.maximum(budget, floor)
-        np.add.at(values, k[ok], cell[ok])
-        np.add.at(errors, k[ok], est[ok])
-        np.add.at(cells, k[ok], 1)
-        np.maximum.at(orders, k[ok], n)
-        if ok.all():
-            continue
-        refused = ~ok
-        k, a, b, d = k[refused], a[refused], b[refused], d[refused]
-        if n < MAX_ORDER:  # the same cells again, at the largest order
-            redo = MAX_ORDER
-        else:  # quarters, at the first order again
-            if d.max() >= MAX_DEPTH:
-                worst = float(est[refused][np.argmax(d)])
-                raise QuadratureError(
-                    f"cone quadrature did not converge (cell error {worst:.3e} after "
-                    f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
-                )
-            half = 0.5 * side[refused]
-            k, d = np.repeat(k, 4), np.repeat(d + 1, 4)
-            a = (a[:, None] + half[:, None] * [0, 1, 0, 1]).ravel()
-            b = (b[:, None] + half[:, None] * [0, 0, 1, 1]).ravel()
-            redo = FIRST_ORDER
-        tgt, s0, t0 = np.concatenate([tgt, k]), np.concatenate([s0, a]), np.concatenate([t0, b])
-        depth = np.concatenate([depth, d])
-        order = np.concatenate([order, np.full(k.size, redo)])
-    return ConePotentials(values, errors, cells, orders)
+        for n in dict.fromkeys((FIRST_ORDER, MAX_ORDER)):  # one order when they are equal
+            xs, ws = _gl_nodes(0.0, 1.0, n)
+            weights = np.outer(ws, ws)
+            step = max(1, PASS_NODES // (n * n))
+            ok, cell, est = np.zeros(k.size, bool), np.zeros(k.size, complex), np.zeros(k.size)
+            for p in (slice(i, i + step) for i in range(0, k.size, step)):
+                F = _integrand(form, dz[k[p]], dw[k[p]], s0[p, None] + side * xs,
+                               t0[p, None] + side * xs)
+                # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
+                # per complex gemv, and a one-pass einsum rounds worse
+                cell[p] = area * (F * weights).sum(axis=(1, 2))
+                tail = area * _coefficient_tail(F, ws)
+                floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
+                budget = np.maximum(CELL_TOLERANCE * max(area, 1e-6), 1e-15 * np.abs(cell[p]))
+                ok[p], est[p] = tail <= np.maximum(budget, floor), np.maximum(tail, floor)
+            np.add.at(values, k[ok], cell[ok])
+            np.add.at(errors, k[ok], est[ok])
+            np.add.at(cells, k[ok], 1)
+            np.maximum.at(orders, k[ok], n)
+            k, s0, t0, est = k[~ok], s0[~ok], t0[~ok], est[~ok]
+        if not k.size:
+            return ConePotentials(values, errors, cells, orders)
+        # quarters of the cells refused at both orders, for the next depth
+        k = np.repeat(k, 4)
+        s0 = (s0[:, None] + 0.5 * side * np.array([0, 1, 0, 1])).ravel()
+        t0 = (t0[:, None] + 0.5 * side * np.array([0, 0, 1, 1])).ravel()
+    raise QuadratureError(
+        f"cone quadrature did not converge (cell error {est.max():.3e} after "
+        f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
+    )
 
 
 def cone_potential(form: ClosedHoloForm, z, w) -> complex:

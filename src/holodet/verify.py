@@ -88,13 +88,9 @@ def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing"
 
 def mixed_derivative_check(form: ClosedHoloForm, pairs,
                            name: str = "mixed_derivative") -> CheckResult:
-    """Worst entrywise |FD d_z d_w q - Omega| over the pairs; an error fails the check."""
+    """Worst entrywise |FD d_z d_w q - Omega| over the pairs."""
     tol = 1e-7
-    try:
-        worst = float(np.max(verify_mixed_derivative(form, pairs)))
-    except HolodetError as exc:
-        return CheckResult(name, math.inf, tol, str(exc))
-    return CheckResult(name, worst, tol)
+    return CheckResult(name, float(np.max(verify_mixed_derivative(form, pairs))), tol)
 
 
 def potential_checks(form: ClosedHoloForm, z, w, samples) -> list[CheckResult]:
@@ -131,7 +127,8 @@ def invariance_checks(evaluate, point: ProductPoint, words) -> list[CheckResult]
     DomainError before anything is evaluated.  L(p) is evaluated once for
     all words.  The tolerance is 1e-9 plus the rounding of 24 L(gamma p) -
     24 L(p), 48 eps max(|L(p)|, |L(gamma p)|): one rounding of each value,
-    which grows with the height as |L| ~ pi Im(z)/12.
+    which grows with the height as |L| ~ pi Im(z)/12.  A difference whose
+    exp(24 .) passes the float range is the residual inf, a failed check.
     """
     for ch in "".join(words):
         if ch not in _GENERATORS:
@@ -144,8 +141,11 @@ def invariance_checks(evaluate, point: ProductPoint, words) -> list[CheckResult]
             z, w = _GENERATORS[ch](z), _GENERATORS[ch](w)
         l_moved = evaluate(ProductPoint(z, w))
         tol = 1e-9 + 48.0 * float(np.finfo(float).eps * max(abs(l_base), abs(l_moved)))
-        out.append(CheckResult(f"invariance[{word}]",
-                               abs(cmath.exp(24.0 * (l_moved - l_base)) - 1.0), tol))
+        try:
+            residual = abs(cmath.exp(24.0 * (l_moved - l_base)) - 1.0)
+        except OverflowError:  # 24 Re(L(gamma p) - L(p)) past the float range of exp
+            residual = math.inf
+        out.append(CheckResult(f"invariance[{word}]", residual, tol))
     return out
 
 

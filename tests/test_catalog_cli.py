@@ -358,6 +358,14 @@ class TestCliPotential:
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
+    def test_stencil_outside_domain_exits_2(self):
+        # mixed_derivative_check caught the DomainError: three PASS lines, then
+        # FAIL mixed_derivative residual=inf, and exit 1
+        out = run_cli("potential", "--form", "wp_genus1", "--at=4.8995,5;0,-2", "--verify")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert out.stderr.splitlines() == ["error: FD stencil leaves the z-domain"]
+
     def test_base_point_outside_domain_exits_2(self, tmp_path):
         path = tmp_path / "cat.txt"
         path.write_text(
@@ -558,6 +566,14 @@ class TestCliExtend:
     def test_non_finite_point_exits_2(self):
         out = run_cli("extend", "--point", "nan,1;0,-1")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("point", ["1e308,1;0,-1", "0,1;1e308,-1"], ids=["z", "w"])
+    def test_overflowing_extension_exits_1(self, point):
+        # -pi i (z - w) overflows, and the float-complex product printed inf+nani, exit 0
+        out = run_cli("extend", f"--point={point}")
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
         assert "Traceback" not in out.stderr
 
 

@@ -382,6 +382,20 @@ class TestGenus1Extension:
         with pytest.raises(DomainError):
             genus1_extension(ProductPoint.diagonal(0.5 + 0j))
 
+    @pytest.mark.parametrize("z, w", [(1e308 + 1j, -1j), (1j, 1e308 - 1j)], ids=["z", "w"])
+    def test_overflow_is_a_budget_error(self, z, w):
+        # -pi i (z - w) overflows, and the float-complex product made inf + nan i
+        with pytest.raises(BudgetError, match="overflows"):
+            genus1_extension(ProductPoint(z, w))
+
+    def test_finite_value_next_to_the_overflow(self):
+        # (1/2) Log(-pi i (z - w)) with |z - w| = 1e307, plus log_eta(1e307 + i)
+        # = log_eta(i) + pi i 1e307/12 (1e307 is an integer) and its conjugate twin at i
+        val = genus1_extension(ProductPoint(1e307 + 1j, -1j))
+        assert val.real == pytest.approx(0.5 * math.log(math.pi * 1e307)
+                                         + 2 * log_eta(1j).real, rel=1e-14)
+        assert val.imag == pytest.approx(math.pi * 1e307 / 12 - math.pi / 4, rel=1e-14)
+
 
 def _residual(point, word, evaluate=genus1_extension):
     (check,) = invariance_checks(evaluate, point, [word])
@@ -426,6 +440,13 @@ class TestModularInvariance:
         (check,) = invariance_checks(lambda q: genus1_extension(q) + 1e-6 * q.z, p, ["T"])
         assert check.name == "invariance[T]" and not check.passed
         assert check.residual == pytest.approx(24e-6, rel=1e-3)
+
+    def test_mismatch_past_the_float_range_fails(self):
+        # 24 Re(L(gamma p) - L(p)) passes 709 here: cmath.exp raised OverflowError
+        p = ProductPoint(0.06 + 2.7e11j, -0.45 - 2.74j)
+        (check,) = invariance_checks(genus1_extension, p, ["STTTST"])
+        assert check.name == "invariance[STTTST]" and not check.passed
+        assert check.residual == math.inf
 
     def test_tolerance_covers_the_rounding_of_24_l(self):
         # |L| ~ pi y/12 ~ 2.6e9 at height 1e10: the tolerance grows with it

@@ -16,6 +16,7 @@ from holodet.potential_builder import (
     MAX_ORDER,
     PASS_NODES,
     ClosedHoloForm,
+    ConePotentials,
     ProductDomain,
     _coefficient_tail,
     _integrand,
@@ -242,6 +243,23 @@ class TestBatchedCells:
         exact = G(z, w) - G(z0, w) - G(z, w0) + G(z0, w0)
         assert abs(res.values[0] - exact) <= 1e-12 * abs(exact)
         assert abs(res.values[0] - exact) <= res.errors[0] + 1e-14 * abs(exact)
+
+    def test_batch_results_do_not_depend_on_the_other_targets(self):
+        # along z + w = 0.1i - w: targets accepted at the first order, at the cap
+        # on one cell, and after splits, sharing passes in a batch of twelve
+        form = sum_pole_form(1 + 0.1j, 1 + 0j)
+        W = np.array([-0.5, -1.0, -2.0, -1.5, -0.2, -0.8, -1.2, -1.9, 0.5, -0.6, -1.1, -1.7]) + 0j
+        Z = np.full(W.size, 2 + 0.1j)
+        single = [cone_potentials(form, Z[k:k + 1], W[k:k + 1]) for k in range(W.size)]
+        one = ConePotentials(*(np.concatenate(field) for field in zip(*single)))
+        assert set(one.orders[one.cells == 1].tolist()) == {FIRST_ORDER, MAX_ORDER}
+        assert one.cells.max() > 1
+        for order in (np.arange(W.size), np.arange(W.size)[::-1]):
+            batch = cone_potentials(form, Z[order], W[order])
+            np.testing.assert_array_equal(batch.cells, one.cells[order])
+            np.testing.assert_array_equal(batch.orders, one.orders[order])
+            assert np.all(np.abs(batch.values - one.values[order]) <= 1e-15 * np.abs(one.values[order]))
+            assert np.all(np.abs(batch.errors - one.errors[order]) <= 1e-15 * one.errors[order])
 
     @pytest.mark.parametrize("n", [4, 5, 7, 16, 33, 64, 100])
     def test_estimate_for_every_order(self, n, monkeypatch):

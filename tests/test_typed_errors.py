@@ -3,9 +3,12 @@
 Every malformed input, a point outside its domain or a malformed line of a
 catalog, recipe or samples CSV, is a DomainError; no module raises ValueError.
 ``cli.main`` alone maps a library error to its exit code, and apart from it
-only the argparse types of ``cli.py`` catch anything.  The guards read the
-source with ``ast``, so a new ``raise ValueError`` or a new ``except`` in a
-subcommand fails here before any caller sees it.
+only the argparse types of ``cli.py`` catch anything.  In the whole package a
+library error is caught in three places only: ``cli.main``, ``verify.run_all``
+(a crashed group is a failed check) and ``catalog.parse_catalog`` (which
+re-raises it with the line number).  The guards read the source with ``ast``,
+so a new ``raise ValueError`` or a new ``except`` in a subcommand or a check
+fails here before any caller sees it.
 """
 
 import ast
@@ -58,9 +61,12 @@ def _with_subclasses(cls) -> set[str]:
     return {cls.__name__}.union(*map(_with_subclasses, cls.__subclasses__()))
 
 
-#: what an ``except`` may name only in ``cli.main``: the library's error
+#: what an ``except`` may name only in LIBRARY_HANDLERS: the library's error
 #: types, and the bases that would catch them too
 LIBRARY_ERRORS = {"Exception", "BaseException", *_with_subclasses(holodet.HolodetError)}
+
+#: (module, scope) of every ``except`` that may catch a library error
+LIBRARY_HANDLERS = {("cli", "main"), ("verify", "run_all"), ("catalog", "parse_catalog")}
 
 
 def _catches_library_error(node) -> bool:
@@ -71,10 +77,13 @@ def _catches_library_error(node) -> bool:
     return node.type is None or bool(names & LIBRARY_ERRORS)
 
 
-def test_only_main_maps_library_errors_to_exit_codes():
-    # a cmd_* function that catches DomainError or HolodetError restates the
-    # exit-code rule; main applies it once to every subcommand
-    assert _scopes(_parse(SRC / "cli.py"), _catches_library_error) == {"main"}
+def test_library_errors_are_caught_only_in_main_run_all_and_parse_catalog():
+    # a cmd_* function or a check that catches DomainError or HolodetError
+    # restates the outcome rule: main maps each error to its exit code once
+    # for every subcommand, and run_all turns a crashed group into a failed check
+    sites = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in _scopes(_parse(path), _catches_library_error)}
+    assert sites == LIBRARY_HANDLERS
 
 
 def test_only_main_and_the_argparse_types_catch():

@@ -255,17 +255,18 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
             np.add.at(errors, k[ok], est[ok])
             np.add.at(cells, k[ok], 1)
             np.maximum.at(orders, k[ok], n)
-            k, s0, t0, est = k[~ok], s0[~ok], t0[~ok], est[~ok]
+            k, s0, t0 = k[~ok], s0[~ok], t0[~ok]
         if not k.size:
             return ConePotentials(values, errors, cells, orders)
+        if depth == MAX_DEPTH:
+            raise QuadratureError(
+                f"cone quadrature did not converge (cell error {est[~ok].max():.3e} after "
+                f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
+            )
         # quarters of the cells refused at both orders, for the next depth
         k = np.repeat(k, 4)
         s0 = (s0[:, None] + 0.5 * side * np.array([0, 1, 0, 1])).ravel()
         t0 = (t0[:, None] + 0.5 * side * np.array([0, 0, 1, 1])).ravel()
-    raise QuadratureError(
-        f"cone quadrature did not converge (cell error {est.max():.3e} after "
-        f"{MAX_DEPTH} subdivisions); a singularity may be near the chain"
-    )
 
 
 def cone_potential(form: ClosedHoloForm, z, w) -> complex:

@@ -566,6 +566,7 @@ class TestCliExtend:
     def test_non_finite_point_exits_2(self):
         out = run_cli("extend", "--point", "nan,1;0,-1")
         assert out.returncode == 2
+        assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize("point", ["1e308,1;0,-1", "0,1;1e308,-1"], ids=["z", "w"])
     def test_overflowing_extension_exits_1(self, point):

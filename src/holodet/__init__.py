@@ -47,6 +47,7 @@ from .special_functions import (
     eta,
     log_eta,
     reduce,
+    reduce_array,
 )
 from .torus_spectral import (
     SpectralDetResult,

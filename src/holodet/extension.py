@@ -56,19 +56,29 @@ SPLIT_MAX_SAMPLES = 4096
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
-    """A point (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w)."""
+    """A point (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w).
+
+    z and w are complex numbers or, when either is an ndarray, complex
+    arrays of one shape holding a point of H x Hbar at each index; the
+    DomainError names the first point off it.
+    """
 
     z: complex
     w: complex
 
     def __post_init__(self):
-        z, w = complex(self.z), complex(self.w)
-        if not (cmath.isfinite(z) and cmath.isfinite(w)):
-            raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
-        if not z.imag > 0.0:
-            raise DomainError(f"Im(z) must be positive, got {z!r}")
-        if not w.imag < 0.0:
-            raise DomainError(f"Im(w) must be negative, got {w!r}")
+        z, w = self.z, self.w
+        if not isinstance(z, np.ndarray) and not isinstance(w, np.ndarray):
+            z, w = complex(z), complex(w)
+            _require_product_point(z, w)
+        else:
+            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+            if z.shape != w.shape:
+                raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
+            bad = ~(np.isfinite(z) & np.isfinite(w) & (z.imag > 0.0) & (w.imag < 0.0))
+            if bad.any():
+                i = np.argmax(bad.ravel())
+                _require_product_point(complex(z.ravel()[i]), complex(w.ravel()[i]))
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 
@@ -76,6 +86,15 @@ class ProductPoint:
     def diagonal(cls, z: complex) -> "ProductPoint":
         z = complex(z)
         return cls(z, z.conjugate())
+
+
+def _require_product_point(z: complex, w: complex) -> None:
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
+    if not z.imag > 0.0:
+        raise DomainError(f"Im(z) must be positive, got {z!r}")
+    if not w.imag < 0.0:
+        raise DomainError(f"Im(w) must be negative, got {w!r}")
 
 
 def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
@@ -213,17 +232,26 @@ def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint) -> complex:
     return complex(value)
 
 
-def genus1_extension(point: ProductPoint) -> complex:
+def genus1_extension(point: ProductPoint):
     """Eta-function extension (1/2) Log(-pi i (z-w)) + log_eta(z) + conj(log_eta(wbar)).
 
     ``ProductPoint`` keeps Im z > 0 > Im w, so -pi*i*(z - w) has positive real
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
+    At an array point the values come from one ``log_eta`` call on z and wbar.
     """
     z, w = point.z, point.w
-    value = 0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z) + np.conj(log_eta(np.conj(w)))
-    if not cmath.isfinite(value):
-        raise BudgetError(f"genus1_extension at ({z!r}, {w!r}) overflows")
+    if not isinstance(z, np.ndarray):
+        log, eta_z, eta_wbar = cmath.log, log_eta(z), log_eta(np.conj(w))
+    else:
+        log, (eta_z, eta_wbar) = np.log, log_eta(np.stack([z, np.conj(w)]))
+    with np.errstate(all="ignore"):
+        value = 0.5 * log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        i = np.argmax(bad)
+        raise BudgetError(f"genus1_extension at ({complex(np.ravel(z)[i])!r}, "
+                          f"{complex(np.ravel(w)[i])!r}) overflows")
     return value
 
 
@@ -263,8 +291,7 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
             # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone
             # potential of SPLIT_SAMPLES + 8 targets
             qt = cone_potentials(form, Z, Z.conj()).values
-            return (np.array([closed_form_log_det(z) for z in Z])
-                    - constant * qt.real - np.log(Z.imag))
+            return closed_form_log_det(Z) - constant * qt.real - np.log(Z.imag)
 
         f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
     else:

@@ -93,10 +93,17 @@ class DiagonalSampleSet:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, diag: Callable[[complex], complex], center: complex,
+    def from_function(cls, diag: Callable[[np.ndarray], np.ndarray], center: complex,
                       radius: float, count: int) -> "DiagonalSampleSet":
+        """Sample ``diag``, called once with the whole ring grid, on the disc.
+
+        ``diag`` maps an array of points to the array of its values; a
+        scalar value is a constant, the same at every point.
+        """
         pts = disc_samples(center, radius, count)
-        vals = np.array([diag(complex(p)) for p in pts], dtype=complex)
+        vals = np.asarray(diag(pts), dtype=complex)
+        if vals.ndim == 0:
+            vals = np.full(pts.shape, vals)
         return cls(pts, vals, complex(center), float(radius), _ring_layout(count))
 
 
@@ -111,14 +118,20 @@ class PolarizedPolynomial:
     conditioning: float  # s_max / s_min of the (weighted) Zernike design; 1 on a ring grid
     residual: float      # max abs misfit at the sample points
 
-    def evaluate(self, z: complex, w: complex) -> complex:
-        """Holomorphic extension F(z, w) = sum a_{ab} (z-c)^a (w-cbar)^b."""
-        u = complex(z) - self.center
-        v = complex(w) - self.center.conjugate()
-        d = self.degree
-        up = u ** np.arange(d + 1)
-        vp = v ** np.arange(d + 1)
-        return complex(up @ self.coefficients @ vp)
+    def evaluate(self, z, w):
+        """Holomorphic extension F(z, w) = sum a_{ab} (z-c)^a (w-cbar)^b.
+
+        A complex at a point (z, w); at arrays z and w of one shape, the
+        array of values, from one stacked product of the two power tables,
+        row by row in the order (u^a C) v^b, as at a point.
+        """
+        u = np.asarray(z, dtype=complex) - self.center
+        v = np.asarray(w, dtype=complex) - self.center.conjugate()
+        powers = np.arange(self.degree + 1)
+        up = u[..., None, None] ** powers  # (..., 1, D+1)
+        vp = v[..., None, None] ** powers
+        value = (up @ self.coefficients @ np.swapaxes(vp, -1, -2))[..., 0, 0]
+        return complex(value) if value.ndim == 0 else value
 
     @property
     def scaled_coefficients(self) -> np.ndarray:
@@ -315,11 +328,12 @@ def uniqueness_residual(f1: Callable, f2: Callable, center: complex, radius: flo
     Near zero certifies that f1 and f2 coincide (to fit accuracy) as
     holomorphic functions near the diagonal; an injected monomial
     perturbation comes back at its own magnitude.  The difference is sampled
-    on the ring grid of 2(D+1)^2 points.
+    on the ring grid of 2(D+1)^2 points: f1 and f2 are each called once,
+    with the array of its points z and the array of their conjugates.
     """
 
-    def diag(z: complex) -> complex:
-        zb = z.conjugate()
+    def diag(z: np.ndarray) -> np.ndarray:
+        zb = z.conj()
         return f1(z, zb) - f2(z, zb)
 
     samples = DiagonalSampleSet.from_function(diag, center, radius, 2 * (degree + 1) ** 2)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -339,7 +340,8 @@ class TestRecipeUniqueness:
         from holodet.polarization import uniqueness_residual
 
         rec = genus1_recipe(-0.5, f_mode="eta")
-        f1 = lambda z, w: assemble_extension(rec, ProductPoint(z, w))
+        # assemble_extension takes one point: f1 runs it point by point
+        f1 = np.vectorize(lambda z, w: assemble_extension(rec, ProductPoint(z, w)), otypes=[complex])
         f2 = lambda z, w: genus1_extension(ProductPoint(z, w))
         center, radius = 1.4j, 0.25
         assert uniqueness_residual(f1, f2, center, radius, degree=6) < 1e-8
@@ -395,6 +397,58 @@ class TestGenus1Extension:
         assert val.real == pytest.approx(0.5 * math.log(math.pi * 1e307)
                                          + 2 * log_eta(1j).real, rel=1e-14)
         assert val.imag == pytest.approx(math.pi * 1e307 / 12 - math.pi / 4, rel=1e-14)
+
+
+class TestBatchedPoints:
+    """ProductPoint and genus1_extension on arrays of points."""
+
+    def test_array_extension_matches_the_pointwise_one(self):
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-3, 3, 60) + 1j * 10.0 ** rng.uniform(-3, 1, 60)
+        w = rng.uniform(-3, 3, 60) - 1j * 10.0 ** rng.uniform(-3, 1, 60)
+        values = genus1_extension(ProductPoint(z.reshape(6, 10), w.reshape(6, 10)))
+        assert values.shape == (6, 10)
+        for zi, wi, value in zip(z, w, values.ravel()):
+            ref = genus1_extension(ProductPoint(complex(zi), complex(wi)))
+            assert abs(value - ref) <= 4e-16 * abs(ref)
+
+    @pytest.mark.parametrize("z, w, message", [
+        ((1j, 2j, -1j), (-1j, -1j, -1j), "Im(z) must be positive, got (-0-1j)"),
+        ((1j, 2j, 3j), (-1j, 0.5 + 0j, -1j), "Im(w) must be negative, got (0.5+0j)"),
+        ((1j, complex("nan+1j")), (-1j, -1j), "finite, got (nan+1j), (-0-1j)"),
+    ])
+    def test_a_point_off_the_product_is_named(self, z, w, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            ProductPoint(np.array(z), np.array(w))
+
+    def test_shapes_must_agree(self):
+        with pytest.raises(DomainError, match="one shape"):
+            ProductPoint(np.array([1j, 2j]), np.array([-1j]))
+
+    def test_an_overflowing_point_of_a_batch_is_named(self):
+        with pytest.raises(BudgetError, match=re.escape("((1e+308+1j), (-0-1j)) overflows")):
+            genus1_extension(ProductPoint(np.array([1j, 1e308 + 1j]), np.array([-1j, -1j])))
+
+    def test_split_h_makes_one_closed_form_call(self, monkeypatch):
+        # h used to call closed_form_log_det once per point, 264 times per build
+        import holodet.extension as extension
+
+        calls = {"h": 0, "closed_form_log_det": 0}
+
+        def counted(name, func):
+            def wrapper(*args):
+                calls[name] += 1
+                return func(*args)
+            return wrapper
+
+        split = extension.pluriharmonic_split
+        monkeypatch.setattr(extension, "closed_form_log_det",
+                            counted("closed_form_log_det", extension.closed_form_log_det))
+        monkeypatch.setattr(extension, "pluriharmonic_split",
+                            lambda h, c, r: split(counted("h", h), c, r))
+        genus1_recipe(-0.5, f_mode="split")
+        assert calls["h"] >= 1
+        assert calls["closed_form_log_det"] == calls["h"]
 
 
 def _residual(point, word, evaluate=genus1_extension):

@@ -69,10 +69,9 @@ class TestFitBasics:
             + 1j * rng.uniform(-1, 1, (degree + 1, degree + 1))
 
         def phi(z):
-            zb = np.conj(z)
-            zp = z ** np.arange(degree + 1)
-            zbp = zb ** np.arange(degree + 1)
-            return complex(zp @ coeffs @ zbp)
+            zp = np.power.outer(z, np.arange(degree + 1))
+            zbp = np.power.outer(np.conj(z), np.arange(degree + 1))
+            return np.einsum("...a,ab,...b->...", zp, coeffs, zbp)
 
         s = DiagonalSampleSet.from_function(phi, 0.2 - 0.1j, 1.3, 2 * (degree + 1) ** 2)
         fit = polarize_fit(s, degree)
@@ -81,7 +80,7 @@ class TestFitBasics:
         assert abs(value - phi(probe)) < 1e-9 * max(1.0, abs(phi(probe)))
 
     def test_degree_stability(self):
-        f = lambda z: cmath.exp(z).real + 0.3 * abs(z) ** 2
+        f = lambda z: np.exp(z).real + 0.3 * np.abs(z) ** 2
         low = polarize_fit(DiagonalSampleSet.from_function(f, 0, 0.8, 128), 5)
         high = polarize_fit(DiagonalSampleSet.from_function(f, 0, 0.8, 162), 6)
         drift = np.max(np.abs(high.coefficients[:6, :6] - low.coefficients))
@@ -102,7 +101,7 @@ class TestLogPolarization:
         return out
 
     def test_taylor_coefficients(self):
-        s = DiagonalSampleSet.from_function(lambda z: cmath.log(z - np.conj(z)), 2j, 0.5, 120)
+        s = DiagonalSampleSet.from_function(lambda z: np.log(z - np.conj(z)), 2j, 0.5, 120)
         fit = polarize_fit(s, 6)
         err = np.abs(fit.coefficients - self.oracle(6))
         # low total degrees are sharply determined; the full table is limited
@@ -113,7 +112,7 @@ class TestLogPolarization:
         assert scaled_err.max() < 5e-6
 
     def test_off_diagonal_extension(self):
-        s = DiagonalSampleSet.from_function(lambda z: cmath.log(z - np.conj(z)), 2j, 0.5, 120)
+        s = DiagonalSampleSet.from_function(lambda z: np.log(z - np.conj(z)), 2j, 0.5, 120)
         fit = polarize_fit(s, 6)
         for z, w in ((0.2 + 2.1j, 0.15 - 2.05j), (-0.1 + 1.8j, 0.05 - 2.2j)):
             assert abs(fit.evaluate(z, w) - cmath.log(z - w)) < 1e-6
@@ -121,7 +120,7 @@ class TestLogPolarization:
 
 class TestOffDiagonalRecovery:
     def test_entire_function(self):
-        G = lambda z, w: cmath.exp(z + 2 * w)
+        G = lambda z, w: np.exp(z + 2 * w)
         center, radius = 0.3 + 0j, 0.5
         s = DiagonalSampleSet.from_function(lambda z: G(z, np.conj(z)), center, radius, 200)
         fit = polarize_fit(s, 8)
@@ -130,6 +129,45 @@ class TestOffDiagonalRecovery:
             for off in (0.1, -0.2j, 0.15 + 0.1j):
                 w = np.conj(z) + off * radius / 2
                 assert abs(fit.evaluate(z, w) - G(z, complex(w))) < 1e-6
+
+
+class TestBatchedCalls:
+    """Every diagonal sample of a disc comes from one call."""
+
+    def test_from_function_calls_diag_once_with_every_point(self):
+        calls = []
+        s = DiagonalSampleSet.from_function(lambda z: calls.append(z) or z * np.conj(z),
+                                            0.5j, 0.4, 162)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], s.points) and s.layout == (9, 18)
+
+    def test_uniqueness_residual_calls_each_extension_once(self):
+        calls = {"f1": [], "f2": []}
+
+        def f1(z, w):
+            calls["f1"].append(z)
+            return z * w
+
+        def f2(z, w):
+            calls["f2"].append(w)
+            return z * w + 1e-3 * (z - 0.5j)
+
+        assert uniqueness_residual(f1, f2, 0.5j, 0.4, 4) == pytest.approx(1e-3 * 0.4)
+        assert [len(v) for v in calls.values()] == [1, 1]
+        assert calls["f1"][0].shape == calls["f2"][0].shape == (2 * 5 ** 2,)
+
+    def test_evaluate_returns_a_complex_at_a_point_and_an_array_at_arrays(self):
+        s = DiagonalSampleSet.from_function(lambda z: np.exp(z + 2 * np.conj(z)), 0.3, 0.5, 200)
+        fit = polarize_fit(s, 8)
+        z = 0.3 + 0.4 * np.exp(1j * np.linspace(0, 6, 12)).reshape(3, 4)
+        w = np.conj(z) + 0.05j
+        value = fit.evaluate(complex(z[0, 0]), complex(w[0, 0]))
+        assert type(value) is complex
+        values = fit.evaluate(z, w)
+        assert values.shape == (3, 4)
+        # the stacked product keeps the pointwise order: the same bits
+        assert values.tolist() == [[fit.evaluate(complex(a), complex(b)) for a, b in zip(r, q)]
+                                   for r, q in zip(z, w)]
 
 
 class TestUniqueness:
@@ -167,7 +205,8 @@ def scaled_polynomial(table, center, radius):
 
     def phi(z):
         u = (z - center) / radius
-        return complex(u ** powers @ table @ np.conj(u) ** powers)
+        return np.einsum("...a,ab,...b->...", np.power.outer(u, powers), table,
+                         np.power.outer(np.conj(u), powers))
 
     return phi
 
@@ -202,7 +241,7 @@ class TestRingFit:
         # the same points fitted with and without their layout: the paths
         # weigh the degree > 6 tail of log(z - zbar) differently, which on
         # D(2i, 0.3) is ~(0.3/4)^7
-        s = DiagonalSampleSet.from_function(lambda z: cmath.log(z - np.conj(z)), 2j, 0.3, 98)
+        s = DiagonalSampleSet.from_function(lambda z: np.log(z - np.conj(z)), 2j, 0.3, 98)
         scattered = DiagonalSampleSet(s.points, s.values, s.center, s.radius)
         ring, lsq = polarize_fit(s, 6), polarize_fit(scattered, 6)
         assert ring.conditioning == 1.0 and lsq.conditioning > 1.0
@@ -212,7 +251,7 @@ class TestRingFit:
         calls = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        f = lambda z: cmath.exp(z).real
+        f = lambda z: np.exp(z).real
         for count in (30, 98, 242, 500):
             s = DiagonalSampleSet.from_function(f, 0.5j, 0.2, count)
             rings, per_ring = s.layout

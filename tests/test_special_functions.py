@@ -1,8 +1,10 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from holodet.special_functions import (
     eta,
     log_eta,
     reduce,
+    reduce_array,
 )
 
 mp.mp.dps = 40
@@ -274,3 +277,87 @@ def test_dedekind_sum_matches_its_definition():
         for d in range(-2 * c, 2 * c):
             if math.gcd(d, c) == 1:
                 assert dedekind_sum(d, c) == 12 * c * dedekind_definition(d, c), (d, c)
+
+
+# --- the array reduction against the scalar one -------------------------------
+
+EPS = 2.0 ** -53
+
+
+@st.composite
+def sl2z_images(draw):
+    """A point of H, down to height 1e-12 or out to |Re z| = 1e300, or an image of one under S, T, T^-1."""
+    base = draw(st.one_of(
+        near_rationals().map(lambda pair: pair[1]),
+        st.builds(complex, st.floats(-1.0, 1.0), st.floats(-12, 1).map(lambda e: 10.0 ** e)),
+        st.builds(complex, st.floats(-1e300, 1e300), st.floats(-12, 2).map(lambda e: 10.0 ** e)),
+    ))
+    for letter in draw(st.lists(st.sampled_from("STU"), max_size=6)):
+        moved = -1 / base if letter == "S" else base + (1 if letter == "T" else -1)
+        if not 1e-12 <= moved.imag:
+            break
+        base = moved
+    return base
+
+
+class TestArrayReduction:
+    """reduce_array and the array log_eta and dedekind_sum, checked against the scalar bodies."""
+
+    @given(st.lists(sl2z_images(), min_size=1, max_size=40))
+    @example([complex(1e300, 1e-3), complex(-1e300, 2.0), complex(3e15 + 0.5, 1e-7),
+              complex(1e-12, 1e-12), 1e-12j, complex(-2.704289281130843, 2.2204971052921466e-15)])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_scalar_reduction(self, points):
+        (a, b, c, d), shift, u, zc = reduce_array(np.array(points))
+        for i, z in enumerate(points):
+            gamma, u_i, zc_i = reduce(z)
+            s = int(shift[i])  # the shift folds in Python integers, never in int64
+            assert (int(a[i]), int(b[i]) - int(a[i]) * s, int(c[i]), int(d[i]) - int(c[i]) * s) == gamma
+            assert u[i] == u_i
+            # CPython's and numpy's complex divisions may differ in the last bit
+            ulps = 4 * EPS * (abs(zc_i) + (1 / abs(gamma[2] * u_i) if gamma[2] else 0))
+            assert abs(zc[i] - zc_i) <= ulps
+
+    def test_keeps_the_shape(self):
+        z = np.array([[1j, 0.3 + 0.01j, -7.4 + 0.2j], [2.5 + 1e-5j, 1e200 + 1j, 0.5 + 0.5j]])
+        (a, b, c, d), shift, u, zc = reduce_array(z)
+        assert all(v.shape == z.shape for v in (a, b, c, d, shift, u, zc))
+        assert all(v.dtype == np.int64 for v in (a, b, c, d))
+        assert log_eta(z).shape == z.shape
+
+    @given(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 26 - 1))
+                    .filter(lambda p: math.gcd(*p) == 1), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_dedekind_sums_match_the_scalar_ones(self, pairs):
+        d, c = np.array(pairs).T
+        assert dedekind_sum(d, c).tolist() == [dedekind_sum(int(x), int(y)) for x, y in pairs]
+
+    @given(st.lists(near_rationals(), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_log_eta_matches_the_scalar_one_near_rationals(self, pairs):
+        points = [z for pair in pairs for z in pair]
+        values = log_eta(np.array(points))
+        for z, value in zip(points, values):
+            ref = log_eta(z)
+            assert abs(value - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("below", [1e-310j, 0.3 + 1e-300j, 5e-324j])
+    def test_a_batch_below_the_reach_is_a_budget_error(self, below):
+        from holodet.torus_spectral import closed_form_log_det
+
+        batch = np.array([1j, 0.2 + 0.3j, below])
+        for func in (reduce_array, log_eta, closed_form_log_det):
+            with pytest.raises(BudgetError, match=re.escape(repr(below))):
+                func(batch)
+
+    def test_a_gamma_past_int64_is_a_budget_error(self):
+        # the scalar body keeps exact Python integers; int64 ends near height 1e-18
+        assert reduce(complex(1e-200, 1e-200))[0][2] == 1
+        with pytest.raises(BudgetError, match="int64"):
+            reduce_array(np.array([complex(1e-200, 1e-200)]))
+
+    def test_a_point_off_h_is_named(self):
+        with pytest.raises(DomainError, match=r"Im\(z\) must be positive, got \(0\.5-1j\)"):
+            log_eta(np.array([1j, 0.5 - 1j, -2j]))
+        with pytest.raises(DomainError, match="finite, got \\(nan"):
+            log_eta(np.array([1j, complex("nan+1j")]))

@@ -194,6 +194,24 @@ class TestZetaDet:
                 assert r.tail_bound <= 10 * torus_spectral.TAIL_TOLERANCE, (x, y)
         assert worst <= 1e-13
 
+    def test_spectral_route_reaches_height_1e150(self):
+        # the t_max search stopped after 400 steps of x1.5, near 5.5e70, while the
+        # cut above it needs t_max ~ y^2: from height ~3.2e35 the bound passed budget
+        worst = 0.0
+        for y in 10.0 ** np.arange(3.0, 150.5, 0.5):
+            for x in (0.0, 0.1, 0.37):
+                value = zeta_log_det(complex(x, y)).log_det
+                closed = closed_form_log_det(complex(x, y))
+                expected = 2 * closed - 2 * math.log(2 * math.pi) + math.log(y)
+                worst = max(worst, abs(value - expected) / abs(expected))
+        assert worst <= 1e-13
+
+    def test_above_its_reach_is_a_budget_error(self):
+        # above reduced height ~10^153.5 a theta box passes LATTICE_RADIUS: a typed limit
+        assert math.isfinite(closed_form_log_det(complex(0.1, 1e154)))
+        with pytest.raises(BudgetError, match="radius cap"):
+            zeta_log_det(complex(0.1, 1e154))
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_extreme_heights_give_a_value_or_a_budget_error(self):
         # past reduced height about 1e153 the box terms overflow; no numpy

@@ -125,7 +125,7 @@ def genus1_pole_form() -> ClosedHoloForm:
 
 
 def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
-                        radius: float) -> Callable[[complex], complex]:
+                        radius: float) -> Callable:
     """Holomorphic f with h = 2 Re f on the disc D = D(c, r) in H: the Schwarz formula.
 
     ``h`` is batched: given an array of points it returns their real values.
@@ -138,7 +138,7 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     doubles (one more call of h, at the midpoints) up to SPLIT_MAX_SAMPLES,
     and past it the build raises BudgetError.  It raises
     NotPluriharmonicError when |h - 2 Re f| > 1e-8 max(1, max|h|) at the 8
-    inner points.  f raises DomainError outside the closed disc.
+    inner points.  f takes a point or an array; outside the closed disc it raises DomainError.
     """
     c, r = complex(center), float(radius)
     if not (cmath.isfinite(c) and 0.0 < r < c.imag):
@@ -174,11 +174,12 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
 
     coeffs[0] -= 1j * series(c).imag
 
-    def f(z: complex) -> complex:
-        z = complex(z)
-        if not abs(z - c) <= r * (1 + 1e-12):
-            raise DomainError(f"z = {z!r} outside the split disc D({c!r}, {r!r})")
-        return complex(series(z))
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        outside = z[~(np.abs(z - c) <= r * (1 + 1e-12))]
+        if outside.size:
+            raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
+        return series(z)[()]
 
     tol = 1e-8 * max(1.0, float(np.max(np.abs(samples))))
     res = float(np.max(np.abs(h_inner - 2.0 * series(inner).real)))
@@ -223,8 +224,11 @@ def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
     return sum(logs[1:], logs[0])  # in genus 1 exactly Log M_00
 
 
-def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint) -> complex:
+def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint):
     """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar))."""
+    if isinstance(point.z, np.ndarray):  # an array point, one point at a time
+        return np.reshape([assemble_extension(recipe, ProductPoint(z, w))
+                           for z, w in zip(point.z.flat, point.w.flat)], point.z.shape)
     z, w, wbar = point.z, point.w, point.w.conjugate()
     value = recipe.genus_constant * recipe.q_tilde(z, w) if recipe.genus_constant != 0 else 0.0
     value = value + _log_det_term(recipe, z, wbar)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, QuadratureError
 from .torus_spectral import _gauss_legendre, _gl_nodes
-from .wirtinger import mixed_second, wirtinger_pair
+from .wirtinger import RADIUS, Contour, contour
 
 #: Refuse quadrature when any node comes this close to a declared singularity.
 POLE_GUARD = 1e-3
@@ -290,65 +290,62 @@ def verify_boundary_vanishing(form: ClosedHoloForm, pairs) -> np.ndarray:
     return np.abs(cone_potentials(form, Z, W).values)
 
 
-def verify_mixed_derivative(form: ClosedHoloForm, pairs) -> np.ndarray:
-    """Entrywise |FD d^2q/dz^i dw^j - Omega_ij| at each pair (z, w), shape (K, n, n).
+def _moved(P: np.ndarray, k: np.ndarray, c: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Points P[k] with coordinate c[e] of entry e set to p[..., e], stacked to shape (-1, n)."""
+    out = np.broadcast_to(P[k], p.shape + P.shape[1:]).copy()
+    out[..., np.arange(k.size), c] = p
+    return out.reshape(-1, P.shape[1])
 
-    The derivative is ``wirtinger.mixed_second`` with step 1e-3: central
-    differences on holomorphic directions plus one Richardson step.  It runs
-    once on all K n^2 entries as arrays, so each stencil point is one batched
-    ``cone_potentials`` call: 8 calls for any K and n.  The full stencil (offsets
-    up to the step per coordinate) must stay inside the declared domain.
+
+def verify_mixed_derivative(form: ClosedHoloForm, pairs) -> tuple[np.ndarray, Contour]:
+    """|d_z^i d_w^j q - Omega_ij| at each pair (z, w), shape (K, n, n), and the rule's ``Contour``.
+
+    The rule is ``wirtinger.contour``: entry (k, i, j) moves coordinate i of
+    z_k and coordinate j of w_k on circles, and its mode (1, 1) is the
+    derivative.  The NODES^2 samples of all K n^2 entries are one
+    ``cone_potentials`` call, whose domain check names a sample outside the
+    domain.  The Contour's ``rounding`` includes the cone's largest error over r^2.
     """
-    h = 1e-3
     Zp, Wp = _pair_targets(form, pairs)
     K, n = Zp.shape
-    dom = form.domain
-    offsets = h * np.concatenate([np.eye(n), -np.eye(n)])
-    if not _inside(Zp[:, None, :] + offsets, dom.z_center, dom.z_radius).all():
-        raise DomainError("FD stencil leaves the z-domain")
-    if not _inside(Wp[:, None, :] + offsets, dom.w_center, dom.w_radius).all():
-        raise DomainError("FD stencil leaves the w-domain")
-
     # entry (k, i, j) moves coordinate i of z_k and coordinate j of w_k
     k, i, j = (a.ravel() for a in np.indices((K, n, n)))
-    rows = np.arange(k.size)
+    cone = []
 
     def q(a, b):
-        Z, W = Zp[k], Wp[k]
-        Z[rows, i] = a
-        W[rows, j] = b
-        return cone_potentials(form, Z, W).values
+        cone.append(cone_potentials(form, _moved(Zp, k, i, a), _moved(Wp, k, j, b)))
+        return cone[0].values.reshape(a.shape)
 
-    d = mixed_second(q, Zp[k, i], Wp[k, j], h)
-    return np.abs(d.reshape(K, n, n) - form.coeff(Zp, Wp))
+    rule = contour(q, Zp[k, i], Wp[k, j])
+    residuals = np.abs(rule.modes[1, 1].reshape(K, n, n) - form.coeff(Zp, Wp))
+    rounding = rule.rounding + float(cone[0].errors.max()) / RADIUS ** 2
+    return residuals, rule._replace(rounding=rounding)
 
 
 def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, float]:
-    """Worst FD residuals of closedness and of anti-holomorphy over the pairs.
+    """Worst residuals of closedness and of anti-holomorphy over the pairs.
 
     Closedness of a purely mixed (2,0)-form is equivalent to
     d_{z^k} Omega_ij = d_{z^i} Omega_kj and d_{w^k} Omega_ij = d_{w^j} Omega_ik.
-    The derivatives are ``wirtinger.wirtinger_pair`` with step 1e-3, each
-    stencil run once over every (pair, coordinate) entry: 16 ``form.coeff``
-    calls for any K and n.
+    The derivatives are the modes 1 and -1 of ``wirtinger.contour``, with
+    every (pair, coordinate) entry moved on its circle: one ``form.coeff``
+    call per block, for any K and n.
     """
-    h = 1e-3
     Zp, Wp = _pair_targets(form, pairs)
     K, n = Zp.shape
     # entry (k, c) moves coordinate c of z_k, then of w_k
     k, c = (a.ravel() for a in np.indices((K, n)))
-    rows = np.arange(k.size)
 
     def moved(block, p):
-        points = [Zp[k], Wp[k]]
-        points[block][rows, c] = p
-        return form.coeff(*points)
+        points = [np.broadcast_to(P[k], p.shape + (n,)).reshape(-1, n) for P in (Zp, Wp)]
+        points[block] = _moved((Zp, Wp)[block], k, c, p)
+        return form.coeff(*points).reshape(p.shape + (n, n))
 
     closed = anti = 0.0
     for block, swap in ((0, (0, 2, 1, 3)), (1, (0, 3, 2, 1))):
         # D[:, c, i, j] is d_{z^c} Omega_ij, then d_{w^c} Omega_ij
-        f = partial(moved, block)
-        D, bar = (d.reshape(K, n, n, n) for d in wirtinger_pair(f, (Zp, Wp)[block][k, c], h))
+        modes = contour(partial(moved, block), (Zp, Wp)[block][k, c]).modes
+        D, bar = (modes[m].reshape(K, n, n, n) for m in (1, -1))
         closed = max(closed, float(np.abs(D - D.transpose(swap)).max(initial=0.0)))
         anti = max(anti, float(np.abs(bar).max(initial=0.0)))
     return closed, anti

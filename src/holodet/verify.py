@@ -37,7 +37,7 @@ from .potential_builder import (
 from .report import CheckResult, RunReport
 from .special_functions import log_eta
 from .torus_spectral import SpectralDetResult, closed_form_log_det, zeta_log_det
-from .wirtinger import dz_dzbar, wirtinger_dzbar
+from .wirtinger import NODES, RADIUS, contour
 
 WORD_SEED = 20250814
 DIAGONAL_CONSTANT = -0.5 * math.log(2.0 * math.pi)  # expected L(z, zbar) - closed form
@@ -46,6 +46,12 @@ _SPECTRAL_POINTS = (1j, 2j, 0.3 + 1.1j)
 
 #: modular words of ``extend --check invariance``
 _INVARIANCE_WORDS = ("T", "S", "STS", "TTST", "STT")
+
+
+def _rule_check(name: str, residual: float, rule) -> CheckResult:
+    """A check by ``wirtinger.contour``: tolerance 1e-11 plus its rounding; N, r, alias told."""
+    return CheckResult(name, residual, 1e-11 + rule.rounding,
+                       f"N={NODES} r={RADIUS:g} alias={rule.alias:.1e}")
 
 
 # --- parameterized checks, shared by the suite and the CLI -------------------
@@ -73,11 +79,8 @@ def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
 
 def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic")) -> list[CheckResult]:
     """Worst closedness and anti-holomorphy residuals over (form, sample pairs) cases."""
-    tol = CONTRACT_TOLERANCE
-    residuals = [check_closed_and_holomorphic(form, samples) for form, samples in cases]
-    closed = max(c for c, _ in residuals)
-    anti = max(a for _, a in residuals)
-    return [CheckResult(names[0], closed, tol), CheckResult(names[1], anti, tol)]
+    worst = np.max([check_closed_and_holomorphic(form, samples) for form, samples in cases], axis=0)
+    return [CheckResult(name, float(v), CONTRACT_TOLERANCE) for name, v in zip(names, worst)]
 
 
 def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing") -> CheckResult:
@@ -88,9 +91,9 @@ def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing"
 
 def mixed_derivative_check(form: ClosedHoloForm, pairs,
                            name: str = "mixed_derivative") -> CheckResult:
-    """Worst entrywise |FD d_z d_w q - Omega| over the pairs."""
-    tol = 1e-7
-    return CheckResult(name, float(np.max(verify_mixed_derivative(form, pairs))), tol)
+    """Worst entrywise |d_z d_w q - Omega| over the pairs."""
+    residuals, rule = verify_mixed_derivative(form, pairs)
+    return _rule_check(name, float(residuals.max()), rule)
 
 
 def potential_checks(form: ClosedHoloForm, z, w, samples) -> list[CheckResult]:
@@ -151,14 +154,16 @@ def invariance_checks(evaluate, point: ProductPoint, words) -> list[CheckResult]
 
 def antiholomorphic_check(evaluate, z_points, w_points,
                           name: str = "antiholomorphic_residual") -> CheckResult:
-    """Worst |d/dzbar| of L(., w) at each (z, w) of z_points and of L(z, .) at each of w_points."""
-    tol = 1e-7
-    worst = 0.0
-    for z, w in z_points:
-        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(p, w)), z, 1e-4)))
-    for z, w in w_points:
-        worst = max(worst, abs(wirtinger_dzbar(lambda p: evaluate(ProductPoint(z, p)), w, 1e-4)))
-    return CheckResult(name, worst, tol)
+    """Worst |d/dzbar| of L(., w) at each (z, w) of z_points and of L(z, .) at each of w_points.
+
+    One call of ``evaluate`` at an array point; the rounding eps max|L| / r grows as |L| ~ pi y/6.
+    """
+    zp, wp = (np.array(points, dtype=complex).reshape(-1, 2) for points in (z_points, w_points))
+    moving_z = np.arange(len(zp) + len(wp)) < len(zp)  # z of z_points, then w of w_points
+    centers, fixed = np.concatenate([zp, wp[:, ::-1]]).T
+    rule = contour(lambda p: evaluate(ProductPoint(np.where(moving_z, p, fixed),
+                                                   np.where(moving_z, fixed, p))), centers)
+    return _rule_check(name, float(np.abs(rule.modes[-1]).max()), rule)
 
 
 def extend_checks(evaluate, point: ProductPoint, kind: str) -> list[CheckResult]:
@@ -301,12 +306,13 @@ def check_symmetrizer() -> list[CheckResult]:
                      for y in (0.8, 1.1, 1.4, 1.7, 2.0)])
     imag_worst = float(np.max(np.abs(q_tilde(grid, grid.conj()).imag)))
 
+    # d_z d_zbar u of u(z) = q~(z, zbar) is d_z d_w q~ at (z, zbar): the mode (1, 1) of q~
     z = np.array([1j, 1 + 2j, -0.5 + 1.5j])
-    u = lambda p: q_tilde(p, p.conj()).real
-    fd_worst = float(np.max(np.abs(dz_dzbar(u, z, 1e-3) - (z - z.conj()) ** -2)))
+    rule = contour(q_tilde, z, z.conj())
+    worst = float(np.abs(rule.modes[1, 1] - (z - z.conj()) ** -2).max())
     return [
         CheckResult("symmetrizer_diagonal_real", imag_worst, 1e-11),
-        CheckResult("symmetrizer_wp_reconstruction", fd_worst, 1e-6),
+        _rule_check("symmetrizer_wp_reconstruction", worst, rule),
     ]
 
 
@@ -339,24 +345,20 @@ def check_mapping_class_invariance() -> list[CheckResult]:
 
 
 def check_pluriharmonic_split() -> list[CheckResult]:
-    cases = {
-        "re_z2": lambda z: (z * z).real,
-        "re_exp": lambda z: np.exp(z).real,
-        "log_abs": lambda z: np.log(np.abs(z - 5.0) ** 2),
-    }
-    recon_worst = 0.0
-    anti_worst = 0.0
+    cases = (
+        lambda z: (z * z).real,
+        lambda z: np.exp(z).real,
+        lambda z: np.log(np.abs(z - 5.0) ** 2),
+    )
+    splits = [pluriharmonic_split(h, 1j, 0.95) for h in cases]
     ring = [1j + 0.9 * cmath.exp(2j * math.pi * k / 12) for k in range(12)] + [1j + 0.2]
-    probe = (1j + 0.3, 1j - 0.4 + 0.2j, 1j + 0.5j)
-    for name, h in cases.items():
-        f = pluriharmonic_split(h, 1j, 0.95)
-        for z in ring:
-            recon_worst = max(recon_worst, abs(h(z) - 2.0 * f(z).real))
-        for z in probe:
-            anti_worst = max(anti_worst, abs(wirtinger_dzbar(f, z, 1e-3)))
+    recon_worst = max(abs(h(z) - 2.0 * f(z).real) for h, f in zip(cases, splits) for z in ring)
+    # the three f at once, on their last axis
+    rule = contour(lambda p: np.stack([f(p) for f in splits], axis=-1),
+                   np.array([1j + 0.3, 1j - 0.4 + 0.2j, 1j + 0.5j]))
     return [
         CheckResult("pluriharmonic_reconstruction", recon_worst, 1e-8),
-        CheckResult("pluriharmonic_f_holomorphic", anti_worst, 1e-7),
+        _rule_check("pluriharmonic_f_holomorphic", float(np.abs(rule.modes[-1]).max()), rule),
     ]
 
 

@@ -359,12 +359,13 @@ class TestCliPotential:
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
     def test_stencil_outside_domain_exits_2(self):
-        # mixed_derivative_check caught the DomainError: three PASS lines, then
-        # FAIL mixed_derivative residual=inf, and exit 1
+        # the point lies in the z-ball D(5i, 4.9); the first sample of its
+        # derivative circle, z + 0.02, does not
         out = run_cli("potential", "--form", "wp_genus1", "--at=4.8995,5;0,-2", "--verify")
         assert out.returncode == 2
         assert out.stdout == ""
-        assert out.stderr.splitlines() == ["error: FD stencil leaves the z-domain"]
+        assert out.stderr.splitlines() == [
+            "error: z = (4.919499999999999+5j) outside the declared z-domain"]
 
     def test_base_point_outside_domain_exits_2(self, tmp_path):
         path = tmp_path / "cat.txt"
@@ -503,6 +504,12 @@ class TestCliExtend:
     def test_holomorphy_check(self):
         out = run_cli("extend", "--point", "0.4,1.2;-0.2,-0.8", "--check", "holomorphy")
         assert out.returncode == 0
+
+    @pytest.mark.parametrize("point", ["0.3,1e6;0,-1", "0.3,1e8;0,-1"])
+    def test_holomorphy_check_at_large_heights(self, point):
+        # the tolerance carries eps |L| / r, and |L| grows with the height
+        out = run_cli("extend", f"--point={point}", "--check", "holomorphy")
+        assert out.returncode == 0, out.stdout
 
     def test_recipe_file(self, tmp_path):
         path = tmp_path / "recipe.txt"

@@ -1,10 +1,11 @@
-"""The cone quadrature takes no setting: its orders are module constants.
+"""The cone quadrature and the derivative rule take no setting: both are fixed by module constants.
 
 ``FIRST_ORDER`` and ``MAX_ORDER`` in ``potential_builder`` fix the
-Gauss-Legendre ladder of every cone cell.  The guard reads the source with
-``ast``, so a ``nodes`` parameter put back on a public function of the cone
-layer or its checks fails here, and so does a ``--nodes`` option on
-``holodet potential``.
+Gauss-Legendre ladder of every cone cell, and ``NODES`` and ``RADIUS`` in
+``wirtinger`` the circles of every derivative check.  The guard reads the
+source with ``ast``, so a ``nodes`` or a step ``h`` parameter put back on a
+public function of these layers or their checks fails here, and so does a
+``--nodes`` option on ``holodet potential``.
 """
 
 import ast
@@ -18,7 +19,7 @@ from holodet import cli
 SRC = Path(holodet.__file__).parent
 
 
-def parameters_named(name: str, modules=("potential_builder", "verify")):
+def parameters_named(name: str, modules=("potential_builder", "verify", "wirtinger")):
     """Public functions (module.qualified.name) of the modules with a parameter ``name``."""
     sites = set()
 
@@ -44,10 +45,15 @@ def test_no_public_function_takes_nodes():
     assert parameters_named("nodes") == set()
 
 
+def test_no_public_function_takes_a_step():
+    assert parameters_named("h") == set()
+
+
 def test_the_guard_sees_parameters():
     # the guard finds a parameter that every verifier has
     assert "potential_builder.cone_potentials" in parameters_named("form")
     assert "verify.boundary_check" in parameters_named("form")
+    assert "wirtinger.contour" in parameters_named("f")
 
 
 def test_potential_help_lists_no_nodes_option(capsys):

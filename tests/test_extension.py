@@ -21,8 +21,14 @@ from holodet.extension import (
 from holodet.potential_builder import cone_potential, cone_potentials
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
-from holodet.verify import DIAGONAL_CONSTANT, antiholomorphic_check, invariance_checks
-from holodet.wirtinger import dz_dzbar, wirtinger_dzbar
+from holodet.verify import (
+    DIAGONAL_CONSTANT,
+    _cone_test_pairs,
+    antiholomorphic_check,
+    extend_checks,
+    invariance_checks,
+)
+from holodet.wirtinger import contour
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
 
@@ -69,9 +75,9 @@ class TestSymmetrize:
         for z in (1j, 0.3 + 0.9j, -0.4 + 1.6j):
             val = qt(z, np.conj(z))
             assert abs(val.imag) < 1e-11
-            u = lambda p: qt(p, np.conj(p)).real
-            lap = dz_dzbar(u, z, 1e-3)
-            assert abs(lap - (z - np.conj(z)) ** -2) < 1e-6
+            # d_z d_zbar of qt(z, zbar) is the mixed mode of qt at (z, zbar)
+            lap = contour(qt, z, np.conj(z)).modes[1, 1]
+            assert abs(lap - (z - np.conj(z)) ** -2) < 1e-11
 
     def test_both_halves_from_one_batched_call(self):
         calls = []
@@ -93,9 +99,9 @@ class TestSymmetrize:
 
 class TestWpForm:
     def test_log_potential_reproduces_it(self):
-        # d_z d_zbar log(z - zbar) at i equals -1/4
-        u = lambda p: cmath.log(p - p.conjugate()).real
-        assert abs(dz_dzbar(u, 1j, 1e-3) - (-0.25)) < 1e-8
+        # d_z d_zbar log|z - zbar| at i is d_z d_w Log(z - w) = (z - w)^-2 at (i, -i): -1/4
+        rule = contour(lambda z, w: np.log(z - w), 1j, -1j)
+        assert abs(rule.modes[1, 1] - (-0.25)) < 1e-11
 
 
 class TestPluriharmonicSplit:
@@ -120,8 +126,7 @@ class TestPluriharmonicSplit:
 
     def test_holomorphy_of_f(self):
         f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
-        for z in (1j + 0.3, 1j - 0.2 + 0.4j):
-            assert abs(wirtinger_dzbar(f, z, 1e-3)) < 1e-7
+        assert np.abs(contour(f, np.array([1j + 0.3, 1j - 0.2 + 0.4j])).modes[-1]).max() < 1e-11
 
     def test_h_samples_per_evaluation(self):
         # the build samples the boundary circle and 8 check points in one
@@ -215,8 +220,8 @@ class TestAssembleExtension:
         p = ProductPoint(0.7 + 1.3j, -0.2 - 0.6j)
         expected = cmath.log((p.z - p.w) / 2j)
         assert abs(assemble_extension(rec, p) - expected) < 1e-15
-        fz = lambda a: assemble_extension(rec, ProductPoint(a, p.w))
-        assert abs(wirtinger_dzbar(fz, p.z, 1e-4)) < 1e-8
+        fz = lambda a: assemble_extension(rec, ProductPoint(a, np.full(a.shape, p.w)))
+        assert abs(contour(fz, p.z).modes[-1]) < 1e-11
 
     def test_eta_recipe_equals_eta_extension(self):
         rec = genus1_recipe(-0.5, f_mode="eta")
@@ -269,10 +274,10 @@ class TestAssembleExtension:
                               lambda z: np.array([[2 * z, 0.3 * z], [0.3 * z, 3 * z + 1j]]),
                               lambda z: 0.1 * z * z, 0.0)
         p = ProductPoint(0.5 + 1.4j, -0.6 - 1.1j)
-        fz = lambda a: assemble_extension(rec, ProductPoint(a, p.w))
-        fw = lambda a: assemble_extension(rec, ProductPoint(p.z, a))
-        assert abs(wirtinger_dzbar(fz, p.z, 1e-4)) < 1e-7
-        assert abs(wirtinger_dzbar(fw, p.w, 1e-4)) < 1e-7
+        fz = lambda a: assemble_extension(rec, ProductPoint(a, np.full(a.shape, p.w)))
+        fw = lambda a: assemble_extension(rec, ProductPoint(np.full(a.shape, p.z), a))
+        assert abs(contour(fz, p.z).modes[-1]) < 1e-11
+        assert abs(contour(fw, p.w).modes[-1]) < 1e-11
         # diagonal realness: Im is constant (here zero) on the diagonal
         for z in (1j, 0.3 + 0.9j):
             val = assemble_extension(rec, ProductPoint.diagonal(z))
@@ -508,3 +513,24 @@ class TestModularInvariance:
         low = invariance_checks(genus1_extension, ProductPoint(0.2 + 1.3j, -0.4 - 0.9j), ["STS"])
         assert all(c.passed and c.tolerance > 1e-5 for c in checks)
         assert low[0].tolerance == pytest.approx(1e-9)
+
+
+class TestAntiholomorphicCheck:
+    def test_a_conjugate_term_in_either_block_fails(self):
+        # negative control at verify-all's pairs: 1e-9 conj(z) has d/dzbar = 1e-9
+        pairs = _cone_test_pairs(4)
+        for term in (lambda p: np.conj(p.z), lambda p: np.conj(p.w)):
+            check = antiholomorphic_check(lambda p: genus1_extension(p) + 1e-9 * term(p),
+                                          pairs, pairs)
+            assert not check.passed
+            assert check.residual == pytest.approx(1e-9, rel=1e-4)
+
+    @pytest.mark.parametrize("height", [1e6, 1e8])
+    def test_tolerance_covers_the_rounding_of_l(self, height):
+        # |L| ~ pi y/6: the tolerance carries its rounding over r, and stays near 1e-11 at y = 1
+        (check,) = extend_checks(genus1_extension, ProductPoint(0.3 + 1j * height, -1j),
+                                 "holomorphy")
+        (low,) = extend_checks(genus1_extension, ProductPoint(0.3 + 1j, -1j), "holomorphy")
+        assert check.passed and check.tolerance > 1e-15 * height
+        assert low.passed and low.tolerance < 2e-11
+

@@ -27,6 +27,8 @@ from holodet.potential_builder import (
     verify_mixed_derivative,
 )
 from holodet.torus_spectral import _gl_nodes
+from holodet.verify import mixed_derivative_check
+from holodet.wirtinger import NODES, contour
 
 HALF_PLANE_BALLS = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
 
@@ -371,31 +373,35 @@ class TestBoundaryVanishing:
 
 class TestMixedDerivative:
     def test_constant_form(self):
-        # bilinear q has zero FD truncation error: what is left is the
-        # quadrature's rounding of q (~1e-15) over the stencil's h^2 = 1e-6
-        res = verify_mixed_derivative(constant_form(), [(1 + 1.2j, -0.4 - 0.9j)])
-        assert float(res.max()) < 1e-9
+        res, _ = verify_mixed_derivative(constant_form(), [(1 + 1.2j, -0.4 - 0.9j)])
+        assert float(res.max()) < 1e-11
 
     def test_pole_form_at_reference_point(self):
-        res = verify_mixed_derivative(pole_form(), [(2j, -2j)])
+        res, _ = verify_mixed_derivative(pole_form(), [(2j, -2j)])
         # Omega(2i, -2i) = (4i)^{-2} = -1/16
-        assert float(res[0, 0, 0]) < 1e-7
+        assert float(res[0, 0, 0]) < 1e-11
 
     def test_detects_closedness_violation(self):
         # a closed corruption would be faithfully reproduced by the cone
-        # potential; only a non-closed one breaks d_z d_w q = Omega
+        # potential; only a non-closed one breaks d_z d_w q = Omega.  The
+        # residual is about 0.1 of the amplitude, so 1e-9 needs a tolerance
+        # below 1e-10
         g = PolyMap(2, {((2, 0), (3, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
         inner = g.mixed_coefficient_evaluator()
-
-        def corrupted(Z, W):
-            out = inner(Z, W)
-            out[:, 0, 1] += 0.8 * Z[:, 1]
-            return out
-
         dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
-        form = ClosedHoloForm(2, corrupted, [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
-        res = verify_mixed_derivative(form, [(np.array([0.3, 0.2j]), np.array([0.25j, -0.2]))])
-        assert float(res.max()) > 1e-3
+        pairs = [(np.array([0.3, 0.2j]), np.array([0.25j, -0.2]))]
+        for amplitude in (0.8, 1e-9):
+            def corrupted(Z, W):
+                out = inner(Z, W)
+                out[:, 0, 1] += amplitude * Z[:, 1]
+                return out
+
+            form = ClosedHoloForm(2, corrupted, [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
+            check = mixed_derivative_check(form, pairs)
+            assert not check.passed and check.residual > 0.1 * amplitude, (amplitude, check)
+        # the floor: the uncorrupted form passes
+        form = ClosedHoloForm(2, inner, [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
+        assert mixed_derivative_check(form, pairs).passed
 
     def test_stencil_domain_guard(self):
         form = pole_form()
@@ -405,9 +411,9 @@ class TestMixedDerivative:
 
     def test_base_point_gauge_invariance(self):
         # moving the bases changes q by F(z) + G(w) only: same mixed derivative
-        a = verify_mixed_derivative(pole_form(1j, -1j), [(1 + 1.4j, -0.7 - 1.1j)])
-        b = verify_mixed_derivative(pole_form(0.5 + 2j, -0.3 - 1.5j), [(1 + 1.4j, -0.7 - 1.1j)])
-        assert float(a.max()) < 1e-7 and float(b.max()) < 1e-7
+        a, _ = verify_mixed_derivative(pole_form(1j, -1j), [(1 + 1.4j, -0.7 - 1.1j)])
+        b, _ = verify_mixed_derivative(pole_form(0.5 + 2j, -0.3 - 1.5j), [(1 + 1.4j, -0.7 - 1.1j)])
+        assert float(a.max()) < 1e-11 and float(b.max()) < 1e-11
 
     # ids: the dimension alone for one pair, with "-3pairs" for three
     @pytest.mark.parametrize("dim, K", [(1, 1), (2, 1), (3, 1), (1, 3), (2, 3), (3, 3)],
@@ -423,9 +429,9 @@ class TestMixedDerivative:
                               np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
         pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
                  for m in range(K)]
-        res = verify_mixed_derivative(form, pairs)
-        assert res.shape == (K, dim, dim) and float(res.max()) < 1e-7
-        assert calls == [K * dim * dim] * 8
+        res, _ = verify_mixed_derivative(form, pairs)
+        assert res.shape == (K, dim, dim) and float(res.max()) < 1e-11
+        assert calls == [K * dim * dim * NODES ** 2]
 
 
 class TestClosedAndHolomorphic:
@@ -483,7 +489,7 @@ class TestClosedAndHolomorphic:
                  for m in range(K)]
         closed, anti = check_closed_and_holomorphic(form, pairs)
         assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
-        assert calls == [K * dim] * 16
+        assert calls == [K * dim * NODES] * 2
 
     def test_targets_are_checked_before_the_form_is_evaluated(self):
         def coeff(Z, W):
@@ -502,14 +508,12 @@ class TestClosedAndHolomorphic:
 
 class TestHolomorphyOfPotential:
     def test_antiholomorphic_residual_small(self):
-        from holodet.wirtinger import wirtinger_dzbar
-
         form = pole_form()
         z, w = 0.4 + 1.1j, -0.2 - 0.8j
-        fz = lambda p: cone_potential(form, p, w)
-        fw = lambda p: cone_potential(form, z, p)
-        assert abs(wirtinger_dzbar(fz, z, 1e-4)) < 1e-7
-        assert abs(wirtinger_dzbar(fw, w, 1e-4)) < 1e-7
+        fz = lambda p: cone_potentials(form, p, np.full(p.shape, w)).values
+        fw = lambda p: cone_potentials(form, np.full(p.shape, z), p).values
+        assert abs(contour(fz, z).modes[-1]) < 1e-11
+        assert abs(contour(fw, w).modes[-1]) < 1e-11
 
 
 class TestSharedMechanisms:

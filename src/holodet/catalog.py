@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, HolodetError
-from .polymap import PolyMap
+from .polymap import PolyMap, int_power
 from .potential_builder import (
     ClosedHoloForm,
     ProductDomain,
@@ -106,7 +106,7 @@ class FormCatalogEntry:
 
             def coeff(Z, W, _c=c, _k=k):
                 Z, W = np.atleast_2d(Z), np.atleast_2d(W)
-                return (_c * (Z[:, 0] - W[:, 0]) ** (-_k)).reshape(-1, 1, 1)
+                return (_c * int_power(Z[:, 0] - W[:, 0], -_k)).reshape(-1, 1, 1)
 
             def clearance(Z, W):
                 Z, W = np.atleast_2d(Z), np.atleast_2d(W)

@@ -31,7 +31,10 @@ from .wirtinger import RADIUS, Contour, contour
 #: Refuse quadrature when any node comes this close to a declared singularity.
 POLE_GUARD = 1e-3
 
-#: Quadrature nodes evaluated per batched pass of ``cone_potentials``.
+#: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In a
+#: scan of the split build's 264-target call over 2048-32768, 4096 was the
+#: fastest or within the noise of it; larger passes were not faster and took
+#: 0.4-3 MB more peak memory at 16384-32768.  Change it only on a paired run.
 PASS_NODES = 1 << 12
 
 #: Gauss-Legendre order per axis every cone cell tries first; a cell it
@@ -122,17 +125,20 @@ class ConePotentials(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _legendre_rows(n: int) -> np.ndarray:
+def _legendre_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows taking n Gauss-Legendre samples to Legendre coefficients n//2 - 2, n//2 - 1, n - 2, n - 1.
 
-    Coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.
+    Coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.  The rows are real;
+    the second array, shape (2n, 8), applies them to n complex samples
+    stored as (re, im) pairs.
     """
     xs, ws = _gauss_legendre(n)
     degrees = np.array([n // 2 - 2, n // 2 - 1, n - 2, n - 1])
     vander = np.polynomial.legendre.legvander(xs, n - 1)[:, degrees]
-    rows = ((degrees + 0.5)[:, None] * (vander * ws[:, None]).T).astype(complex)
-    rows.flags.writeable = False
-    return rows
+    rows = (degrees + 0.5)[:, None] * (vander * ws[:, None]).T
+    pairs = np.kron(rows.T, np.eye(2))
+    rows.flags.writeable = pairs.flags.writeable = False
+    return rows, pairs
 
 
 def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
@@ -147,8 +153,12 @@ def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
     (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
     """
     n = ws.size
-    rows = _legendre_rows(n)
-    A = ws @ np.abs(F @ rows.T) + np.abs(rows @ F) @ ws
+    rows, pairs = _legendre_rows(n)
+    # F as reals, (re, im) pairs along the last axis: real products, one per direction
+    X = F.view(float).reshape(F.shape[0], n, 2 * n)
+    along_t = (X.reshape(-1, 2 * n) @ pairs).view(complex)
+    along_s = (rows @ X).view(complex)
+    A = ws @ np.abs(along_t.reshape(-1, n, 4)) + np.abs(along_s) @ ws
     top, mid = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
     ratio = np.minimum(np.divide(top, mid, out=np.ones_like(top), where=mid > 0), 1.0)
     return top * (ratio ** (2 / (n - n // 2))) ** ((n + 1) / 2)
@@ -174,9 +184,8 @@ def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     ``form.coeff`` and the pole guard see at most PASS_NODES nodes per call.
     """
     cells, n = S.shape
-    shape = (cells, n, n, form.dim)
-    Zn = np.broadcast_to(form.base_z + S[:, :, None, None] * dz[:, None, None, :], shape)
-    Wn = np.broadcast_to(form.base_w + T[:, None, :, None] * dw[:, None, None, :], shape)
+    Zn = np.repeat(form.base_z + S[:, :, None, None] * dz[:, None, None, :], n, axis=2)
+    Wn = np.repeat(form.base_w + T[:, None, :, None] * dw[:, None, None, :], n, axis=1)
     Zn, Wn = Zn.reshape(-1, form.dim), Wn.reshape(-1, form.dim)
     C = np.empty((Zn.shape[0], form.dim, form.dim), dtype=complex)
     for i in range(0, Zn.shape[0], PASS_NODES):
@@ -186,7 +195,8 @@ def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
                 f"quadrature node within {POLE_GUARD:g} of a singularity of the form"
             )
         C[i:i + PASS_NODES] = form.coeff(Zc, Wc)
-    return np.einsum("cstij,ci,cj->cst", C.reshape(cells, n, n, form.dim, form.dim), dz, dw)
+    dzdw = (dz[:, :, None] * dw[:, None, :]).reshape(cells, 1, -1)
+    return (dzdw @ C.reshape(cells, n * n, -1).swapaxes(1, 2)).reshape(cells, n, n)
 
 
 def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:

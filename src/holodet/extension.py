@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -168,20 +169,32 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
         samples = np.stack([samples, mid], axis=1).ravel()
         n *= 2
     coeffs[0] *= 0.5
+    terms = coeffs[::-1].tolist()  # highest first, as Python complex numbers
 
     def series(z):
-        return np.polynomial.polynomial.polyval((z - a) / (z - a.conjugate()) / rho, coeffs)
+        # Horner: in Python complex arithmetic at a point, in numpy on an array
+        p = (z - a) / (z - a.conjugate()) / rho
+        value = terms[0]
+        for term in terms[1:]:
+            value = value * p + term
+        return value
 
     # one Horner pass at c and the inner points: the shift leaves every real part as it is
     at = series(np.concatenate([[c], inner]))
-    coeffs[0] -= 1j * at[0].imag
+    terms[-1] -= 1j * at[0].imag
+
+    reach = r * (1 + 1e-12)
 
     def f(z):
-        z = np.asarray(z, dtype=complex)
-        outside = z[~(np.abs(z - c) <= r * (1 + 1e-12))]
-        if outside.size:
+        if isinstance(z, numbers.Number):  # a point builds no array
+            z = complex(z)
+            outside = () if abs(z - c) <= reach else (z,)
+        else:
+            z = np.asarray(z, dtype=complex)
+            outside = z[~(np.abs(z - c) <= reach)]
+        if len(outside):
             raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
-        return series(z)[()]
+        return series(z)
 
     tol = 1e-8 * max(1.0, float(np.max(np.abs(samples))))
     res = float(np.max(np.abs(h_inner - 2.0 * at[1:].real)))

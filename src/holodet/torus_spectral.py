@@ -18,10 +18,18 @@ result is invariant under both generators.  One routine, ``_theta_sums``,
 evaluates the heat trace at an array of times, as the hybrid theta sum of
 Kronecker's limit formula (direct in m, Poisson-summed in n; Chowla-Selberg,
 J. reine angew. Math. 227, 1967): each of its 1-D sums carries a certified
-tail bound, so the oracle holds at every height.  Each half of the numeric
-t-integral is one call.  The split time, quadrature order, box cap and tail
-target are module constants.  Above height 1e4 the absolute error, about
-1e-14 of |log det'| ~ pi y / 3, passes 1e-10.
+tail bound, so the oracle holds at every height.  A determinant makes two
+calls, one per half of the numeric t-integral.  The Poisson call at t_min
+and the low nodes also takes s0, and Theta(s0) - A/(4 pi s0) read there
+bounds Theta(s0) - 1 for the search of the upper cutoff t_max; the low nodes
+come close to s0, so the box stays the one they need.  The bound exceeds
+Theta(s0) - 1 by its tail and a rounding term (``_excess_bound``), which
+dominate only below height about 1.3, where either bound stops the search at
+its first step, t_max = 2 s0.  So t_max, every node and the value are those
+a direct sum at s0 gives (bit for bit on 4,400 moduli up to height 1e150).
+The split time, quadrature order, box cap and tail target are module
+constants.  Above height 1e4 the absolute error, about 1e-14 of
+|log det'| ~ pi y / 3, passes 1e-10.
 
 Reach: the route gives a value up to reduced height about 10^153.5, within
 1e-13 relative of the closed form.  Above it a theta box cannot reach its
@@ -134,6 +142,19 @@ def _theta_sums(z: complex, ts, poisson: bool):
     return values, tails.sum(axis=0)
 
 
+def _excess_bound(remainder: float, tail: float, pref: float) -> float:
+    """An upper bound on Theta(t) - 1 from the Poisson remainder R = Theta(t) - pref and its tail.
+
+    Near t = 1 the signed cosine terms of R carry e^{-4 pi^2 t}, so R is a sum
+    of positive terms, exact to a few eps of itself; pref and the two additions
+    round once each, and 8 eps (|R| + pref + 1) covers it all (against mpmath,
+    on 800 moduli up to height 1e3, the error stays within 1.2 eps of that sum).
+    Below height about 1.3 that term is the bound: Theta(1) - 1 ~ 3e-17.
+    """
+    rounding = 8.0 * np.finfo(float).eps * (abs(remainder) + pref + 1.0)
+    return max(remainder + pref - 1.0, 0.0) + tail + rounding
+
+
 @lru_cache(maxsize=32)
 def _gauss_legendre(n: int):
     xs, ws = np.polynomial.legendre.leggauss(n)
@@ -173,10 +194,10 @@ def zeta_log_det(z: complex) -> SpectralDetResult:
     # below t_min carries y e^{-1/(4 t_min)} (split logs: log(1e12 y) overflows at 1.8e296)
     t_min = min(1.0 / 180.0, 0.25 / (math.log(1e12) + math.log(y)))
 
-    # Remainder R(t) = Theta(t) - A/(4 pi t) at t_min and at the nodes of
-    # int_{t_min}^{s0} R(t)/t dt, log substitution t = e^u
+    # Remainder R(t) = Theta(t) - A/(4 pi t) at t_min, at the nodes of
+    # int_{t_min}^{s0} R(t)/t dt (log substitution t = e^u) and at s0
     us, ws = _gl_nodes(math.log(t_min), math.log(s0), QUADRATURE_NODES)
-    r_vals, r_tails = _theta_sums(zc, np.concatenate(([t_min], np.exp(us))), poisson=True)
+    r_vals, r_tails = _theta_sums(zc, np.concatenate(([t_min], np.exp(us), [s0])), poisson=True)
     s_small, s_small_tail = r_vals[0], r_tails[0]
 
     # cutoff bound for int_0^{t_min} R(t)/t dt
@@ -184,20 +205,21 @@ def zeta_log_det(z: complex) -> SpectralDetResult:
     cut_low = y * (s0_sum + 1e-300) / math.pi
 
     tail_total = cut_low + s_small_tail
-    i_low = np.dot(ws, r_vals[1:])
-    tail_total += np.dot(np.abs(ws), r_tails[1:])
+    i_low = np.dot(ws, r_vals[1:-1])
+    tail_total += np.dot(np.abs(ws), r_tails[1:-1])
 
-    # upper cutoff T_max from the certified decay of Theta(t) - 1
+    # upper cutoff T_max from the certified decay of Theta(t) - 1, read at s0 off R(s0)
     lam1 = FOUR_PI_SQ * min(1.0, 1.0 / (y * y))
-    (theta_s0,), (theta_s0_tail,) = _theta_sums(zc, [s0], poisson=False)
-    m_b = (theta_s0 + theta_s0_tail) * math.exp(lam1 * s0)
+    m_b = _excess_bound(r_vals[-1], r_tails[-1], y / (4.0 * math.pi * s0)) * math.exp(lam1 * s0)
+    if not math.isfinite(m_b):  # a nan bound would run the search to its cap
+        raise BudgetError(f"aggregate tail bound {tail_total + m_b:.3e} exceeds budget")
     t_max = 2.0 * s0
     for _ in range(2000):  # t_max grows like y^2: 2000 steps of x1.5 pass 1e300
         if m_b * math.exp(-lam1 * t_max) / (lam1 * t_max) <= TAIL_TOLERANCE / 10.0:
             break
         t_max *= 1.5
     cut_high = m_b * math.exp(-lam1 * t_max) / (lam1 * t_max)
-    tail_total += cut_high + theta_s0_tail
+    tail_total += cut_high + r_tails[-1]
 
     # int_{s0}^{T_max} (Theta(t) - 1)/t dt, same log substitution
     us, ws = _gl_nodes(math.log(s0), math.log(t_max), QUADRATURE_NODES)

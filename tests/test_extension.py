@@ -128,6 +128,16 @@ class TestPluriharmonicSplit:
         f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
         assert np.abs(contour(f, np.array([1j + 0.3, 1j - 0.2 + 0.4j])).modes[-1]).max() < 1e-11
 
+    def test_a_point_and_an_array_agree(self):
+        # a point runs the series in Python complex arithmetic, an array in numpy
+        f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
+        zs = 1j + 0.9 * np.linspace(0.0, 1.0, 13) * np.exp(1j * np.linspace(0.0, 6.0, 13))
+        values = f(zs)
+        for z, value in zip(zs, values):
+            point = f(complex(z))
+            assert type(point) is complex
+            assert abs(point - value) <= 1e-14
+
     def test_h_samples_per_evaluation(self):
         # the build samples the boundary circle and 8 check points in one
         # batched call; evaluating f sums the stored series and never samples h

@@ -91,14 +91,36 @@ class TestLatticeSums:
             assert abs(value - expected) <= 1e-14 * abs(expected), (t, value, expected)
             assert 0 <= tail <= torus_spectral.TAIL_TOLERANCE * min(pref, 1.0)
 
-    def test_three_lattice_calls_per_determinant(self, monkeypatch):
+    def test_two_lattice_calls_per_determinant(self, monkeypatch):
+        # Poisson at t_min, the 64 low nodes and s0; direct at the 64 high nodes
         calls = []
         real = torus_spectral._theta_sums
         monkeypatch.setattr(torus_spectral, "_theta_sums",
                             lambda z, ts, poisson: calls.append((len(ts), poisson))
                             or real(z, ts, poisson))
         zeta_log_det(0.3 + 1.1j)
-        assert calls == [(65, True), (1, False), (64, False)]
+        assert calls == [(66, True), (64, False)]
+
+    @pytest.mark.parametrize("z", [1j, 0.3 + 1.1j, -0.45 + 2.7j, 0.45 + 130j, 0.2 + 1000j])
+    def test_poisson_read_bound_holds_at_the_split(self, z, monkeypatch):
+        # the t_max search bounds Theta(s0) - 1 by the last node of the Poisson
+        # call; at 1j, Theta(1) - 1 ~ 3e-17 lies below the rounding of y/4pi
+        seen = []
+        real = torus_spectral._theta_sums
+
+        def last_node(zc, ts, poisson):
+            values, tails = real(zc, ts, poisson)
+            seen.append((ts[-1], poisson, values[-1], tails[-1]))
+            return values, tails
+
+        monkeypatch.setattr(torus_spectral, "_theta_sums", last_node)
+        zeta_log_det(z)
+        s0, poisson, value, tail = seen[0]
+        assert poisson and s0 == torus_spectral.SPLIT_TIME
+        pref = z.imag / (4 * math.pi * s0)
+        bound = torus_spectral._excess_bound(value, tail, pref)
+        expected = brute_lattice_sum(FOUR_PI_SQ * s0, FOUR_PI_SQ * s0 / z.imag ** 2, z.real)
+        assert expected <= bound <= expected + tail + 1e-14 * (abs(value) + pref + 1)
 
 
 KERNEL_ARGUMENTS = {
@@ -234,6 +256,16 @@ class TestZetaDet:
         monkeypatch.setattr(torus_spectral, "_theta_sums", nan_tails)
         with pytest.raises(BudgetError, match="nan"):
             zeta_log_det(1j)
+
+    @pytest.mark.parametrize("z, log_det", [
+        (1j, -1.0546882809956708), (0.3 + 1.1j, -0.9600606899525256),
+        (-0.45 + 2.7j, -0.8409296790405654), (0.45 + 130j, -126.40061275464642),
+        (0.2 + 1000j, -1033.3820406386317), (0.31 + 3.7e7j, -38746274.541417085),
+        (0.37 + 1e20j, -1.047197551196585e+20), (0.1 + 1e150j, -1.0471975511965017e+150)])
+    def test_log_det_is_pinned(self, z, log_det):
+        # floats recorded with Theta(s0) - 1 summed directly, in a third lattice call:
+        # reading it off the Poisson call moves no node, no t_max and no bit of the value
+        assert zeta_log_det(z).log_det == log_det
 
     def test_tail_certificate(self):
         r = zeta_log_det(0.3 + 1.1j)

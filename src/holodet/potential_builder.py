@@ -214,8 +214,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     cells walk one ladder, stage by stage: at each depth from 0 to
     MAX_DEPTH the cells still refused run at FIRST_ORDER, those refused
     there run again at MAX_ORDER (p before h refinement), and those refused
-    at both split in four for the next depth (when the two orders are
-    equal, a cell runs once per depth).  So every cell the fixed MAX_ORDER
+    at both split in four for the next depth.  So every cell the fixed MAX_ORDER
     rule would accept is accepted at the same depth or higher up; a cell
     still refused after depth MAX_DEPTH raises QuadratureError.  Each pass
     runs at most max(1, PASS_NODES // n^2) cells of one order n, all of
@@ -246,7 +245,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     for depth in range(MAX_DEPTH + 1):
         side = 0.5 ** depth
         area = side * side
-        for n in dict.fromkeys((FIRST_ORDER, MAX_ORDER)):  # one order when they are equal
+        for n in (FIRST_ORDER, MAX_ORDER):
             xs, ws = _gl_nodes(0.0, 1.0, n)
             weights = np.outer(ws, ws)
             step = max(1, PASS_NODES // (n * n))

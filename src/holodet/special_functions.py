@@ -8,25 +8,26 @@ Conventions used throughout the library:
 * eta(z) = q^(1/24) * prod_{n>=1} (1 - q^n), with q^(1/24) read as
   exp(pi*i*z/12).
 
-There is one reduction, written twice: ``reduce`` moves one point in exact
-Python integers, and ``reduce_array`` makes the same moves on an array of
-points in int64 under a mask, so that gamma and u agree and z_c agrees to
-a few ulps (CPython's and numpy's complex divisions may differ in the last
-bit).  ``dedekind_sum`` likewise runs Euclid on Python integers or, on
-arrays, under a mask.  One point costs the scalar body 2-5 microseconds
-and the masked loop 40-200, so anything but an ndarray keeps the scalar body.
-There is one eta path, ``log_eta``, on a point or an array: the
-canonical branch pi*i*z/12 + sum_n Log(1 - q^n), analytic on all of H, read
-at the reduced point z_c = gamma z by the transformation law (Apostol,
-*Modular Functions and Dirichlet Series*, Thm 3.4), for c > 0
+There is one reduction, ``reduce``, and one Euclid, ``dedekind_sum``, both
+on exact Python integers.  There is one eta path, ``log_eta``, on a point
+or an array: the canonical branch pi*i*z/12 + sum_n Log(1 - q^n), analytic
+on all of H, read through the transformation law (Apostol, *Modular
+Functions and Dirichlet Series*, Thm 3.4): for gamma in SL(2, Z) with
+bottom row (c, d), c > 0,
 
     log eta(z) = Log P(q) - pi i/(12 c u) - Log(-i u)/2 + pi i (s(d, c) - d/(12 c)),
 
-with u = c z + d, q = exp(2 pi i z_c), s the Dedekind sum and P(q) = 1 - q -
-q^2 + q^5 + q^7 Euler's pentagonal series, which drops less than
-|q|^12 < 1e-28 at Im z_c >= sqrt(3)/2.  ``eta`` is exp(log_eta), and
-``closed_form_log_det`` in ``torus_spectral`` uses 2 Re log_eta, so neither
-underflows near a cusp.
+with u = c z + d, q = exp(2 pi i gamma z), s the Dedekind sum and P(q) = 1 - q
+- q^2 + q^5 + q^7 Euler's pentagonal series, which drops less than |q|^12 <
+1e-28 at Im gamma z >= sqrt(3)/2.  The law reads only c, d, u and gamma z
+mod 1 = (a mod c)/c - 1/(c u), and it holds for every gamma, not only for
+the point's own reduction: any gamma that lifts z to height sqrt(3)/2 will
+do.  So at a point ``log_eta`` reads ``reduce``'s gamma, and on an array it
+reduces one point not yet lifted, applies that row to all the rest and
+keeps every point it lifts, until none is left; points of one disc share
+their few rows, and a point already at height sqrt(3)/2 takes c = 0,
+pi i z/12 + Log P(q).  ``eta`` is exp(log_eta), and ``closed_form_log_det``
+in ``torus_spectral`` uses 2 Re log_eta, so neither underflows near a cusp.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ import numpy as np
 from .errors import BudgetError, DomainError
 
 _TWO_PI_I, _PI_I_12 = 2j * math.pi, 1j * math.pi / 12.0
+
+#: Im z >= _LIFTED |c z + d|^2 counts as lifted to height sqrt(3)/2.  The
+#: margin is far above rounding and far below what P(q) can bear, and every
+#: point below it lies outside ``reduce``'s F, so ``reduce`` gives it c > 0.
+_LIFTED = math.sqrt(3) / 2 - 1e-11
 
 
 def require_upper_half(z):
@@ -67,6 +73,12 @@ def _first(z: np.ndarray, bad: np.ndarray) -> complex:
     return complex(z.ravel()[np.argmax(bad.ravel())])
 
 
+def _nearest(x: float) -> int:
+    """floor(x + 1/2), exactly: x + 1/2 itself rounds to even at 2^52 <= |x| < 2^53."""
+    n = math.floor(x)
+    return n + (x - n >= 0.5)
+
+
 def reduce(z: complex):
     """((a, b, c, d), u, z_c): gamma in SL(2, Z) with c > 0 (or c = 0, d = 1), u = c z + d.
 
@@ -77,7 +89,7 @@ def reduce(z: complex):
     overflows (below height ~1e-15).
     """
     z = require_upper_half(z)
-    shift = math.floor(z.real + 0.5)
+    shift = _nearest(z.real)
     w = z - shift  # exact
     x = w.real
     a, b, c, d, u = 1, 0, 0, 1, 1 + 0j  # the moves so far, acting on z - shift
@@ -91,7 +103,7 @@ def reduce(z: complex):
             w = a % c / c - 1.0 / (c * u)  # a cancels from z_c = a/c - 1/(c u)
             if not (c < 1 << 26 and cmath.isfinite(w)):
                 raise BudgetError(f"modular reduction of {z!r} needs c >= 2^26 or overflows")
-            k = math.floor(w.real + 0.5)
+            k = _nearest(w.real)
             w -= k
             a = a % c - k * c
             b = (a * d - 1) // c
@@ -102,66 +114,13 @@ def reduce(z: complex):
     raise BudgetError("modular reduction did not converge")
 
 
-@np.errstate(all="ignore")  # every inf or nan becomes a BudgetError
-def reduce_array(z):
-    """``reduce``'s moves on an array of points: ((a, b, c, d), shift, u, z_c).
-
-    gamma = (a, b, c, d), int64 arrays, acts on z - shift, where shift =
-    floor(Re z + 1/2) is a float array kept out of int64: ``reduce``'s gamma is
-    (a, b - a shift, c, d - c shift), and u and z_c are its u and z_c (z_c to
-    a few ulps).  Each pass moves, under a mask, the points not yet in F.
-    BudgetError names the first point that needs c >= 2^26 or overflows, as
-    in ``reduce``, or whose gamma would pass int64, which takes a height
-    below about 1e-18 next to a cusp.
-    """
-    z = require_upper_half(z)
-    shift = np.floor(z.real + 0.5)
-    w = z - shift  # exact
-    x, y = w.real, z.imag
-    a, b, c, d = (np.full(z.shape, v, np.int64) for v in (1, 0, 0, 1))
-    u = np.ones(z.shape, complex)
-    live = np.ones(z.shape, bool)  # the points not yet in F
-    for _ in range(600):
-        moved = live & (c != 0)  # reduce's `if c:`
-        if moved.any():
-            sign = np.where(c < 0, -1, 1)
-            a, b, c, d = sign * a, sign * b, sign * c, sign * d
-            cm = np.where(moved, c, 1)
-            hi = 134217729.0 * x  # Dekker's split, as in reduce
-            hi -= hi - x
-            mu = ((cm * hi + d) + cm * (x - hi)).astype(complex)
-            mu.imag = cm * y
-            mw = a % cm / cm - 1.0 / (cm * mu)
-            k = np.where(moved, np.floor(mw.real + 0.5), 0.0)
-            fail = moved & ~((c < 1 << 26) & np.isfinite(mw) & (np.abs(k) * (c + np.abs(d)) < 2.0 ** 61))
-            if fail.any():
-                raise BudgetError(f"modular reduction of {_first(z, fail)!r} "
-                                  "needs c >= 2^26, overflows or leaves int64")
-            k = k.astype(np.int64)
-            r = a % cm
-            a = np.where(moved, r - k * cm, a)
-            b = np.where(moved, (r * d - 1) // cm - k * d, b)  # (a d - 1) // c within int64
-            u = np.where(moved, mu, u)
-            w = np.where(moved, mw - k, w)
-        live &= np.abs(w) < 1.0 - 1e-12  # in F up to rounding
-        if not live.any():
-            return (a, b, c, d), shift, u, w
-        w = np.where(live, -1.0 / w, w)
-        a, b, c, d = np.where(live, [-c, -d, a, b], [a, b, c, d])
-    raise BudgetError("modular reduction did not converge")
-
-
-def dedekind_sum(d, c):
+def dedekind_sum(d: int, c: int) -> int:
     """12 c s(d, c), an integer, for c > 0 and gcd(d, c) = 1; s is the Dedekind sum.
 
     Reciprocity, s(h, k) + s(k, h) = (h/k + k/h + 1/(hk))/12 - 1/4, run along
     Euclid on (c, h = d mod c) telescopes to h + t + c (k_0 - k_1 + ... - 3 [n odd])
     over the n quotients k_j, with t h = 1 mod c the Bezout coefficient.
-    On Python integers Euclid runs exactly; on int64 arrays each step moves,
-    under a mask, the pairs whose remainder is not yet 0.
     """
-    if isinstance(d, np.ndarray) or isinstance(c, np.ndarray):
-        return _dedekind_sums(*np.broadcast_arrays(np.asarray(d, np.int64), np.asarray(c, np.int64)))
     h = d % c
     r0, r1, t0, t1, alternating, sign = c, h, 0, 1, 0, 1
     while r1:
@@ -172,36 +131,31 @@ def dedekind_sum(d, c):
     return h + t0 + c * (alternating - 3 * (sign < 0))
 
 
-def _dedekind_sums(d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    h = d % c
-    r0, r1, t0, t1 = c, h, np.zeros_like(c), np.ones_like(c)
-    alternating, odd = np.zeros_like(c), np.zeros(c.shape, bool)
-    while (live := r1 != 0).any():
-        k = np.where(live, r0 // np.where(live, r1, 1), 0)
-        alternating += np.where(odd, -k, k)
-        odd ^= live
-        r0, r1, t0, t1 = np.where(live, [r1, r0 - k * r1, t1, t0 - k * t1], [r0, r1, t0, t1])
-    return h + t0 + c * (alternating - 3 * odd)
+def _phase(c: int, d: int) -> float:
+    """12 s(d, c) - d/c: the law's constant term over pi i/12, for the row (c, d), c > 0."""
+    return (dedekind_sum(d, c) - d) / c if c > 1 else -d  # s(d, 1) = 0
 
 
 def log_eta(z):
-    """Canonical branch of log(eta) on H, read at ``reduce``'s z_c (see the module docstring).
+    """Canonical branch of log(eta) on H by the transformation law (see the module docstring).
 
-    For c = 0 it is pi i z/12 + Log P(q).  On an ndarray it is read at
-    ``reduce_array``'s z_c, elementwise.  BudgetError if the reduction or
-    the value overflows.
+    At a point it is read at ``reduce``'s z_c; for c = 0 it is
+    pi i z/12 + Log P(q).  An ndarray is lifted row by row: each row is
+    ``reduce``'s gamma for one point, and it serves every point of the
+    array that it lifts to height sqrt(3)/2.  BudgetError if the reduction
+    or the value overflows.
     """
     if isinstance(z, np.ndarray):
         return _log_eta_array(z)
+    z = require_upper_half(z)
     (a, b, c, d), u, zc = reduce(z)
     q = cmath.exp(_TWO_PI_I * zc)
     q2 = q * q
     value = cmath.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2))
     if c == 0:
-        value += _PI_I_12 * (zc - b)  # zc - b = z exactly
+        value += _PI_I_12 * z
     else:
-        phase = (dedekind_sum(d, c) - d) / c if c > 1 else -d  # s(d, 1) = 0
-        value += _PI_I_12 * (phase - 1.0 / (c * u)) - 0.5 * cmath.log(-1j * u)
+        value += _PI_I_12 * (_phase(c, d) - 1.0 / (c * u)) - 0.5 * cmath.log(-1j * u)
     if not cmath.isfinite(value):
         raise BudgetError(f"log_eta({z!r}) overflows")
     return value
@@ -209,21 +163,43 @@ def log_eta(z):
 
 @np.errstate(all="ignore")  # a non-finite value is a BudgetError
 def _log_eta_array(z) -> np.ndarray:
-    (a, b, c, d), shift, u, zc = reduce_array(z)
-    z = np.asarray(z, dtype=complex)
+    z = require_upper_half(z)
+    flat = z.ravel()
+    shift = np.floor(flat.real)  # _nearest, elementwise
+    shift += flat.real - shift >= 0.5
+    x, y = flat.real - shift, flat.imag  # x exact, |x| <= 1/2
+    hi = 134217729.0 * x  # reduce's Dekker split
+    hi -= hi - x
+    lo = x - hi
+    # per point: the bottom row (c, d) of its gamma, acting on z - shift, a mod c and the phase
+    c, d, a, phase = (np.zeros(flat.shape) for _ in range(4))
+    left = np.flatnonzero(y < _LIFTED)  # the points no row lifts yet
+    while left.size:
+        seed = left[0]
+        (a_k, _, k, d_k), _, _ = reduce(flat[seed])  # k > 0: the seed lies below F
+        # the seed's row on each point's own z - shift, so that u = c x + d rounds
+        # as in reduce also for a point across an integer from the seed
+        d_w = (d_k + k * int(shift[seed])) + k * (shift[left] - shift[seed])
+        re, yk = (k * hi[left] + d_w) + k * lo[left], k * y[left]
+        keep = y[left] >= _LIFTED * (re * re + yk * yk)  # Im gamma z = y/|u|^2
+        keep[0] = True  # the seed, which reduce lifted
+        lifted = left[keep]
+        c[lifted], d[lifted], a[lifted], phase[lifted] = k, d_w[keep], a_k % k, _phase(k, d_k)
+        left = left[~keep]
+    top = c == 0  # Im z >= sqrt(3)/2: no row
+    c[top] = 1.0
+    u = ((c * hi + d) + c * lo) + 1j * (c * y)
+    zc = np.where(top, x + 1j * y, a / c - 1.0 / (c * u))
+    zc -= np.floor(zc.real + 0.5)
     q = np.exp(_TWO_PI_I * zc)
     q2 = q * q
     value = np.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2))
-    top = c == 0  # gamma = T^-shift, and zc + shift = z exactly
-    c = np.where(top, 1, c)
-    # (12 c s(d', c) - d')/c for d' = d - c shift, with one rounding while |c shift| < 2^53
-    phase = ((dedekind_sum(d, c) - d) + c * shift) / c
-    value += np.where(top, _PI_I_12 * z,
+    value += np.where(top, _PI_I_12 * flat,
                       _PI_I_12 * (phase - 1.0 / (c * u)) - 0.5 * np.log(-1j * u))
     bad = ~np.isfinite(value)
     if bad.any():
-        raise BudgetError(f"log_eta({_first(z, bad)!r}) overflows")
-    return value
+        raise BudgetError(f"log_eta({_first(flat, bad)!r}) overflows")
+    return value.reshape(z.shape)
 
 
 def eta(z: complex) -> complex:

@@ -65,16 +65,22 @@ def zeta0_check(r: SpectralDetResult, name: str = "zeta0_diagnostic",
     return CheckResult(name, res, tol, f"zeta(0)={r.zeta_zero:.12f}{detail}")
 
 
+def _log_ratios(r: SpectralDetResult) -> tuple[float, float]:
+    """log det'(Delta) less log(y^2 |eta|^4) and less log(2 pi y^(1/2) |eta|^2), at the reduced modulus."""
+    log_y = math.log(r.modulus.imag)
+    log_abs_eta = log_eta(r.modulus).real
+    return (r.log_det - 2.0 * log_y - 4.0 * log_abs_eta,
+            r.log_det - math.log(2.0 * math.pi) - 0.5 * log_y - 2.0 * log_abs_eta)
+
+
 def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
     """det'(Delta) over y^2 |eta|^4 and over 2 pi y^(1/2) |eta|^2, at the reduced modulus.
 
     Each ratio is the exponential of a difference of logs: det'(Delta) and
     |eta|^4 underflow above reduced height about 710.
     """
-    log_y = math.log(r.modulus.imag)
-    log_abs_eta = log_eta(r.modulus).real
-    return (math.exp(r.log_det - 2.0 * log_y - 4.0 * log_abs_eta),
-            math.exp(r.log_det - math.log(2.0 * math.pi) - 0.5 * log_y - 2.0 * log_abs_eta))
+    sq, half = _log_ratios(r)
+    return math.exp(sq), math.exp(half)
 
 
 def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic")) -> list[CheckResult]:
@@ -211,8 +217,7 @@ def check_spectral_normalization() -> list[CheckResult]:
     out.append(CheckResult("spectral_ratio_constancy", res, 1e-8, detail))
 
     # reduced heights 135 and 1000, compared as logs: det' underflows there
-    res = max(abs(r.log_det - 2.0 * math.log(r.modulus.imag) - 4.0 * log_eta(r.modulus).real)
-              for r in map(zeta_log_det, (0.5 + 135j, 0.001j)))
+    res = max(abs(_log_ratios(r)[0]) for r in map(zeta_log_det, (0.5 + 135j, 0.001j)))
     out.append(CheckResult("spectral_beyond_height_limit", res, 1e-8))
     return out
 

@@ -1,5 +1,7 @@
+import ast
 import cmath
 import math
+import pathlib
 import re
 from fractions import Fraction
 
@@ -10,12 +12,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from holodet.errors import BudgetError, DomainError
+import holodet.special_functions as special_functions
+from holodet.polarization import disc_samples
 from holodet.special_functions import (
     dedekind_sum,
     eta,
     log_eta,
     reduce,
-    reduce_array,
 )
 
 mp.mp.dps = 40
@@ -251,6 +254,14 @@ class TestReduce:
         assert abs(Fraction(zc.real) - re) <= ulps and abs(Fraction(zc.imag) - im) <= ulps
         assert abs(u - (c * z + d)) <= 4 * 2.0 ** -53 * (c * abs(z) + abs(d))
 
+    @pytest.mark.parametrize("x", [2.0 ** 52 + 1, 2.0 ** 53 - 1, -(2.0 ** 52) - 3, 0.49999999999999994])
+    def test_the_shift_is_the_nearest_integer(self, x):
+        # x + 1/2 rounds to even at 2^52 <= |x| < 2^53, where floor(x + 1/2) misses by one
+        (a, b, c, d), _, zc = reduce(complex(x, 0.1))
+        assert c > 0 and abs(zc.real) <= 0.5 and abs(zc) >= 1 - 1e-12
+        z = complex(x - round(x), 0.1)  # the same point, translated by an integer
+        assert abs(log_eta(complex(x, 0.1)).real - log_eta(z).real) <= 1e-15
+
     @pytest.mark.parametrize("z", [0.3 + 1e-300j, 5e-324j, 1e-310j, complex(1e-310, 1e-320)])
     def test_below_its_reach_is_a_budget_error(self, z):
         # c reaches 2^26 (0.3 + 1e-300j) or z_c overflows: never NaN, inf or OverflowError
@@ -279,9 +290,7 @@ def test_dedekind_sum_matches_its_definition():
                 assert dedekind_sum(d, c) == 12 * c * dedekind_definition(d, c), (d, c)
 
 
-# --- the array reduction against the scalar one -------------------------------
-
-EPS = 2.0 ** -53
+# --- the array log_eta against the scalar one ----------------------------------
 
 
 @st.composite
@@ -300,64 +309,99 @@ def sl2z_images(draw):
     return base
 
 
+def split_circle(center=5j, radius=4.9, count=256):
+    """The boundary and inner points where ``pluriharmonic_split`` samples h on D(5i, 4.9)."""
+    a = complex(center.real, math.sqrt(center.imag ** 2 - radius ** 2))
+    rho = (center.imag - a.imag) / radius
+    phi = rho * np.concatenate([np.exp(2j * np.pi * np.arange(count) / count),
+                                0.5 * np.exp(2j * np.pi * np.arange(8) / 8)])
+    return (a - a.conjugate() * phi) / (1.0 - phi)
+
+
+def assert_matches_the_scalar_one(points, rel=1e-14):
+    values = log_eta(np.asarray(points))
+    for z, value in zip(np.ravel(points), values.ravel()):
+        ref = log_eta(complex(z))
+        assert abs(value - ref) <= rel * abs(ref), z
+
+
 class TestArrayReduction:
-    """reduce_array and the array log_eta and dedekind_sum, checked against the scalar bodies."""
+    """The array log_eta, lifted by the rows of ``reduce``, checked against the scalar body."""
+
+    def test_keeps_the_shape(self):
+        z = np.array([[1j, 0.3 + 0.01j, -7.4 + 0.2j], [2.5 + 1e-5j, 1e200 + 1j, 0.5 + 0.5j]])
+        assert log_eta(z).shape == z.shape
+
+    @given(st.lists(near_rationals(), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_log_eta_matches_the_scalar_one_near_rationals(self, pairs):
+        assert_matches_the_scalar_one([z for pair in pairs for z in pair])
 
     @given(st.lists(sl2z_images(), min_size=1, max_size=40))
     @example([complex(1e300, 1e-3), complex(-1e300, 2.0), complex(3e15 + 0.5, 1e-7),
               complex(1e-12, 1e-12), 1e-12j, complex(-2.704289281130843, 2.2204971052921466e-15)])
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_scalar_reduction(self, points):
-        (a, b, c, d), shift, u, zc = reduce_array(np.array(points))
-        for i, z in enumerate(points):
-            gamma, u_i, zc_i = reduce(z)
-            s = int(shift[i])  # the shift folds in Python integers, never in int64
-            assert (int(a[i]), int(b[i]) - int(a[i]) * s, int(c[i]), int(d[i]) - int(c[i]) * s) == gamma
-            assert u[i] == u_i
-            # CPython's and numpy's complex divisions may differ in the last bit
-            ulps = 4 * EPS * (abs(zc_i) + (1 / abs(gamma[2] * u_i) if gamma[2] else 0))
-            assert abs(zc[i] - zc_i) <= ulps
+    def test_log_eta_matches_the_scalar_one_on_sl2z_images(self, points):
+        assert_matches_the_scalar_one(points)
 
-    def test_keeps_the_shape(self):
-        z = np.array([[1j, 0.3 + 0.01j, -7.4 + 0.2j], [2.5 + 1e-5j, 1e200 + 1j, 0.5 + 0.5j]])
-        (a, b, c, d), shift, u, zc = reduce_array(z)
-        assert all(v.shape == z.shape for v in (a, b, c, d, shift, u, zc))
-        assert all(v.dtype == np.int64 for v in (a, b, c, d))
-        assert log_eta(z).shape == z.shape
+    @pytest.mark.parametrize("height", [0.02, 0.05, 0.1, 0.2])
+    def test_log_eta_matches_the_scalar_one_on_disc_grids(self, height):
+        # diag_polarize's discs: radius height/5, centres across a unit of Re z
+        for x in np.linspace(-0.5, 0.5, 7):
+            assert_matches_the_scalar_one(disc_samples(complex(x, height), 0.2 * height, 162))
 
-    @given(st.lists(st.tuples(st.integers(-2 ** 40, 2 ** 40), st.integers(1, 2 ** 26 - 1))
-                    .filter(lambda p: math.gcd(*p) == 1), min_size=1, max_size=30))
-    @settings(max_examples=60, deadline=None)
-    def test_dedekind_sums_match_the_scalar_ones(self, pairs):
-        d, c = np.array(pairs).T
-        assert dedekind_sum(d, c).tolist() == [dedekind_sum(int(x), int(y)) for x, y in pairs]
+    def test_log_eta_matches_the_scalar_one_on_the_split_circle(self):
+        points = split_circle()
+        assert points.size == 264 and points.imag.min() < 0.11
+        assert_matches_the_scalar_one(points)
 
-    @given(st.lists(near_rationals(), min_size=1, max_size=20))
-    @settings(max_examples=30, deadline=None)
-    def test_log_eta_matches_the_scalar_one_near_rationals(self, pairs):
-        points = [z for pair in pairs for z in pair]
-        values = log_eta(np.array(points))
-        for z, value in zip(points, values):
-            ref = log_eta(z)
-            assert abs(value - ref) <= 1e-14 * abs(ref)
+    def test_a_row_serves_a_point_across_an_integer_from_its_seed(self):
+        # the seed's row acts on each point's own z - round(Re z): from the seed's
+        # shift, 0.4999999 - 1 rounds, and the value moved by 4e-10 relative
+        assert_matches_the_scalar_one([0.5000001 + 1e-7j, 0.4999999 + 1e-7j], rel=0.0)
+
+    @pytest.mark.parametrize("center, radius, rows", [(1.5j, 0.3, 0), (0.1 + 0.02j, 0.01, 1)])
+    def test_a_disc_takes_few_rows(self, center, radius, rows, monkeypatch):
+        calls = []
+        real = special_functions.reduce
+        monkeypatch.setattr(special_functions, "reduce", lambda z: calls.append(z) or real(z))
+        log_eta(disc_samples(center, radius, 162))
+        assert len(calls) == rows
 
     @pytest.mark.parametrize("below", [1e-310j, 0.3 + 1e-300j, 5e-324j])
     def test_a_batch_below_the_reach_is_a_budget_error(self, below):
         from holodet.torus_spectral import closed_form_log_det
 
         batch = np.array([1j, 0.2 + 0.3j, below])
-        for func in (reduce_array, log_eta, closed_form_log_det):
+        for func in (log_eta, closed_form_log_det):
             with pytest.raises(BudgetError, match=re.escape(repr(below))):
                 func(batch)
 
-    def test_a_gamma_past_int64_is_a_budget_error(self):
-        # the scalar body keeps exact Python integers; int64 ends near height 1e-18
-        assert reduce(complex(1e-200, 1e-200))[0][2] == 1
-        with pytest.raises(BudgetError, match="int64"):
-            reduce_array(np.array([complex(1e-200, 1e-200)]))
+    def test_a_gamma_past_int64_matches_the_scalar_value(self):
+        # gamma's entries are exact Python integers: here a = 5e199
+        z = complex(1e-200, 1e-200)
+        assert reduce(z)[0][2] == 1 and abs(reduce(z)[0][0]) > 2 ** 63
+        assert log_eta(np.array([z]))[0] == log_eta(z)
 
     def test_a_point_off_h_is_named(self):
         with pytest.raises(DomainError, match=r"Im\(z\) must be positive, got \(0\.5-1j\)"):
             log_eta(np.array([1j, 0.5 - 1j, -2j]))
         with pytest.raises(DomainError, match="finite, got \\(nan"):
             log_eta(np.array([1j, complex("nan+1j")]))
+
+
+def test_reduce_is_the_one_loop_that_inverts_a_point():
+    """Only ``reduce`` applies -1/w to a point inside a loop: there is one modular reduction."""
+    def is_inversion(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.UnaryOp) and isinstance(node.left.op, ast.USub)
+                and isinstance(node.left.operand, ast.Constant) and node.left.operand.value == 1)
+
+    found = set()
+    for path in sorted(pathlib.Path(special_functions.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for loop in ast.walk(func):
+                    if isinstance(loop, (ast.For, ast.While)) and any(map(is_inversion, ast.walk(loop))):
+                        found.add(f"{path.stem}.{func.name}")
+    assert found == {"special_functions.reduce"}

@@ -10,8 +10,9 @@ Kinds
 -----
 constant         c * dz /\ dw in one variable
 pole_power       c * (z - w)^{-k} dz /\ dw in one variable, k >= 2
-polynomial       explicit monomials of each Omega_ij; must pass the
-                 closedness/holomorphy check before use
+polynomial       explicit monomials of each Omega_ij; its closedness and
+                 holomorphy residuals must stay within the contour rule's
+                 tolerance, 1e-11 plus the samples' rounding, before use
 mixed_second_of  Omega_ij = d^2 g / dz^i dw^j for an explicit polynomial g,
                  closed by construction
 
@@ -50,9 +51,6 @@ from .potential_builder import (
     ProductDomain,
     check_closed_and_holomorphic,
 )
-
-#: Closedness and anti-holomorphy residuals a form must stay within.
-CONTRACT_TOLERANCE = 1e-8
 
 # term of a polynomial entry: (i, j, coefficient, alpha, beta)
 PolyTerm = tuple[int, int, complex, tuple[int, ...], tuple[int, ...]]
@@ -126,11 +124,11 @@ class FormCatalogEntry:
                               np.asarray(self.base_w, dtype=complex), dom,
                               pole_clearance=clearance)
         if validate and self.kind == "polynomial":
-            closed, anti = check_closed_and_holomorphic(form, self.validation_samples())
-            if not (closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE):
+            closed, anti, rule = check_closed_and_holomorphic(form, self.validation_samples())
+            if not max(closed, anti) <= rule.tolerance:
                 raise HolodetError(
-                    f"form {self.name!r} failed the closedness/holomorphy check "
-                    f"(closedness {closed:.3e}, antiholomorphic {anti:.3e})"
+                    f"form {self.name!r} failed the closedness/holomorphy check (closedness "
+                    f"{closed:.3e}, antiholomorphic {anti:.3e}, tolerance {rule.tolerance:.1e})"
                 )
         return form
 

@@ -135,11 +135,10 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     at N = SPLIT_SAMPLES points of the boundary equally spaced in phi and at
     8 points of |phi| = rho/2, in one call; H = rfft(samples)/N gives
     f = H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal rule),
-    shifted so that Im f(c) = 0.  While the top 16 |H_n| sum above 1e-8, N
-    doubles (one more call of h, at the midpoints) up to SPLIT_MAX_SAMPLES,
-    and past it the build raises BudgetError.  It raises
-    NotPluriharmonicError when |h - 2 Re f| > 1e-8 max(1, max|h|) at the 8
-    inner points.  f takes a point or an array; outside the closed disc it raises DomainError.
+    shifted so that Im f(c) = 0.  With tol = 1e-8 max(1, max|h|) over the first call, N doubles
+    (one more call of h, at the midpoints) while the top 16 |H_n| sum above tol, and past
+    SPLIT_MAX_SAMPLES the build raises BudgetError; |h - 2 Re f| > tol at the 8 inner points
+    raises NotPluriharmonicError.  f takes a point or an array; outside the closed disc, DomainError.
     """
     c, r = complex(center), float(radius)
     if not (cmath.isfinite(c) and 0.0 < r < c.imag):
@@ -157,13 +156,14 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     inner = from_phi(0.5 * circle(8))
     values = np.asarray(h(np.concatenate([from_phi(circle(n)), inner])), dtype=float)
     samples, h_inner = values[:n], values[n:]
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(values))))
     while True:
         coeffs = np.fft.rfft(samples)[: n // 2] / n
         tail = float(np.sum(np.abs(coeffs[-16:])))
-        if tail <= 1e-8:
+        if tail <= tol:
             break
         if n >= SPLIT_MAX_SAMPLES:
-            raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds 1e-8 on D({c!r}, {r!r}) "
+            raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {tol:.3e} on D({c!r}, {r!r}) "
                               f"with {n} samples")
         mid = np.asarray(h(from_phi(circle(n, 0.5))), dtype=float)
         samples = np.stack([samples, mid], axis=1).ravel()
@@ -196,7 +196,6 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
             raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
         return series(z)
 
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(samples))))
     res = float(np.max(np.abs(h_inner - 2.0 * at[1:].real)))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
@@ -232,10 +231,8 @@ def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
     if not np.linalg.eigvalsh(mat.real)[0] > 0.0:
         raise DomainError("Re of the period-matrix difference is not positive definite; "
                           "outside Siegel space")
-    mu = np.linalg.eigvals(mat)
-    if abs(np.prod(mu)) <= 1e-12:
-        raise DomainError("period-matrix difference is not invertible; outside the extension domain")
-    logs = [cmath.log(m) for m in mu]
+    # Re M positive definite puts every eigenvalue in Re mu > 0: M is invertible
+    logs = [cmath.log(m) for m in np.linalg.eigvals(mat)]
     return sum(logs[1:], logs[0])  # in genus 1 exactly Log M_00
 
 

@@ -277,8 +277,7 @@ def _scattered_fit(samples: DiagonalSampleSet, vals: np.ndarray, degree: int):
             f"directions fall below the SVD cutoff {SVD_CUTOFF:g}"
         )
     residual = float(np.max(np.abs(design @ zern - vals)))
-    conditioning = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    return zern, residual, conditioning
+    return zern, residual, float(sv[0] / sv[-1])  # sv[-1] > 0 at full rank
 
 
 def polarize_fit(samples: DiagonalSampleSet, degree: int) -> PolarizedPolynomial:

@@ -331,14 +331,15 @@ def verify_mixed_derivative(form: ClosedHoloForm, pairs) -> tuple[np.ndarray, Co
     return residuals, rule._replace(rounding=rounding)
 
 
-def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, float]:
-    """Worst residuals of closedness and of anti-holomorphy over the pairs.
+def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, float, Contour]:
+    """Worst residuals of closedness and of anti-holomorphy over the pairs, and the rule's ``Contour``.
 
     Closedness of a purely mixed (2,0)-form is equivalent to
     d_{z^k} Omega_ij = d_{z^i} Omega_kj and d_{w^k} Omega_ij = d_{w^j} Omega_ik.
     The derivatives are the modes 1 and -1 of ``wirtinger.contour``, with
-    every (pair, coordinate) entry moved on its circle: one ``form.coeff``
-    call per block, for any K and n.
+    every (pair, coordinate) entry moved on its circle: one ``form.coeff`` call per
+    block, for any K and n.  The rule's rounding is twice the larger block's (closedness
+    subtracts two modes), and its alias the larger.
     """
     Zp, Wp = _pair_targets(form, pairs)
     K, n = Zp.shape
@@ -350,11 +351,12 @@ def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, fl
         points[block] = _moved((Zp, Wp)[block], k, c, p)
         return form.coeff(*points).reshape(p.shape + (n, n))
 
-    closed = anti = 0.0
+    closed = anti = rounding = alias = 0.0
     for block, swap in ((0, (0, 2, 1, 3)), (1, (0, 3, 2, 1))):
         # D[:, c, i, j] is d_{z^c} Omega_ij, then d_{w^c} Omega_ij
-        modes = contour(partial(moved, block), (Zp, Wp)[block][k, c]).modes
-        D, bar = (modes[m].reshape(K, n, n, n) for m in (1, -1))
+        rule = contour(partial(moved, block), (Zp, Wp)[block][k, c])
+        D, bar = (rule.modes[m].reshape(K, n, n, n) for m in (1, -1))
         closed = max(closed, float(np.abs(D - D.transpose(swap)).max(initial=0.0)))
         anti = max(anti, float(np.abs(bar).max(initial=0.0)))
-    return closed, anti
+        rounding, alias = max(rounding, rule.rounding), max(alias, rule.alias)
+    return closed, anti, rule._replace(rounding=2.0 * rounding, alias=alias)

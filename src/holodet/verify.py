@@ -1,7 +1,7 @@
 """One-shot verification suite behind ``holodet verify-all`` and the tests.
 
-Every check pins its tolerance here; the functions return CheckResult lists
-so the CLI and the test suite share one implementation.  The checks that
+Every check pins its tolerance here, a contour check as ``Contour.tolerance``;
+the functions return CheckResult lists that the CLI and the tests share.  The checks that
 ``torus-det``, ``potential --verify`` and ``extend --check`` print are the
 parameterized functions below, which the suite calls with its own names and
 grids.  All sample geometries are deterministic (fixed grids and a fixed
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catalog import CONTRACT_TOLERANCE, builtin_catalog
+from .catalog import builtin_catalog
 from .errors import DomainError, HolodetError
 from .extension import (
     ProductPoint,
@@ -49,8 +49,8 @@ _INVARIANCE_WORDS = ("T", "S", "STS", "TTST", "STT")
 
 
 def _rule_check(name: str, residual: float, rule) -> CheckResult:
-    """A check by ``wirtinger.contour``: tolerance 1e-11 plus its rounding; N, r, alias told."""
-    return CheckResult(name, residual, 1e-11 + rule.rounding,
+    """A check by ``wirtinger.contour``: the rule's tolerance; N, r, alias told."""
+    return CheckResult(name, residual, rule.tolerance,
                        f"N={NODES} r={RADIUS:g} alias={rule.alias:.1e}")
 
 
@@ -84,9 +84,11 @@ def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
 
 
 def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic")) -> list[CheckResult]:
-    """Worst closedness and anti-holomorphy residuals over (form, sample pairs) cases."""
-    worst = np.max([check_closed_and_holomorphic(form, samples) for form, samples in cases], axis=0)
-    return [CheckResult(name, float(v), CONTRACT_TOLERANCE) for name, v in zip(names, worst)]
+    """Worst closedness and anti-holomorphy residuals over (form, pairs) cases, by their largest rule."""
+    results = [check_closed_and_holomorphic(form, samples) for form, samples in cases]
+    *worst, rounding, alias = np.max([(c, a, r.rounding, r.alias) for c, a, r in results], axis=0)
+    rule = results[0][2]._replace(rounding=rounding, alias=alias)
+    return [_rule_check(name, float(v), rule) for name, v in zip(names, worst)]
 
 
 def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing") -> CheckResult:
@@ -296,7 +298,7 @@ def check_synthetic_form_contracts() -> list[CheckResult]:
 def check_nonclosed_negative_control() -> list[CheckResult]:
     entry = builtin_catalog()["bad_nonclosed"]
     form = entry.build(validate=False)
-    closed, _ = check_closed_and_holomorphic(form, entry.validation_samples())
+    closed = check_closed_and_holomorphic(form, entry.validation_samples())[0]
     # inverted: passes when closedness > 1e-3; zero, from a broken check, fails as inf
     ratio = 1e-3 / closed if closed > 0 else math.inf
     return [CheckResult("nonclosed_negative_control", ratio, 1.0,

@@ -33,6 +33,11 @@ class Contour(NamedTuple):
     rounding: float    # eps max|f| / r^d: the samples' rounding carried to a mode
     alias: float       # the top modes' decay carried to mode N - 1, the first to fold onto mode -1
 
+    @property
+    def tolerance(self) -> float:
+        """The bound a residual read off the rule must meet: 1e-11 plus the rounding."""
+        return 1e-11 + self.rounding
+
 
 def contour(f, *centers) -> Contour:
     """The modes of f on a circle of radius RADIUS with NODES points about each of d centers.

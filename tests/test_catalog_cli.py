@@ -7,11 +7,12 @@ import sys
 import numpy as np
 import pytest
 
-from holodet.catalog import CONTRACT_TOLERANCE, builtin_catalog, load_catalog, parse_catalog
+from holodet.catalog import builtin_catalog, load_catalog, parse_catalog
 from holodet.errors import DomainError, HolodetError
 from holodet.polarization import DiagonalSampleSet
 from holodet.potential_builder import check_closed_and_holomorphic, cone_potential
 from holodet.report import CheckResult, RunReport
+from holodet.verify import form_contract_checks
 
 ETA_I = "0.768225422326057"  # 15 significant digits of the eta oracle at i
 
@@ -63,8 +64,28 @@ class TestCatalog:
 
     def test_gmix_closed(self):
         entry = builtin_catalog()["gmix_n2"]
-        closed, anti = check_closed_and_holomorphic(entry.build(), entry.validation_samples())
-        assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+        closed, anti, rule = check_closed_and_holomorphic(entry.build(), entry.validation_samples())
+        assert closed <= rule.tolerance and anti <= rule.tolerance
+
+    def test_a_large_closed_polynomial_form_validates(self):
+        # Omega = diag(1e8 (z^1)^2, 1e8) is closed; its anti-holomorphy residual, 1.04e-8, is
+        # rounding of samples near 1e8, within 1e-11 plus the rule's rounding (about 2.2e-6)
+        big = dataclasses.replace(builtin_catalog()["bad_nonclosed"], name="big", poly_terms=(
+            (0, 0, 1e8, (2, 0), (0, 0)), (1, 1, 1e8, (0, 0), (0, 0))))
+        form = big.build()
+        closed, anti, rule = check_closed_and_holomorphic(form, big.validation_samples())
+        assert 1e-8 < anti <= rule.tolerance and closed <= rule.tolerance < 1e-5
+
+    def test_a_small_closedness_defect_fails(self):
+        # gmix_n2 with 1e-9 z^2 added to Omega_12: d_{z^2} Omega_12 = 1e-9, d_{z^1} Omega_22 = 0
+        defect = dataclasses.replace(builtin_catalog()["gmix_n2"], kind="polynomial", g_terms=(),
+                                     poly_terms=((0, 0, 6.0, (1, 0), (2, 0)), (1, 1, 1.0, (0, 0), (0, 0)),
+                                                 (0, 1, 1e-9, (0, 1), (0, 0))))
+        closed, anti = form_contract_checks([(defect.build(validate=False), defect.validation_samples())])
+        assert closed.residual == pytest.approx(1e-9, rel=1e-6) and not closed.passed
+        assert closed.tolerance < 2e-11 and anti.passed
+        with pytest.raises(HolodetError, match="closedness 1.000e-09"):
+            defect.build()
 
     def test_polynomial_and_mixed_second_of_give_one_coefficient_map(self):
         # gmix_n2 is g = (z^1)^2 (w^1)^3 + z^2 w^2: Omega_11 = 6 z^1 (w^1)^2, Omega_22 = 1
@@ -80,7 +101,7 @@ class TestCatalog:
         with pytest.raises(HolodetError, match="closedness"):
             entry.build()  # polynomial entries validate by default
         form = entry.build(validate=False)
-        closed, _ = check_closed_and_holomorphic(form, entry.validation_samples())
+        closed, _, _ = check_closed_and_holomorphic(form, entry.validation_samples())
         assert closed > 1e-3
 
     def test_parse_text_catalog(self, tmp_path):

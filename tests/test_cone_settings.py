@@ -5,7 +5,9 @@ Gauss-Legendre ladder of every cone cell, and ``NODES`` and ``RADIUS`` in
 ``wirtinger`` the circles of every derivative check.  The guard reads the
 source with ``ast``, so a ``nodes`` or a step ``h`` parameter put back on a
 public function of these layers or their checks fails here, and so does a
-``--nodes`` option on ``holodet potential``.
+``--nodes`` option on ``holodet potential``.  A contour check's tolerance is
+``Contour.tolerance`` alone: no module but ``wirtinger`` adds a number to a
+``rounding``.
 """
 
 import ast
@@ -61,3 +63,28 @@ def test_potential_help_lists_no_nodes_option(capsys):
         cli.main(["potential", "--help"])
     help_text = capsys.readouterr().out
     assert "--form" in help_text and "--nodes" not in help_text
+
+
+def rounding_sums(module: str) -> list[int]:
+    """Lines of the module where a numeric constant is added to an expression reading ``.rounding``."""
+    def numeric(node):
+        return isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+
+    def reads_rounding(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "rounding" for n in ast.walk(node))
+
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(numeric(a) and reads_rounding(b)
+                    for a, b in ((node.left, node.right), (node.right, node.left)))]
+
+
+def test_the_contour_tolerance_is_stated_once():
+    sites = {path.stem: rounding_sums(path.stem) for path in SRC.glob("*.py") if path.stem != "wirtinger"}
+    assert {module: lines for module, lines in sites.items() if lines} == {}
+
+
+def test_the_tolerance_guard_sees_the_rule():
+    # the guard finds the one sum it allows, in Contour.tolerance
+    assert len(rounding_sums("wirtinger")) == 1

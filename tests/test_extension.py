@@ -210,6 +210,16 @@ class TestPluriharmonicSplit:
             pluriharmonic_split(h, 1j, 0.95)
         assert sum(calls) == SPLIT_MAX_SAMPLES + 8
 
+    def test_the_tail_tolerance_scales_with_h(self):
+        # h = 1e10 + Re z^2 is pluriharmonic: the rounding of 1e10 leaves a tail of about 7e-7
+        # at 256 samples, above 1e-8 but within 1e-8 max|h|, so one call of h builds it
+        calls = []
+        h = lambda z: calls.append(np.size(z)) or 1e10 + (z * z).real
+        f = pluriharmonic_split(h, 1j, 0.95)
+        assert calls == [264]
+        for z in (1j, 1j + 0.5, 1j + 0.9 * cmath.exp(2j)):
+            assert abs(h(z) - 2.0 * f(z).real) < 1e-5  # a few ulps of 1e10
+
     @pytest.mark.parametrize("z, w", [(0.15j, -0.15j), (9.5j, -0.6j), (0.3 + 0.3j, -9.5j),
                                       (2 + 3j, -1 - 4j), (-0.3629 + 0.7727j, -0.4177 - 2.4941j)])
     def test_genus1_split_recipe_matches_eta_oracle(self, z, w):
@@ -276,8 +286,14 @@ class TestAssembleExtension:
         rec = ExtensionRecipe(lambda z, w: 0.0,
                               lambda z: np.array([[z, 0.0], [0.0, 3.0]]),
                               lambda z: 0.0, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="Siegel"):
             assemble_extension(rec, ProductPoint(1j, -1j))
+
+    def test_small_period_matrix_difference_is_accepted(self):
+        # tau(z) = 1e-4 z I_3 at (i, -i): M = 1e-4 I_3, det M = 1e-12 and log det M = 3 log 1e-4
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: 1e-4 * z * np.eye(3), lambda z: 0.0, 0.0)
+        assert assemble_extension(rec, ProductPoint(1j, -1j)) == pytest.approx(3 * math.log(1e-4),
+                                                                               rel=1e-14)
 
     def test_synthetic_genus2_holomorphy(self):
         rec = ExtensionRecipe(lambda z, w: 0.0,

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import holodet.potential_builder as potential_builder
-from holodet.catalog import CONTRACT_TOLERANCE
 from holodet.errors import DomainError, QuadratureError
 from holodet.polymap import PolyMap, random_polymap
 from holodet.potential_builder import (
@@ -461,8 +460,8 @@ class TestClosedAndHolomorphic:
             form = ClosedHoloForm(dim, g.mixed_coefficient_evaluator(),
                                   np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
             pairs = [(np.full(dim, 0.4 + 0.2j), np.full(dim, -0.3 + 0.3j))]
-            closed, anti = check_closed_and_holomorphic(form, pairs)
-            assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE, (dim, closed, anti)
+            closed, anti, rule = check_closed_and_holomorphic(form, pairs)
+            assert closed <= rule.tolerance and anti <= rule.tolerance, (dim, closed, anti)
 
     def test_exponential_diagonal_fails_closedness(self):
         # Omega_ij = delta_ij exp(z.w): d_{z^1} Omega_22 = w^1 e^{z.w} != 0 = d_{z^2} Omega_12
@@ -478,16 +477,16 @@ class TestClosedAndHolomorphic:
         form = ClosedHoloForm(2, coeff, [0.1, 0.1], [0.1, 0.1], dom)
         z = np.array([0.3 + 0.1j, 0.2])
         w = np.array([0.4, -0.2j])
-        closed, _ = check_closed_and_holomorphic(form, [(z, w)])
-        assert closed > CONTRACT_TOLERANCE
+        closed, _, rule = check_closed_and_holomorphic(form, [(z, w)])
+        assert closed > rule.tolerance
         # hand check of the violated pair
         expected = abs(w[0] * np.exp(np.sum(z * w)))
         assert closed == pytest.approx(expected, rel=1e-6)
 
     def test_pole_form_passes(self):
-        closed, anti = check_closed_and_holomorphic(pole_form(), PAIRS[:2])
+        closed, anti, rule = check_closed_and_holomorphic(pole_form(), PAIRS[:2])
         # n=1 closedness is vacuous; holomorphy holds
-        assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+        assert closed <= rule.tolerance and anti <= rule.tolerance
 
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -504,8 +503,8 @@ class TestClosedAndHolomorphic:
         form = ClosedHoloForm(dim, coeff, np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
         pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
                  for m in range(K)]
-        closed, anti = check_closed_and_holomorphic(form, pairs)
-        assert closed <= CONTRACT_TOLERANCE and anti <= CONTRACT_TOLERANCE
+        closed, anti, rule = check_closed_and_holomorphic(form, pairs)
+        assert closed <= rule.tolerance and anti <= rule.tolerance
         assert calls == [K * dim * NODES] * 2
 
     def test_targets_are_checked_before_the_form_is_evaluated(self):

@@ -9,7 +9,8 @@ auditable and parseable from any language.
 Kinds
 -----
 constant         c * dz /\ dw in one variable
-pole_power       c * (z - w)^{-k} dz /\ dw in one variable, k >= 2
+pole_power       c * (z - w)^{-k} dz /\ dw in one variable, k >= 2; its
+                 coefficient refuses points within POLE_GUARD = 1e-3 of z = w
 polynomial       explicit monomials of each Omega_ij; its closedness and
                  holomorphy residuals must stay within the contour rule's
                  tolerance, 1e-11 plus the samples' rounding, before use
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, HolodetError
+from .errors import DomainError, HolodetError, QuadratureError
 from .polymap import PolyMap, int_power
 from .potential_builder import (
     ClosedHoloForm,
@@ -58,6 +59,9 @@ PolyTerm = tuple[int, int, complex, tuple[int, ...], tuple[int, ...]]
 GTerm = tuple[complex, tuple[int, ...], tuple[int, ...]]
 
 KINDS = ("constant", "pole_power", "polynomial", "mixed_second_of")
+
+#: A pole_power coefficient refuses points with |z - w| below this.
+POLE_GUARD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -98,17 +102,15 @@ class FormCatalogEntry:
         silently violate the contracts); pass validate=False to build a
         negative control."""
         dom = self.domain()
-        clearance = None
         if self.kind == "pole_power":
             c, k = complex(self.coefficient), int(self.exponent)
 
             def coeff(Z, W, _c=c, _k=k):
-                Z, W = np.atleast_2d(Z), np.atleast_2d(W)
-                return (_c * int_power(Z[:, 0] - W[:, 0], -_k)).reshape(-1, 1, 1)
-
-            def clearance(Z, W):
-                Z, W = np.atleast_2d(Z), np.atleast_2d(W)
-                return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
+                d = np.atleast_2d(Z)[:, 0] - np.atleast_2d(W)[:, 0]
+                if (np.abs(d) < POLE_GUARD).any():
+                    raise QuadratureError(f"quadrature node within {POLE_GUARD:g} of a "
+                                          "singularity of the form")
+                return (_c * int_power(d, -_k)).reshape(-1, 1, 1)
 
         elif self.kind == "mixed_second_of":
             terms = Counter()  # repeated monomials sum, as repeated coeff lines do
@@ -121,8 +123,7 @@ class FormCatalogEntry:
             coeff = PolyMap.matrix(1, [(0, 0, self.coefficient, (0,), (0,))])
 
         form = ClosedHoloForm(self.dim, coeff, np.asarray(self.base_z, dtype=complex),
-                              np.asarray(self.base_w, dtype=complex), dom,
-                              pole_clearance=clearance)
+                              np.asarray(self.base_w, dtype=complex), dom)
         if validate and self.kind == "polynomial":
             closed, anti, rule = check_closed_and_holomorphic(form, self.validation_samples())
             if not max(closed, anti) <= rule.tolerance:

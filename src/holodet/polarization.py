@@ -83,6 +83,10 @@ class DiagonalSampleSet:
         vals = np.asarray(self.values, dtype=complex).ravel()
         if pts.shape != vals.shape:
             raise DomainError("points and values must have equal length")
+        if not pts.size:
+            raise DomainError("a diagonal sample set needs at least one point")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise DomainError(f"disc radius must be finite and positive, got {self.radius!r}")
         if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
             raise DomainError("sample points and values must be finite")
         if np.max(np.abs(pts - self.center)) > self.radius * (1 + 1e-9):
@@ -291,9 +295,9 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int) -> PolarizedPolynomial
     samples, clustered samples, or directions lost below the cutoff (the
     count of truncated directions is reported in the message).
     """
+    if not isinstance(degree, (int, np.integer)) or degree < 0:
+        raise DomainError(f"degree must be an integer >= 0, got {degree!r}")
     degree = int(degree)
-    if degree < 0:
-        raise DomainError("degree must be >= 0")
     n_coef = (degree + 1) ** 2
     if len(samples.points) < n_coef:
         raise FitRankError(

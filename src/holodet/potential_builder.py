@@ -28,9 +28,6 @@ from .errors import DomainError, QuadratureError
 from .torus_spectral import _gauss_legendre, _gl_nodes
 from .wirtinger import RADIUS, Contour, contour
 
-#: Refuse quadrature when any node comes this close to a declared singularity.
-POLE_GUARD = 1e-3
-
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In a
 #: scan of the split build's 264-target call over 2048-32768, 4096 was the
 #: fastest or within the noise of it; larger passes were not faster and took
@@ -91,11 +88,8 @@ class ClosedHoloForm:
     per block it returns the (M, n, n) array of Omega_ij values.  The type
     carries no dz/\dz or dw/\dw components by construction; closedness and
     holomorphy are numerical contracts checked by
-    ``check_closed_and_holomorphic``.
-
-    ``pole_clearance``, when present, maps stacked points to the minimum
-    distance to the singular locus of the coefficients and is consulted by
-    the quadrature guard.
+    ``check_closed_and_holomorphic``.  A coefficient that has a pole refuses
+    points near it itself, with a QuadratureError.
     """
 
     dim: int
@@ -103,7 +97,6 @@ class ClosedHoloForm:
     base_z: np.ndarray
     base_w: np.ndarray
     domain: ProductDomain
-    pole_clearance: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "base_z", _as_vec(self.base_z, self.dim))
@@ -181,7 +174,7 @@ def _targets(points, n: int, block: str) -> np.ndarray:
 def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     """sum_ij Omega_ij dz_i dw_j on each cell's node grid S x T, shape (cells, n, n).
 
-    ``form.coeff`` and the pole guard see at most PASS_NODES nodes per call.
+    ``form.coeff`` sees at most PASS_NODES nodes per call.
     """
     cells, n = S.shape
     Zn = np.repeat(form.base_z + S[:, :, None, None] * dz[:, None, None, :], n, axis=2)
@@ -189,12 +182,7 @@ def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     Zn, Wn = Zn.reshape(-1, form.dim), Wn.reshape(-1, form.dim)
     C = np.empty((Zn.shape[0], form.dim, form.dim), dtype=complex)
     for i in range(0, Zn.shape[0], PASS_NODES):
-        Zc, Wc = Zn[i:i + PASS_NODES], Wn[i:i + PASS_NODES]
-        if form.pole_clearance is not None and form.pole_clearance(Zc, Wc) < POLE_GUARD:
-            raise QuadratureError(
-                f"quadrature node within {POLE_GUARD:g} of a singularity of the form"
-            )
-        C[i:i + PASS_NODES] = form.coeff(Zc, Wc)
+        C[i:i + PASS_NODES] = form.coeff(Zn[i:i + PASS_NODES], Wn[i:i + PASS_NODES])
     dzdw = (dz[:, :, None] * dw[:, None, :]).reshape(cells, 1, -1)
     return (dzdw @ C.reshape(cells, n * n, -1).swapaxes(1, 2)).reshape(cells, n, n)
 
@@ -218,7 +206,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     rule would accept is accepted at the same depth or higher up; a cell
     still refused after depth MAX_DEPTH raises QuadratureError.  Each pass
     runs at most max(1, PASS_NODES // n^2) cells of one order n, all of
-    their nodes under the pole guard.  The result holds per target the
+    their nodes in one ``form.coeff`` call.  The result holds per target the
     value, the summed estimates of its accepted cells (at least the
     rounding floor), their count and the largest order among them.
     """
@@ -286,7 +274,9 @@ def cone_potential(form: ClosedHoloForm, z, w) -> complex:
 
 
 def _pair_targets(form: ClosedHoloForm, pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The z and the w points of a list of (z, w) pairs, checked, shape (K, n) each."""
+    """The z and the w points of a non-empty list of (z, w) pairs, checked, shape (K, n) each."""
+    if not len(pairs):
+        raise DomainError("no (z, w) pairs to verify")
     return (_targets([p[0] for p in pairs], form.dim, "z"),
             _targets([p[1] for p in pairs], form.dim, "w"))
 
@@ -356,7 +346,7 @@ def check_closed_and_holomorphic(form: ClosedHoloForm, pairs) -> tuple[float, fl
         # D[:, c, i, j] is d_{z^c} Omega_ij, then d_{w^c} Omega_ij
         rule = contour(partial(moved, block), (Zp, Wp)[block][k, c])
         D, bar = (rule.modes[m].reshape(K, n, n, n) for m in (1, -1))
-        closed = max(closed, float(np.abs(D - D.transpose(swap)).max(initial=0.0)))
-        anti = max(anti, float(np.abs(bar).max(initial=0.0)))
+        closed = max(closed, float(np.abs(D - D.transpose(swap)).max()))
+        anti = max(anti, float(np.abs(bar).max()))
         rounding, alias = max(rounding, rule.rounding), max(alias, rule.alias)
     return closed, anti, rule._replace(rounding=2.0 * rounding, alias=alias)

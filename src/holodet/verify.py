@@ -94,7 +94,7 @@ def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic"
 def boundary_check(form: ClosedHoloForm, pairs, name: str = "boundary_vanishing") -> CheckResult:
     """Worst |q(z, w0)|, |q(z0, w)| over the pairs."""
     tol = 1e-10
-    return CheckResult(name, float(verify_boundary_vanishing(form, pairs).max(initial=0.0)), tol)
+    return CheckResult(name, float(verify_boundary_vanishing(form, pairs).max()), tol)
 
 
 def mixed_derivative_check(form: ClosedHoloForm, pairs,

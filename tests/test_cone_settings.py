@@ -7,7 +7,9 @@ source with ``ast``, so a ``nodes`` or a step ``h`` parameter put back on a
 public function of these layers or their checks fails here, and so does a
 ``--nodes`` option on ``holodet potential``.  A contour check's tolerance is
 ``Contour.tolerance`` alone: no module but ``wirtinger`` adds a number to a
-``rounding``.
+``rounding``.  The cone layer knows nothing of singularities: a form is its
+coefficient, base points and domain, and a coefficient with a pole refuses
+points near it itself, so ``potential_builder`` reads no pole guard.
 """
 
 import ast
@@ -88,3 +90,28 @@ def test_the_contour_tolerance_is_stated_once():
 def test_the_tolerance_guard_sees_the_rule():
     # the guard finds the one sum it allows, in Contour.tolerance
     assert len(rounding_sums("wirtinger")) == 1
+
+
+def names_read(module: str) -> set[str]:
+    """Every name and attribute the module's source refers to."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def class_fields(module: str, name: str) -> list[str]:
+    """The annotated fields of a class of the module, in order."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    (cls,) = (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef) and n.name == name)
+    return [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)]
+
+
+def test_the_cone_layer_reads_no_pole_guard():
+    assert names_read("potential_builder") & {"POLE_GUARD", "pole_clearance"} == set()
+    assert class_fields("potential_builder", "ClosedHoloForm") == [
+        "dim", "coeff", "base_z", "base_w", "domain"]
+
+
+def test_the_pole_guard_is_the_catalogs():
+    # the guard finds the constant where it lives
+    assert "POLE_GUARD" in names_read("catalog")

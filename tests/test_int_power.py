@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 import holodet
-from holodet.catalog import FormCatalogEntry
+from holodet.catalog import POLE_GUARD, FormCatalogEntry
+from holodet.errors import QuadratureError
 from holodet.polymap import PolyMap, int_power
-from holodet.potential_builder import POLE_GUARD
 
 SRC = Path(holodet.__file__).parent
 EPS = np.finfo(float).eps
@@ -96,6 +96,17 @@ def test_pole_power_at_the_guard_raises_no_warning(k):
         got = coeff(d[:, None], np.zeros((16, 1), complex))
     assert np.all(np.isfinite(got))
     assert np.allclose(got[:, 0, 0] * d ** k, 1.0, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pole_power_inside_the_guard_raises_a_quadrature_error(k):
+    d = 0.999 * POLE_GUARD * np.exp(2j * np.pi * np.arange(16) / 16)
+    coeff = pole_power_coeff(1.0, k)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for point in (d, d[:1], np.r_[1.0, d[5]]):
+            with pytest.raises(QuadratureError, match="within 0.001 of a singularity"):
+                coeff(point[:, None], np.zeros((point.size, 1), complex))
 
 
 # --- the guard ---------------------------------------------------------------

@@ -61,6 +61,32 @@ class TestFitBasics:
         with pytest.raises(DomainError, match="finite"):
             uniqueness_residual(lambda z, w: float("nan"), lambda z, w: 0.0, 0, 1.0, 3)
 
+    def test_empty_sample_set_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one point"):
+            DiagonalSampleSet(np.array([], complex), np.array([], complex), 0, 1.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_radius_is_a_domain_error(self, radius):
+        with pytest.raises(DomainError, match=f"radius must be finite and positive, got {radius!r}"):
+            DiagonalSampleSet(np.array([0j]), np.array([1 + 0j]), 0, radius)
+
+    def test_zero_radius_fit_and_residual_are_domain_errors(self):
+        f = lambda z, w: z * w
+        with pytest.raises(DomainError, match="radius"):
+            polarize_fit(DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 1j, 0.0, 50), 4)
+        with pytest.raises(DomainError, match="radius"):
+            uniqueness_residual(f, f, 1j, 0.0, 4)
+
+    @pytest.mark.parametrize("degree", [2.7, 2.0, -1, "3"])
+    def test_degree_must_be_an_integer_at_least_zero(self, degree):
+        s = DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 0, 1.0, 50)
+        with pytest.raises(DomainError, match=f"got {degree!r}"):
+            polarize_fit(s, degree)
+
+    def test_numpy_integer_degree_is_accepted(self):
+        s = DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 0, 1.0, 50)
+        assert polarize_fit(s, np.int64(2)).degree == 2
+
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=100))
     @settings(max_examples=25, deadline=None)
     def test_polynomial_exactness(self, degree, seed):

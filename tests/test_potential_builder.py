@@ -27,7 +27,7 @@ from holodet.potential_builder import (
     verify_mixed_derivative,
 )
 from holodet.torus_spectral import _gl_nodes
-from holodet.verify import mixed_derivative_check
+from holodet.verify import boundary_check, form_contract_checks, mixed_derivative_check
 from holodet.wirtinger import NODES, contour
 
 HALF_PLANE_BALLS = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
@@ -44,22 +44,23 @@ def pole_form(base_z=1j, base_w=-1j):
     def coeff(Z, W):
         return ((Z[:, 0] - W[:, 0]) ** -2).reshape(-1, 1, 1)
 
-    def clearance(Z, W):
-        return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
-
-    return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS, pole_clearance=clearance)
+    return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS)
 
 
 def sum_pole_form(base_z, base_w):
-    r"""(z + w)^{-2} dz /\ dw on balls of radius 4 around 0: singular on z + w = 0."""
-    def coeff(Z, W):
-        return ((Z[:, 0] + W[:, 0]) ** -2).reshape(-1, 1, 1)
+    r"""(z + w)^{-2} dz /\ dw on balls of radius 4 around 0: singular on z + w = 0.
 
-    def clearance(Z, W):
-        return float(np.min(np.abs(Z[:, 0] + W[:, 0])))
+    The coefficient refuses points within 1e-3 of its pole, as a catalog
+    ``pole_power`` coefficient does.
+    """
+    def coeff(Z, W):
+        d = Z[:, 0] + W[:, 0]
+        if (np.abs(d) < 1e-3).any():
+            raise QuadratureError("quadrature node within 0.001 of a singularity of the form")
+        return (d ** -2).reshape(-1, 1, 1)
 
     dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
-    return ClosedHoloForm(1, coeff, base_z, base_w, dom, pole_clearance=clearance)
+    return ClosedHoloForm(1, coeff, base_z, base_w, dom)
 
 
 def set_max_order(monkeypatch, cap):
@@ -130,10 +131,7 @@ def pole_power_form(c, k, base_z, base_w, seen=None):
             seen.append(Z.shape[0])
         return (c * (Z[:, 0] - W[:, 0]) ** -k).reshape(-1, 1, 1)
 
-    def clearance(Z, W):
-        return float(np.min(np.abs(Z[:, 0] - W[:, 0])))
-
-    return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS, pole_clearance=clearance)
+    return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS)
 
 
 #: e^{iA(z - z0)} e^{-iA(w - w0)} along real segments of length 1.5 at this A:
@@ -520,6 +518,17 @@ class TestClosedAndHolomorphic:
                              verify_boundary_vanishing):
                 with pytest.raises(DomainError, match=match):
                     verifier(form, pairs)
+
+    def test_an_empty_pair_list_is_a_domain_error(self):
+        g = PolyMap(2, {((1, 0), (0, 1)): 1.0})
+        form2 = ClosedHoloForm(2, g.mixed_coefficient_evaluator(), [0.1, 0.1], [0.1, 0.1],
+                               ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5))
+        for form in (pole_form(), form2):
+            for check in (check_closed_and_holomorphic, verify_mixed_derivative,
+                          verify_boundary_vanishing, boundary_check, mixed_derivative_check,
+                          lambda f, pairs: form_contract_checks([(f, pairs)])):
+                with pytest.raises(DomainError, match="no \\(z, w\\) pairs"):
+                    check(form, [])
 
 
 class TestHolomorphyOfPotential:

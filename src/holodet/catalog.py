@@ -108,8 +108,8 @@ class FormCatalogEntry:
             def coeff(Z, W, _c=c, _k=k):
                 d = np.atleast_2d(Z)[:, 0] - np.atleast_2d(W)[:, 0]
                 if (np.abs(d) < POLE_GUARD).any():
-                    raise QuadratureError(f"quadrature node within {POLE_GUARD:g} of a "
-                                          "singularity of the form")
+                    raise QuadratureError(f"point within {POLE_GUARD:g} of a singularity "
+                                          "of the form")
                 return (_c * int_power(d, -_k)).reshape(-1, 1, 1)
 
         elif self.kind == "mixed_second_of":

@@ -184,9 +184,10 @@ def _grid_points(grid: str, dim: int) -> np.ndarray:
 
 def _emit_grid(out, form, zs: np.ndarray, wc: complex) -> None:
     qs = cone_potentials(form, zs, np.full(zs.size, wc)).values
+    w = f"{wc.real!r},{wc.imag!r}"
     rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
-    for z, q in zip(zs, qs):
-        rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag, q.real, q.imag)))
+    rows += [f"{a!r},{b!r},{w},{c!r},{d!r}" for a, b, c, d in
+             zip(zs.real.tolist(), zs.imag.tolist(), qs.real.tolist(), qs.imag.tolist())]
     _write_output(out, "\n".join(rows) + "\n")
 
 

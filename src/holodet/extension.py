@@ -254,15 +254,19 @@ def genus1_extension(point: ProductPoint):
     ``ProductPoint`` keeps Im z > 0 > Im w, so -pi*i*(z - w) has positive real
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
-    At an array point the values come from one ``log_eta`` call on z and wbar.
+    A point takes Python complex arithmetic alone; at an array point the
+    values come from one ``log_eta`` call on z and wbar.
     """
     z, w = point.z, point.w
     if not isinstance(z, np.ndarray):
-        log, eta_z, eta_wbar = cmath.log, log_eta(z), log_eta(np.conj(w))
-    else:
-        log, (eta_z, eta_wbar) = np.log, log_eta(np.stack([z, np.conj(w)]))
+        value = (0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z)
+                 + log_eta(w.conjugate()).conjugate())
+        if not cmath.isfinite(value):
+            raise BudgetError(f"genus1_extension at ({z!r}, {w!r}) overflows")
+        return value
+    eta_z, eta_wbar = log_eta(np.stack([z, np.conj(w)]))
     with np.errstate(all="ignore"):
-        value = 0.5 * log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
+        value = 0.5 * np.log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
     bad = ~np.isfinite(value)
     if bad.any():
         i = np.argmax(bad)

@@ -22,6 +22,7 @@ a_{ab}.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -38,6 +39,14 @@ _PAIR_BLOCK = 1 << 18
 
 #: Relative singular-value cutoff of the least-squares fit of scattered samples.
 SVD_CUTOFF = 1e-10
+
+
+def _check_disc(center, radius) -> None:
+    """A DomainError unless the disc has a finite center and a finite radius > 0."""
+    if not cmath.isfinite(center):
+        raise DomainError(f"disc center must be finite, got {center!r}")
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"disc radius must be finite and positive, got {radius!r}")
 
 
 def _ring_layout(count: int) -> tuple[int, int]:
@@ -85,8 +94,7 @@ class DiagonalSampleSet:
             raise DomainError("points and values must have equal length")
         if not pts.size:
             raise DomainError("a diagonal sample set needs at least one point")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise DomainError(f"disc radius must be finite and positive, got {self.radius!r}")
+        _check_disc(self.center, self.radius)
         if not (np.isfinite(pts).all() and np.isfinite(vals).all()):
             raise DomainError("sample points and values must be finite")
         if np.max(np.abs(pts - self.center)) > self.radius * (1 + 1e-9):
@@ -102,13 +110,16 @@ class DiagonalSampleSet:
         """Sample ``diag``, called once with the whole ring grid, on the disc.
 
         ``diag`` maps an array of points to the array of its values; a
-        scalar value is a constant, the same at every point.
+        scalar value is a constant, the same at every point.  The disc is
+        checked before ``diag`` is called.
         """
+        center, radius = complex(center), float(radius)
+        _check_disc(center, radius)
         pts = disc_samples(center, radius, count)
         vals = np.asarray(diag(pts), dtype=complex)
         if vals.ndim == 0:
             vals = np.full(pts.shape, vals)
-        return cls(pts, vals, complex(center), float(radius), _ring_layout(count))
+        return cls(pts, vals, center, radius, _ring_layout(count))
 
 
 @dataclass(frozen=True, eq=False)

@@ -29,9 +29,12 @@ from .torus_spectral import _gauss_legendre, _gl_nodes
 from .wirtinger import RADIUS, Contour, contour
 
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In a
-#: scan of the split build's 264-target call over 2048-32768, 4096 was the
-#: fastest or within the noise of it; larger passes were not faster and took
-#: 0.4-3 MB more peak memory at 16384-32768.  Change it only on a paired run.
+#: paired in-process scan with passes that only reduce their cells (2-core
+#: VM, one BLAS thread), against 4096: 2048 took 1.34x the time on the split
+#: build's 264-target call, 1.15x on a refining near-pole batch and 1.13x on
+#: a 32-point grid; 6000 took 0.90x, 1.15x and 1.02x; 8192 1.23-1.31x,
+#: 1.01-1.05x and 1.08x; 16384 1.29x, 1.49-1.54x and 1.18-1.22x.  No size won
+#: on all three.  Change it only on a paired run.
 PASS_NODES = 1 << 12
 
 #: Gauss-Legendre order per axis every cone cell tries first; a cell it
@@ -134,24 +137,30 @@ def _legendre_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, pairs
 
 
-def _coefficient_tail(F: np.ndarray, ws: np.ndarray) -> np.ndarray:
-    """Truncation error of the n x n rule on each cell of F, per unit area.
+def _line_masses(F: np.ndarray, ws: np.ndarray, rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """A_k per cell of F, shape (cells, 4), for the four degrees of ``_legendre_rows(n)``.
 
     A_k sums |c_k| of the integrand over the node lines in s and in t,
-    weighted by the rule.  The top pair A_{n-1} + A_{n-2} is carried to
-    degree 2n, the first one the rule does not integrate, at the decay per
-    two degrees shown across half the rule, from the pair n - n//2 degrees
-    lower (at most 1: a tail that does not decay is not extrapolated).  An
-    unresolved, aliased integrand shows no geometric decay over that stretch
-    (Aurentz & Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
+    weighted by the rule; ``rows`` and ``pairs`` are ``_legendre_rows(ws.size)``.
     """
     n = ws.size
-    rows, pairs = _legendre_rows(n)
     # F as reals, (re, im) pairs along the last axis: real products, one per direction
     X = F.view(float).reshape(F.shape[0], n, 2 * n)
     along_t = (X.reshape(-1, 2 * n) @ pairs).view(complex)
     along_s = (rows @ X).view(complex)
-    A = ws @ np.abs(along_t.reshape(-1, n, 4)) + np.abs(along_s) @ ws
+    return ws @ np.abs(along_t.reshape(-1, n, 4)) + np.abs(along_s) @ ws
+
+
+def _coefficient_tail(A: np.ndarray, n: int) -> np.ndarray:
+    """Truncation error of the n x n rule on each cell, per unit area, from its line masses A.
+
+    The top pair A_{n-1} + A_{n-2} is carried to degree 2n, the first one
+    the rule does not integrate, at the decay per two degrees shown across
+    half the rule, from the pair n - n//2 degrees lower (at most 1: a tail
+    that does not decay is not extrapolated).  An unresolved, aliased
+    integrand shows no geometric decay over that stretch (Aurentz &
+    Trefethen, "Chopping a Chebyshev series", ACM TOMS 43, 2017).
+    """
     top, mid = A[:, 2] + A[:, 3], A[:, 0] + A[:, 1]
     ratio = np.minimum(np.divide(top, mid, out=np.ones_like(top), where=mid > 0), 1.0)
     return top * (ratio ** (2 / (n - n // 2))) ** ((n + 1) / 2)
@@ -206,7 +215,10 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     rule would accept is accepted at the same depth or higher up; a cell
     still refused after depth MAX_DEPTH raises QuadratureError.  Each pass
     runs at most max(1, PASS_NODES // n^2) cells of one order n, all of
-    their nodes in one ``form.coeff`` call.  The result holds per target the
+    their nodes in one ``form.coeff`` call, and only reduces them: sum F w,
+    sum |F| w and the line masses of ``_line_masses``.  The stage then
+    accepts or refuses all of its cells at once, and a stage with no cells
+    left runs nothing.  The result holds per target the
     value, the summed estimates of its accepted cells (at least the
     rounding floor), their count and the largest order among them.
     """
@@ -234,20 +246,28 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
         side = 0.5 ** depth
         area = side * side
         for n in (FIRST_ORDER, MAX_ORDER):
+            m = k.size
+            if not m:  # an empty stage runs nothing
+                break
             xs, ws = _gl_nodes(0.0, 1.0, n)
-            weights = np.outer(ws, ws)
+            nodes, weights, (rows, pairs) = side * xs, np.outer(ws, ws), _legendre_rows(n)
             step = max(1, PASS_NODES // (n * n))
-            ok, cell, est = np.zeros(k.size, bool), np.zeros(k.size, complex), np.zeros(k.size)
-            for p in (slice(i, i + step) for i in range(0, k.size, step)):
-                F = _integrand(form, dz[k[p]], dw[k[p]], s0[p, None] + side * xs,
-                               t0[p, None] + side * xs)
+            # a pass reduces its cells' samples: sum F w, sum |F| w and the line masses
+            total, mass, A = np.empty(m, complex), np.empty(m), np.empty((m, 4))
+            dzk, dwk, S, T = dz[k], dw[k], s0[:, None], t0[:, None]
+            for p in (slice(i, i + step) for i in range(0, m, step)):
+                F = _integrand(form, dzk[p], dwk[p], S[p] + nodes, T[p] + nodes)
                 # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
                 # per complex gemv, and a one-pass einsum rounds worse
-                cell[p] = area * (F * weights).sum(axis=(1, 2))
-                tail = area * _coefficient_tail(F, ws)
-                floor = _ROUNDING * n * area * (np.abs(F) * weights).sum(axis=(1, 2))
-                budget = np.maximum(CELL_TOLERANCE * max(area, 1e-6), 1e-15 * np.abs(cell[p]))
-                ok[p], est[p] = tail <= np.maximum(budget, floor), np.maximum(tail, floor)
+                total[p] = (F * weights).sum(axis=(1, 2))
+                mass[p] = (np.abs(F) * weights).sum(axis=(1, 2))
+                A[p] = _line_masses(F, ws, rows, pairs)
+            # the stage accepts its cells at once
+            cell = area * total
+            tail = area * _coefficient_tail(A, n)
+            floor = _ROUNDING * n * area * mass
+            budget = np.maximum(CELL_TOLERANCE * max(area, 1e-6), 1e-15 * np.abs(cell))
+            ok, est = tail <= np.maximum(budget, floor), np.maximum(tail, floor)
             np.add.at(values, k[ok], cell[ok])
             np.add.at(errors, k[ok], est[ok])
             np.add.at(cells, k[ok], 1)

@@ -84,7 +84,12 @@ def normalization_ratios(r: SpectralDetResult) -> tuple[float, float]:
 
 
 def form_contract_checks(cases, names=("form_closedness", "form_antiholomorphic")) -> list[CheckResult]:
-    """Worst closedness and anti-holomorphy residuals over (form, pairs) cases, by their largest rule."""
+    """Worst closedness and anti-holomorphy residuals over (form, pairs) cases, by their largest rule.
+
+    An empty list of cases is a DomainError, raised before anything is evaluated.
+    """
+    if not cases:
+        raise DomainError("no (form, pairs) cases to check")
     results = [check_closed_and_holomorphic(form, samples) for form, samples in cases]
     *worst, rounding, alias = np.max([(c, a, r.rounding, r.alias) for c, a, r in results], axis=0)
     rule = results[0][2]._replace(rounding=rounding, alias=alias)

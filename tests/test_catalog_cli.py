@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from holodet.catalog import builtin_catalog, load_catalog, parse_catalog
+from holodet.cli import _emit_grid
 from holodet.errors import DomainError, HolodetError
 from holodet.polarization import DiagonalSampleSet
-from holodet.potential_builder import check_closed_and_holomorphic, cone_potential
+from holodet.potential_builder import check_closed_and_holomorphic, cone_potential, cone_potentials
 from holodet.report import CheckResult, RunReport
 from holodet.verify import form_contract_checks
 
@@ -361,6 +362,22 @@ class TestCliPotential:
         assert lines[0] == "re_z,im_z,re_w,im_w,re_q,im_q"
         assert len(lines) == 6
 
+    def test_grid_csv_matches_the_per_value_repr_form(self, tmp_path):
+        # the bulk rows carry each float's repr, as one repr per numpy scalar did
+        form = builtin_catalog()["wp_genus1"].build()
+        rng = np.random.default_rng(28)
+        zs = rng.uniform(-0.5, 0.5, 64) + 1j * rng.uniform(0.3, 3.0, 64)
+        zs[0] = complex(-0.0, 1.0)  # a signed zero keeps its sign
+        wc = complex(0.1, -0.7)
+        qs = cone_potentials(form, zs, np.full(zs.size, wc)).values
+        rows = ["re_z,im_z,re_w,im_w,re_q,im_q"]
+        for z, q in zip(zs, qs):
+            rows.append(",".join(repr(float(v)) for v in (z.real, z.imag, wc.real, wc.imag,
+                                                         q.real, q.imag)))
+        out_path = tmp_path / "grid.csv"
+        _emit_grid(str(out_path), form, zs, wc)
+        assert out_path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
     @pytest.mark.parametrize("n", ["0", "-3"])
     def test_grid_without_points_exits_2(self, n):
         out = run_cli("potential", "--form", "wp_genus1", "--at", "0,2;0,-2",
@@ -439,7 +456,7 @@ class TestCliPotential:
                       "--catalog", str(path))
         assert out.returncode == 1
         assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
-        assert "quadrature node within 0.001 of a singularity" in out.stderr
+        assert "point within 0.001 of a singularity of the form" in out.stderr
 
     @pytest.mark.parametrize("kind, line", [
         ("polynomial", "coeff 5 0 1 0 | 0 0 | 0 0"),

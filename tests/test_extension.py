@@ -429,6 +429,20 @@ class TestGenus1Extension:
                                          + 2 * log_eta(1j).real, rel=1e-14)
         assert val.imag == pytest.approx(math.pi * 1e307 / 12 - math.pi / 4, rel=1e-14)
 
+    def test_a_point_takes_python_complex_arithmetic_alone(self, monkeypatch):
+        # no numpy error state is entered at a point, and its overflow is still typed
+        def refuse(**kw):
+            raise AssertionError("np.errstate entered at a point")
+
+        monkeypatch.setattr(np, "errstate", refuse)
+        p = ProductPoint(0.7 + 1.9j, -1.1 - 0.4j)
+        value = genus1_extension(p)
+        assert type(value) is complex
+        assert value == 0.5 * cmath.log(-1j * math.pi * (p.z - p.w)) + log_eta(p.z) \
+            + log_eta(p.w.conjugate()).conjugate()
+        with pytest.raises(BudgetError, match=re.escape("at ((1e+308+1j), (-0-1j)) overflows")):
+            genus1_extension(ProductPoint(1e308 + 1j, -1j))
+
 
 class TestBatchedPoints:
     """ProductPoint and genus1_extension on arrays of points."""

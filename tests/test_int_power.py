@@ -20,6 +20,7 @@ import holodet
 from holodet.catalog import POLE_GUARD, FormCatalogEntry
 from holodet.errors import QuadratureError
 from holodet.polymap import PolyMap, int_power
+from holodet.potential_builder import check_closed_and_holomorphic
 
 SRC = Path(holodet.__file__).parent
 EPS = np.finfo(float).eps
@@ -107,6 +108,16 @@ def test_pole_power_inside_the_guard_raises_a_quadrature_error(k):
         for point in (d, d[:1], np.r_[1.0, d[5]]):
             with pytest.raises(QuadratureError, match="within 0.001 of a singularity"):
                 coeff(point[:, None], np.zeros((point.size, 1), complex))
+
+
+def test_pole_power_refusal_in_a_contour_check_names_a_point():
+    # the contour circle of radius 0.02 around z = 0.3 passes through z = w = 0.32:
+    # no quadrature runs there, so the message names a point, not a node
+    entry = FormCatalogEntry("p", "pole_power", 1, (1j,), (-1j,), coefficient=1.0, exponent=2,
+                             domain_z_center=(0j,), domain_z_radius=10.0,
+                             domain_w_center=(0j,), domain_w_radius=10.0)
+    with pytest.raises(QuadratureError, match="^point within 0.001 of a singularity of the form$"):
+        check_closed_and_holomorphic(entry.build(), [(0.3 + 0j, 0.32 + 0j)])
 
 
 # --- the guard ---------------------------------------------------------------

@@ -70,6 +70,18 @@ class TestFitBasics:
         with pytest.raises(DomainError, match=f"radius must be finite and positive, got {radius!r}"):
             DiagonalSampleSet(np.array([0j]), np.array([1 + 0j]), 0, radius)
 
+    @pytest.mark.parametrize("center, radius", [(1j, float("nan")), (1j, 0.0), (1j, -2.0),
+                                                (complex("nan+1j"), 0.5), (complex("inf"), 0.5)])
+    def test_from_function_checks_the_disc_before_calling_f(self, center, radius):
+        called = []
+        with pytest.raises(DomainError, match="disc (center|radius) must be finite"):
+            DiagonalSampleSet.from_function(lambda z: called.append(z) or z, center, radius, 50)
+        assert called == []
+
+    def test_non_finite_center_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="disc center must be finite, got \\(nan\\+0j\\)"):
+            DiagonalSampleSet(np.array([0j]), np.array([1 + 0j]), complex("nan"), 1.0)
+
     def test_zero_radius_fit_and_residual_are_domain_errors(self):
         f = lambda z, w: z * w
         with pytest.raises(DomainError, match="radius"):

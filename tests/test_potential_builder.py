@@ -20,6 +20,8 @@ from holodet.potential_builder import (
     ProductDomain,
     _coefficient_tail,
     _integrand,
+    _legendre_rows,
+    _line_masses,
     check_closed_and_holomorphic,
     cone_potential,
     cone_potentials,
@@ -56,7 +58,7 @@ def sum_pole_form(base_z, base_w):
     def coeff(Z, W):
         d = Z[:, 0] + W[:, 0]
         if (np.abs(d) < 1e-3).any():
-            raise QuadratureError("quadrature node within 0.001 of a singularity of the form")
+            raise QuadratureError("point within 0.001 of a singularity of the form")
         return (d ** -2).reshape(-1, 1, 1)
 
     dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
@@ -139,9 +141,11 @@ def pole_power_form(c, k, base_z, base_w, seen=None):
 OSCILLATION = 80.0
 
 
-def oscillating_form():
+def oscillating_form(A=OSCILLATION, seen=None):
     def coeff(Z, W):
-        return np.exp(1j * OSCILLATION * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
+        if seen is not None:
+            seen.append(Z.shape[0])
+        return np.exp(1j * A * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
 
     return ClosedHoloForm(1, coeff, 1j, -1j, HALF_PLANE_BALLS)
 
@@ -231,6 +235,37 @@ class TestBatchedCells:
         with pytest.raises(QuadratureError, match="after 0 subdivisions"):
             cone_potentials(oscillating_form(), [1j + 1.5], [-1j - 1.5])
 
+    def test_split_build_runs_its_targets_in_full_passes_of_the_first_order(self, monkeypatch):
+        # the split recipe's h is one 264-target call, every cell accepted at the first order
+        import holodet.extension as extension
+
+        form, seen, orders = extension.genus1_pole_form(), [], []
+        spied = dataclasses.replace(
+            form, coeff=lambda Z, W: seen.append(Z.shape[0]) or form.coeff(Z, W))
+        monkeypatch.setattr(extension, "genus1_pole_form", lambda: spied)
+        real = potential_builder._integrand
+        monkeypatch.setattr(potential_builder, "_integrand",
+                            lambda f, dz, dw, S, T: orders.append(S.shape[1]) or real(f, dz, dw, S, T))
+        stages, rule = [], potential_builder._gl_nodes
+        monkeypatch.setattr(potential_builder, "_gl_nodes",
+                            lambda a, b, n: stages.append(n) or rule(a, b, n))
+        extension.genus1_recipe(-0.5, "split")
+        targets = extension.SPLIT_SAMPLES + 8
+        assert len(seen) == len(orders) == -(-targets // (PASS_NODES // FIRST_ORDER ** 2))
+        assert set(orders) == {FIRST_ORDER}
+        assert sum(seen) == targets * FIRST_ORDER ** 2
+        # the MAX_ORDER stage, left with no cells, runs nothing
+        assert stages == [FIRST_ORDER]
+
+    def test_hopeless_form_raises_in_passes_capped_at_pass_nodes(self, monkeypatch):
+        # e^{iA((z - i) - (w + i))} at A = 1e5: its phase runs about 1.5e5 * side
+        # radians across a cell, so no depth up to 4 resolves it
+        monkeypatch.setattr(potential_builder, "MAX_DEPTH", 4)
+        seen = []
+        with pytest.raises(QuadratureError, match="after 4 subdivisions"):
+            cone_potentials(oscillating_form(1e5, seen), [1j + 1.5], [-1j - 1.5])
+        assert seen and max(seen) <= PASS_NODES
+
     def test_non_decaying_integrand_subdivides(self):
         A, dz = OSCILLATION, 1.5
         res = cone_potentials(oscillating_form(), [1j + dz], [-1j - dz])
@@ -290,7 +325,8 @@ class TestBatchedCells:
         S = np.tile(xs, (len(PAIRS), 1))
         F = _integrand(pole_form(), (Z - 1j)[:, None], (W + 1j)[:, None], S, S)
         value = (F * np.outer(ws, ws)).sum(axis=(1, 2))
-        assert np.all(np.abs(value - exact) <= _coefficient_tail(F, ws) + 1e-14)
+        tail = _coefficient_tail(_line_masses(F, ws, *_legendre_rows(n)), n)
+        assert np.all(np.abs(value - exact) <= tail + 1e-14)
         res = cone_potentials(pole_form(), Z, W)
         assert np.all(np.abs(res.values - exact) <= 1e-12)
 
@@ -529,6 +565,10 @@ class TestClosedAndHolomorphic:
                           lambda f, pairs: form_contract_checks([(f, pairs)])):
                 with pytest.raises(DomainError, match="no \\(z, w\\) pairs"):
                     check(form, [])
+
+    def test_an_empty_case_list_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no \\(form, pairs\\) cases"):
+            form_contract_checks([])
 
 
 class TestHolomorphyOfPotential:

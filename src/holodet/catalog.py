@@ -190,14 +190,14 @@ def builtin_catalog() -> dict[str, FormCatalogEntry]:
 # --- text format -------------------------------------------------------------
 
 
-def finite_floats(tokens) -> list[float]:
-    """Number tokens of an input text as floats; a malformed or non-finite one is a DomainError."""
+def finite_floats(tokens, at: str = "") -> list[float]:
+    """Number tokens as floats; a malformed or non-finite one is a DomainError led by ``at``."""
     try:
         vals = [float(t) for t in tokens]
     except ValueError as exc:
-        raise DomainError(str(exc)) from None
+        raise DomainError(f"{at}{exc}") from None
     if not all(map(math.isfinite, vals)):
-        raise DomainError(f"expected finite numbers, got {' '.join(tokens)!r}")
+        raise DomainError(f"{at}expected finite numbers, got {' '.join(tokens)!r}")
     return vals
 
 

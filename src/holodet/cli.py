@@ -54,21 +54,6 @@ def parse_complex(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from exc
 
 
-def int_at_least(low: int):
-    """argparse type: an integer >= low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-
-    return parse
-
-
 def parse_point_pair(text: str) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
     """Parse 'z;w' where each block is coordinates 're,im' joined by ':'."""
     blocks = [tuple(parse_complex(c) for c in block.split(":")) for block in text.split(";")]
@@ -195,18 +180,20 @@ def _emit_grid(out, form, zs: np.ndarray, wc: complex) -> None:
 
 
 def _parse_recipe_file(path):
+    """A recipe from ``constant`` and ``f_mode`` lines; a malformed line is a DomainError naming it."""
     opts = {"constant": 0.0, "f_mode": "zero"}
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             key, *rest = line.split()
+            at = f"recipe line {lineno}: "
             if key not in opts:
-                raise DomainError(f"unknown recipe directive {key!r}")
+                raise DomainError(f"{at}unknown recipe directive {key!r}")
             if len(rest) != 1:
-                raise DomainError(f"recipe directive {key!r} takes one value, got {len(rest)}")
-            (opts[key],) = finite_floats(rest) if key == "constant" else rest
+                raise DomainError(f"{at}recipe directive {key!r} takes one value, got {len(rest)}")
+            (opts[key],) = finite_floats(rest, at) if key == "constant" else rest
     return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
 
 
@@ -302,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("polarize", help="fit diagonal CSV samples (re_z,im_z,re_val,im_val)")
     q.add_argument("--samples", required=True)
-    q.add_argument("--degree", type=int_at_least(0), required=True)
+    q.add_argument("--degree", type=int, required=True)
     q.add_argument("--out", default=None, help="JSON output path (default stdout)")
     q.set_defaults(func=cmd_polarize)
 

@@ -139,6 +139,7 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     (one more call of h, at the midpoints) while the top 16 |H_n| sum above tol, and past
     SPLIT_MAX_SAMPLES the build raises BudgetError; |h - 2 Re f| > tol at the 8 inner points
     raises NotPluriharmonicError.  f takes a point or an array; outside the closed disc, DomainError.
+    A call of h that returns no finite real array of its points' shape raises DomainError at once.
     """
     c, r = complex(center), float(radius)
     if not (cmath.isfinite(c) and 0.0 < r < c.imag):
@@ -152,9 +153,18 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     def circle(n, offset=0.0):
         return rho * np.exp(TWO_PI * 1j * (np.arange(n) + offset) / n)
 
+    def sample(z):
+        values = np.asarray(h(z))
+        if values.shape != z.shape or values.dtype.kind not in "biuf":
+            raise DomainError(f"h must return {z.size} real values, got {values.dtype} {values.shape}")
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise DomainError(f"h({complex(z[i])!r}) = {float(values[i])!r} is not finite")
+        return values.astype(float, copy=False)
+
     n = SPLIT_SAMPLES
     inner = from_phi(0.5 * circle(8))
-    values = np.asarray(h(np.concatenate([from_phi(circle(n)), inner])), dtype=float)
+    values = sample(np.concatenate([from_phi(circle(n)), inner]))
     samples, h_inner = values[:n], values[n:]
     tol = 1e-8 * max(1.0, float(np.max(np.abs(values))))
     while True:
@@ -165,7 +175,7 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
         if n >= SPLIT_MAX_SAMPLES:
             raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {tol:.3e} on D({c!r}, {r!r}) "
                               f"with {n} samples")
-        mid = np.asarray(h(from_phi(circle(n, 0.5))), dtype=float)
+        mid = sample(from_phi(circle(n, 0.5)))
         samples = np.stack([samples, mid], axis=1).ravel()
         n *= 2
     coeffs[0] *= 0.5

@@ -31,6 +31,7 @@ from typing import Callable
 
 import numpy as np
 
+from .catalog import finite_floats
 from .errors import DomainError, FitRankError
 from .torus_spectral import _gauss_legendre
 
@@ -49,10 +50,16 @@ def _check_disc(center, radius) -> None:
         raise DomainError(f"disc radius must be finite and positive, got {radius!r}")
 
 
+def _at_least(value, low: int, what: str) -> int:
+    """``value`` as an int; a DomainError naming ``what`` unless it is an integer >= low."""
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise DomainError(f"{what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _ring_layout(count: int) -> tuple[int, int]:
     """Rings and angles per ring of ``disc_samples(..., count)``."""
-    if count < 1:
-        raise DomainError(f"count must be positive, got {count}")
+    count = _at_least(count, 1, "count")
     rings = max(3, round(math.sqrt(count / 2.0)))
     return rings, -(-count // rings)  # ceil
 
@@ -65,6 +72,7 @@ def disc_samples(center: complex, radius: float, count: int) -> np.ndarray:
     angles 2 pi k/M.  Every ring is complete, so there are R*M >= count
     points; for count = 2(D+1)^2 that is D+1 rings of 2D+2 points.
     """
+    _check_disc(center, radius)
     rings, per_ring = _ring_layout(count)
     xs, _ = _gauss_legendre(rings)
     rho = np.sqrt(0.5 * (xs + 1.0))
@@ -110,11 +118,10 @@ class DiagonalSampleSet:
         """Sample ``diag``, called once with the whole ring grid, on the disc.
 
         ``diag`` maps an array of points to the array of its values; a
-        scalar value is a constant, the same at every point.  The disc is
-        checked before ``diag`` is called.
+        scalar value is a constant, the same at every point.  The count and
+        the disc are checked before ``diag`` is called.
         """
         center, radius = complex(center), float(radius)
-        _check_disc(center, radius)
         pts = disc_samples(center, radius, count)
         vals = np.asarray(diag(pts), dtype=complex)
         if vals.ndim == 0:
@@ -306,9 +313,7 @@ def polarize_fit(samples: DiagonalSampleSet, degree: int) -> PolarizedPolynomial
     samples, clustered samples, or directions lost below the cutoff (the
     count of truncated directions is reported in the message).
     """
-    if not isinstance(degree, (int, np.integer)) or degree < 0:
-        raise DomainError(f"degree must be an integer >= 0, got {degree!r}")
-    degree = int(degree)
+    degree = _at_least(degree, 0, "degree")
     n_coef = (degree + 1) ** 2
     if len(samples.points) < n_coef:
         raise FitRankError(
@@ -345,6 +350,7 @@ def uniqueness_residual(f1: Callable, f2: Callable, center: complex, radius: flo
     on the ring grid of 2(D+1)^2 points: f1 and f2 are each called once,
     with the array of its points z and the array of their conjugates.
     """
+    degree = _at_least(degree, 0, "degree")
 
     def diag(z: np.ndarray) -> np.ndarray:
         zb = z.conj()
@@ -372,10 +378,8 @@ def load_diagonal_csv(path) -> DiagonalSampleSet:
             if [f.strip() for f in next(reader, [])] != list(CSV_FIELDS):
                 raise DomainError(f"malformed samples CSV: expected header {','.join(CSV_FIELDS)}")
             for row in filter(None, reader):
-                re_z, im_z, re_val, im_val = (float(v) for v in row)
-                if not all(map(math.isfinite, (re_z, im_z, re_val, im_val))):
-                    raise DomainError(f"malformed samples CSV row {reader.line_num}: "
-                                      "non-finite entry")
+                at = f"malformed samples CSV row {reader.line_num}: "
+                re_z, im_z, re_val, im_val = finite_floats(row, at)
                 pts.append(complex(re_z, im_z))
                 vals.append(complex(re_val, im_val))
         except (ValueError, csv.Error) as exc:

@@ -34,7 +34,7 @@ from .wirtinger import RADIUS, Contour, contour
 #: build's 264-target call, 1.15x on a refining near-pole batch and 1.13x on
 #: a 32-point grid; 6000 took 0.90x, 1.15x and 1.02x; 8192 1.23-1.31x,
 #: 1.01-1.05x and 1.08x; 16384 1.29x, 1.49-1.54x and 1.18-1.22x.  No size won
-#: on all three.  Change it only on a paired run.
+#: on all three.  Change it only on a paired run; MAX_ORDER^2 <= PASS_NODES.
 PASS_NODES = 1 << 12
 
 #: Gauss-Legendre order per axis every cone cell tries first; a cell it
@@ -183,15 +183,13 @@ def _targets(points, n: int, block: str) -> np.ndarray:
 def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     """sum_ij Omega_ij dz_i dw_j on each cell's node grid S x T, shape (cells, n, n).
 
-    ``form.coeff`` sees at most PASS_NODES nodes per call.
+    One ``form.coeff`` call takes every node: a pass holds at most
+    max(1, PASS_NODES // n^2) cells, and MAX_ORDER^2 <= PASS_NODES.
     """
     cells, n = S.shape
     Zn = np.repeat(form.base_z + S[:, :, None, None] * dz[:, None, None, :], n, axis=2)
     Wn = np.repeat(form.base_w + T[:, None, :, None] * dw[:, None, None, :], n, axis=1)
-    Zn, Wn = Zn.reshape(-1, form.dim), Wn.reshape(-1, form.dim)
-    C = np.empty((Zn.shape[0], form.dim, form.dim), dtype=complex)
-    for i in range(0, Zn.shape[0], PASS_NODES):
-        C[i:i + PASS_NODES] = form.coeff(Zn[i:i + PASS_NODES], Wn[i:i + PASS_NODES])
+    C = form.coeff(Zn.reshape(-1, form.dim), Wn.reshape(-1, form.dim))
     dzdw = (dz[:, :, None] * dw[:, None, :]).reshape(cells, 1, -1)
     return (dzdw @ C.reshape(cells, n * n, -1).swapaxes(1, 2)).reshape(cells, n, n)
 

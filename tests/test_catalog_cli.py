@@ -233,13 +233,15 @@ def test_removed_option_exits_2(argv, removed):
 
 
 @pytest.mark.parametrize("argv", [
-    pytest.param(("polarize", "--samples", "unused.csv", "--degree", "-1"), id="argv2"),
+    pytest.param(("polarize", "--samples", "{csv}", "--degree", "-1"), id="argv2"),
 ])
-def test_out_of_range_option_exits_2(argv):
-    out = run_cli(*argv)
+def test_out_of_range_option_exits_2(argv, tmp_path):
+    # argparse reads an integer; the library refuses it, once the samples are read
+    csv_path = tmp_path / "samples.csv"
+    csv_path.write_text("re_z,im_z,re_val,im_val\n0.1,0,0.01,0\n0,0.2,0.04,0\n")
+    out = run_cli(*(a.format(csv=csv_path) for a in argv))
     assert out.returncode == 2
-    assert f"argument {argv[-2]}: must be >=" in out.stderr
-    assert "Traceback" not in out.stderr
+    assert out.stderr == "error: degree must be an integer >= 0, got -1\n"
 
 
 class TestCliTorusDet:
@@ -584,6 +586,19 @@ class TestCliExtend:
         assert out.returncode == 2
         assert out.stderr.startswith("error:") and directive in out.stderr
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ("# a recipe\nconstant x\nf_mode split\n", "recipe line 2: could not convert string to float: 'x'"),
+        ("constant -0.5\n\nfoo 1\n", "recipe line 3: unknown recipe directive 'foo'"),
+        ("f_mode zero split\n", "recipe line 1: recipe directive 'f_mode' takes one value, got 2"),
+        ("f_mode zero\nconstant inf\n", "recipe line 2: expected finite numbers, got 'inf'"),
+    ], ids=["not-a-number", "unknown", "two-values", "non-finite"])
+    def test_malformed_line_is_named(self, tmp_path, text, message):
+        path = tmp_path / "recipe.txt"
+        path.write_text(text)
+        out = run_cli("extend", "--point", "0,1;0,-1", "--recipe", str(path))
+        assert out.returncode == 2
+        assert out.stderr == f"error: {message}\n"
 
     @pytest.mark.parametrize("text", ["constant nan\nf_mode zero\n", "constant inf\nf_mode eta\n",
                                       "constant -1e999\nf_mode split\n"],

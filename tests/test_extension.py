@@ -210,6 +210,33 @@ class TestPluriharmonicSplit:
             pluriharmonic_split(h, 1j, 0.95)
         assert sum(calls) == SPLIT_MAX_SAMPLES + 8
 
+    @pytest.mark.parametrize("bad, match", [
+        (lambda z: np.full(z.shape, np.nan), r"h\(1\.95\d*j\) = nan is not finite"),
+        (lambda z: np.full(z.shape, np.inf), r"h\(1\.95\d*j\) = inf is not finite"),
+        (lambda z: np.zeros(z.size - 1), r"264 real values, got float64 \(263,\)"),
+        (lambda z: 2.0, r"264 real values, got float64 \(\)"),
+        (lambda z: z * z, r"264 real values, got complex128 \(264,\)"),
+    ], ids=["nan", "inf", "short", "scalar", "complex"])
+    def test_bad_h_values_are_refused_after_one_call(self, bad, match):
+        # a nan h was called four more times and ended in a BudgetError on a nan
+        # tail; inf warned in the FFT; a wrong shape leaked numpy's errors
+        calls = []
+        with pytest.raises(DomainError, match=match):
+            pluriharmonic_split(lambda z: calls.append(z.size) or bad(z), 1j, 0.95)
+        assert calls == [264]
+
+    def test_bad_midpoint_values_are_refused_before_another_call(self):
+        # Re((z - i)/0.95)^8 needs one doubling; its midpoints come back nan
+        calls = []
+
+        def h(z):
+            calls.append(z.size)
+            return (((z - 1j) / 0.95) ** 8).real * (np.nan if len(calls) > 1 else 1.0)
+
+        with pytest.raises(DomainError, match="is not finite"):
+            pluriharmonic_split(h, 1j, 0.95)
+        assert calls == [264, 256]
+
     def test_the_tail_tolerance_scales_with_h(self):
         # h = 1e10 + Re z^2 is pluriharmonic: the rounding of 1e10 leaves a tail of about 7e-7
         # at 256 samples, above 1e-8 but within 1e-8 max|h|, so one call of h builds it

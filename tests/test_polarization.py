@@ -378,6 +378,37 @@ class TestSampling:
             disc_samples(0.5j, 0.2, count)
 
 
+class TestChecksBeforeSampling:
+    """A bad degree, count or disc is refused before any function is sampled."""
+
+    @pytest.mark.parametrize("degree", [2.5, -1])
+    def test_bad_degree_calls_neither_extension(self, degree):
+        calls = []
+        f1 = lambda z, w: calls.append("f1") or z * w
+        f2 = lambda z, w: calls.append("f2") or z * w
+        with pytest.raises(DomainError, match=f"degree must be an integer >= 0, got {degree!r}"):
+            uniqueness_residual(f1, f2, 1j, 0.5, degree)
+        assert calls == []
+
+    def test_nan_radius_calls_neither_extension(self):
+        calls = []
+        f = lambda z, w: calls.append(z) or z * w
+        with pytest.raises(DomainError, match="disc radius must be finite and positive"):
+            uniqueness_residual(f, f, 1j, float("nan"), 3)
+        assert calls == []
+
+    @pytest.mark.parametrize("count", [0, 2.5])
+    def test_bad_count_calls_no_diag(self, count):
+        calls = []
+        with pytest.raises(DomainError, match=f"count must be an integer >= 1, got {count!r}"):
+            DiagonalSampleSet.from_function(lambda z: calls.append(z) or z, 1j, 0.5, count)
+        assert calls == []
+
+    def test_disc_samples_checks_the_disc(self):
+        with pytest.raises(DomainError, match="disc radius must be finite and positive, got nan"):
+            disc_samples(1j, float("nan"), 8)
+
+
 class TestCsv:
     def test_roundtrip(self, tmp_path):
         s = DiagonalSampleSet.from_function(lambda z: z * np.conj(z) + 1j, 0.5j, 0.4, 25)

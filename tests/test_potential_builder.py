@@ -66,9 +66,13 @@ def sum_pole_form(base_z, base_w):
 
 
 def set_max_order(monkeypatch, cap):
-    """Cone cells run at most ``cap`` nodes per axis, and first at min(FIRST_ORDER, cap)."""
+    """Cone cells run at most ``cap`` nodes per axis, and first at min(FIRST_ORDER, cap).
+
+    PASS_NODES rises to cap^2 if need be, so that one cell at the cap still fits one pass.
+    """
     monkeypatch.setattr(potential_builder, "MAX_ORDER", cap)
     monkeypatch.setattr(potential_builder, "FIRST_ORDER", min(FIRST_ORDER, cap))
+    monkeypatch.setattr(potential_builder, "PASS_NODES", max(PASS_NODES, cap * cap))
 
 
 def pole_closed_form(z, w, z0=1j, w0=-1j):
@@ -212,10 +216,29 @@ class TestBatchedCells:
         assert set(res.orders.tolist()) == {FIRST_ORDER, n}
         # nodes evaluated: order^2 per cell, summed over passes of one order each
         assert sum(seen) == sum(cells * order * order for cells, order in passes)
-        assert all(cells <= max(1, PASS_NODES // (order * order)) for cells, order in passes)
-        assert max(seen) <= PASS_NODES
+        pass_nodes = potential_builder.PASS_NODES
+        assert all(cells <= max(1, pass_nodes // (order * order)) for cells, order in passes)
+        assert max(seen) <= pass_nodes
         # every target once at the first order, and the refused ones once more at the cap
         assert sum(seen) == Z.size * FIRST_ORDER ** 2 + np.sum(res.orders == n) * n * n
+
+    def test_one_cell_at_the_cap_fits_one_pass(self):
+        assert MAX_ORDER ** 2 <= PASS_NODES
+
+    def test_one_coeff_call_per_pass(self, monkeypatch):
+        # a near-pole batch runs at both orders and after splits: every pass
+        # evaluates all of its nodes in one form.coeff call
+        seen, passes = [], []
+        real = potential_builder._integrand
+        monkeypatch.setattr(potential_builder, "_integrand",
+                            lambda form, dz, dw, S, T: passes.append(S.shape) or real(form, dz, dw, S, T))
+        form = sum_pole_form(1 + 0.1j, 1 + 0j)
+        form = dataclasses.replace(form, coeff=lambda Z, W, c=form.coeff: seen.append(Z.shape[0]) or c(Z, W))
+        W = np.array([-0.5, -1.0, -2.0, -1.5, -0.2, -0.8, -1.2, -1.9]) + 0j
+        res = cone_potentials(form, np.full(W.size, 2 + 0.1j), W)
+        assert res.cells.max() > 1 and set(res.orders.tolist()) == {FIRST_ORDER, MAX_ORDER}
+        assert seen == [cells * order * order for cells, order in passes]
+        assert max(seen) <= PASS_NODES
 
     def test_target_refused_at_first_order_is_accepted_at_the_cap_on_one_cell(self):
         z, w = 0.2 + 0.15j, 0.1 - 0.15j

@@ -3,10 +3,11 @@
 Every malformed input, a point outside its domain or a malformed line of a
 catalog, recipe or samples CSV, is a DomainError; no module raises ValueError.
 ``cli.main`` alone maps a library error to its exit code, and apart from it
-only the argparse types of ``cli.py`` catch anything.  In the whole package a
-library error is caught in three places only: ``cli.main``, ``verify.run_all``
-(a crashed group is a failed check) and ``catalog.parse_catalog`` (which
-re-raises it with the line number).  The guards read the source with ``ast``,
+only the argparse type ``parse_complex`` catches anything.  In the whole
+package a library error is caught in three places only: ``cli.main``,
+``verify.run_all`` (a crashed group is a failed check) and
+``catalog.parse_catalog`` (which re-raises it with the line number).  The
+guards read the source with ``ast``,
 so a new ``raise ValueError`` or a new ``except`` in a subcommand or a check
 fails here before any caller sees it.
 """
@@ -19,8 +20,8 @@ import holodet
 SRC = Path(holodet.__file__).parent
 
 #: the scopes of ``cli.py`` that may hold an ``except``: main, and the
-#: argparse types, which turn a malformed option value into argparse's error
-CLI_HANDLERS = {"main", "parse_complex", "int_at_least.parse"}
+#: argparse type, which turns a malformed option value into argparse's error
+CLI_HANDLERS = {"main", "parse_complex"}
 
 
 def _raises_value_error(node) -> bool:

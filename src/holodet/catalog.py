@@ -106,11 +106,11 @@ class FormCatalogEntry:
             c, k = complex(self.coefficient), int(self.exponent)
 
             def coeff(Z, W, _c=c, _k=k):
-                d = np.atleast_2d(Z)[:, 0] - np.atleast_2d(W)[:, 0]
+                d = np.atleast_2d(Z)[..., 0] - np.atleast_2d(W)[..., 0]
                 if (np.abs(d) < POLE_GUARD).any():
                     raise QuadratureError(f"point within {POLE_GUARD:g} of a singularity "
                                           "of the form")
-                return (_c * int_power(d, -_k)).reshape(-1, 1, 1)
+                return (_c * int_power(d, -_k))[..., None, None]
 
         elif self.kind == "mixed_second_of":
             terms = Counter()  # repeated monomials sum, as repeated coeff lines do

@@ -34,7 +34,7 @@ import numpy as np
 
 from .catalog import builtin_catalog, finite_floats, load_catalog
 from .errors import DomainError, HolodetError
-from .extension import ProductPoint, assemble_extension, genus1_extension, genus1_recipe
+from .extension import F_MODES, ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
 from .potential_builder import cone_potential, cone_potentials
 from .special_functions import eta, log_eta
@@ -159,7 +159,7 @@ def _grid_points(grid: str, dim: int) -> np.ndarray:
     """The N points of z from a to b that ``--grid=re,im:re,im:N`` names, for a one-variable form."""
     if dim != 1:
         raise DomainError("--grid sweeps are supported for one-variable forms only")
-    parts = [finite_floats(part.split(",")) for part in grid.split(":")]
+    parts = [finite_floats(part.split(","), "--grid: ") for part in grid.split(":")]
     n = parts[-1][0]
     if [len(p) for p in parts] != [2, 2, 1] or n < 1 or not n.is_integer():
         raise DomainError(f"--grid expects 're,im:re,im:N' with N >= 1, got {grid!r}")
@@ -194,6 +194,8 @@ def _parse_recipe_file(path):
             if len(rest) != 1:
                 raise DomainError(f"{at}recipe directive {key!r} takes one value, got {len(rest)}")
             (opts[key],) = finite_floats(rest, at) if key == "constant" else rest
+            if key == "f_mode" and opts[key] not in F_MODES:
+                raise DomainError(f"{at}unknown f_mode {opts[key]!r}; known: {', '.join(F_MODES)}")
     return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
 
 

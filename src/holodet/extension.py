@@ -54,6 +54,9 @@ SPLIT_SAMPLES = 256
 #: N doubles from SPLIT_SAMPLES while the tail certificate fails, up to this.
 SPLIT_MAX_SAMPLES = 4096
 
+#: The f_mode values ``genus1_recipe`` knows.
+F_MODES = ("zero", "eta", "eta2", "split")
+
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
@@ -189,8 +192,8 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
             value = value * p + term
         return value
 
-    # one Horner pass at c and the inner points: the shift leaves every real part as it is
-    at = series(np.concatenate([[c], inner]))
+    # Horner at c and at each inner point as a point: the shift leaves every real part as it is
+    at = [series(p) for p in (c, *inner.tolist())]
     terms[-1] -= 1j * at[0].imag
 
     reach = r * (1 + 1e-12)
@@ -206,7 +209,7 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
             raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
         return series(z)
 
-    res = float(np.max(np.abs(h_inner - 2.0 * at[1:].real)))
+    res = max(abs(v - 2.0 * q.real) for v, q in zip(h_inner.tolist(), at[1:]))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
     return f
@@ -301,10 +304,13 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
                    z-ball from the closed-form log det minus C q~(z, zbar)
                    and log(Im tau).
 
-    A non-finite ``constant`` raises DomainError.
+    A non-finite ``constant`` or an ``f_mode`` outside ``F_MODES`` raises
+    DomainError before anything is built.
     """
     if not math.isfinite(constant):
         raise DomainError(f"genus constant must be finite, got {constant!r}")
+    if f_mode not in F_MODES:
+        raise DomainError(f"unknown f_mode {f_mode!r}; known: {', '.join(F_MODES)}")
     form = genus1_pole_form()
     q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
     period = lambda z: np.array([[z]], dtype=complex)
@@ -316,7 +322,7 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
                        + log_eta(z) - 0.5 * cmath.log(z + 1j))
     elif f_mode == "eta2":
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
-    elif f_mode == "split":
+    else:  # split
         def h(Z: np.ndarray) -> np.ndarray:
             # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone
             # potential of SPLIT_SAMPLES + 8 targets
@@ -324,7 +330,5 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
             return closed_form_log_det(Z) - constant * qt.real - np.log(Z.imag)
 
         f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
-    else:
-        raise DomainError(f"unknown f_mode {f_mode!r}")
 
     return ExtensionRecipe(q_tilde, period, f, float(constant))

@@ -36,8 +36,11 @@ class PolyMap:
     """Polynomial sum of c * z^alpha * w^beta with multi-indices per block.
 
     The coefficients are scalars or arrays of one ``shape`` shared by every
-    term, so one map holds a whole matrix of polynomials: called on stacked
-    points of shape (M, n) per block it returns shape (M, *shape).
+    term, so one map holds a whole matrix of polynomials: called on point
+    blocks of shapes (..., n) that broadcast, it returns the broadcast shape
+    followed by ``shape``.  Stacked points of shape (M, n) per block give
+    (M, *shape).  Each monomial's factors are computed on each block's own
+    points and multiply out to the broadcast shape once.
     """
 
     dim: int
@@ -61,13 +64,13 @@ class PolyMap:
     def __call__(self, z, w) -> np.ndarray:
         z = np.atleast_2d(np.asarray(z, dtype=complex))
         w = np.atleast_2d(np.asarray(w, dtype=complex))
-        out = np.zeros(z.shape[:1] + self.shape, dtype=complex)
+        out = np.zeros(np.broadcast_shapes(z.shape[:-1], w.shape[:-1]) + self.shape, dtype=complex)
         for monomial, c in self.terms.items():
             term = 1.0
             for points, exponents in zip((z, w), monomial):
                 for k, e in enumerate(exponents):
                     if e:
-                        term = term * int_power(points[:, k], e)
+                        term = term * int_power(points[..., k], e)
             out += np.multiply.outer(term, c)
         return out
 
@@ -85,7 +88,7 @@ class PolyMap:
         return PolyMap(self.dim, out)
 
     def mixed_coefficient_evaluator(self) -> "PolyMap":
-        """The n x n matrix d^2 g / dz^i dw^j as one map, (M, n) per block -> (M, n, n)."""
+        """The n x n matrix d^2 g / dz^i dw^j as one map, (..., n) per block -> (..., n, n)."""
         n = self.dim
         return PolyMap.matrix(n, [(i, j, c, *monomial) for i in range(n) for j in range(n)
                                   for monomial, c in self.derivative(0, i).derivative(1, j).terms.items()])

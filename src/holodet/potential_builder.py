@@ -28,14 +28,15 @@ from .errors import DomainError, QuadratureError
 from .torus_spectral import _gauss_legendre, _gl_nodes
 from .wirtinger import RADIUS, Contour, contour
 
-#: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In a
-#: paired in-process scan with passes that only reduce their cells (2-core
-#: VM, one BLAS thread), against 4096: 2048 took 1.34x the time on the split
-#: build's 264-target call, 1.15x on a refining near-pole batch and 1.13x on
-#: a 32-point grid; 6000 took 0.90x, 1.15x and 1.02x; 8192 1.23-1.31x,
-#: 1.01-1.05x and 1.08x; 16384 1.29x, 1.49-1.54x and 1.18-1.22x.  No size won
-#: on all three.  Change it only on a paired run; MAX_ORDER^2 <= PASS_NODES.
-PASS_NODES = 1 << 12
+#: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In
+#: two paired in-process scans of 20 rounds with passes on node blocks
+#: (2-core VM, one BLAS thread), against 4096: 2048 took 1.24-1.36x the
+#: time on the split build's 264-target call, 1.03-1.09x on a refining
+#: near-pole batch and 1.29-1.30x on a 32-point grid; 6000 took 0.86-0.92x,
+#: 0.91-1.01x and 0.92-0.97x; 8192 0.92-0.95x, 0.79-0.81x and 0.81-0.88x,
+#: the one size to win on all three.  Change it only on a paired run;
+#: MAX_ORDER^2 <= PASS_NODES.
+PASS_NODES = 1 << 13
 
 #: Gauss-Legendre order per axis every cone cell tries first; a cell it
 #: refuses runs again at MAX_ORDER before it splits.
@@ -87,8 +88,11 @@ class ProductDomain:
 class ClosedHoloForm:
     r"""A closed holomorphic (2,0)-form with only mixed dz^i /\ dw^j parts.
 
-    ``coeff`` is a batched evaluator: given stacked points of shape (M, n)
-    per block it returns the (M, n, n) array of Omega_ij values.  The type
+    ``coeff`` is a batched evaluator: given point blocks of shapes (..., n)
+    per block that broadcast, it returns the Omega_ij values, shape
+    (..., n, n) over the broadcast shape.  Stacked points of shape (M, n)
+    are the special case; a cone pass hands it a z block of shape
+    (cells, nodes, 1, n) and a w block of shape (cells, 1, nodes, n).  The type
     carries no dz/\dz or dw/\dw components by construction; closedness and
     holomorphy are numerical contracts checked by
     ``check_closed_and_holomorphic``.  A coefficient that has a pole refuses
@@ -121,34 +125,45 @@ class ConePotentials(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _legendre_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows taking n Gauss-Legendre samples to Legendre coefficients n//2 - 2, n//2 - 1, n - 2, n - 1.
+def _legendre_rows(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real rows that reduce the n Gauss-Legendre samples of a node line on [0, 1].
 
-    Coefficient k is (2k + 1)/2 sum_a w_a P_k(x_a) g_a.  The rows are real;
-    the second array, shape (2n, 8), applies them to n complex samples
-    stored as (re, im) pairs.
+    Rows 0-3 of ``rows`` (shape (5, n)) take the samples to the Legendre
+    coefficients of degrees n//2 - 2, n//2 - 1, n - 2, n - 1: coefficient k
+    is (2k + 1)/2 sum_a w_a P_k(x_a) g_a on the reference rule.  Row 4 is
+    the rule's weights on [0, 1].  ``pairs``, shape (2n, 8), applies rows
+    0-3 to n complex samples stored as (re, im) pairs; ``weights`` holds
+    the n x n tensor rule's weights, flattened.
     """
     xs, ws = _gauss_legendre(n)
     degrees = np.array([n // 2 - 2, n // 2 - 1, n - 2, n - 1])
     vander = np.polynomial.legendre.legvander(xs, n - 1)[:, degrees]
-    rows = (degrees + 0.5)[:, None] * (vander * ws[:, None]).T
-    pairs = np.kron(rows.T, np.eye(2))
-    rows.flags.writeable = pairs.flags.writeable = False
-    return rows, pairs
+    legendre = (degrees + 0.5)[:, None] * (vander * ws[:, None]).T
+    unit = 0.5 * ws  # the rule's weights on [0, 1], as ``_gl_nodes`` maps them
+    rows, pairs = np.vstack([legendre, unit]), np.kron(legendre.T, np.eye(2))
+    weights = np.outer(unit, unit).ravel()
+    rows.flags.writeable = pairs.flags.writeable = weights.flags.writeable = False
+    return rows, pairs, weights
 
 
-def _line_masses(F: np.ndarray, ws: np.ndarray, rows: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """A_k per cell of F, shape (cells, 4), for the four degrees of ``_legendre_rows(n)``.
+def _cell_sums(F: np.ndarray, rows: np.ndarray, pairs: np.ndarray, weights: np.ndarray):
+    """Sum F w, sum |F| w and the line masses A, shape (cells, 4), of each cell of F.
 
     A_k sums |c_k| of the integrand over the node lines in s and in t,
-    weighted by the rule; ``rows`` and ``pairs`` are ``_legendre_rows(ws.size)``.
+    weighted by the rule, for the four degrees of ``_legendre_rows(n)``;
+    ``rows``, ``pairs`` and ``weights`` are ``_legendre_rows(n)``.  All of
+    it is real arithmetic on F as (re, im) pairs: the product with ``rows``
+    also yields sum_a w_a F_ab, from which the weights give sum F w.
     """
-    n = ws.size
-    # F as reals, (re, im) pairs along the last axis: real products, one per direction
-    X = F.view(float).reshape(F.shape[0], n, 2 * n)
+    cells, n = F.shape[:2]
+    ws = rows[4]
+    X = F.view(float).reshape(cells, n, 2 * n)
+    along_s = rows @ X  # (cells, 5, 2n): four coefficient rows, then sum_a w_a F_ab
     along_t = (X.reshape(-1, 2 * n) @ pairs).view(complex)
-    along_s = (rows @ X).view(complex)
-    return ws @ np.abs(along_t.reshape(-1, n, 4)) + np.abs(along_s) @ ws
+    A = ws @ np.abs(along_t.reshape(-1, n, 4)) + np.abs(along_s[:, :4].view(complex)) @ ws
+    total = (ws @ along_s[:, 4].reshape(cells, n, 2)).view(complex)[:, 0]
+    # a product per cell, as the others are: a cell's sums do not depend on its pass-mates
+    return total, (np.abs(F).reshape(cells, 1, -1) @ weights)[:, 0], A
 
 
 def _coefficient_tail(A: np.ndarray, n: int) -> np.ndarray:
@@ -183,13 +198,16 @@ def _targets(points, n: int, block: str) -> np.ndarray:
 def _integrand(form: ClosedHoloForm, dz, dw, S, T) -> np.ndarray:
     """sum_ij Omega_ij dz_i dw_j on each cell's node grid S x T, shape (cells, n, n).
 
-    One ``form.coeff`` call takes every node: a pass holds at most
-    max(1, PASS_NODES // n^2) cells, and MAX_ORDER^2 <= PASS_NODES.
+    One ``form.coeff`` call takes every node, as a z block of shape
+    (cells, n, 1, dim) and a w block of shape (cells, 1, n, dim) that
+    broadcast: a pass holds at most max(1, PASS_NODES // n^2) cells, and
+    MAX_ORDER^2 <= PASS_NODES.
     """
     cells, n = S.shape
-    Zn = np.repeat(form.base_z + S[:, :, None, None] * dz[:, None, None, :], n, axis=2)
-    Wn = np.repeat(form.base_w + T[:, None, :, None] * dw[:, None, None, :], n, axis=1)
-    C = form.coeff(Zn.reshape(-1, form.dim), Wn.reshape(-1, form.dim))
+    C = form.coeff(form.base_z + S[:, :, None, None] * dz[:, None, None, :],
+                   form.base_w + T[:, None, :, None] * dw[:, None, None, :])
+    if form.dim == 1:  # Omega dz dw is one product per node
+        return C.reshape(cells, n, n) * (dz * dw)[:, :, None]
     dzdw = (dz[:, :, None] * dw[:, None, :]).reshape(cells, 1, -1)
     return (dzdw @ C.reshape(cells, n * n, -1).swapaxes(1, 2)).reshape(cells, n, n)
 
@@ -214,7 +232,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     still refused after depth MAX_DEPTH raises QuadratureError.  Each pass
     runs at most max(1, PASS_NODES // n^2) cells of one order n, all of
     their nodes in one ``form.coeff`` call, and only reduces them: sum F w,
-    sum |F| w and the line masses of ``_line_masses``.  The stage then
+    sum |F| w and the line masses of ``_cell_sums``.  The stage then
     accepts or refuses all of its cells at once, and a stage with no cells
     left runs nothing.  The result holds per target the
     value, the summed estimates of its accepted cells (at least the
@@ -247,19 +265,14 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
             m = k.size
             if not m:  # an empty stage runs nothing
                 break
-            xs, ws = _gl_nodes(0.0, 1.0, n)
-            nodes, weights, (rows, pairs) = side * xs, np.outer(ws, ws), _legendre_rows(n)
+            nodes, rule = side * _gl_nodes(0.0, 1.0, n)[0], _legendre_rows(n)
             step = max(1, PASS_NODES // (n * n))
             # a pass reduces its cells' samples: sum F w, sum |F| w and the line masses
             total, mass, A = np.empty(m, complex), np.empty(m), np.empty((m, 4))
             dzk, dwk, S, T = dz[k], dw[k], s0[:, None], t0[:, None]
             for p in (slice(i, i + step) for i in range(0, m, step)):
                 F = _integrand(form, dzk[p], dwk[p], S[p] + nodes, T[p] + nodes)
-                # a pairwise sum, not F @ ws: a threaded OpenBLAS takes milliseconds
-                # per complex gemv, and a one-pass einsum rounds worse
-                total[p] = (F * weights).sum(axis=(1, 2))
-                mass[p] = (np.abs(F) * weights).sum(axis=(1, 2))
-                A[p] = _line_masses(F, ws, rows, pairs)
+                total[p], mass[p], A[p] = _cell_sums(F, *rule)
             # the stage accepts its cells at once
             cell = area * total
             tail = area * _coefficient_tail(A, n)

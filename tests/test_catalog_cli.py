@@ -398,6 +398,11 @@ class TestCliPotential:
         assert out.stdout == ""
         assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: ")
 
+    def test_malformed_grid_number_names_the_option(self):
+        out = run_cli("potential", "--form", "wp_genus1", "--at", "0,2;0,-2", "--grid=bad,1:0,1:3")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: --grid: could not convert string to float: 'bad'\n"
+
     def test_stencil_outside_domain_exits_2(self):
         # the point lies in the z-ball D(5i, 4.9); the first sample of its
         # derivative circle, z + 0.02, does not
@@ -592,7 +597,9 @@ class TestCliExtend:
         ("constant -0.5\n\nfoo 1\n", "recipe line 3: unknown recipe directive 'foo'"),
         ("f_mode zero split\n", "recipe line 1: recipe directive 'f_mode' takes one value, got 2"),
         ("f_mode zero\nconstant inf\n", "recipe line 2: expected finite numbers, got 'inf'"),
-    ], ids=["not-a-number", "unknown", "two-values", "non-finite"])
+        ("constant -0.5\nf_mode bogus\n",
+         "recipe line 2: unknown f_mode 'bogus'; known: zero, eta, eta2, split"),
+    ], ids=["not-a-number", "unknown", "two-values", "non-finite", "unknown-f-mode"])
     def test_malformed_line_is_named(self, tmp_path, text, message):
         path = tmp_path / "recipe.txt"
         path.write_text(text)

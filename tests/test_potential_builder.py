@@ -20,8 +20,8 @@ from holodet.potential_builder import (
     ProductDomain,
     _coefficient_tail,
     _integrand,
+    _cell_sums,
     _legendre_rows,
-    _line_masses,
     check_closed_and_holomorphic,
     cone_potential,
     cone_potentials,
@@ -35,16 +35,22 @@ from holodet.wirtinger import NODES, contour
 HALF_PLANE_BALLS = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
 
 
+def nodes(Z, W) -> int:
+    """The number of points a ``form.coeff`` call takes: the size of the blocks' broadcast shape."""
+    return math.prod(np.broadcast_shapes(np.shape(Z)[:-1], np.shape(W)[:-1]))
+
+
 def constant_form(c=1.0, base_z=1j, base_w=-1j):
     def coeff(Z, W):
-        return np.full((np.atleast_2d(Z).shape[0], 1, 1), c, dtype=complex)
+        Z, W = np.atleast_2d(Z), np.atleast_2d(W)
+        return np.full(np.broadcast_shapes(Z.shape[:-1], W.shape[:-1]) + (1, 1), c, dtype=complex)
 
     return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS)
 
 
 def pole_form(base_z=1j, base_w=-1j):
     def coeff(Z, W):
-        return ((Z[:, 0] - W[:, 0]) ** -2).reshape(-1, 1, 1)
+        return ((Z[..., 0] - W[..., 0]) ** -2)[..., None, None]
 
     return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS)
 
@@ -56,10 +62,10 @@ def sum_pole_form(base_z, base_w):
     ``pole_power`` coefficient does.
     """
     def coeff(Z, W):
-        d = Z[:, 0] + W[:, 0]
+        d = Z[..., 0] + W[..., 0]
         if (np.abs(d) < 1e-3).any():
             raise QuadratureError("point within 0.001 of a singularity of the form")
-        return (d ** -2).reshape(-1, 1, 1)
+        return (d ** -2)[..., None, None]
 
     dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
     return ClosedHoloForm(1, coeff, base_z, base_w, dom)
@@ -134,8 +140,8 @@ class TestConePotential:
 def pole_power_form(c, k, base_z, base_w, seen=None):
     def coeff(Z, W):
         if seen is not None:
-            seen.append(Z.shape[0])
-        return (c * (Z[:, 0] - W[:, 0]) ** -k).reshape(-1, 1, 1)
+            seen.append(nodes(Z, W))
+        return (c * (Z[..., 0] - W[..., 0]) ** -k)[..., None, None]
 
     return ClosedHoloForm(1, coeff, base_z, base_w, HALF_PLANE_BALLS)
 
@@ -148,8 +154,8 @@ OSCILLATION = 80.0
 def oscillating_form(A=OSCILLATION, seen=None):
     def coeff(Z, W):
         if seen is not None:
-            seen.append(Z.shape[0])
-        return np.exp(1j * A * ((Z[:, 0] - 1j) - (W[:, 0] + 1j))).reshape(-1, 1, 1)
+            seen.append(nodes(Z, W))
+        return np.exp(1j * A * ((Z[..., 0] - 1j) - (W[..., 0] + 1j)))[..., None, None]
 
     return ClosedHoloForm(1, coeff, 1j, -1j, HALF_PLANE_BALLS)
 
@@ -233,7 +239,7 @@ class TestBatchedCells:
         monkeypatch.setattr(potential_builder, "_integrand",
                             lambda form, dz, dw, S, T: passes.append(S.shape) or real(form, dz, dw, S, T))
         form = sum_pole_form(1 + 0.1j, 1 + 0j)
-        form = dataclasses.replace(form, coeff=lambda Z, W, c=form.coeff: seen.append(Z.shape[0]) or c(Z, W))
+        form = dataclasses.replace(form, coeff=lambda Z, W, c=form.coeff: seen.append(nodes(Z, W)) or c(Z, W))
         W = np.array([-0.5, -1.0, -2.0, -1.5, -0.2, -0.8, -1.2, -1.9]) + 0j
         res = cone_potentials(form, np.full(W.size, 2 + 0.1j), W)
         assert res.cells.max() > 1 and set(res.orders.tolist()) == {FIRST_ORDER, MAX_ORDER}
@@ -258,13 +264,26 @@ class TestBatchedCells:
         with pytest.raises(QuadratureError, match="after 0 subdivisions"):
             cone_potentials(oscillating_form(), [1j + 1.5], [-1j - 1.5])
 
+    def test_a_pass_hands_coeff_broadcasting_node_blocks(self, monkeypatch):
+        # z nodes vary along axis 1 and w nodes along axis 2: no node is repeated
+        shapes, passes = [], []
+        real = potential_builder._integrand
+        monkeypatch.setattr(potential_builder, "_integrand",
+                            lambda form, dz, dw, S, T: passes.append(S.shape) or real(form, dz, dw, S, T))
+        for dim, form in ((1, pole_form()), (2, synthetic_form_n2())):
+            spied = dataclasses.replace(
+                form, coeff=lambda Z, W, c=form.coeff: shapes.append((Z.shape, W.shape)) or c(Z, W))
+            shapes.clear(), passes.clear()
+            cone_potentials(spied, np.full((3, dim), 0.3 + 0.2j), np.full((3, dim), 0.2 - 0.3j))
+            assert passes and shapes == [((cells, n, 1, dim), (cells, 1, n, dim)) for cells, n in passes]
+
     def test_split_build_runs_its_targets_in_full_passes_of_the_first_order(self, monkeypatch):
         # the split recipe's h is one 264-target call, every cell accepted at the first order
         import holodet.extension as extension
 
         form, seen, orders = extension.genus1_pole_form(), [], []
         spied = dataclasses.replace(
-            form, coeff=lambda Z, W: seen.append(Z.shape[0]) or form.coeff(Z, W))
+            form, coeff=lambda Z, W: seen.append(nodes(Z, W)) or form.coeff(Z, W))
         monkeypatch.setattr(extension, "genus1_pole_form", lambda: spied)
         real = potential_builder._integrand
         monkeypatch.setattr(potential_builder, "_integrand",
@@ -296,6 +315,15 @@ class TestBatchedCells:
         exact = (cmath.exp(1j * A * dz) - 1) * (cmath.exp(1j * A * dz) - 1) / (A * A)
         # the oscillation cancels |q| down to 3e-5 of the |integrand| mass: absolute bounds
         assert abs(res.values[0] - exact) <= min(1e-12, res.errors[0])
+
+    @pytest.mark.parametrize("n", [FIRST_ORDER, MAX_ORDER])
+    def test_cell_sums_do_not_depend_on_the_pass_mates(self, n):
+        # every reduction is a product per cell, bit for bit the same in any pass
+        rng = np.random.default_rng(n)
+        F = rng.standard_normal((7, n, n)) + 1j * rng.standard_normal((7, n, n))
+        alone = [_cell_sums(F[c:c + 1].copy(), *_legendre_rows(n)) for c in range(7)]
+        for got, parts in zip(_cell_sums(F, *_legendre_rows(n)), zip(*alone)):
+            np.testing.assert_array_equal(got, np.concatenate(parts))
 
     @pytest.mark.parametrize("n", [5, 16, 20, 33, 64, 100])
     def test_orders_never_exceed_the_cap(self, n, monkeypatch):
@@ -348,7 +376,7 @@ class TestBatchedCells:
         S = np.tile(xs, (len(PAIRS), 1))
         F = _integrand(pole_form(), (Z - 1j)[:, None], (W + 1j)[:, None], S, S)
         value = (F * np.outer(ws, ws)).sum(axis=(1, 2))
-        tail = _coefficient_tail(_line_masses(F, ws, *_legendre_rows(n)), n)
+        tail = _coefficient_tail(_cell_sums(F, *_legendre_rows(n))[2], n)
         assert np.all(np.abs(value - exact) <= tail + 1e-14)
         res = cone_potentials(pole_form(), Z, W)
         assert np.all(np.abs(res.values - exact) <= 1e-12)
@@ -466,7 +494,7 @@ class TestMixedDerivative:
         for amplitude in (0.8, 1e-9):
             def corrupted(Z, W):
                 out = inner(Z, W)
-                out[:, 0, 1] += amplitude * Z[:, 1]
+                out[..., 0, 1] += amplitude * Z[..., 1]
                 return out
 
             form = ClosedHoloForm(2, corrupted, [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
@@ -523,11 +551,10 @@ class TestClosedAndHolomorphic:
     def test_exponential_diagonal_fails_closedness(self):
         # Omega_ij = delta_ij exp(z.w): d_{z^1} Omega_22 = w^1 e^{z.w} != 0 = d_{z^2} Omega_12
         def coeff(Z, W):
-            M = Z.shape[0]
-            out = np.zeros((M, 2, 2), complex)
-            e = np.exp(np.sum(Z * W, axis=1))
-            out[:, 0, 0] = e
-            out[:, 1, 1] = e
+            e = np.exp(np.sum(Z * W, axis=-1))
+            out = np.zeros(e.shape + (2, 2), complex)
+            out[..., 0, 0] = e
+            out[..., 1, 1] = e
             return out
 
         dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
@@ -553,7 +580,7 @@ class TestClosedAndHolomorphic:
         inner = g.mixed_coefficient_evaluator()
 
         def coeff(Z, W):
-            calls.append(len(Z))
+            calls.append(nodes(Z, W))
             return inner(Z, W)
 
         dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
@@ -627,6 +654,49 @@ class TestSharedMechanisms:
         calls.clear()
         work()
         assert calls == []
+
+
+def synthetic_form_n2():
+    g = PolyMap(2, {((2, 0), (3, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
+    dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+    return ClosedHoloForm(2, g.mixed_coefficient_evaluator(), [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
+
+
+def node_blocks(rng, dim, cells=3, n=5):
+    """A z block (cells, n, 1, dim), a w block (cells, 1, n, dim), and both repeated to stacked points."""
+    Z = rng.uniform(-1, 1, (cells, n, 1, dim)) + 1j * rng.uniform(-1, 1, (cells, n, 1, dim))
+    W = rng.uniform(-1, 1, (cells, 1, n, dim)) + 1j * rng.uniform(-1, 1, (cells, 1, n, dim))
+    stacked = [np.repeat(P, n, axis=a).reshape(-1, dim) for P, a in ((Z, 2), (W, 1))]
+    return Z, W, stacked
+
+
+class TestBroadcastBlocks:
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 3), degree=st.integers(0, 5), n_terms=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_polymap_gives_the_stacked_bits(self, dim, degree, n_terms, seed):
+        rng = np.random.default_rng(seed)
+        g = random_polymap(dim, degree, n_terms, rng)
+        Z, W, (Zs, Ws) = node_blocks(rng, dim)
+        for evaluator in (g, g.mixed_coefficient_evaluator()):
+            got = evaluator(Z, W)
+            assert got.shape == (3, 5, 5) + evaluator.shape
+            np.testing.assert_array_equal(got.reshape((-1,) + evaluator.shape), evaluator(Zs, Ws))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_pole_power_gives_the_stacked_bits(self, k):
+        from holodet.catalog import FormCatalogEntry
+
+        entry = FormCatalogEntry("p", "pole_power", 1, (1j,), (-1j,), coefficient=0.3 - 1.1j,
+                                 exponent=k, domain_z_center=(0j,), domain_z_radius=10.0,
+                                 domain_w_center=(0j,), domain_w_radius=10.0)
+        coeff = entry.build().coeff
+        Z, W, (Zs, Ws) = node_blocks(np.random.default_rng(k), 1)
+        got = coeff(Z + 2j, W - 2j)
+        assert got.shape == (3, 5, 5, 1, 1)
+        np.testing.assert_array_equal(got.reshape(-1, 1, 1), coeff(Zs + 2j, Ws - 2j))
+        # a single point is still one (1, 1, 1) block
+        assert coeff([2j], [-2j]).shape == coeff(2j, -2j).shape == (1, 1, 1)
 
 
 def mixed_second_reference(g: PolyMap, z, w):

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,45 +59,38 @@ F_MODES = ("zero", "eta", "eta2", "split")
 
 @dataclass(frozen=True, eq=False)
 class ProductPoint:
-    """A point (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w).
+    """Points (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w).
 
-    z and w are complex numbers or, when either is an ndarray, complex
-    arrays of one shape holding a point of H x Hbar at each index; the
-    DomainError names the first point off it.
+    z and w are complex arrays of one shape S holding a point of H x Hbar at
+    each index; a single point is a 0-d array.  The DomainError names the
+    first point off H x Hbar.
     """
 
-    z: complex
-    w: complex
+    z: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        z, w = self.z, self.w
-        if not isinstance(z, np.ndarray) and not isinstance(w, np.ndarray):
-            z, w = complex(z), complex(w)
-            _require_product_point(z, w)
-        else:
-            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-            if z.shape != w.shape:
-                raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
-            bad = ~(np.isfinite(z) & np.isfinite(w) & (z.imag > 0.0) & (w.imag < 0.0))
-            if bad.any():
-                i = np.argmax(bad.ravel())
-                _require_product_point(complex(z.ravel()[i]), complex(w.ravel()[i]))
+        z, w = np.asarray(self.z, dtype=complex), np.asarray(self.w, dtype=complex)
+        if z.shape != w.shape:
+            raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
+        finite = np.isfinite(z) & np.isfinite(w)
+        bad = ~(finite & (z.imag > 0.0) & (w.imag < 0.0))
+        if bad.any():
+            i = np.argmax(bad.ravel())
+            zi, wi = complex(z.ravel()[i]), complex(w.ravel()[i])
+            if not finite.ravel()[i]:
+                raise DomainError(f"z and w must be finite, got {zi!r}, {wi!r}")
+            if not zi.imag > 0.0:
+                raise DomainError(f"Im(z) must be positive, got {zi!r}")
+            raise DomainError(f"Im(w) must be negative, got {wi!r}")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 
     @classmethod
-    def diagonal(cls, z: complex) -> "ProductPoint":
-        z = complex(z)
-        return cls(z, z.conjugate())
-
-
-def _require_product_point(z: complex, w: complex) -> None:
-    if not (cmath.isfinite(z) and cmath.isfinite(w)):
-        raise DomainError(f"z and w must be finite, got {z!r}, {w!r}")
-    if not z.imag > 0.0:
-        raise DomainError(f"Im(z) must be positive, got {z!r}")
-    if not w.imag < 0.0:
-        raise DomainError(f"Im(w) must be negative, got {w!r}")
+    def diagonal(cls, z) -> "ProductPoint":
+        """The points (z, zbar) of the diagonal, for a point or an array z."""
+        z = np.asarray(z, dtype=complex)
+        return cls(z, z.conj())
 
 
 def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> Callable:
@@ -141,7 +133,8 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     shifted so that Im f(c) = 0.  With tol = 1e-8 max(1, max|h|) over the first call, N doubles
     (one more call of h, at the midpoints) while the top 16 |H_n| sum above tol, and past
     SPLIT_MAX_SAMPLES the build raises BudgetError; |h - 2 Re f| > tol at the 8 inner points
-    raises NotPluriharmonicError.  f takes a point or an array; outside the closed disc, DomainError.
+    raises NotPluriharmonicError.  f takes an array of points, a point being a 0-d array, and
+    sums the series from one power table of phi/rho; outside the closed disc, DomainError.
     A call of h that returns no finite real array of its points' shape raises DomainError at once.
     """
     c, r = complex(center), float(radius)
@@ -182,34 +175,27 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
         samples = np.stack([samples, mid], axis=1).ravel()
         n *= 2
     coeffs[0] *= 0.5
-    terms = coeffs[::-1].tolist()  # highest first, as Python complex numbers
 
     def series(z):
-        # Horner: in Python complex arithmetic at a point, in numpy on an array
+        # sum_k coeffs[k] (phi/rho)^k from one power table, np.cumprod of phi/rho
         p = (z - a) / (z - a.conjugate()) / rho
-        value = terms[0]
-        for term in terms[1:]:
-            value = value * p + term
-        return value
+        powers = np.cumprod(np.broadcast_to(p[..., None], np.shape(p) + (len(coeffs) - 1,)), axis=-1)
+        return coeffs[0] + powers @ coeffs[1:]
 
-    # Horner at c and at each inner point as a point: the shift leaves every real part as it is
-    at = [series(p) for p in (c, *inner.tolist())]
-    terms[-1] -= 1j * at[0].imag
+    # the shift leaves every real part as it is
+    at = series(np.concatenate([[c], inner]))
+    coeffs[0] -= 1j * at[0].imag
 
     reach = r * (1 + 1e-12)
 
     def f(z):
-        if isinstance(z, numbers.Number):  # a point builds no array
-            z = complex(z)
-            outside = () if abs(z - c) <= reach else (z,)
-        else:
-            z = np.asarray(z, dtype=complex)
-            outside = z[~(np.abs(z - c) <= reach)]
+        z = np.asarray(z, dtype=complex)
+        outside = z[~(np.abs(z - c) <= reach)]
         if len(outside):
             raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
         return series(z)
 
-    res = max(abs(v - 2.0 * q.real) for v, q in zip(h_inner.tolist(), at[1:]))
+    res = float(np.max(np.abs(h_inner - 2.0 * at[1:].real)))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
     return f
@@ -217,13 +203,14 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
 
 @dataclass(frozen=True, eq=False)
 class ExtensionRecipe:
-    """Ingredients of an assembled holomorphic extension.
+    """Ingredients of an assembled holomorphic extension, each a function of arrays of points.
 
-    ``q_tilde``: symmetrized potential evaluator on the product domain;
-    ``period_map``: holomorphic map to symmetric g x g matrices in Siegel
-    space, its size g being the genus; ``f``: holomorphic function of the
-    first block; ``genus_constant``: the prefactor of q_tilde (an input,
-    never computed here).
+    ``q_tilde``: symmetrized potential evaluator on the product domain, (z, w)
+    of shape S to values of shape S; ``period_map``: holomorphic map to
+    symmetric g x g matrices in Siegel space, points of shape S to matrices
+    of shape S + (g, g), g being the genus; ``f``: holomorphic function of
+    the first block, points of shape S to values of shape S (or a constant);
+    ``genus_constant``: the prefactor of q_tilde (an input, never computed here).
     """
 
     q_tilde: Callable
@@ -232,33 +219,49 @@ class ExtensionRecipe:
     genus_constant: float
 
 
-def _log_det_term(recipe: ExtensionRecipe, z, wbar) -> complex:
-    """log det M = sum_k Log mu_k over the eigenvalues mu_k of M = (tau(z) - conj(tau(wbar)))/2i."""
-    tau_z = np.atleast_2d(np.asarray(recipe.period_map(z), dtype=complex))
-    tau_w = np.atleast_2d(np.asarray(recipe.period_map(wbar), dtype=complex))
-    for name, tau in (("tau(z)", tau_z), ("tau(wbar)", tau_w)):
-        sym = float(np.max(np.abs(tau - tau.T)))
-        if sym > 1e-12 * (1.0 + float(np.max(np.abs(tau)))):
-            raise DomainError(f"{name} is not symmetric: residual {sym:.3e}")
-    mat = (tau_z - np.conj(tau_w)) / 2j
-    if not np.linalg.eigvalsh(mat.real)[0] > 0.0:
-        raise DomainError("Re of the period-matrix difference is not positive definite; "
-                          "outside Siegel space")
+def _first(bad: np.ndarray, point: ProductPoint) -> str:
+    """The point (z, w) at the first index where ``bad`` holds."""
+    i = np.argmax(bad.ravel())
+    return f"({complex(point.z.ravel()[i])!r}, {complex(point.w.ravel()[i])!r})"
+
+
+def _log_det_term(taus, point: ProductPoint) -> np.ndarray:
+    """log det M = sum_k Log mu_k over the eigenvalues mu_k of M = (tau(z) - conj(tau(wbar)))/2i.
+
+    ``taus`` stacks tau(z) and tau(wbar) at every point; each test runs over
+    the whole stack and its DomainError names the first point that fails it.
+    """
+    taus, shape = np.asarray(taus, dtype=complex), (2, *point.z.shape)
+    if taus.shape[:-2] != shape or taus.shape[-1] != taus.shape[-2]:
+        raise DomainError(f"period_map must map points of shape {shape} to square "
+                          f"matrices on two more axes, got shape {taus.shape}")
+    sym = np.max(np.abs(taus - np.swapaxes(taus, -1, -2)), axis=(-2, -1))
+    asym = sym > 1e-12 * (1.0 + np.max(np.abs(taus), axis=(-2, -1)))
+    for name, bad, res in zip(("tau(z)", "tau(wbar)"), asym, sym):
+        if bad.any():
+            raise DomainError(f"{name} at {_first(bad, point)} is not symmetric: "
+                              f"residual {res[bad][0]:.3e}")
+    mat = (taus[0] - np.conj(taus[1])) / 2j
+    outside = ~(np.linalg.eigvalsh(mat.real)[..., 0] > 0.0)
+    if outside.any():
+        raise DomainError(f"Re of the period-matrix difference at {_first(outside, point)} "
+                          "is not positive definite; outside Siegel space")
     # Re M positive definite puts every eigenvalue in Re mu > 0: M is invertible
-    logs = [cmath.log(m) for m in np.linalg.eigvals(mat)]
-    return sum(logs[1:], logs[0])  # in genus 1 exactly Log M_00
+    return np.log(np.linalg.eigvals(mat)).sum(axis=-1)  # in genus 1 exactly Log M_00
 
 
 def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint):
-    """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar))."""
-    if isinstance(point.z, np.ndarray):  # an array point, one point at a time
-        return np.reshape([assemble_extension(recipe, ProductPoint(z, w))
-                           for z, w in zip(point.z.flat, point.w.flat)], point.z.shape)
-    z, w, wbar = point.z, point.w, point.w.conjugate()
+    """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar)) at every point.
+
+    One call each of the period map and f, on the stack [z, wbar], and one of
+    q~ (none when C = 0); values have the points' shape.
+    """
+    z, w = point.z, point.w
+    stack = np.stack([z, np.conj(w)])
+    log_det = _log_det_term(recipe.period_map(stack), point)
+    f_z, f_wbar = np.broadcast_to(recipe.f(stack), stack.shape)
     value = recipe.genus_constant * recipe.q_tilde(z, w) if recipe.genus_constant != 0 else 0.0
-    value = value + _log_det_term(recipe, z, wbar)
-    value = value + recipe.f(z) + np.conj(recipe.f(wbar))
-    return complex(value)
+    return value + log_det + f_z + np.conj(f_wbar)
 
 
 def genus1_extension(point: ProductPoint):
@@ -267,24 +270,16 @@ def genus1_extension(point: ProductPoint):
     ``ProductPoint`` keeps Im z > 0 > Im w, so -pi*i*(z - w) has positive real
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
-    A point takes Python complex arithmetic alone; at an array point the
-    values come from one ``log_eta`` call on z and wbar.
+    The values at every point come from one ``log_eta`` call on z and wbar;
+    BudgetError names the first point where the value overflows.
     """
     z, w = point.z, point.w
-    if not isinstance(z, np.ndarray):
-        value = (0.5 * cmath.log(-1j * math.pi * (z - w)) + log_eta(z)
-                 + log_eta(w.conjugate()).conjugate())
-        if not cmath.isfinite(value):
-            raise BudgetError(f"genus1_extension at ({z!r}, {w!r}) overflows")
-        return value
     eta_z, eta_wbar = log_eta(np.stack([z, np.conj(w)]))
     with np.errstate(all="ignore"):
         value = 0.5 * np.log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
     bad = ~np.isfinite(value)
     if bad.any():
-        i = np.argmax(bad)
-        raise BudgetError(f"genus1_extension at ({complex(np.ravel(z)[i])!r}, "
-                          f"{complex(np.ravel(w)[i])!r}) overflows")
+        raise BudgetError(f"genus1_extension at {_first(bad, point)} overflows")
     return value
 
 
@@ -313,15 +308,15 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
         raise DomainError(f"unknown f_mode {f_mode!r}; known: {', '.join(F_MODES)}")
     form = genus1_pole_form()
     q_tilde = symmetrized_evaluator(lambda Z, W: cone_potentials(form, Z, W).values)
-    period = lambda z: np.array([[z]], dtype=complex)
+    period = lambda z: z[..., None, None]
 
     if f_mode == "zero":
         f = lambda z: 0.0 + 0.0j
     elif f_mode == "eta":
         f = lambda z: (0.25 * math.log(TWO_PI) + 0.5 * math.log(2.0)
-                       + log_eta(z) - 0.5 * cmath.log(z + 1j))
+                       + log_eta(z) - 0.5 * np.log(z + 1j))
     elif f_mode == "eta2":
-        f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + cmath.log(z + 1j)
+        f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + np.log(z + 1j)
     else:  # split
         def h(Z: np.ndarray) -> np.ndarray:
             # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone

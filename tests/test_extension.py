@@ -1,4 +1,6 @@
+import ast
 import cmath
+import dataclasses
 import math
 import re
 
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holodet import extension
 from holodet.errors import BudgetError, DomainError, NotPluriharmonicError
 from holodet.extension import (
+    F_MODES,
     ExtensionRecipe,
     ProductPoint,
     assemble_extension,
@@ -31,6 +35,12 @@ from holodet.verify import (
 from holodet.wirtinger import contour
 
 HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def _matrices(z, rows):
+    """The matrix with these entries at every point of z: shape z.shape + (g, g)."""
+    entries = [[np.broadcast_to(entry, z.shape) for entry in row] for row in rows]
+    return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
 
 
 class TestProductPoint:
@@ -129,13 +139,13 @@ class TestPluriharmonicSplit:
         assert np.abs(contour(f, np.array([1j + 0.3, 1j - 0.2 + 0.4j])).modes[-1]).max() < 1e-11
 
     def test_a_point_and_an_array_agree(self):
-        # a point runs the series in Python complex arithmetic, an array in numpy
+        # a point is a 0-d array: it takes the array's power table and gives a 0-d value
         f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
         zs = 1j + 0.9 * np.linspace(0.0, 1.0, 13) * np.exp(1j * np.linspace(0.0, 6.0, 13))
         values = f(zs)
         for z, value in zip(zs, values):
             point = f(complex(z))
-            assert type(point) is complex
+            assert np.ndim(point) == 0
             assert abs(point - value) <= 1e-14
 
     def test_h_samples_per_evaluation(self):
@@ -257,13 +267,13 @@ class TestPluriharmonicSplit:
 
 class TestAssembleExtension:
     def test_identity_period_map_at_conjugate_pair(self):
-        rec = ExtensionRecipe(q_tilde=lambda z, w: 0.0, period_map=lambda z: [[z]],
+        rec = ExtensionRecipe(q_tilde=lambda z, w: 0.0, period_map=lambda z: z[..., None, None],
                               f=lambda z: 0.0, genus_constant=0.0)
         # matrix term log((i - (-i))/2i) = log 1 = 0
         assert abs(assemble_extension(rec, ProductPoint(1j, -1j))) < 1e-15
 
     def test_reduces_to_log_matrix_term(self):
-        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: [[z]], lambda z: 0.0, 0.0)
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: z[..., None, None], lambda z: 0.0, 0.0)
         p = ProductPoint(0.7 + 1.3j, -0.2 - 0.6j)
         expected = cmath.log((p.z - p.w) / 2j)
         assert abs(assemble_extension(rec, p) - expected) < 1e-15
@@ -303,7 +313,7 @@ class TestAssembleExtension:
 
     def test_rejects_asymmetric_period_map(self):
         rec = ExtensionRecipe(lambda z, w: 0.0,
-                              lambda z: np.array([[z, 1.0], [0.0, z]]),
+                              lambda z: _matrices(z, [[z, 1.0], [0.0, z]]),
                               lambda z: 0.0, 0.0)
         with pytest.raises(DomainError):
             assemble_extension(rec, ProductPoint(1j, -1j))
@@ -311,20 +321,21 @@ class TestAssembleExtension:
     def test_rejects_singular_matrix(self):
         # tau_22 constant and real makes the second diagonal entry vanish
         rec = ExtensionRecipe(lambda z, w: 0.0,
-                              lambda z: np.array([[z, 0.0], [0.0, 3.0]]),
+                              lambda z: _matrices(z, [[z, 0.0], [0.0, 3.0]]),
                               lambda z: 0.0, 0.0)
         with pytest.raises(DomainError, match="Siegel"):
             assemble_extension(rec, ProductPoint(1j, -1j))
 
     def test_small_period_matrix_difference_is_accepted(self):
         # tau(z) = 1e-4 z I_3 at (i, -i): M = 1e-4 I_3, det M = 1e-12 and log det M = 3 log 1e-4
-        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: 1e-4 * z * np.eye(3), lambda z: 0.0, 0.0)
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: 1e-4 * z[..., None, None] * np.eye(3),
+                              lambda z: 0.0, 0.0)
         assert assemble_extension(rec, ProductPoint(1j, -1j)) == pytest.approx(3 * math.log(1e-4),
                                                                                rel=1e-14)
 
     def test_synthetic_genus2_holomorphy(self):
         rec = ExtensionRecipe(lambda z, w: 0.0,
-                              lambda z: np.array([[2 * z, 0.3 * z], [0.3 * z, 3 * z + 1j]]),
+                              lambda z: _matrices(z, [[2 * z, 0.3 * z], [0.3 * z, 3 * z + 1j]]),
                               lambda z: 0.1 * z * z, 0.0)
         p = ProductPoint(0.5 + 1.4j, -0.6 - 1.1j)
         fz = lambda a: assemble_extension(rec, ProductPoint(a, np.full(a.shape, p.w)))
@@ -341,7 +352,7 @@ def genus3_recipe():
     # tau(z) = z I + 0.01 J (J all ones): at wbar = i, M = (z + i)/2i I, and
     # along z = -x + i, arg det M = 3 arctan(x/2) passes pi at x = 2 sqrt(3)
     return ExtensionRecipe(lambda z, w: 0.0,
-                           lambda z: z * np.eye(3) + 0.01 * np.ones((3, 3)),
+                           lambda z: z[..., None, None] * np.eye(3) + 0.01 * np.ones((3, 3)),
                            lambda z: 0.0, 0.0)
 
 
@@ -365,7 +376,7 @@ class TestPeriodTerm:
 
     def test_genus_is_the_size_of_tau(self):
         # no genus argument: both blocks of diag(z, 2z) enter the term
-        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: np.diag([z, 2 * z]),
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: _matrices(z, [[z, 0.0], [0.0, 2 * z]]),
                               lambda z: 0.0, 0.0)
         p = ProductPoint(0.3 + 1j, -0.2 - 1.5j)
         expected = cmath.log((p.z - p.w) / 2j) + cmath.log((p.z - p.w) / 1j)
@@ -374,9 +385,15 @@ class TestPeriodTerm:
     def test_indefinite_real_part_is_a_domain_error(self):
         # Re M = diag(1, -1) at (i, -i): det M = -1 is invertible, but M is
         # outside Siegel space
-        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: np.diag([z, -z]),
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: _matrices(z, [[z, 0.0], [0.0, -z]]),
                               lambda z: 0.0, 0.0)
         with pytest.raises(DomainError, match="positive definite"):
+            assemble_extension(rec, ProductPoint(1j, -1j))
+
+    def test_a_period_map_of_one_point_is_a_domain_error(self):
+        # tau maps points of shape S to S + (g, g); [[z]] puts the points' axes last
+        rec = ExtensionRecipe(lambda z, w: 0.0, lambda z: [[z]], lambda z: 0.0, 0.0)
+        with pytest.raises(DomainError, match=re.escape("shape (2,) to square matrices")):
             assemble_extension(rec, ProductPoint(1j, -1j))
 
     def test_unknown_f_mode_is_a_domain_error(self):
@@ -398,8 +415,7 @@ class TestRecipeUniqueness:
         from holodet.polarization import uniqueness_residual
 
         rec = genus1_recipe(-0.5, f_mode="eta")
-        # assemble_extension takes one point: f1 runs it point by point
-        f1 = np.vectorize(lambda z, w: assemble_extension(rec, ProductPoint(z, w)), otypes=[complex])
+        f1 = lambda z, w: assemble_extension(rec, ProductPoint(z, w))
         f2 = lambda z, w: genus1_extension(ProductPoint(z, w))
         center, radius = 1.4j, 0.25
         assert uniqueness_residual(f1, f2, center, radius, degree=6) < 1e-8
@@ -456,17 +472,14 @@ class TestGenus1Extension:
                                          + 2 * log_eta(1j).real, rel=1e-14)
         assert val.imag == pytest.approx(math.pi * 1e307 / 12 - math.pi / 4, rel=1e-14)
 
-    def test_a_point_takes_python_complex_arithmetic_alone(self, monkeypatch):
-        # no numpy error state is entered at a point, and its overflow is still typed
-        def refuse(**kw):
-            raise AssertionError("np.errstate entered at a point")
-
-        monkeypatch.setattr(np, "errstate", refuse)
+    def test_a_point_is_a_0d_array_point(self):
+        # a point takes the array path: its value is the array's at that index, and its
+        # overflow is typed and named as an array's
         p = ProductPoint(0.7 + 1.9j, -1.1 - 0.4j)
+        assert p.z.shape == p.w.shape == ()
         value = genus1_extension(p)
-        assert type(value) is complex
-        assert value == 0.5 * cmath.log(-1j * math.pi * (p.z - p.w)) + log_eta(p.z) \
-            + log_eta(p.w.conjugate()).conjugate()
+        assert np.ndim(value) == 0
+        assert value == genus1_extension(ProductPoint(p.z[None], p.w[None]))[0]
         with pytest.raises(BudgetError, match=re.escape("at ((1e+308+1j), (-0-1j)) overflows")):
             genus1_extension(ProductPoint(1e308 + 1j, -1j))
 
@@ -501,10 +514,45 @@ class TestBatchedPoints:
         with pytest.raises(BudgetError, match=re.escape("((1e+308+1j), (-0-1j)) overflows")):
             genus1_extension(ProductPoint(np.array([1j, 1e308 + 1j]), np.array([-1j, -1j])))
 
+    @pytest.mark.parametrize("f_mode", F_MODES)
+    def test_an_array_point_is_assembled_in_one_call_of_each_ingredient(self, f_mode):
+        rec = genus1_recipe(1.0 if f_mode == "eta2" else -0.5, f_mode)
+        calls = []
+
+        def counted(name, func):
+            return lambda *args: calls.append(name) or func(*args)
+
+        batched = dataclasses.replace(rec, **{name: counted(name, getattr(rec, name))
+                                              for name in ("q_tilde", "period_map", "f")})
+        rng = np.random.default_rng(7)
+        z = rng.uniform(-0.5, 0.5, (6, 10)) + 1j * rng.uniform(0.6, 2.5, (6, 10))
+        w = rng.uniform(-0.5, 0.5, (6, 10)) - 1j * rng.uniform(0.6, 2.5, (6, 10))
+        values = assemble_extension(batched, ProductPoint(z, w))
+        assert sorted(calls) == ["f", "period_map", "q_tilde"]
+        assert values.shape == (6, 10)
+        ref = [assemble_extension(rec, ProductPoint(zi, wi)) for zi, wi in zip(z.flat, w.flat)]
+        assert np.max(np.abs(values.ravel() - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("sign, message", [
+        (1, "tau(z) at ((1.5+1j), (1.5-2j)) is not symmetric"),
+        (-1, "at ((1.5+1j), (1.5-2j)) is not positive definite"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_a_bad_period_matrix_names_its_point(self, sign, message):
+        # Re z > 1 moves tau out of Siegel space: asymmetric with sign 1, indefinite with -1
+        def period_map(z):
+            moved = z.real > 1.0
+            return _matrices(z, [[z, np.where(moved & (sign > 0), 1.0, 0.0)],
+                                 [0.0, np.where(moved & (sign < 0), -z, z)]])
+
+        rec = ExtensionRecipe(lambda z, w: 0.0, period_map, lambda z: 0.0, 0.0)
+        z = np.array([1j, 1.5 + 1j, 0.5 + 2j, 2.5 + 1j])
+        w = np.array([-1j, 1.5 - 2j, 0.5 - 1j, 2.5 - 1j])
+        with pytest.raises(DomainError, match=re.escape(message)):
+            assemble_extension(rec, ProductPoint(z, w))
+        assert np.all(np.isfinite(assemble_extension(rec, ProductPoint(z[::2], w[::2]))))
+
     def test_split_h_makes_one_closed_form_call(self, monkeypatch):
         # h used to call closed_form_log_det once per point, 264 times per build
-        import holodet.extension as extension
-
         calls = {"h": 0, "closed_form_log_det": 0}
 
         def counted(name, func):
@@ -521,6 +569,28 @@ class TestBatchedPoints:
         genus1_recipe(-0.5, f_mode="split")
         assert calls["h"] >= 1
         assert calls["closed_form_log_det"] == calls["h"]
+
+
+def _scalar_branches(tree) -> list[str]:
+    """Each isinstance test on an ndarray and each import of ``numbers`` in a module."""
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            if len(node.args) == 2 and "ndarray" in ast.unparse(node.args[1]):
+                sites.append(ast.unparse(node))
+        elif isinstance(node, ast.Import):
+            sites += [f"import {a.name}" for a in node.names if a.name == "numbers"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            sites.append("from numbers import")
+    return sites
+
+
+def test_extension_has_one_array_path():
+    # a point of H x Hbar is a 0-d array, so no function of extension.py keeps a scalar twin
+    with open(extension.__file__, encoding="utf-8") as fh:
+        assert _scalar_branches(ast.parse(fh.read())) == []
+    twin = "import numbers\nif not isinstance(z, np.ndarray):\n    pass\n"
+    assert sorted(_scalar_branches(ast.parse(twin))) == ["import numbers", "isinstance(z, np.ndarray)"]
 
 
 def _residual(point, word, evaluate=genus1_extension):

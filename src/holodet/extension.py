@@ -32,7 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,8 +48,16 @@ from .torus_spectral import closed_form_log_det
 
 TWO_PI = 2.0 * math.pi
 
-#: Boundary samples of h per Schwarz split; f keeps the first N/2 coefficients.
+#: Boundary samples of a part of h whose tail is above rounding at the probe;
+#: f keeps the first N/2 coefficients of each part.
 SPLIT_SAMPLES = 256
+#: The probe's boundary samples, SPLIT_SAMPLES/4: the least N whose top 16
+#: coefficients (modes 16-31) do not overlap the 16 lowest.
+SPLIT_PROBE_SAMPLES = SPLIT_SAMPLES // 4
+#: A part stops at the probe when its top 16 coefficients sum within this times
+#: eps max|part|.  At the probe the genus-1 cone part sums 2.3, the closed-form
+#: part and the verify-all splits 2.5e12 or more.
+SPLIT_ROUNDING = 64
 #: N doubles from SPLIT_SAMPLES while the tail certificate fails, up to this.
 SPLIT_MAX_SAMPLES = 4096
 
@@ -120,23 +128,34 @@ def genus1_pole_form() -> ClosedHoloForm:
     return builtin_catalog()["wp_genus1"].build()
 
 
-def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
+def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], center: complex,
                         radius: float) -> Callable:
     """Holomorphic f with h = 2 Re f on the disc D = D(c, r) in H: the Schwarz formula.
 
-    ``h`` is batched: given an array of points it returns their real values.
-    The Cayley coordinate phi(z) = (z - a)/(z - conj(a)), with
-    a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  h is sampled
-    at N = SPLIT_SAMPLES points of the boundary equally spaced in phi and at
-    8 points of |phi| = rho/2, in one call; H = rfft(samples)/N gives
-    f = H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal rule),
-    shifted so that Im f(c) = 0.  With tol = 1e-8 max(1, max|h|) over the first call, N doubles
-    (one more call of h, at the midpoints) while the top 16 |H_n| sum above tol, and past
-    SPLIT_MAX_SAMPLES the build raises BudgetError; |h - 2 Re f| > tol at the 8 inner points
-    raises NotPluriharmonicError.  f takes an array of points, a point being a 0-d array, and
-    sums the series from one power table of phi/rho; outside the closed disc, DomainError.
-    A call of h that returns no finite real array of its points' shape raises DomainError at once.
+    ``parts`` is a non-empty sequence of batched real functions whose sum is
+    h (a single h is a 1-tuple): each maps an array of points to their real
+    values.  The Cayley coordinate phi(z) = (z - a)/(z - conj(a)), with
+    a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  N samples of a
+    part on the boundary, equally spaced in phi, give H = rfft(samples)/N and
+    the series H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal
+    rule); the split is linear, so f is the sum of the parts' series, shifted
+    so that Im f(c) = 0.  Each part is called first at the probe:
+    SPLIT_PROBE_SAMPLES boundary points and 8 points of |phi| = rho/2.  With
+    tol = 1e-8 max(1, max|h|) over the summed probe values, a part whose top
+    16 |H_n| sum within SPLIT_ROUNDING eps max|part| and tol/len(parts) stops
+    there; any other is called once more at the rest of the SPLIT_SAMPLES
+    circle, then N doubles (one more call, at the midpoints) while its top 16
+    |H_n| sum above tol/len(parts), and past SPLIT_MAX_SAMPLES the build raises
+    BudgetError.  |h - 2 Re f| > tol at the 8 inner points raises
+    NotPluriharmonicError, so only the sum need be pluriharmonic.  f takes an
+    array of points, a point being a 0-d array, and sums the series from one
+    power table of phi/rho; outside the closed disc, DomainError.  No parts, or
+    a call of a part that returns no finite real array of its points' shape,
+    raises DomainError at once.
     """
+    parts = tuple(parts)
+    if not parts:
+        raise DomainError("pluriharmonic_split needs at least one part of h")
     c, r = complex(center), float(radius)
     if not (cmath.isfinite(c) and 0.0 < r < c.imag):
         raise DomainError(f"split disc D({c!r}, {r!r}) must be a disc in the upper half plane")
@@ -149,7 +168,7 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
     def circle(n, offset=0.0):
         return rho * np.exp(TWO_PI * 1j * (np.arange(n) + offset) / n)
 
-    def sample(z):
+    def sample(h, z):
         values = np.asarray(h(z))
         if values.shape != z.shape or values.dtype.kind not in "biuf":
             raise DomainError(f"h must return {z.size} real values, got {values.dtype} {values.shape}")
@@ -158,22 +177,40 @@ def pluriharmonic_split(h: Callable[[np.ndarray], np.ndarray], center: complex,
             raise DomainError(f"h({complex(z[i])!r}) = {float(values[i])!r} is not finite")
         return values.astype(float, copy=False)
 
-    n = SPLIT_SAMPLES
+    def resolve(samples):
+        # the series' coefficients from N boundary samples, and the sum of the top 16
+        coeffs = np.fft.rfft(samples)[: len(samples) // 2] / len(samples)
+        return coeffs, float(np.sum(np.abs(coeffs[-16:])))
+
+    boundary = from_phi(circle(SPLIT_SAMPLES))
+    step = SPLIT_SAMPLES // SPLIT_PROBE_SAMPLES
+    rest = np.arange(SPLIT_SAMPLES) % step != 0
     inner = from_phi(0.5 * circle(8))
-    values = sample(np.concatenate([from_phi(circle(n)), inner]))
-    samples, h_inner = values[:n], values[n:]
-    tol = 1e-8 * max(1.0, float(np.max(np.abs(values))))
-    while True:
-        coeffs = np.fft.rfft(samples)[: n // 2] / n
-        tail = float(np.sum(np.abs(coeffs[-16:])))
-        if tail <= tol:
-            break
-        if n >= SPLIT_MAX_SAMPLES:
-            raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {tol:.3e} on D({c!r}, {r!r}) "
-                              f"with {n} samples")
-        mid = sample(from_phi(circle(n, 0.5)))
-        samples = np.stack([samples, mid], axis=1).ravel()
-        n *= 2
+    probes = [sample(h, np.concatenate([boundary[::step], inner])) for h in parts]
+    h_probe = sum(probes)
+    h_inner = h_probe[SPLIT_PROBE_SAMPLES:]
+    tol = 1e-8 * max(1.0, float(np.max(np.abs(h_probe))))
+    share = tol / len(parts)
+    series_of_parts = []
+    for h, values in zip(parts, probes):
+        samples = values[:SPLIT_PROBE_SAMPLES]
+        coeffs, tail = resolve(samples)
+        rounding = SPLIT_ROUNDING * np.finfo(float).eps * float(np.max(np.abs(values)))
+        if tail > min(share, rounding):
+            full = np.empty(SPLIT_SAMPLES)
+            full[::step], full[rest] = samples, sample(h, boundary[rest])
+            coeffs, tail = resolve(full)
+            while tail > share:
+                if len(full) >= SPLIT_MAX_SAMPLES:
+                    raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {share:.3e} on "
+                                      f"D({c!r}, {r!r}) with {len(full)} samples")
+                mid = sample(h, from_phi(circle(len(full), 0.5)))
+                full = np.stack([full, mid], axis=1).ravel()
+                coeffs, tail = resolve(full)
+        series_of_parts.append(coeffs)
+    coeffs = np.zeros(max(map(len, series_of_parts)), dtype=complex)
+    for part in series_of_parts:
+        coeffs[: len(part)] += part
     coeffs[0] *= 0.5
 
     def series(z):
@@ -254,14 +291,20 @@ def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint):
     """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar)) at every point.
 
     One call each of the period map and f, on the stack [z, wbar], and one of
-    q~ (none when C = 0); values have the points' shape.
+    q~ (none when C = 0); values have the points' shape.  BudgetError names
+    the first point where the value is not finite.
     """
     z, w = point.z, point.w
     stack = np.stack([z, np.conj(w)])
     log_det = _log_det_term(recipe.period_map(stack), point)
     f_z, f_wbar = np.broadcast_to(recipe.f(stack), stack.shape)
     value = recipe.genus_constant * recipe.q_tilde(z, w) if recipe.genus_constant != 0 else 0.0
-    return value + log_det + f_z + np.conj(f_wbar)
+    with np.errstate(all="ignore"):
+        value = value + log_det + f_z + np.conj(f_wbar)
+    bad = ~np.isfinite(value)
+    if bad.any():
+        raise BudgetError(f"assemble_extension at {_first(bad, point)} is not finite")
+    return value
 
 
 def genus1_extension(point: ProductPoint):
@@ -296,8 +339,10 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
       * "eta2"  -- f = 2 log_eta(z) - log 2 + Log(z+i), matching the
                    spectral determinant at C = 1;
       * "split" -- f reconstructed by ``pluriharmonic_split`` on the form's
-                   z-ball from the closed-form log det minus C q~(z, zbar)
-                   and log(Im tau).
+                   z-ball from h in two parts: the closed-form log det minus
+                   log(Im tau), sampled at 256 + 8 points in two calls, and
+                   -C Re q~(z, zbar), whose tail is at rounding level at the
+                   probe: one ``cone_potentials`` call of 64 + 8 targets.
 
     A non-finite ``constant`` or an ``f_mode`` outside ``F_MODES`` raises
     DomainError before anything is built.
@@ -318,12 +363,10 @@ def genus1_recipe(constant: float, f_mode: str) -> ExtensionRecipe:
     elif f_mode == "eta2":
         f = lambda z: 2.0 * log_eta(z) - math.log(2.0) + np.log(z + 1j)
     else:  # split
-        def h(Z: np.ndarray) -> np.ndarray:
-            # on the diagonal Re q~(z, zbar) = Re q(z, zbar): one batched cone
-            # potential of SPLIT_SAMPLES + 8 targets
-            qt = cone_potentials(form, Z, Z.conj()).values
-            return closed_form_log_det(Z) - constant * qt.real - np.log(Z.imag)
-
-        f = pluriharmonic_split(h, complex(form.domain.z_center[0]), form.domain.z_radius)
+        # on the diagonal Re q~(z, zbar) = Re q(z, zbar); the cone part is at
+        # rounding level at the probe, so its one batched call has 72 targets
+        parts = (lambda Z: closed_form_log_det(Z) - np.log(Z.imag),
+                 lambda Z: -constant * cone_potentials(form, Z, Z.conj()).values.real)
+        f = pluriharmonic_split(parts, complex(form.domain.z_center[0]), form.domain.z_radius)
 
     return ExtensionRecipe(q_tilde, period, f, float(constant))

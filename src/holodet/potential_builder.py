@@ -31,7 +31,7 @@ from .wirtinger import RADIUS, Contour, contour
 #: Quadrature nodes evaluated per batched pass of ``cone_potentials``.  In
 #: two paired in-process scans of 20 rounds with passes on node blocks
 #: (2-core VM, one BLAS thread), against 4096: 2048 took 1.24-1.36x the
-#: time on the split build's 264-target call, 1.03-1.09x on a refining
+#: time on a 264-target split-build call, 1.03-1.09x on a refining
 #: near-pole batch and 1.29-1.30x on a 32-point grid; 6000 took 0.86-0.92x,
 #: 0.91-1.01x and 0.92-0.97x; 8192 0.92-0.95x, 0.79-0.81x and 0.81-0.88x,
 #: the one size to win on all three.  Change it only on a paired run;

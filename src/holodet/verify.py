@@ -357,14 +357,14 @@ def check_mapping_class_invariance() -> list[CheckResult]:
 
 def check_pluriharmonic_split() -> list[CheckResult]:
     cases = (
-        lambda z: (z * z).real,
-        lambda z: np.exp(z).real,
-        lambda z: np.log(np.abs(z - 5.0) ** 2),
+        (lambda z: (z * z).real,),
+        (lambda z: np.exp(z).real,),
+        (lambda z: np.log(np.abs(z - 5.0) ** 2),),
     )
-    splits = [pluriharmonic_split(h, 1j, 0.95) for h in cases]
+    splits = [pluriharmonic_split(parts, 1j, 0.95) for parts in cases]
     ring = np.append(1j + 0.9 * np.exp(2j * math.pi * np.arange(12) / 12), 1j + 0.2)
     recon_worst = max(float(np.max(np.abs(h(ring) - 2.0 * f(ring).real)))
-                      for h, f in zip(cases, splits))
+                      for (h,), f in zip(cases, splits))
     # the three f at once, on their last axis
     rule = contour(lambda p: np.stack([f(p) for f in splits], axis=-1),
                    np.array([1j + 0.3, 1j - 0.4 + 0.2j, 1j + 0.5j]))

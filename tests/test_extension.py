@@ -43,6 +43,11 @@ def _matrices(z, rows):
     return np.moveaxis(np.array(entries, dtype=complex), (0, 1), (-2, -1))
 
 
+def _nan_right(z):
+    """nan where Re z > 1, else 0."""
+    return np.where(np.real(z) > 1.0, np.nan, 0.0)
+
+
 class TestProductPoint:
     def test_model_constraints(self):
         ProductPoint(1j, -1j)
@@ -116,18 +121,18 @@ class TestWpForm:
 
 class TestPluriharmonicSplit:
     def test_quadratic(self):
-        f = pluriharmonic_split(lambda z: (z * z).real, 1j, radius=0.95)
+        f = pluriharmonic_split((lambda z: (z * z).real,), 1j, radius=0.95)
         for z in (0.3 + 1.2j, 1j, -0.4 + 0.7j, 0.5 + 1.5j):
             assert abs(f(z) - z * z / 2) < 1e-10  # imaginary constant is 0 here
             assert abs((z * z).real - 2 * f(z).real) < 1e-10
 
     def test_constant(self):
-        f = pluriharmonic_split(lambda z: np.full(z.shape, 3.5), 1j, radius=0.95)
+        f = pluriharmonic_split((lambda z: np.full(z.shape, 3.5),), 1j, radius=0.95)
         assert abs(f(0.4 + 0.9j) - 1.75) < 1e-12
 
     def test_log_modulus(self):
         h = lambda z: np.log(np.abs(z - 5.0) ** 2)
-        f = pluriharmonic_split(h, 1j, radius=0.95)
+        f = pluriharmonic_split((h,), 1j, radius=0.95)
         for z in (0.6 + 1.1j, -0.3 + 0.5j):
             assert abs(h(z) - 2 * f(z).real) < 1e-10
             # f = log(z - 5) + const: compare via exponentials
@@ -135,12 +140,12 @@ class TestPluriharmonicSplit:
             assert abs(ratio) < 1e-10
 
     def test_holomorphy_of_f(self):
-        f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
+        f = pluriharmonic_split((lambda z: np.exp(z).real,), 1j, radius=0.95)
         assert np.abs(contour(f, np.array([1j + 0.3, 1j - 0.2 + 0.4j])).modes[-1]).max() < 1e-11
 
     def test_a_point_and_an_array_agree(self):
         # a point is a 0-d array: it takes the array's power table and gives a 0-d value
-        f = pluriharmonic_split(lambda z: np.exp(z).real, 1j, radius=0.95)
+        f = pluriharmonic_split((lambda z: np.exp(z).real,), 1j, radius=0.95)
         zs = 1j + 0.9 * np.linspace(0.0, 1.0, 13) * np.exp(1j * np.linspace(0.0, 6.0, 13))
         values = f(zs)
         for z, value in zip(zs, values):
@@ -149,22 +154,22 @@ class TestPluriharmonicSplit:
             assert abs(point - value) <= 1e-14
 
     def test_h_samples_per_evaluation(self):
-        # the build samples the boundary circle and 8 check points in one
-        # batched call; evaluating f sums the stored series and never samples h
+        # the probe samples 64 boundary and 8 check points in one batched call, and
+        # the rest of the 256 circle in one more; evaluating f never samples h
         calls = []
         h = lambda z: calls.append(z.shape) or (z * z).real
-        f = pluriharmonic_split(h, 1j, radius=0.95)
-        assert calls == [(264,)]
+        f = pluriharmonic_split((h,), 1j, radius=0.95)
+        assert calls == [(72,), (192,)]
         calls.clear()
         f(0.3 + 1.2j)
         assert calls == []
 
     def test_rejects_non_pluriharmonic(self):
         with pytest.raises(NotPluriharmonicError):
-            pluriharmonic_split(lambda z: np.abs(z) ** 2, 1j, radius=0.95)
+            pluriharmonic_split((lambda z: np.abs(z) ** 2,), 1j, radius=0.95)
 
     def test_rejects_points_outside_the_disc(self):
-        f = pluriharmonic_split(lambda z: (z * z).real, 1j, radius=0.95)
+        f = pluriharmonic_split((lambda z: (z * z).real,), 1j, radius=0.95)
         f(1j + 0.95)  # the closed disc
         for z in (1j + 0.96, 2.5j, 0.01j):
             with pytest.raises(DomainError):
@@ -173,7 +178,7 @@ class TestPluriharmonicSplit:
     @pytest.mark.parametrize("center, radius", [(1j, 1.0), (1j, 0.0), (-1j, 0.5), (complex("nan+1j"), 0.5)])
     def test_rejects_discs_not_in_the_half_plane(self, center, radius):
         with pytest.raises(DomainError):
-            pluriharmonic_split(lambda z: np.zeros(z.shape), center, radius)
+            pluriharmonic_split((lambda z: np.zeros(z.shape),), center, radius)
 
     @settings(max_examples=25, deadline=None)
     @given(cx=st.floats(-2.0, 2.0), cy=st.floats(0.2, 5.0), share=st.floats(0.05, 0.95),
@@ -189,21 +194,22 @@ class TestPluriharmonicSplit:
         c, r = complex(cx, cy), share * cy
         a = [complex(re, im) * r ** -k for k, (re, im) in enumerate(coeffs)]
         h = lambda z: sum(ak * (z - c) ** k for k, ak in enumerate(a)).real
-        f = pluriharmonic_split(h, c, r)
+        f = pluriharmonic_split((h,), c, r)
         for s, t in probes:
             z = c + s * r * cmath.exp(1j * t)
             assert abs(h(z) - 2.0 * f(z).real) < 1e-10
         with pytest.raises(DomainError):
             f(c + 1.01 * r * cmath.exp(1j * probes[0][1]))
 
-    @pytest.mark.parametrize("radius, sizes", [(0.9, [264]), (0.95, [264, 256]),
-                                               (0.99, [264, 256, 512])])
+    @pytest.mark.parametrize("radius, sizes", [(0.9, [72, 192]), (0.95, [72, 192, 256]),
+                                               (0.99, [72, 192, 256, 512])])
     def test_samples_double_while_the_tail_is_too_large(self, radius, sizes):
         # Re((z - i)/r)^8 on D(i, r): N = 256 resolves r = 0.9, r = 0.95 needs
-        # N = 512 and r = 0.99 N = 1024; each doubling samples the midpoints only
+        # N = 512 and r = 0.99 N = 1024; after the probe and the rest of the 256
+        # circle, each doubling samples the midpoints only
         calls = []
         h = lambda z: calls.append(np.size(z)) or (((z - 1j) / radius) ** 8).real
-        f = pluriharmonic_split(h, 1j, radius)
+        f = pluriharmonic_split((h,), 1j, radius)
         assert calls == sizes
         calls.clear()
         for s, t in ((0.0, 0.0), (0.5, 1.0), (0.9, 2.5), (0.99, 4.0)):
@@ -217,45 +223,89 @@ class TestPluriharmonicSplit:
         calls = []
         h = lambda z: calls.append(np.size(z)) or (1.0 / (z - 1.96j)).real
         with pytest.raises(BudgetError, match=f"{SPLIT_MAX_SAMPLES} samples"):
-            pluriharmonic_split(h, 1j, 0.95)
+            pluriharmonic_split((h,), 1j, 0.95)
         assert sum(calls) == SPLIT_MAX_SAMPLES + 8
 
     @pytest.mark.parametrize("bad, match", [
         (lambda z: np.full(z.shape, np.nan), r"h\(1\.95\d*j\) = nan is not finite"),
         (lambda z: np.full(z.shape, np.inf), r"h\(1\.95\d*j\) = inf is not finite"),
-        (lambda z: np.zeros(z.size - 1), r"264 real values, got float64 \(263,\)"),
-        (lambda z: 2.0, r"264 real values, got float64 \(\)"),
-        (lambda z: z * z, r"264 real values, got complex128 \(264,\)"),
+        (lambda z: np.zeros(z.size - 1), r"72 real values, got float64 \(71,\)"),
+        (lambda z: 2.0, r"72 real values, got float64 \(\)"),
+        (lambda z: z * z, r"72 real values, got complex128 \(72,\)"),
     ], ids=["nan", "inf", "short", "scalar", "complex"])
     def test_bad_h_values_are_refused_after_one_call(self, bad, match):
         # a nan h was called four more times and ended in a BudgetError on a nan
-        # tail; inf warned in the FFT; a wrong shape leaked numpy's errors
+        # tail; inf warned in the FFT; a wrong shape leaked numpy's errors.  The
+        # 72-point probe refuses them all
         calls = []
         with pytest.raises(DomainError, match=match):
-            pluriharmonic_split(lambda z: calls.append(z.size) or bad(z), 1j, 0.95)
-        assert calls == [264]
+            pluriharmonic_split((lambda z: calls.append(z.size) or bad(z),), 1j, 0.95)
+        assert calls == [72]
 
     def test_bad_midpoint_values_are_refused_before_another_call(self):
-        # Re((z - i)/0.95)^8 needs one doubling; its midpoints come back nan
+        # Re((z - i)/0.95)^8 needs one doubling after the 256 circle; its midpoints come back nan
         calls = []
 
         def h(z):
             calls.append(z.size)
-            return (((z - 1j) / 0.95) ** 8).real * (np.nan if len(calls) > 1 else 1.0)
+            return (((z - 1j) / 0.95) ** 8).real * (np.nan if len(calls) > 2 else 1.0)
 
         with pytest.raises(DomainError, match="is not finite"):
-            pluriharmonic_split(h, 1j, 0.95)
-        assert calls == [264, 256]
+            pluriharmonic_split((h,), 1j, 0.95)
+        assert calls == [72, 192, 256]
 
     def test_the_tail_tolerance_scales_with_h(self):
         # h = 1e10 + Re z^2 is pluriharmonic: the rounding of 1e10 leaves a tail of about 7e-7
-        # at 256 samples, above 1e-8 but within 1e-8 max|h|, so one call of h builds it
+        # at 256 samples, above 1e-8 but within 1e-8 max|h|, so the 256 circle builds it
         calls = []
         h = lambda z: calls.append(np.size(z)) or 1e10 + (z * z).real
-        f = pluriharmonic_split(h, 1j, 0.95)
-        assert calls == [264]
+        f = pluriharmonic_split((h,), 1j, 0.95)
+        assert calls == [72, 192]
         for z in (1j, 1j + 0.5, 1j + 0.9 * cmath.exp(2j)):
             assert abs(h(z) - 2.0 * f(z).real) < 1e-5  # a few ulps of 1e10
+
+    def test_parts_split_as_their_sum(self):
+        # the split is linear: f of two parts is f of their sum
+        h1, h2 = (lambda z: (z * z).real), (lambda z: np.log(np.abs(z - 5.0) ** 2))
+        f = pluriharmonic_split((h1, h2), 1j, 0.95)
+        g = pluriharmonic_split((lambda z: h1(z) + h2(z),), 1j, 0.95)
+        zs = 1j + 0.95 * np.linspace(0.0, 1.0, 11) * np.exp(1j * np.linspace(0.0, 6.0, 11))
+        assert np.max(np.abs(f(zs) - g(zs))) <= 1e-13
+
+    def test_a_part_at_rounding_level_stops_at_the_probe(self):
+        # Re (phi/rho)^3 is mode 3 of the boundary circle and nothing else: one call of 72
+        # points, while Re z^2 beside it goes on to the rest of the 256 circle
+        a = 1j * math.sqrt(1.0 - 0.95 ** 2)
+        rho = (1.0 - a.imag) / 0.95
+        cubic = lambda z: (((z - a) / (z - a.conjugate()) / rho) ** 3).real
+        square = lambda z: (z * z).real
+        calls = {"cubic": [], "square": []}
+        f = pluriharmonic_split((lambda z: calls["cubic"].append(z.size) or cubic(z),
+                                 lambda z: calls["square"].append(z.size) or square(z)), 1j, 0.95)
+        assert calls == {"cubic": [72], "square": [72, 192]}
+        for s, t in ((0.0, 0.0), (0.5, 1.0), (0.9, 2.5), (1.0, 4.0)):
+            z = 1j + s * 0.95 * cmath.exp(1j * t)
+            assert abs(cubic(z) + square(z) - 2.0 * f(z).real) < 1e-12
+
+    def test_only_the_sum_need_be_pluriharmonic(self):
+        # |z - i|^2 is r^2 on the boundary and stops at the probe; neither part is
+        # pluriharmonic on its own, but their sum Re z^2 is
+        parts = (lambda z: np.abs(z - 1j) ** 2, lambda z: (z * z).real - np.abs(z - 1j) ** 2)
+        f = pluriharmonic_split(parts, 1j, 0.95)
+        for z in (0.3 + 1.2j, 1j, -0.4 + 0.7j, 0.5 + 1.5j):
+            assert abs((z * z).real - 2.0 * f(z).real) < 1e-10
+        for part in parts:
+            with pytest.raises(NotPluriharmonicError):
+                pluriharmonic_split((part,), 1j, 0.95)
+
+    def test_a_sum_that_is_not_pluriharmonic_is_refused(self):
+        with pytest.raises(NotPluriharmonicError):
+            pluriharmonic_split((lambda z: (z * z).real, lambda z: np.abs(z) ** 2), 1j, 0.95)
+
+    @pytest.mark.parametrize("parts", [(), []], ids=["tuple", "list"])
+    def test_no_parts_is_a_domain_error(self, parts):
+        with pytest.raises(DomainError, match="at least one part"):
+            pluriharmonic_split(parts, 1j, 0.95)
 
     @pytest.mark.parametrize("z, w", [(0.15j, -0.15j), (9.5j, -0.6j), (0.3 + 0.3j, -9.5j),
                                       (2 + 3j, -1 - 4j), (-0.3629 + 0.7727j, -0.4177 - 2.4941j)])
@@ -304,6 +354,18 @@ class TestAssembleExtension:
         val = assemble_extension(rec, ProductPoint.diagonal(z))
         expected = 2 * math.log(z.imag) + 4 * math.log(abs(eta(z)))
         assert abs(val - expected) < 1e-10
+
+    @pytest.mark.parametrize("q_tilde, f, constant", [
+        (lambda z, w: 0.0, _nan_right, 0.0),
+        (lambda z, w: _nan_right(z), lambda z: 0.0, 1.0),
+    ], ids=["f", "q_tilde"])
+    def test_a_non_finite_ingredient_names_its_point(self, q_tilde, f, constant):
+        # nan where Re z > 1: the array point (i, -i), (1.5 + i, -i) gave [0, nan - 0.64i]
+        rec = ExtensionRecipe(q_tilde, lambda z: z[..., None, None], f, constant)
+        z, w = np.array([1j, 1.5 + 1j]), np.array([-1j, -1j])
+        with pytest.raises(BudgetError, match=re.escape("at ((1.5+1j), (-0-1j)) is not finite")):
+            assemble_extension(rec, ProductPoint(z, w))
+        assert assemble_extension(rec, ProductPoint(z[:1], w[:1])) == [0.0]
 
     def test_split_recipe_reproduces_its_diagonal(self):
         rec = genus1_recipe(-0.5, f_mode="split")
@@ -552,7 +614,8 @@ class TestBatchedPoints:
         assert np.all(np.isfinite(assemble_extension(rec, ProductPoint(z[::2], w[::2]))))
 
     def test_split_h_makes_one_closed_form_call(self, monkeypatch):
-        # h used to call closed_form_log_det once per point, 264 times per build
+        # h used to call closed_form_log_det once per point, 264 times per build;
+        # its closed-form part makes one call per step, the probe and the rest
         calls = {"h": 0, "closed_form_log_det": 0}
 
         def counted(name, func):
@@ -565,10 +628,23 @@ class TestBatchedPoints:
         monkeypatch.setattr(extension, "closed_form_log_det",
                             counted("closed_form_log_det", extension.closed_form_log_det))
         monkeypatch.setattr(extension, "pluriharmonic_split",
-                            lambda h, c, r: split(counted("h", h), c, r))
+                            lambda parts, c, r: split((counted("h", parts[0]), *parts[1:]), c, r))
         genus1_recipe(-0.5, f_mode="split")
-        assert calls["h"] >= 1
+        assert calls["h"] == 2
         assert calls["closed_form_log_det"] == calls["h"]
+
+
+def test_the_split_build_samples_the_cone_part_at_the_probe_only(monkeypatch):
+    # the cone part is at rounding level at the probe: one cone call of 64 + 8 targets,
+    # while the closed-form part takes the probe and the rest of the 256 circle
+    sizes = {"cone_potentials": [], "closed_form_log_det": []}
+    cone, closed = extension.cone_potentials, extension.closed_form_log_det
+    monkeypatch.setattr(extension, "cone_potentials",
+                        lambda form, Z, W: sizes["cone_potentials"].append(len(Z)) or cone(form, Z, W))
+    monkeypatch.setattr(extension, "closed_form_log_det",
+                        lambda Z: sizes["closed_form_log_det"].append(np.size(Z)) or closed(Z))
+    genus1_recipe(-0.5, "split")
+    assert sizes == {"cone_potentials": [72], "closed_form_log_det": [72, 192]}
 
 
 def _scalar_branches(tree) -> list[str]:

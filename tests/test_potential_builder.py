@@ -278,7 +278,8 @@ class TestBatchedCells:
             assert passes and shapes == [((cells, n, 1, dim), (cells, 1, n, dim)) for cells, n in passes]
 
     def test_split_build_runs_its_targets_in_full_passes_of_the_first_order(self, monkeypatch):
-        # the split recipe's h is one 264-target call, every cell accepted at the first order
+        # the split recipe's cone part is one call of 64 + 8 targets at the probe, in 4 passes,
+        # every cell accepted at the first order
         import holodet.extension as extension
 
         form, seen, orders = extension.genus1_pole_form(), [], []
@@ -292,8 +293,8 @@ class TestBatchedCells:
         monkeypatch.setattr(potential_builder, "_gl_nodes",
                             lambda a, b, n: stages.append(n) or rule(a, b, n))
         extension.genus1_recipe(-0.5, "split")
-        targets = extension.SPLIT_SAMPLES + 8
-        assert len(seen) == len(orders) == -(-targets // (PASS_NODES // FIRST_ORDER ** 2))
+        targets = 72
+        assert len(seen) == len(orders) == -(-targets // (PASS_NODES // FIRST_ORDER ** 2)) == 4
         assert set(orders) == {FIRST_ORDER}
         assert sum(seen) == targets * FIRST_ORDER ** 2
         # the MAX_ORDER stage, left with no cells, runs nothing

@@ -310,7 +310,8 @@ def sl2z_images(draw):
 
 
 def split_circle(center=5j, radius=4.9, count=256):
-    """The boundary and inner points where ``pluriharmonic_split`` samples h on D(5i, 4.9)."""
+    """The 256 boundary and 8 inner points of D(5i, 4.9) where ``pluriharmonic_split`` samples
+    a part that the probe does not resolve: the split recipe's closed-form part, in two calls."""
     a = complex(center.real, math.sqrt(center.imag ** 2 - radius ** 2))
     rho = (center.imag - a.imag) / radius
     phi = rho * np.concatenate([np.exp(2j * np.pi * np.arange(count) / count),

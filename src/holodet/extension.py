@@ -48,8 +48,8 @@ from .torus_spectral import closed_form_log_det
 
 TWO_PI = 2.0 * math.pi
 
-#: Boundary samples of a part of h whose tail is above rounding at the probe;
-#: f keeps the first N/2 coefficients of each part.
+#: Boundary samples after the first step from the probe, of a part whose tail
+#: is above rounding there; f keeps the first N/2 coefficients of each part.
 SPLIT_SAMPLES = 256
 #: The probe's boundary samples, SPLIT_SAMPLES/4: the least N whose top 16
 #: coefficients (modes 16-31) do not overlap the 16 lowest.
@@ -58,7 +58,7 @@ SPLIT_PROBE_SAMPLES = SPLIT_SAMPLES // 4
 #: eps max|part|.  At the probe the genus-1 cone part sums 2.3, the closed-form
 #: part and the verify-all splits 2.5e12 or more.
 SPLIT_ROUNDING = 64
-#: N doubles from SPLIT_SAMPLES while the tail certificate fails, up to this.
+#: Each later step doubles N while the tail certificate fails, up to this.
 SPLIT_MAX_SAMPLES = 4096
 
 #: The f_mode values ``genus1_recipe`` knows.
@@ -135,23 +135,23 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     ``parts`` is a non-empty sequence of batched real functions whose sum is
     h (a single h is a 1-tuple): each maps an array of points to their real
     values.  The Cayley coordinate phi(z) = (z - a)/(z - conj(a)), with
-    a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  N samples of a
-    part on the boundary, equally spaced in phi, give H = rfft(samples)/N and
-    the series H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal
+    a = Re c + i sqrt(Im c^2 - r^2), maps D onto |phi| <= rho.  A part's
+    samples on the circle of N equally spaced phi give H = rfft(samples)/N
+    and the series H_0/2 + sum_{n=1}^{N/2-1} H_n (phi/rho)^n (the trapezoidal
     rule); the split is linear, so f is the sum of the parts' series, shifted
-    so that Im f(c) = 0.  Each part is called first at the probe:
-    SPLIT_PROBE_SAMPLES boundary points and 8 points of |phi| = rho/2.  With
-    tol = 1e-8 max(1, max|h|) over the summed probe values, a part whose top
-    16 |H_n| sum within SPLIT_ROUNDING eps max|part| and tol/len(parts) stops
-    there; any other is called once more at the rest of the SPLIT_SAMPLES
-    circle, then N doubles (one more call, at the midpoints) while its top 16
-    |H_n| sum above tol/len(parts), and past SPLIT_MAX_SAMPLES the build raises
-    BudgetError.  |h - 2 Re f| > tol at the 8 inner points raises
-    NotPluriharmonicError, so only the sum need be pluriharmonic.  f takes an
-    array of points, a point being a 0-d array, and sums the series from one
-    power table of phi/rho; outside the closed disc, DomainError.  No parts, or
-    a call of a part that returns no finite real array of its points' shape,
-    raises DomainError at once.
+    so that Im f(c) = 0.  Each part is called first at the probe, the
+    SPLIT_PROBE_SAMPLES circle and 8 points of |phi| = rho/2.  One rule then
+    refines it: the N circle is every other point of the 2N circle, so a step
+    to max(SPLIT_SAMPLES, 2N) samples calls the part once, at the points the
+    last circle lacks.  With tol = 1e-8 max(1, max|h|) over the summed probe
+    values, a part steps while its top 16 |H_n| sum above tol/len(parts), at
+    the probe also while above SPLIT_ROUNDING eps max|part|; a step past
+    SPLIT_MAX_SAMPLES raises BudgetError.  |h - 2 Re f| > tol at the inner
+    points raises NotPluriharmonicError, so only the sum need be
+    pluriharmonic.  f takes an array of points, a point being a 0-d array,
+    and sums the series from one power table of phi/rho; outside the closed
+    disc, DomainError.  No parts, or a call of a part that returns no finite
+    real array of its points' shape, raises DomainError at once.
     """
     parts = tuple(parts)
     if not parts:
@@ -165,8 +165,8 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     def from_phi(p):
         return (a - a.conjugate() * p) / (1.0 - p)
 
-    def circle(n, offset=0.0):
-        return rho * np.exp(TWO_PI * 1j * (np.arange(n) + offset) / n)
+    def circle(n):
+        return rho * np.exp(TWO_PI * 1j * np.arange(n) / n)
 
     def sample(h, z):
         values = np.asarray(h(z))
@@ -182,13 +182,9 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
         coeffs = np.fft.rfft(samples)[: len(samples) // 2] / len(samples)
         return coeffs, float(np.sum(np.abs(coeffs[-16:])))
 
-    boundary = from_phi(circle(SPLIT_SAMPLES))
-    step = SPLIT_SAMPLES // SPLIT_PROBE_SAMPLES
-    rest = np.arange(SPLIT_SAMPLES) % step != 0
     inner = from_phi(0.5 * circle(8))
-    probes = [sample(h, np.concatenate([boundary[::step], inner])) for h in parts]
+    probes = [sample(h, np.concatenate([from_phi(circle(SPLIT_PROBE_SAMPLES)), inner])) for h in parts]
     h_probe = sum(probes)
-    h_inner = h_probe[SPLIT_PROBE_SAMPLES:]
     tol = 1e-8 * max(1.0, float(np.max(np.abs(h_probe))))
     share = tol / len(parts)
     series_of_parts = []
@@ -196,43 +192,35 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
         samples = values[:SPLIT_PROBE_SAMPLES]
         coeffs, tail = resolve(samples)
         rounding = SPLIT_ROUNDING * np.finfo(float).eps * float(np.max(np.abs(values)))
-        if tail > min(share, rounding):
-            full = np.empty(SPLIT_SAMPLES)
-            full[::step], full[rest] = samples, sample(h, boundary[rest])
-            coeffs, tail = resolve(full)
-            while tail > share:
-                if len(full) >= SPLIT_MAX_SAMPLES:
-                    raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {share:.3e} on "
-                                      f"D({c!r}, {r!r}) with {len(full)} samples")
-                mid = sample(h, from_phi(circle(len(full), 0.5)))
-                full = np.stack([full, mid], axis=1).ravel()
-                coeffs, tail = resolve(full)
+        while tail > share or (len(samples) < SPLIT_SAMPLES and tail > rounding):
+            if len(samples) >= SPLIT_MAX_SAMPLES:
+                raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {share:.3e} on "
+                                  f"D({c!r}, {r!r}) with {len(samples)} samples")
+            n = max(SPLIT_SAMPLES, 2 * len(samples))
+            new = np.arange(n) % (n // len(samples)) != 0  # the points the last circle lacks
+            samples, old = np.empty(n), samples
+            samples[~new], samples[new] = old, sample(h, from_phi(circle(n)[new]))
+            coeffs, tail = resolve(samples)
         series_of_parts.append(coeffs)
     coeffs = np.zeros(max(map(len, series_of_parts)), dtype=complex)
     for part in series_of_parts:
         coeffs[: len(part)] += part
     coeffs[0] *= 0.5
 
-    def series(z):
+    def f(z):
+        z = np.asarray(z, dtype=complex)
+        outside = z[~(np.abs(z - c) <= r * (1 + 1e-12))]
+        if len(outside):
+            raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
         # sum_k coeffs[k] (phi/rho)^k from one power table, np.cumprod of phi/rho
         p = (z - a) / (z - a.conjugate()) / rho
         powers = np.cumprod(np.broadcast_to(p[..., None], np.shape(p) + (len(coeffs) - 1,)), axis=-1)
         return coeffs[0] + powers @ coeffs[1:]
 
-    # the shift leaves every real part as it is
-    at = series(np.concatenate([[c], inner]))
+    # c and the inner points lie in the disc; the shift leaves every real part as it is
+    at = f(np.concatenate([[c], inner]))
     coeffs[0] -= 1j * at[0].imag
-
-    reach = r * (1 + 1e-12)
-
-    def f(z):
-        z = np.asarray(z, dtype=complex)
-        outside = z[~(np.abs(z - c) <= reach)]
-        if len(outside):
-            raise DomainError(f"z = {complex(outside[0])!r} outside the split disc D({c!r}, {r!r})")
-        return series(z)
-
-    res = float(np.max(np.abs(h_inner - 2.0 * at[1:].real)))
+    res = float(np.max(np.abs(h_probe[SPLIT_PROBE_SAMPLES:] - 2.0 * at[1:].real)))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")
     return f
@@ -287,18 +275,28 @@ def _log_det_term(taus, point: ProductPoint) -> np.ndarray:
     return np.log(np.linalg.eigvals(mat)).sum(axis=-1)  # in genus 1 exactly Log M_00
 
 
+def _shaped(name: str, values, *shapes):
+    """``values``, of one of ``shapes``; any other shape is a DomainError that names it."""
+    if np.shape(values) not in shapes:
+        raise DomainError(f"{name} must map points of shape {shapes[0]} to values of "
+                          f"shape {' or '.join(map(str, shapes))}, got shape {np.shape(values)}")
+    return values
+
+
 def assemble_extension(recipe: ExtensionRecipe, point: ProductPoint):
     """C * q~(z,w) + log det((tau(z) - conj(tau(wbar)))/2i) + f(z) + conj(f(wbar)) at every point.
 
     One call each of the period map and f, on the stack [z, wbar], and one of
-    q~ (none when C = 0); values have the points' shape.  BudgetError names
-    the first point where the value is not finite.
+    q~ (none when C = 0); values have the points' shape, and values of f or q~
+    of another shape (but a scalar f) are a DomainError naming it.  BudgetError
+    names the first point where the value is not finite.
     """
     z, w = point.z, point.w
     stack = np.stack([z, np.conj(w)])
     log_det = _log_det_term(recipe.period_map(stack), point)
-    f_z, f_wbar = np.broadcast_to(recipe.f(stack), stack.shape)
-    value = recipe.genus_constant * recipe.q_tilde(z, w) if recipe.genus_constant != 0 else 0.0
+    f_z, f_wbar = np.broadcast_to(_shaped("f", recipe.f(stack), stack.shape, ()), stack.shape)
+    value = (recipe.genus_constant * _shaped("q_tilde", recipe.q_tilde(z, w), z.shape)
+             if recipe.genus_constant != 0 else 0.0)
     with np.errstate(all="ignore"):
         value = value + log_det + f_z + np.conj(f_wbar)
     bad = ~np.isfinite(value)

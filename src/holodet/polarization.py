@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -84,16 +84,17 @@ def disc_samples(center: complex, radius: float, count: int) -> np.ndarray:
 class DiagonalSampleSet:
     """Samples f(z, zbar) over points of a declared disc.
 
-    ``layout`` = (R, M) declares that the points are ``disc_samples``' ring
-    grid of R rings of M points; ``from_function`` sets it, and other sets
-    carry none.
+    ``layout`` = (R, M) records that the points are ``disc_samples``' ring
+    grid of R rings of M points.  It is no constructor argument: only
+    ``from_function``, which built that grid, sets it, and every other set
+    carries none.
     """
 
     points: np.ndarray
     values: np.ndarray
     center: complex
     radius: float
-    layout: tuple[int, int] | None = None
+    layout: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=complex).ravel()
@@ -107,8 +108,6 @@ class DiagonalSampleSet:
             raise DomainError("sample points and values must be finite")
         if np.max(np.abs(pts - self.center)) > self.radius * (1 + 1e-9):
             raise DomainError("sample points outside the declared disc")
-        if self.layout is not None and self.layout[0] * self.layout[1] != len(pts):
-            raise DomainError(f"layout {self.layout} does not match {len(pts)} points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "values", vals)
 
@@ -126,7 +125,9 @@ class DiagonalSampleSet:
         vals = np.asarray(diag(pts), dtype=complex)
         if vals.ndim == 0:
             vals = np.full(pts.shape, vals)
-        return cls(pts, vals, center, radius, _ring_layout(count))
+        samples = cls(pts, vals, center, radius)
+        object.__setattr__(samples, "layout", _ring_layout(count))
+        return samples
 
 
 @dataclass(frozen=True, eq=False)

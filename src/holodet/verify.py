@@ -131,6 +131,12 @@ def diagonal_imag_check(evaluate, name: str = "diagonal_imag") -> CheckResult:
 _GENERATORS = {"T": lambda z: z + 1.0, "S": lambda z: -1.0 / z}
 
 
+def _one_point(point: ProductPoint, what: str) -> None:
+    """A DomainError unless ``point`` is a single (0-d) point, as the ``what`` checks need."""
+    if point.z.ndim:
+        raise DomainError(f"{what} checks one point (z, w), got points of shape {point.z.shape}")
+
+
 def invariance_checks(evaluate, point: ProductPoint, words) -> list[CheckResult]:
     """|exp(24 (L(gamma p) - L(p))) - 1| of the extension ``evaluate`` per modular word gamma.
 
@@ -144,7 +150,9 @@ def invariance_checks(evaluate, point: ProductPoint, words) -> list[CheckResult]
     24 L(p), 48 eps max(|L(p)|, |L(gamma p)|): one rounding of each value,
     which grows with the height as |L| ~ pi Im(z)/12.  A difference whose
     exp(24 .) passes the float range is the residual inf, a failed check.
+    ``point`` is one point; an array point is a DomainError, raised first.
     """
+    _one_point(point, "invariance")
     for ch in "".join(words):
         if ch not in _GENERATORS:
             raise DomainError(f"unknown generator {ch!r}; expected 'T' or 'S'")
@@ -179,11 +187,16 @@ def antiholomorphic_check(evaluate, z_points, w_points,
 
 
 def extend_checks(evaluate, point: ProductPoint, kind: str) -> list[CheckResult]:
-    """The checks of ``extend --check diagonal|invariance|holomorphy`` around ``point``."""
+    """The checks of ``extend --check diagonal|invariance|holomorphy`` around ``point``.
+
+    The invariance and holomorphy checks take one point: an array point is a
+    DomainError before ``evaluate`` is called.
+    """
     if kind == "diagonal":
         return [diagonal_imag_check(evaluate)]
     if kind == "invariance":
         return invariance_checks(evaluate, point, _INVARIANCE_WORDS)
+    _one_point(point, "holomorphy")
     z, w = point.z, point.w
     shifts = (0.1, -0.15 + 0.2j)
     return [antiholomorphic_check(evaluate, [(z + d, w) for d in shifts],

@@ -254,6 +254,23 @@ class TestPluriharmonicSplit:
             pluriharmonic_split((h,), 1j, 0.95)
         assert calls == [72, 192, 256]
 
+    def test_each_call_samples_the_points_its_circle_adds(self):
+        # Re((z - i)/0.99)^8 refines to N = 1024 in four calls; their boundary points are
+        # disjoint, and together they are the 1024-point circle, bit for bit, each call
+        # in FFT order: the circle of 64, then what the circles of 256, 512, 1024 add
+        a = 1j * math.sqrt(1.0 - 0.99 ** 2)
+        rho = (1.0 - a.imag) / 0.99
+        calls = []
+        h = lambda z: calls.append(z.copy()) or (((z - 1j) / 0.99) ** 8).real
+        pluriharmonic_split((h,), 1j, 0.99)
+        phi = rho * np.exp(2j * math.pi * np.arange(1024) / 1024)
+        index = {p.tobytes(): k for k, p in enumerate((a - a.conjugate() * phi) / (1.0 - phi))}
+        seen = [[index[p.tobytes()] for p in z] for z in (calls[0][:64], *calls[1:])]
+        assert sorted(sum(seen, [])) == list(range(1024))
+        grid = lambda n: set(range(0, 1024, 1024 // n))
+        added = [grid(64), grid(256) - grid(64), grid(512) - grid(256), grid(1024) - grid(512)]
+        assert seen == [sorted(k) for k in added]
+
     def test_the_tail_tolerance_scales_with_h(self):
         # h = 1e10 + Re z^2 is pluriharmonic: the rounding of 1e10 leaves a tail of about 7e-7
         # at 256 samples, above 1e-8 but within 1e-8 max|h|, so the 256 circle builds it
@@ -366,6 +383,25 @@ class TestAssembleExtension:
         with pytest.raises(BudgetError, match=re.escape("at ((1.5+1j), (-0-1j)) is not finite")):
             assemble_extension(rec, ProductPoint(z, w))
         assert assemble_extension(rec, ProductPoint(z[:1], w[:1])) == [0.0]
+
+    @pytest.mark.parametrize("z, w", [(1j, -1j), (np.array([1j, 2j]), np.array([-1j, -2j]))],
+                             ids=["point", "array"])
+    @pytest.mark.parametrize("shape", [lambda s: (3,), lambda s: s + (1,)], ids=["3", "S+1"])
+    def test_ingredient_values_of_the_wrong_shape_are_domain_errors(self, z, w, shape):
+        # values of shape (3,) or S + (1,) for points of shape S leaked numpy's ValueError
+        point = ProductPoint(z, w)
+        period = lambda z: z[..., None, None]
+        rec = ExtensionRecipe(lambda z, w: 0.0, period, lambda z: np.zeros(shape(z.shape)), 0.0)
+        stack = (2, *point.z.shape)
+        with pytest.raises(DomainError, match=re.escape(
+                f"f must map points of shape {stack} to values of shape {stack} or (), "
+                f"got shape {shape(stack)}")):
+            assemble_extension(rec, point)
+        rec = ExtensionRecipe(lambda z, w: np.zeros(shape(z.shape)), period, lambda z: 0.0, 1.0)
+        with pytest.raises(DomainError, match=re.escape(
+                f"q_tilde must map points of shape {point.z.shape} to values of shape "
+                f"{point.z.shape}, got shape {shape(point.z.shape)}")):
+            assemble_extension(rec, point)
 
     def test_split_recipe_reproduces_its_diagonal(self):
         rec = genus1_recipe(-0.5, f_mode="split")
@@ -669,6 +705,42 @@ def test_extension_has_one_array_path():
     assert sorted(_scalar_branches(ast.parse(twin))) == ["import numbers", "isinstance(z, np.ndarray)"]
 
 
+def _split_rule(tree) -> dict:
+    """The parameters of each ``circle``, the ``sample`` call sites, the while loops and the
+    nested functions of each ``pluriharmonic_split`` in a module."""
+    out = {"circle": [], "sample": 0, "while": 0, "nested": []}
+    for split in ast.walk(tree):
+        if not (isinstance(split, ast.FunctionDef) and split.name == "pluriharmonic_split"):
+            continue
+        for node in ast.walk(split):
+            if isinstance(node, ast.FunctionDef) and node is not split:
+                out["nested"].append(node.name)
+                if node.name == "circle":
+                    out["circle"].append([a.arg for a in (*node.args.args, *node.args.kwonlyargs)])
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sample":
+                out["sample"] += 1
+            elif isinstance(node, ast.While):
+                out["while"] += 1
+    return out
+
+
+def test_the_split_refines_by_one_rule():
+    # one loop refines a part on nested circles: no fill to SPLIT_SAMPLES beside a
+    # doubling at half-step offsets, and f itself sums the series at c and the inner points
+    with open(extension.__file__, encoding="utf-8") as fh:
+        rule = _split_rule(ast.parse(fh.read()))
+    assert rule == {"circle": [["n"]], "sample": 2, "while": 1,
+                    "nested": ["from_phi", "circle", "sample", "resolve", "f"]}
+    twin = ("def pluriharmonic_split(parts):\n"
+            "    def circle(n, offset=0.0): pass\n"
+            "    def series(z): pass\n"
+            "    sample(h, probe)\n"
+            "    if tail: sample(h, rest)\n"
+            "    while tail: sample(h, mid)\n")
+    assert _split_rule(ast.parse(twin)) == {"circle": [["n", "offset"]], "sample": 3, "while": 1,
+                                            "nested": ["circle", "series"]}
+
+
 def _residual(point, word, evaluate=genus1_extension):
     (check,) = invariance_checks(evaluate, point, [word])
     return check.residual
@@ -696,6 +768,18 @@ class TestModularInvariance:
         with pytest.raises(DomainError, match="generator"):
             invariance_checks(lambda p: calls.append(p) or 0j, ProductPoint(1j, -1j), ["T", "TX"])
         assert calls == []  # rejected before anything is evaluated
+
+    @pytest.mark.parametrize("check", [lambda e, p: invariance_checks(e, p, ["T"]),
+                                       lambda e, p: extend_checks(e, p, "invariance")],
+                             ids=["invariance_checks", "extend_checks"])
+    def test_an_array_point_is_refused_before_evaluating(self, check):
+        # an array point leaked numpy's "truth value of an array ... is ambiguous"
+        calls = []
+        p = ProductPoint(np.array([0.2 + 1.3j, 1j]), np.array([-0.4 - 0.9j, -2j]))
+        with pytest.raises(DomainError, match=re.escape(
+                "invariance checks one point (z, w), got points of shape (2,)")):
+            check(lambda q: calls.append(q) or genus1_extension(q), p)
+        assert calls == []
 
     def test_word_acts_rightmost_letter_first(self):
         # TS: S then T, (2i, -3i) -> (i/2, -i/3) -> (1 + i/2, 1 - i/3); the base point once
@@ -747,3 +831,12 @@ class TestAntiholomorphicCheck:
         assert check.passed and check.tolerance > 1e-15 * height
         assert low.passed and low.tolerance < 2e-11
 
+    def test_an_array_point_is_refused_before_evaluating(self):
+        # the holomorphy check of an array point paired z and w of different points,
+        # and refused the pairing as "Im(w) must be negative, got (0.2+2j)"
+        calls = []
+        p = ProductPoint(np.array([0.3 + 1j, 2j]), np.array([-1j, -2j]))
+        with pytest.raises(DomainError, match=re.escape(
+                "holomorphy checks one point (z, w), got points of shape (2,)")):
+            extend_checks(lambda q: calls.append(q) or genus1_extension(q), p, "holomorphy")
+        assert calls == []

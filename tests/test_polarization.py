@@ -47,6 +47,21 @@ class TestFitBasics:
         with pytest.raises(FitRankError, match="insufficient samples"):
             polarize_fit(s, 3)
 
+    def test_layout_is_no_constructor_argument(self):
+        # a set given layout=(3, 6) was fitted as disc_samples' ring grid: |z|^2 at these
+        # 18 scattered points gave a11 = 0.304 at conditioning 1.0, with no error
+        rng = np.random.default_rng(3)
+        pts = np.sqrt(rng.uniform(0, 1, 18)) * np.exp(2j * np.pi * rng.uniform(0, 1, 18))
+        with pytest.raises(TypeError, match="layout"):
+            DiagonalSampleSet(pts, np.abs(pts) ** 2, 0, 1.0, layout=(3, 6))
+        s = DiagonalSampleSet(pts, np.abs(pts) ** 2, 0, 1.0)
+        fit = polarize_fit(s, 1)
+        assert s.layout is None and fit.conditioning > 1.0
+        coeffs = fit.coefficients.copy()
+        assert abs(coeffs[1, 1] - 1.0) < 1e-12
+        coeffs[1, 1] = 0.0
+        assert np.max(np.abs(coeffs)) < 1e-12
+
     def test_clustered_samples(self):
         pts = np.full(40, 0.5 + 0.1j)
         s = DiagonalSampleSet(pts, np.zeros(40), 0, 1.0)

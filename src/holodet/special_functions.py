@@ -22,12 +22,19 @@ with u = c z + d, q = exp(2 pi i gamma z), s the Dedekind sum and P(q) = 1 - q
 1e-28 at Im gamma z >= sqrt(3)/2.  The law reads only c, d, u and gamma z
 mod 1 = (a mod c)/c - 1/(c u), and it holds for every gamma, not only for
 the point's own reduction: any gamma that lifts z to height sqrt(3)/2 will
-do.  So at a point ``log_eta`` reads ``reduce``'s gamma, and on an array it
-reduces one point not yet lifted, applies that row to all the rest and
-keeps every point it lifts, until none is left; points of one disc share
-their few rows, and a point already at height sqrt(3)/2 takes c = 0,
-pi i z/12 + Log P(q).  ``eta`` is exp(log_eta), and ``closed_form_log_det``
-in ``torus_spectral`` uses 2 Re log_eta, so neither underflows near a cusp.
+do.  Its constant term over pi i/12 is (12 c s(d, c) - d)/c.  At a
+point ``log_eta`` reads ``reduce``'s gamma.  On an array it reads each point
+z at its own point x + iy = z - n of the unit cell, n = round(Re z): a
+row (c, d) that lifts x lifts z too, by gamma with the row (c, d - c n),
+whose numerator is 12 c s(d, c) - d + c n, since s(d, c) depends on d mod c
+only (log eta(z + n) = log eta(z) + pi i n/12).  So one row serves matching
+points in every unit cell: it reduces the x of one point not yet lifted,
+applies that row to the x of all the rest and keeps every point it lifts,
+until none is left; points of one disc share their few rows.  The law then
+runs only at the points a row lifted; a point already at height sqrt(3)/2
+takes c = 0, pi i z/12 + Log P(q).  ``eta`` is exp(log_eta), on a point or
+an array, and ``closed_form_log_det`` in ``torus_spectral`` uses
+2 Re log_eta, so neither underflows near a cusp.
 """
 
 from __future__ import annotations
@@ -131,9 +138,9 @@ def dedekind_sum(d: int, c: int) -> int:
     return h + t0 + c * (alternating - 3 * (sign < 0))
 
 
-def _phase(c: int, d: int) -> float:
-    """12 s(d, c) - d/c: the law's constant term over pi i/12, for the row (c, d), c > 0."""
-    return (dedekind_sum(d, c) - d) / c if c > 1 else -d  # s(d, 1) = 0
+def _numerator(c: int, d: int) -> int:
+    """12 c s(d, c) - d: c times the law's constant term over pi i/12, for the row (c, d), c > 0."""
+    return dedekind_sum(d, c) - d
 
 
 def log_eta(z):
@@ -141,9 +148,9 @@ def log_eta(z):
 
     At a point it is read at ``reduce``'s z_c; for c = 0 it is
     pi i z/12 + Log P(q).  An ndarray is lifted row by row: each row is
-    ``reduce``'s gamma for one point, and it serves every point of the
-    array that it lifts to height sqrt(3)/2.  BudgetError if the reduction
-    or the value overflows.
+    ``reduce``'s gamma for one point of the unit cell, and it serves every
+    point of the array, in any unit cell, that it lifts to height sqrt(3)/2.
+    BudgetError if the reduction or the value overflows.
     """
     if isinstance(z, np.ndarray):
         return _log_eta_array(z)
@@ -155,7 +162,7 @@ def log_eta(z):
     if c == 0:
         value += _PI_I_12 * z
     else:
-        value += _PI_I_12 * (_phase(c, d) - 1.0 / (c * u)) - 0.5 * cmath.log(-1j * u)
+        value += _PI_I_12 * (_numerator(c, d) / c - 1.0 / (c * u)) - 0.5 * cmath.log(-1j * u)
     if not cmath.isfinite(value):
         raise BudgetError(f"log_eta({z!r}) overflows")
     return value
@@ -167,41 +174,43 @@ def _log_eta_array(z) -> np.ndarray:
     flat = z.ravel()
     shift = np.floor(flat.real)  # _nearest, elementwise
     shift += flat.real - shift >= 0.5
-    x, y = flat.real - shift, flat.imag  # x exact, |x| <= 1/2
+    zc = (flat.real - shift) + 1j * flat.imag  # each point's own point x + iy of the unit cell
+    law = _PI_I_12 * flat  # Im z >= sqrt(3)/2: no row
+    low = np.flatnonzero(flat.imag < _LIFTED)
+    x, y = zc.real[low], flat.imag[low]  # x exact, -1/2 <= x < 1/2
     hi = 134217729.0 * x  # reduce's Dekker split
     hi -= hi - x
     lo = x - hi
-    # per point: the bottom row (c, d) of its gamma, acting on z - shift, a mod c and the phase
-    c, d, a, phase = (np.zeros(flat.shape) for _ in range(4))
-    left = np.flatnonzero(y < _LIFTED)  # the points no row lifts yet
+    # per point below height sqrt(3)/2: the bottom row (c, d) of a gamma acting on x,
+    # its a mod c and the law's numerator 12 c s(d, c) - d
+    c, d, a, num = (np.empty(low.size) for _ in range(4))
+    left = np.arange(low.size)  # the points no row lifts yet
     while left.size:
         seed = left[0]
-        (a_k, _, k, d_k), _, _ = reduce(flat[seed])  # k > 0: the seed lies below F
-        # the seed's row on each point's own z - shift, so that u = c x + d rounds
-        # as in reduce also for a point across an integer from the seed
-        d_w = (d_k + k * int(shift[seed])) + k * (shift[left] - shift[seed])
-        re, yk = (k * hi[left] + d_w) + k * lo[left], k * y[left]
+        (a_k, _, k, d_k), _, _ = reduce(complex(x[seed], y[seed]))  # k > 0: the seed lies below F
+        re, yk = (k * hi[left] + d_k) + k * lo[left], k * y[left]
         keep = y[left] >= _LIFTED * (re * re + yk * yk)  # Im gamma z = y/|u|^2
         keep[0] = True  # the seed, which reduce lifted
         lifted = left[keep]
-        c[lifted], d[lifted], a[lifted], phase[lifted] = k, d_w[keep], a_k % k, _phase(k, d_k)
+        c[lifted], d[lifted], a[lifted], num[lifted] = k, d_k, a_k % k, _numerator(k, d_k)
         left = left[~keep]
-    top = c == 0  # Im z >= sqrt(3)/2: no row
-    c[top] = 1.0
+    # the law at the lifted points, for gamma acting on z = x + shift: its row is
+    # (c, d - c shift), so the numerator is num + c shift, exact while |c shift| < 2^53
     u = ((c * hi + d) + c * lo) + 1j * (c * y)
-    zc = np.where(top, x + 1j * y, a / c - 1.0 / (c * u))
+    inv = 1.0 / (c * u)
+    zc[low] = a / c - inv
+    law[low] = _PI_I_12 * ((num + c * shift[low]) / c - inv) - 0.5 * np.log(-1j * u)
     zc -= np.floor(zc.real + 0.5)
     q = np.exp(_TWO_PI_I * zc)
     q2 = q * q
-    value = np.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2))
-    value += np.where(top, _PI_I_12 * flat,
-                      _PI_I_12 * (phase - 1.0 / (c * u)) - 0.5 * np.log(-1j * u))
+    value = np.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2)) + law
     bad = ~np.isfinite(value)
     if bad.any():
         raise BudgetError(f"log_eta({_first(flat, bad)!r}) overflows")
     return value.reshape(z.shape)
 
 
-def eta(z: complex) -> complex:
-    """Dedekind eta function on the upper half plane: exp(log_eta(z))."""
-    return cmath.exp(log_eta(z))
+def eta(z):
+    """Dedekind eta function on the upper half plane: exp(log_eta(z)), on a point or an ndarray."""
+    value = log_eta(z)
+    return np.exp(value) if isinstance(value, np.ndarray) else cmath.exp(value)

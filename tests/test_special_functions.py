@@ -100,6 +100,16 @@ class TestEta:
             with pytest.raises(DomainError, match="finite"):
                 func(z)
 
+    def test_takes_what_log_eta_takes(self):
+        # an ndarray gives an ndarray of its shape, a point a Python complex
+        z = np.array([[1j, 2j], [0.3 + 0.01j, -7.4 + 0.2j]])
+        values = eta(z)
+        assert isinstance(values, np.ndarray) and values.shape == z.shape
+        assert np.array_equal(values, np.exp(log_eta(z)))
+        assert type(eta(1j)) is complex
+        for point, value in zip(z.ravel(), values.ravel()):
+            assert abs(value - eta(complex(point))) <= 1e-14 * abs(value)
+
 
 class TestLogEta:
     def test_value_at_i(self):
@@ -361,13 +371,35 @@ class TestArrayReduction:
         # shift, 0.4999999 - 1 rounds, and the value moved by 4e-10 relative
         assert_matches_the_scalar_one([0.5000001 + 1e-7j, 0.4999999 + 1e-7j], rel=0.0)
 
-    @pytest.mark.parametrize("center, radius, rows", [(1.5j, 0.3, 0), (0.1 + 0.02j, 0.01, 1)])
-    def test_a_disc_takes_few_rows(self, center, radius, rows, monkeypatch):
+    @pytest.mark.parametrize("points, rows", [
+        pytest.param(disc_samples(1.5j, 0.3, 162), 0, id="disc-above-the-lift"),
+        pytest.param(disc_samples(0.1 + 0.02j, 0.01, 162), 1, id="disc-near-a-cusp"),
+        # the split recipe's closed-form part: its 72-point probe, its other 192 points, all 264
+        pytest.param(np.concatenate([split_circle()[:256:4], split_circle()[256:]]), 5, id="split-probe"),
+        pytest.param(split_circle()[:256][np.arange(256) % 4 != 0], 3, id="split-rest"),
+        pytest.param(split_circle(), 5, id="split-all"),
+    ])
+    def test_a_disc_takes_few_rows(self, points, rows, monkeypatch):
         calls = []
         real = special_functions.reduce
         monkeypatch.setattr(special_functions, "reduce", lambda z: calls.append(z) or real(z))
-        log_eta(disc_samples(center, radius, 162))
+        log_eta(points)
         assert len(calls) == rows
+
+    @given(st.integers(-2 ** 20, 2 ** 20 - 1), st.floats(-6.0, math.log10(0.85)),
+           st.integers(-10 ** 6, 10 ** 6).filter(bool))
+    @settings(max_examples=60, deadline=None)
+    def test_a_row_serves_every_unit_cell(self, m, e, n):
+        # z = m/2^21 + 10^e i lies below F, and z + n is exact: log eta(z + n) = log eta(z) + pi i n/12,
+        # to 1e-14 of the larger value (the smaller can cancel to 1e-3 of it)
+        z = complex(m / 2 ** 21, 10.0 ** e)
+        calls = []
+        real = special_functions.reduce
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(special_functions, "reduce", lambda z: calls.append(z) or real(z))
+            values = log_eta(np.array([z, z + n]))
+        assert len(calls) == 1
+        assert abs(values[1] - values[0] - 1j * math.pi * n / 12) <= 1e-14 * np.abs(values).max()
 
     @pytest.mark.parametrize("below", [1e-310j, 0.3 + 1e-300j, 5e-324j])
     def test_a_batch_below_the_reach_is_a_budget_error(self, below):

@@ -20,8 +20,9 @@ mixed_second_of  Omega_ij = d^2 g / dz^i dw^j for an explicit polynomial g,
 The constant and the two polynomial kinds build Omega as one matrix
 ``PolyMap``; repeated monomials sum, in ``coeff`` and ``gterm`` lines alike.
 ``dim`` is at least 1, every number is finite, a ``coeff`` line's indices
-i, j lie in [0, dim), and every ``coeff`` or ``gterm`` line gives dim
-exponents per block.  A line that breaks a rule is a DomainError naming it.
+i, j lie in [0, dim), every ``coeff`` or ``gterm`` line gives dim exponents
+per block, and every base and ball center is a point of C^dim.  A line that
+breaks a rule is a DomainError naming it.
 
 Example::
 
@@ -89,6 +90,8 @@ class FormCatalogEntry:
             raise DomainError("pole_power exponent must be >= 2")
         for *ij, _, alpha, beta in (*self.g_terms, *self.poly_terms):
             _check_term(self.dim, ij, alpha, beta)
+        for key in ("base_z", "base_w", "domain_z_center", "domain_w_center"):
+            _check_point(self.dim, key.removesuffix("_center"), getattr(self, key))
 
     def domain(self) -> ProductDomain:
         return ProductDomain.of_balls(
@@ -158,6 +161,12 @@ def _check_term(dim: int, ij, alpha, beta) -> None:
         raise DomainError(f"exponents {tuple(alpha)} | {tuple(beta)} need {dim} per block")
 
 
+def _check_point(dim: int, key: str, point) -> None:
+    """A base or ball center has dim coordinates."""
+    if len(point) != dim:
+        raise DomainError(f"{key} gives a point of C^{len(point)}, not of C^{dim}")
+
+
 def builtin_catalog() -> dict[str, FormCatalogEntry]:
     """The compiled-in forms the CLI refers to by name."""
     tall = dict(domain_z_center=(5j,), domain_z_radius=4.9,
@@ -223,9 +232,9 @@ def _split_bar(tokens):
 def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
     """Parse the plain-text catalog format; see the module docstring.
 
-    A malformed line is a DomainError that names it.  A term is checked
-    against ``dim`` at the block's ``end``, and an error there names the
-    term's own line.
+    A malformed line is a DomainError that names it.  A term, a base and a
+    ball center are checked against ``dim`` at the block's ``end``, and an
+    error there names their own line.
     """
     entries: dict[str, FormCatalogEntry] = {}
     fields = name = None
@@ -240,13 +249,13 @@ def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
                 if fields is not None:
                     raise DomainError("nested 'form' block")
                 (name,) = args
-                fields, term_lines = {"poly_terms": (), "g_terms": ()}, []
+                fields, dim_checks = {"poly_terms": (), "g_terms": ()}, []
             elif key == "end":
                 if fields is None:
                     raise DomainError("'end' outside a form block")
                 if "dim" in fields:
-                    for at, (*ij, _, alpha, beta) in term_lines:
-                        _check_term(fields["dim"], ij, alpha, beta)
+                    for at, check, *args in dim_checks:
+                        check(fields["dim"], *args)
                     at = lineno
                 entries[name] = _entry_from_fields(name, fields)
                 fields, name = None, None
@@ -264,9 +273,11 @@ def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
                 (fields["exponent"],) = map(int, args)
             elif key in ("base_z", "base_w"):
                 fields[key] = _complexes(args)
+                dim_checks.append((lineno, _check_point, key, fields[key]))
             elif key in ("domain_z", "domain_w"):
                 *center, radius = args
                 fields[key + "_center"] = _complexes(center)
+                dim_checks.append((lineno, _check_point, key, fields[key + "_center"]))
                 (fields[key + "_radius"],) = finite_floats([radius])
                 if fields[key + "_radius"] <= 0.0:
                     raise DomainError(f"{key} radius must be positive, got {radius}")
@@ -276,7 +287,7 @@ def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
                 (c,) = _complexes(head[len(ij):])
                 term = (*ij, c, tuple(map(int, alpha)), tuple(map(int, beta)))
                 fields["poly_terms" if key == "coeff" else "g_terms"] += (term,)
-                term_lines.append((lineno, term))
+                dim_checks.append((lineno, _check_term, ij, term[-2], term[-1]))
             else:
                 raise DomainError(f"unknown directive {key!r}")
         except (ValueError, DomainError) as exc:

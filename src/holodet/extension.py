@@ -52,12 +52,10 @@ TWO_PI = 2.0 * math.pi
 #: is above rounding there; f keeps the first N/2 coefficients of each part.
 SPLIT_SAMPLES = 256
 #: The probe's boundary samples, SPLIT_SAMPLES/4: the least N whose top 16
-#: coefficients (modes 16-31) do not overlap the 16 lowest.
+#: coefficients (modes 16-31) do not overlap the 16 lowest.  Over eps max|part|
+#: their sum there is 2.3 for the genus-1 cone part, 2.5e12 or more for the
+#: closed-form part and the verify-all splits, against the rounding N = 64.
 SPLIT_PROBE_SAMPLES = SPLIT_SAMPLES // 4
-#: A part stops at the probe when its top 16 coefficients sum within this times
-#: eps max|part|.  At the probe the genus-1 cone part sums 2.3, the closed-form
-#: part and the verify-all splits 2.5e12 or more.
-SPLIT_ROUNDING = 64
 #: Each later step doubles N while the tail certificate fails, up to this.
 SPLIT_MAX_SAMPLES = 4096
 
@@ -145,7 +143,8 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     to max(SPLIT_SAMPLES, 2N) samples calls the part once, at the points the
     last circle lacks.  With tol = 1e-8 max(1, max|h|) over the summed probe
     values, a part steps while its top 16 |H_n| sum above tol/len(parts), at
-    the probe also while above SPLIT_ROUNDING eps max|part|; a step past
+    the probe also while above N eps max|part|, the worst rounding of one
+    coefficient of an N-point sum; a step past
     SPLIT_MAX_SAMPLES raises BudgetError.  |h - 2 Re f| > tol at the inner
     points raises NotPluriharmonicError, so only the sum need be
     pluriharmonic.  f takes an array of points, a point being a 0-d array,
@@ -190,9 +189,11 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     series_of_parts = []
     for h, values in zip(parts, probes):
         samples = values[:SPLIT_PROBE_SAMPLES]
-        coeffs, tail = resolve(samples)
-        rounding = SPLIT_ROUNDING * np.finfo(float).eps * float(np.max(np.abs(values)))
-        while tail > share or (len(samples) < SPLIT_SAMPLES and tail > rounding):
+        eps_max = np.finfo(float).eps * float(np.max(np.abs(values)))
+        while True:
+            coeffs, tail = resolve(samples)
+            if tail <= share and (len(samples) >= SPLIT_SAMPLES or tail <= len(samples) * eps_max):
+                break
             if len(samples) >= SPLIT_MAX_SAMPLES:
                 raise BudgetError(f"Schwarz split tail {tail:.3e} exceeds {share:.3e} on "
                                   f"D({c!r}, {r!r}) with {len(samples)} samples")
@@ -200,7 +201,6 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
             new = np.arange(n) % (n // len(samples)) != 0  # the points the last circle lacks
             samples, old = np.empty(n), samples
             samples[~new], samples[new] = old, sample(h, from_phi(circle(n)[new]))
-            coeffs, tail = resolve(samples)
         series_of_parts.append(coeffs)
     coeffs = np.zeros(max(map(len, series_of_parts)), dtype=complex)
     for part in series_of_parts:

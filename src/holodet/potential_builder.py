@@ -57,13 +57,6 @@ MAX_DEPTH = 8
 _ROUNDING = 16 * np.finfo(float).eps
 
 
-def _as_vec(p, n: int) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(p, dtype=complex))
-    if v.shape != (n,):
-        raise DomainError(f"expected a point in C^{n}, got shape {v.shape}")
-    return v
-
-
 def _inside(points: np.ndarray, center: np.ndarray, radius: float):
     """Whether each point (last axis: coordinates) lies in the closed ball."""
     return np.linalg.norm(points - center, axis=-1) <= radius * (1 + 1e-12)
@@ -80,8 +73,8 @@ class ProductDomain:
 
     @classmethod
     def of_balls(cls, z_center, z_radius, w_center, w_radius):
-        n = np.atleast_1d(np.asarray(z_center)).size
-        return cls(_as_vec(z_center, n), float(z_radius), _as_vec(w_center, n), float(w_radius))
+        return cls(np.array(z_center, dtype=complex, ndmin=1), float(z_radius),
+                   np.array(w_center, dtype=complex, ndmin=1), float(w_radius))
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,8 @@ class ClosedHoloForm:
     carries no dz/\dz or dw/\dw components by construction; closedness and
     holomorphy are numerical contracts checked by
     ``check_closed_and_holomorphic``.  A coefficient that has a pole refuses
-    points near it itself, with a QuadratureError.
+    points near it itself, with a QuadratureError.  The bases and both ball
+    centers must be finite points of C^dim, and each base lies in its ball.
     """
 
     dim: int
@@ -106,13 +100,15 @@ class ClosedHoloForm:
     domain: ProductDomain
 
     def __post_init__(self):
-        object.__setattr__(self, "base_z", _as_vec(self.base_z, self.dim))
-        object.__setattr__(self, "base_w", _as_vec(self.base_w, self.dim))
         dom = self.domain
-        if not _inside(self.base_z, dom.z_center, dom.z_radius):
-            raise DomainError("base_z outside the declared z-domain")
-        if not _inside(self.base_w, dom.w_center, dom.w_radius):
-            raise DomainError("base_w outside the declared w-domain")
+        points = _targets(np.atleast_1d(self.base_z, self.base_w, dom.z_center, dom.w_center),
+                          self.dim, "bases and ball centers")
+        object.__setattr__(self, "base_z", points[0])
+        object.__setattr__(self, "base_w", points[1])
+        inside = _inside(points[:2], points[2:], np.array([dom.z_radius, dom.w_radius]))
+        for block, ok in zip("zw", inside):
+            if not ok:
+                raise DomainError(f"base_{block} outside the declared {block}-domain")
 
 
 class ConePotentials(NamedTuple):
@@ -181,17 +177,18 @@ def _coefficient_tail(A: np.ndarray, n: int) -> np.ndarray:
     return top * (ratio ** (2 / (n - n // 2))) ** ((n + 1) / 2)
 
 
-def _targets(points, n: int, block: str) -> np.ndarray:
+def _targets(points, n: int, what: str) -> np.ndarray:
+    """``points`` as an array of shape (K, n): finite points of C^n (shape (K,) when n = 1)."""
     try:
         arr = np.asarray(points, dtype=complex)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
-        raise DomainError(f"{block} targets are not points of C^{n}: {exc}") from None
+        raise DomainError(f"{what} are not points of C^{n}: {exc}") from None
     if n == 1 and arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n:
-        raise DomainError(f"expected {block} targets of shape (K, {n}), got shape {arr.shape}")
+        raise DomainError(f"{what} must be points of C^{n}, shape (K, {n}), got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise DomainError(f"{block} targets must be finite")
+        raise DomainError(f"{what} must be finite")
     return arr
 
 
@@ -238,7 +235,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     value, the summed estimates of its accepted cells (at least the
     rounding floor), their count and the largest order among them.
     """
-    Z, W = _targets(Z, form.dim, "z"), _targets(W, form.dim, "w")
+    Z, W = _targets(Z, form.dim, "z targets"), _targets(W, form.dim, "w targets")
     if Z.shape != W.shape:
         raise DomainError(f"z targets of shape {Z.shape} but w targets of shape {W.shape}")
     dom = form.domain
@@ -299,17 +296,15 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
 
 def cone_potential(form: ClosedHoloForm, z, w) -> complex:
     """Potential q(z, w) of the form: a one-target ``cone_potentials`` call."""
-    zv = _as_vec(z, form.dim)
-    wv = _as_vec(w, form.dim)
-    return complex(cone_potentials(form, zv[None, :], wv[None, :]).values[0])
+    return complex(cone_potentials(form, [z], [w]).values[0])
 
 
 def _pair_targets(form: ClosedHoloForm, pairs) -> tuple[np.ndarray, np.ndarray]:
     """The z and the w points of a non-empty list of (z, w) pairs, checked, shape (K, n) each."""
     if not len(pairs):
         raise DomainError("no (z, w) pairs to verify")
-    return (_targets([p[0] for p in pairs], form.dim, "z"),
-            _targets([p[1] for p in pairs], form.dim, "w"))
+    return (_targets([p[0] for p in pairs], form.dim, "z targets"),
+            _targets([p[1] for p in pairs], form.dim, "w targets"))
 
 
 def verify_boundary_vanishing(form: ClosedHoloForm, pairs) -> np.ndarray:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -37,20 +37,8 @@ class RunReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        out = {
-            "command": self.command,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "pass": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-            "pass": self.passed,
-        }
+        checks = [{**asdict(c), "pass": c.passed} for c in self.checks]
+        out = {"command": self.command, "checks": checks, "pass": self.passed}
         return json.dumps(out, indent=2, sort_keys=True, default=str)
 
     def summary_lines(self) -> list[str]:

@@ -93,9 +93,12 @@ def reduce(z: complex):
     multiplied into gamma and followed by one map of z itself, with Re u =
     c x + d rounded once, so every z -> z - k is chosen at a point within a
     few ulps of the exact image.  BudgetError once c reaches 2^26 or z_c
-    overflows (below height ~1e-15).
+    overflows (below height ~1e-15).  A 0-d array is the point it holds; an
+    array of more dimensions is a DomainError that names its shape.
     """
-    z = require_upper_half(z)
+    if isinstance(z, np.ndarray) and z.ndim:
+        raise DomainError(f"z must be one point, got an array of shape {z.shape}")
+    z = require_upper_half(complex(z))
     shift = _nearest(z.real)
     w = z - shift  # exact
     x = w.real

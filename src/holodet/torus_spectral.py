@@ -180,7 +180,8 @@ def _gl_nodes(a: float, b: float, n: int):
 def zeta_log_det(z: complex) -> SpectralDetResult:
     """log det'(Delta) = -zeta'(0) for the flat torus of modulus z.
 
-    The modulus is reduced to the fundamental domain first (see module
+    The modulus, a point or a 0-d array (any other array is a DomainError
+    before any work), is reduced to the fundamental domain first (see module
     docstring), so the result is invariant under z -> z + 1 and z -> -1/z.
     The closed-form small-t part fixes zeta(0) = -1 exactly; the reported
     ``zeta_zero`` diagnostic instead measures the constant heat-trace

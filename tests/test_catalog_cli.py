@@ -45,7 +45,15 @@ MALFORMED_LINES = {
     "domain-radius-zero": (ONE_VAR_BLOCK.format(kind="pole_power", line="domain_w 0 -5 0"), 3),
     "dim-0": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim 0"), 3),
     "dim-negative": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim -1"), 3),
+    "base-w-not-dim": (ONE_VAR_BLOCK.format(kind="pole_power", line="base_w 0 -1 0 0"), 3),
+    "domain-z-not-dim": (POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 0 | 3 0")
+                         .replace("domain_z 0 0 0 0 1.5", "domain_z 0.5 0 1.5"), 7),
 }
+
+# a dim-2 entry whose z ball (line 6) gives one coordinate
+ONE_COORDINATE_BALL = ("form bad\n  kind mixed_second_of\n  dim 2\n  gterm 1 0 | 2 0 | 3 0\n"
+                       "  base_z 0.1 0 0.1 0\n  domain_z 0.5 0 1.5\n"
+                       "  base_w 0 0 0 0\n  domain_w 0 0 1.5\nend\n")
 
 
 class TestCatalog:
@@ -163,6 +171,14 @@ class TestCatalog:
     def test_parse_error_names_the_offending_line(self, text, line):
         with pytest.raises(DomainError, match=f"^catalog line {line}: "):
             parse_catalog(text)
+
+    @pytest.mark.parametrize("key, field", [("base_z", "base_z"), ("base_w", "base_w"),
+                                            ("domain_z", "domain_z_center"),
+                                            ("domain_w", "domain_w_center")])
+    def test_an_entry_refuses_a_point_of_another_dimension(self, key, field):
+        gmix = builtin_catalog()["gmix_n2"]
+        with pytest.raises(DomainError, match=f"^{key} gives a point of C\\^1, not of C\\^2$"):
+            dataclasses.replace(gmix, **{field: (0j,)})
 
     def test_repeated_gterms_sum(self):
         # g = 2 z^2 w^3 either way: Omega = 12 z w^2, 1.5 at (0.5, 0.5)
@@ -491,6 +507,15 @@ class TestCliPotential:
         assert out.returncode == 2
         assert len(out.stderr.splitlines()) == 1
         assert out.stderr.startswith(f"error: catalog line {line}: ")
+
+    def test_a_ball_of_another_dimension_names_its_line(self, tmp_path):
+        # the z ball was read as centered at (0.5, 0.5), and (1.5, 1.5) got a value
+        path = tmp_path / "cat.txt"
+        path.write_text(ONE_COORDINATE_BALL)
+        out = run_cli("potential", "--form", "bad", "--at", "1.5,0:1.5,0;0.1,0:0,0.1",
+                      "--catalog", str(path))
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: catalog line 6: domain_z gives a point of C^1, not of C^2\n"
 
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"

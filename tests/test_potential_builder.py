@@ -453,6 +453,23 @@ class TestBatchedCells:
         with pytest.raises(DomainError, match="C\\^1"):
             cone_potential(pole_form(), [2j, 1j], -2j)
 
+    @pytest.mark.parametrize("dim, base, z_center, w_center", [
+        (2, [0.1, 0.1], [0.5], [0, 0]),  # a z ball of C^1 was read as centered at (0.5, 0.5)
+        (2, [0.1, 0.1], [0, 0], [0.5]),
+        (2, [0.1], [0, 0], [0, 0]),
+        (1, 1j, [5j, 0], -5j),
+        (1, [1j, 0], 5j, -5j),
+    ])
+    def test_a_form_refuses_points_of_another_dimension(self, dim, base, z_center, w_center):
+        dom = ProductDomain.of_balls(z_center, 4.9, w_center, 4.9)
+        with pytest.raises(DomainError, match=f"bases and ball centers .*C\\^{dim}"):
+            ClosedHoloForm(dim, lambda Z, W: pytest.fail("evaluated"), base, base, dom)
+
+    def test_a_form_refuses_a_center_that_is_not_finite(self):
+        dom = ProductDomain.of_balls(complex("nan"), 4.9, -5j, 4.9)
+        with pytest.raises(DomainError, match="bases and ball centers must be finite"):
+            ClosedHoloForm(1, lambda Z, W: pytest.fail("evaluated"), 1j, -1j, dom)
+
 
 class TestBoundaryVanishing:
     def test_constant_form(self):

@@ -281,6 +281,17 @@ class TestReduce:
             with pytest.raises(BudgetError):
                 func(z)
 
+    def test_a_0d_array_is_the_point_it_holds(self):
+        for z in (1j, 0.3 + 1.1j, -1 / (0.3 + 1.1j - 1) + 2):
+            gamma, u, zc = reduce(np.array(z))
+            assert (gamma, u, zc) == reduce(z)
+            assert [type(v) for v in (*gamma, u, zc)] == [int] * 4 + [complex] * 2
+
+    @pytest.mark.parametrize("z", [np.array([1j]), np.array([1j, 2j]), np.zeros((2, 0), complex)])
+    def test_an_array_is_a_domain_error_naming_its_shape(self, z):
+        with pytest.raises(DomainError, match=re.escape(f"array of shape {z.shape}")):
+            reduce(z)
+
     def test_tiny_height_at_a_cusp_is_finite(self):
         value = log_eta(1e-300j)
         assert cmath.isfinite(value)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ class TestZetaDet:
     def test_rejects_non_finite_modulus(self):
         with pytest.raises(DomainError):
             zeta_log_det(complex("nan+1j"))
+
+    def test_a_0d_array_is_the_point_it_holds(self):
+        for z in (0.3 + 1.1j, -1 / (0.3 + 1.1j)):
+            r = zeta_log_det(np.array(z))
+            assert r == zeta_log_det(z) and type(r.modulus) is complex
+
+    def test_an_array_is_a_domain_error_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(torus_spectral, "_theta_sums", lambda *args: pytest.fail("summed"))
+        for z in (np.array([1j]), np.array([1j, 2j])):
+            with pytest.raises(DomainError, match=re.escape(f"array of shape {z.shape}")):
+                zeta_log_det(z)
 
     @staticmethod
     def assert_matches_eta(z):

@@ -19,6 +19,7 @@ mixed_second_of  Omega_ij = d^2 g / dz^i dw^j for an explicit polynomial g,
 
 The constant and the two polynomial kinds build Omega as one matrix
 ``PolyMap``; repeated monomials sum, in ``coeff`` and ``gterm`` lines alike.
+Every other directive is given at most once per block (SINGLE_VALUED).
 ``dim`` is at least 1, every number is finite, a ``coeff`` line's indices
 i, j lie in [0, dim), every ``coeff`` or ``gterm`` line gives dim exponents
 per block, and every base and ball center is a point of C^dim.  A line that
@@ -43,6 +44,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -93,18 +96,11 @@ class FormCatalogEntry:
         for key in ("base_z", "base_w", "domain_z_center", "domain_w_center"):
             _check_point(self.dim, key.removesuffix("_center"), getattr(self, key))
 
-    def domain(self) -> ProductDomain:
-        return ProductDomain.of_balls(
-            np.asarray(self.domain_z_center, dtype=complex), self.domain_z_radius,
-            np.asarray(self.domain_w_center, dtype=complex), self.domain_w_radius,
-        )
-
     def build(self, validate: bool = True) -> ClosedHoloForm:
         """Materialize the evaluator.  With ``validate``, polynomial entries are
         checked for closedness and holomorphy (they are the only kind that can
         silently violate the contracts); pass validate=False to build a
         negative control."""
-        dom = self.domain()
         if self.kind == "pole_power":
             c, k = complex(self.coefficient), int(self.exponent)
 
@@ -125,8 +121,8 @@ class FormCatalogEntry:
         else:  # constant
             coeff = PolyMap.matrix(1, [(0, 0, self.coefficient, (0,), (0,))])
 
-        form = ClosedHoloForm(self.dim, coeff, np.asarray(self.base_z, dtype=complex),
-                              np.asarray(self.base_w, dtype=complex), dom)
+        form = ClosedHoloForm(self.dim, coeff, self.base_z, self.base_w, ProductDomain(
+            self.domain_z_center, self.domain_z_radius, self.domain_w_center, self.domain_w_radius))
         if validate and self.kind == "polynomial":
             closed, anti, rule = check_closed_and_holomorphic(form, self.validation_samples())
             if not max(closed, anti) <= rule.tolerance:
@@ -167,33 +163,32 @@ def _check_point(dim: int, key: str, point) -> None:
         raise DomainError(f"{key} gives a point of C^{len(point)}, not of C^{dim}")
 
 
-def builtin_catalog() -> dict[str, FormCatalogEntry]:
-    """The compiled-in forms the CLI refers to by name."""
-    tall = dict(domain_z_center=(5j,), domain_z_radius=4.9,
-                domain_w_center=(-5j,), domain_w_radius=4.9)
-    entries = [
-        FormCatalogEntry("const1", "constant", 1, (1j,), (-1j,), coefficient=1.0, **tall),
-        FormCatalogEntry("wp_genus1", "pole_power", 1, (1j,), (-1j,),
-                         coefficient=1.0, exponent=2, **tall),
-        FormCatalogEntry(
-            "gmix_n2", "mixed_second_of", 2,
-            (0.1 + 0.1j, 0.05j), (-0.1j, 0.2),
-            (0j, 0j), 1.5, (0j, 0j), 1.5,
-            g_terms=((1.0, (2, 0), (3, 0)), (1.0, (0, 1), (0, 1))),
+_TALL = dict(domain_z_center=(5j,), domain_z_radius=4.9,
+             domain_w_center=(-5j,), domain_w_radius=4.9)
+
+#: The compiled-in forms the CLI refers to by name, made once at import.
+BUILTIN_FORMS = MappingProxyType({e.name: e for e in (
+    FormCatalogEntry("const1", "constant", 1, (1j,), (-1j,), coefficient=1.0, **_TALL),
+    FormCatalogEntry("wp_genus1", "pole_power", 1, (1j,), (-1j,),
+                     coefficient=1.0, exponent=2, **_TALL),
+    FormCatalogEntry(
+        "gmix_n2", "mixed_second_of", 2,
+        (0.1 + 0.1j, 0.05j), (-0.1j, 0.2),
+        (0j, 0j), 1.5, (0j, 0j), 1.5,
+        g_terms=((1.0, (2, 0), (3, 0)), (1.0, (0, 1), (0, 1))),
+    ),
+    FormCatalogEntry(
+        "bad_nonclosed", "polynomial", 2,
+        (0.1 + 0.1j, 0.1), (-0.1 - 0.1j, -0.1),
+        (0j, 0j), 1.5, (0j, 0j), 1.5,
+        # Omega_11 = z^2 (the second z coordinate), Omega_22 = 1:
+        # d_{z^2} Omega_11 = 1 but d_{z^1} Omega_21 = 0, so d Omega != 0
+        poly_terms=(
+            (0, 0, 1.0, (0, 1), (0, 0)),
+            (1, 1, 1.0, (0, 0), (0, 0)),
         ),
-        FormCatalogEntry(
-            "bad_nonclosed", "polynomial", 2,
-            (0.1 + 0.1j, 0.1), (-0.1 - 0.1j, -0.1),
-            (0j, 0j), 1.5, (0j, 0j), 1.5,
-            # Omega_11 = z^2 (the second z coordinate), Omega_22 = 1:
-            # d_{z^2} Omega_11 = 1 but d_{z^1} Omega_21 = 0, so d Omega != 0
-            poly_terms=(
-                (0, 0, 1.0, (0, 1), (0, 0)),
-                (1, 1, 1.0, (0, 0), (0, 0)),
-            ),
-        ),
-    ]
-    return {e.name: e for e in entries}
+    ),
+)})
 
 
 # --- text format -------------------------------------------------------------
@@ -229,27 +224,50 @@ def _split_bar(tokens):
     return groups
 
 
+def directive_lines(text: str):
+    """Each directive of a catalog or recipe text as (line number, key, values).
+
+    A ``#`` starts a comment; a line left blank holds no directive.
+    """
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        words = raw.split("#", 1)[0].split()
+        if words:
+            yield lineno, words[0], words[1:]
+
+
+def once(lines: dict, key: str, lineno: int, at: str = "") -> None:
+    """Note in ``lines`` that ``key`` is given at ``lineno``; a key given before is a
+    DomainError, led by ``at``, that names the line of its first time."""
+    if key in lines:
+        raise DomainError(f"{at}{key} already given at line {lines[key]}")
+    lines[key] = lineno
+
+
+#: The directives a form block holds at most once; ``coeff`` and ``gterm`` lines sum.
+SINGLE_VALUED = ("kind", "dim", "coefficient", "exponent",
+                 "base_z", "base_w", "domain_z", "domain_w")
+
+
 def parse_catalog(text: str) -> dict[str, FormCatalogEntry]:
     """Parse the plain-text catalog format; see the module docstring.
 
-    A malformed line is a DomainError that names it.  A term, a base and a
-    ball center are checked against ``dim`` at the block's ``end``, and an
-    error there names their own line.
+    A malformed line, or a directive of SINGLE_VALUED given twice in one
+    block, is a DomainError that names it.  A term, a base and a ball center
+    are checked against ``dim`` at the block's ``end``, and an error there
+    names their own line.
     """
     entries: dict[str, FormCatalogEntry] = {}
     fields = name = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, *args = line.split()
+    for lineno, key, args in directive_lines(text):
         at = lineno
         try:
+            if fields is not None and key in SINGLE_VALUED:
+                once(lines, key, lineno)
             if key == "form":
                 if fields is not None:
                     raise DomainError("nested 'form' block")
                 (name,) = args
-                fields, dim_checks = {"poly_terms": (), "g_terms": ()}, []
+                fields, dim_checks, lines = {"poly_terms": (), "g_terms": ()}, [], {}
             elif key == "end":
                 if fields is None:
                     raise DomainError("'end' outside a form block")
@@ -306,5 +324,4 @@ def _entry_from_fields(name: str, f: dict) -> FormCatalogEntry:
 
 def load_catalog(path) -> dict[str, FormCatalogEntry]:
     # an undecodable byte becomes U+FFFD, so the parser names its line
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        return parse_catalog(fh.read())
+    return parse_catalog(Path(path).read_text(encoding="utf-8", errors="replace"))

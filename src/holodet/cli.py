@@ -29,10 +29,11 @@ import functools
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from .catalog import builtin_catalog, finite_floats, load_catalog
+from .catalog import BUILTIN_FORMS, directive_lines, finite_floats, load_catalog, once
 from .errors import DomainError, HolodetError
 from .extension import F_MODES, ProductPoint, assemble_extension, genus1_extension, genus1_recipe
 from .polarization import load_diagonal_csv, polarize_fit
@@ -125,9 +126,7 @@ def cmd_torus_det(args) -> int:
 
 
 def _load_entry(args):
-    catalog = builtin_catalog()
-    if args.catalog:
-        catalog.update(load_catalog(args.catalog))
+    catalog = {**BUILTIN_FORMS, **(load_catalog(args.catalog) if args.catalog else {})}
     if args.form not in catalog:
         raise DomainError(f"unknown form {args.form!r}; available: {', '.join(sorted(catalog))}")
     return catalog[args.form]
@@ -180,22 +179,23 @@ def _emit_grid(out, form, zs: np.ndarray, wc: complex) -> None:
 
 
 def _parse_recipe_file(path):
-    """A recipe from ``constant`` and ``f_mode`` lines; a malformed line is a DomainError naming it."""
-    opts = {"constant": 0.0, "f_mode": "zero"}
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *rest = line.split()
-            at = f"recipe line {lineno}: "
-            if key not in opts:
-                raise DomainError(f"{at}unknown recipe directive {key!r}")
-            if len(rest) != 1:
-                raise DomainError(f"{at}recipe directive {key!r} takes one value, got {len(rest)}")
-            (opts[key],) = finite_floats(rest, at) if key == "constant" else rest
-            if key == "f_mode" and opts[key] not in F_MODES:
-                raise DomainError(f"{at}unknown f_mode {opts[key]!r}; known: {', '.join(F_MODES)}")
+    """A recipe from one ``constant`` and one ``f_mode`` line; a malformed or
+    repeated line is a DomainError naming it, and so is a missing directive."""
+    opts, lines = {}, {}
+    text = Path(path).read_text(encoding="utf-8", errors="replace")
+    for lineno, key, values in directive_lines(text):
+        at = f"recipe line {lineno}: "
+        if key not in ("constant", "f_mode"):
+            raise DomainError(f"{at}unknown recipe directive {key!r}")
+        once(lines, key, lineno, at)
+        if len(values) != 1:
+            raise DomainError(f"{at}recipe directive {key!r} takes one value, got {len(values)}")
+        (opts[key],) = finite_floats(values, at) if key == "constant" else values
+        if key == "f_mode" and opts[key] not in F_MODES:
+            raise DomainError(f"{at}unknown f_mode {opts[key]!r}; known: {', '.join(F_MODES)}")
+    for key in ("constant", "f_mode"):
+        if key not in opts:
+            raise DomainError(f"recipe missing {key}")
     return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
 
 

@@ -30,13 +30,14 @@ H x Hbar; likewise -pi*i*(z - w) in the eta extension.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .catalog import builtin_catalog
+from .catalog import BUILTIN_FORMS
 from .errors import BudgetError, DomainError, NotPluriharmonicError
 from .potential_builder import (  # noqa: F401 -- bench/tests looks cone_potential up here
     ClosedHoloForm,
@@ -116,14 +117,15 @@ def symmetrized_evaluator(q: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> 
     return q_tilde
 
 
+@functools.cache
 def genus1_pole_form() -> ClosedHoloForm:
-    r"""The model form (z - w)^{-2} dz /\ dw: the catalog entry ``wp_genus1``.
+    r"""The model form (z - w)^{-2} dz /\ dw: the catalog entry ``wp_genus1``, built once.
 
     Bases (i, -i); domain: balls of radius 4.9 around +/- 5i, which cover
     the working strip 0.1 < |Im| < 9.9 of the half planes while staying off
-    the real axis.
+    the real axis.  Every call returns the one form, whose arrays are read-only.
     """
-    return builtin_catalog()["wp_genus1"].build()
+    return BUILTIN_FORMS["wp_genus1"].build()
 
 
 def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], center: complex,

@@ -57,24 +57,33 @@ MAX_DEPTH = 8
 _ROUNDING = 16 * np.finfo(float).eps
 
 
-def _inside(points: np.ndarray, center: np.ndarray, radius: float):
-    """Whether each point (last axis: coordinates) lies in the closed ball."""
-    return np.linalg.norm(points - center, axis=-1) <= radius * (1 + 1e-12)
-
-
 @dataclass(frozen=True)
 class ProductDomain:
-    """Product of two balls; star-shapedness w.r.t. interior points is free."""
+    """Product of two balls, centers held as read-only complex arrays; star-shapedness
+    w.r.t. interior points is free."""
 
     z_center: np.ndarray
     z_radius: float
     w_center: np.ndarray
     w_radius: float
 
-    @classmethod
-    def of_balls(cls, z_center, z_radius, w_center, w_radius):
-        return cls(np.array(z_center, dtype=complex, ndmin=1), float(z_radius),
-                   np.array(w_center, dtype=complex, ndmin=1), float(w_radius))
+    def __post_init__(self):
+        for block in "zw":
+            center = np.array(getattr(self, f"{block}_center"), dtype=complex, ndmin=1)
+            center.flags.writeable = False
+            object.__setattr__(self, f"{block}_center", center)
+            object.__setattr__(self, f"{block}_radius", float(getattr(self, f"{block}_radius")))
+
+    def require_inside(self, Z: np.ndarray, W: np.ndarray, names=("z", "w")) -> None:
+        """Refuse points Z, W of shape (K, n) outside the z- and w-ball; the DomainError
+        names the first, as ``names`` call the blocks."""
+        for name, block, P in zip(names, "zw", (Z, W)):
+            center, radius = getattr(self, f"{block}_center"), getattr(self, f"{block}_radius")
+            inside = np.linalg.norm(P - center, axis=-1) <= radius * (1 + 1e-12)
+            if not inside.all():
+                bad = P[int(np.argmin(inside))]
+                shown = complex(bad[0]) if bad.size == 1 else bad
+                raise DomainError(f"{name} = {shown!r} outside the declared {block}-domain")
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,8 @@ class ClosedHoloForm:
     holomorphy are numerical contracts checked by
     ``check_closed_and_holomorphic``.  A coefficient that has a pole refuses
     points near it itself, with a QuadratureError.  The bases and both ball
-    centers must be finite points of C^dim, and each base lies in its ball.
+    centers must be finite points of C^dim, and each base lies in its ball;
+    the bases are held as read-only arrays.
     """
 
     dim: int
@@ -103,12 +113,10 @@ class ClosedHoloForm:
         dom = self.domain
         points = _targets(np.atleast_1d(self.base_z, self.base_w, dom.z_center, dom.w_center),
                           self.dim, "bases and ball centers")
+        points.flags.writeable = False
         object.__setattr__(self, "base_z", points[0])
         object.__setattr__(self, "base_w", points[1])
-        inside = _inside(points[:2], points[2:], np.array([dom.z_radius, dom.w_radius]))
-        for block, ok in zip("zw", inside):
-            if not ok:
-                raise DomainError(f"base_{block} outside the declared {block}-domain")
+        dom.require_inside(points[:1], points[1:2], ("base_z", "base_w"))
 
 
 class ConePotentials(NamedTuple):
@@ -177,12 +185,21 @@ def _coefficient_tail(A: np.ndarray, n: int) -> np.ndarray:
     return top * (ratio ** (2 / (n - n // 2))) ** ((n + 1) / 2)
 
 
+def _sizes(points) -> str:
+    """The sizes of points of unequal sizes, as a message; empty for any other ``points``."""
+    try:
+        sizes = sorted({np.size(p) for p in points})
+    except (TypeError, ValueError):  # not a sequence of sequences of numbers
+        return ""
+    return f"got points of sizes {', '.join(map(str, sizes))}" if len(sizes) > 1 else ""
+
+
 def _targets(points, n: int, what: str) -> np.ndarray:
     """``points`` as an array of shape (K, n): finite points of C^n (shape (K,) when n = 1)."""
     try:
         arr = np.asarray(points, dtype=complex)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
-        raise DomainError(f"{what} are not points of C^{n}: {exc}") from None
+        raise DomainError(f"{what} are not points of C^{n}: {_sizes(points) or exc}") from None
     if n == 1 and arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != n:
@@ -238,14 +255,7 @@ def cone_potentials(form: ClosedHoloForm, Z, W) -> ConePotentials:
     Z, W = _targets(Z, form.dim, "z targets"), _targets(W, form.dim, "w targets")
     if Z.shape != W.shape:
         raise DomainError(f"z targets of shape {Z.shape} but w targets of shape {W.shape}")
-    dom = form.domain
-    for block, P, center, radius in (("z", Z, dom.z_center, dom.z_radius),
-                                     ("w", W, dom.w_center, dom.w_radius)):
-        inside = _inside(P, center, radius)
-        if not inside.all():
-            bad = P[int(np.argmin(inside))]
-            shown = complex(bad[0]) if bad.size == 1 else bad
-            raise DomainError(f"{block} = {shown!r} outside the declared {block}-domain")
+    form.domain.require_inside(Z, W)
     dz, dw = Z - form.base_z, W - form.base_w
 
     count = Z.shape[0]

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catalog import builtin_catalog
+from .catalog import BUILTIN_FORMS
 from .errors import DomainError, HolodetError
 from .extension import (
     ProductPoint,
@@ -285,7 +285,7 @@ def _synthetic_forms():
     out = []
     for n in (1, 2, 3, 1, 2):
         g = random_polymap(n, degree=4, n_terms=10, rng=rng)
-        dom = ProductDomain.of_balls(np.zeros(n, complex), 1.2, np.zeros(n, complex), 1.2)
+        dom = ProductDomain(np.zeros(n, complex), 1.2, np.zeros(n, complex), 1.2)
         base_z = np.full(n, 0.1 + 0.1j)
         base_w = np.full(n, -0.1 - 0.05j)
         form = ClosedHoloForm(n, g.mixed_coefficient_evaluator(), base_z, base_w, dom)
@@ -313,7 +313,7 @@ def check_synthetic_form_contracts() -> list[CheckResult]:
 
 
 def check_nonclosed_negative_control() -> list[CheckResult]:
-    entry = builtin_catalog()["bad_nonclosed"]
+    entry = BUILTIN_FORMS["bad_nonclosed"]
     form = entry.build(validate=False)
     closed = check_closed_and_holomorphic(form, entry.validation_samples())[0]
     # inverted: passes when closedness > 1e-3; zero, from a broken check, fails as inf

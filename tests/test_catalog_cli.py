@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from holodet.catalog import builtin_catalog, load_catalog, parse_catalog
+from holodet.catalog import BUILTIN_FORMS, SINGLE_VALUED, load_catalog, parse_catalog
 from holodet.cli import _emit_grid
 from holodet.errors import DomainError, HolodetError
 from holodet.polarization import DiagonalSampleSet
@@ -45,10 +45,15 @@ MALFORMED_LINES = {
     "domain-radius-zero": (ONE_VAR_BLOCK.format(kind="pole_power", line="domain_w 0 -5 0"), 3),
     "dim-0": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim 0"), 3),
     "dim-negative": (POLY_BLOCK.format(kind="polynomial", line="").replace("dim 2", "dim -1"), 3),
-    "base-w-not-dim": (ONE_VAR_BLOCK.format(kind="pole_power", line="base_w 0 -1 0 0"), 3),
+    "base-w-not-dim": (ONE_VAR_BLOCK.format(kind="pole_power", line="base_w 0 -1 0 0")
+                       .replace("  base_w 0 -1\n", ""), 3),
     "domain-z-not-dim": (POLY_BLOCK.format(kind="mixed_second_of", line="gterm 1 0 | 2 0 | 3 0")
                          .replace("domain_z 0 0 0 0 1.5", "domain_z 0.5 0 1.5"), 7),
 }
+
+#: a block giving every single-valued directive once, at lines 2-9
+FULL_BLOCK = ["form full", "  kind pole_power", "  dim 1", "  coefficient 1 0", "  exponent 2",
+              "  base_z 0 1", "  base_w 0 -1", "  domain_z 0 5 4.9", "  domain_w 0 -5 4.9", "end"]
 
 # a dim-2 entry whose z ball (line 6) gives one coordinate
 ONE_COORDINATE_BALL = ("form bad\n  kind mixed_second_of\n  dim 2\n  gterm 1 0 | 2 0 | 3 0\n"
@@ -58,28 +63,28 @@ ONE_COORDINATE_BALL = ("form bad\n  kind mixed_second_of\n  dim 2\n  gterm 1 0 |
 
 class TestCatalog:
     def test_builtin_names(self):
-        cat = builtin_catalog()
+        cat = BUILTIN_FORMS
         assert {"const1", "wp_genus1", "gmix_n2", "bad_nonclosed"} <= set(cat)
 
     def test_const1_value(self):
-        form = builtin_catalog()["const1"].build()
+        form = BUILTIN_FORMS["const1"].build()
         q = cone_potential(form, 2j, -2j)
         assert abs(q - 1.0) < 1e-12
 
     def test_wp_genus1_is_pole_form(self):
-        form = builtin_catalog()["wp_genus1"].build()
+        form = BUILTIN_FORMS["wp_genus1"].build()
         omega = form.coeff([2j], [-2j])[0]
         assert omega[0, 0] == pytest.approx((4j) ** -2)
 
     def test_gmix_closed(self):
-        entry = builtin_catalog()["gmix_n2"]
+        entry = BUILTIN_FORMS["gmix_n2"]
         closed, anti, rule = check_closed_and_holomorphic(entry.build(), entry.validation_samples())
         assert closed <= rule.tolerance and anti <= rule.tolerance
 
     def test_a_large_closed_polynomial_form_validates(self):
         # Omega = diag(1e8 (z^1)^2, 1e8) is closed; its anti-holomorphy residual, 1.04e-8, is
         # rounding of samples near 1e8, within 1e-11 plus the rule's rounding (about 2.2e-6)
-        big = dataclasses.replace(builtin_catalog()["bad_nonclosed"], name="big", poly_terms=(
+        big = dataclasses.replace(BUILTIN_FORMS["bad_nonclosed"], name="big", poly_terms=(
             (0, 0, 1e8, (2, 0), (0, 0)), (1, 1, 1e8, (0, 0), (0, 0))))
         form = big.build()
         closed, anti, rule = check_closed_and_holomorphic(form, big.validation_samples())
@@ -87,7 +92,7 @@ class TestCatalog:
 
     def test_a_small_closedness_defect_fails(self):
         # gmix_n2 with 1e-9 z^2 added to Omega_12: d_{z^2} Omega_12 = 1e-9, d_{z^1} Omega_22 = 0
-        defect = dataclasses.replace(builtin_catalog()["gmix_n2"], kind="polynomial", g_terms=(),
+        defect = dataclasses.replace(BUILTIN_FORMS["gmix_n2"], kind="polynomial", g_terms=(),
                                      poly_terms=((0, 0, 6.0, (1, 0), (2, 0)), (1, 1, 1.0, (0, 0), (0, 0)),
                                                  (0, 1, 1e-9, (0, 1), (0, 0))))
         closed, anti = form_contract_checks([(defect.build(validate=False), defect.validation_samples())])
@@ -98,7 +103,7 @@ class TestCatalog:
 
     def test_polynomial_and_mixed_second_of_give_one_coefficient_map(self):
         # gmix_n2 is g = (z^1)^2 (w^1)^3 + z^2 w^2: Omega_11 = 6 z^1 (w^1)^2, Omega_22 = 1
-        mixed = builtin_catalog()["gmix_n2"]
+        mixed = BUILTIN_FORMS["gmix_n2"]
         poly = dataclasses.replace(mixed, kind="polynomial", g_terms=(), poly_terms=(
             (0, 0, 6.0, (1, 0), (2, 0)), (1, 1, 1.0, (0, 0), (0, 0))))
         rng = np.random.default_rng(3)
@@ -106,7 +111,7 @@ class TestCatalog:
         assert np.array_equal(poly.build().coeff(Z, W), mixed.build().coeff(Z, W))
 
     def test_bad_nonclosed_fails_validation(self):
-        entry = builtin_catalog()["bad_nonclosed"]
+        entry = BUILTIN_FORMS["bad_nonclosed"]
         with pytest.raises(HolodetError, match="closedness"):
             entry.build()  # polynomial entries validate by default
         form = entry.build(validate=False)
@@ -176,7 +181,7 @@ class TestCatalog:
                                             ("domain_z", "domain_z_center"),
                                             ("domain_w", "domain_w_center")])
     def test_an_entry_refuses_a_point_of_another_dimension(self, key, field):
-        gmix = builtin_catalog()["gmix_n2"]
+        gmix = BUILTIN_FORMS["gmix_n2"]
         with pytest.raises(DomainError, match=f"^{key} gives a point of C\\^1, not of C\\^2$"):
             dataclasses.replace(gmix, **{field: (0j,)})
 
@@ -188,6 +193,32 @@ class TestCatalog:
             return entry.build().coeff([0.5], [0.5])[0, 0, 0]
 
         assert omega("1 0 | 2 | 3", "1 0 | 2 | 3") == omega("2 0 | 2 | 3") == pytest.approx(1.5)
+
+    def test_repeated_coeffs_sum(self):
+        def omega(*coeffs):
+            lines = "\n".join(f"coeff 0 0 {c} | 0 | 0" for c in coeffs)
+            entry = parse_catalog(ONE_VAR_BLOCK.format(kind="polynomial", line=lines))["bad"]
+            return entry.build().coeff([0.5], [0.5])[0, 0, 0]
+
+        assert omega("1 0", "1 0") == omega("2 0") == 2.0
+
+    def test_the_full_block_gives_every_single_valued_directive(self):
+        assert sorted(line.split()[0] for line in FULL_BLOCK[1:-1]) == sorted(SINGLE_VALUED)
+        assert parse_catalog("\n".join(FULL_BLOCK * 2))["full"].coefficient == 1.0
+
+    @pytest.mark.parametrize("first", range(2, 10), ids=[line.split()[0] for line in FULL_BLOCK[1:-1]])
+    def test_a_single_valued_directive_given_twice_names_both_lines(self, first):
+        # the last line won: a second coefficient line scaled the form silently
+        line = FULL_BLOCK[first - 1]
+        text = "\n".join([*FULL_BLOCK[:-1], line, "end"])
+        key = line.split()[0]
+        with pytest.raises(DomainError, match=f"^catalog line 10: {key} already given at line {first}$"):
+            parse_catalog(text)
+
+    def test_builtins_are_one_read_only_mapping(self):
+        with pytest.raises(TypeError):
+            BUILTIN_FORMS["wp_genus1"] = BUILTIN_FORMS["const1"]
+        assert set(BUILTIN_FORMS) == {"const1", "wp_genus1", "gmix_n2", "bad_nonclosed"}
 
 
 class TestReport:
@@ -382,7 +413,7 @@ class TestCliPotential:
 
     def test_grid_csv_matches_the_per_value_repr_form(self, tmp_path):
         # the bulk rows carry each float's repr, as one repr per numpy scalar did
-        form = builtin_catalog()["wp_genus1"].build()
+        form = BUILTIN_FORMS["wp_genus1"].build()
         rng = np.random.default_rng(28)
         zs = rng.uniform(-0.5, 0.5, 64) + 1j * rng.uniform(0.3, 3.0, 64)
         zs[0] = complex(-0.0, 1.0)  # a signed zero keeps its sign
@@ -437,7 +468,7 @@ class TestCliPotential:
         out = run_cli("potential", "--form", "offbase", "--at", "0,2;0,-2",
                       "--catalog", str(path))
         assert out.returncode == 2
-        assert "base_z outside" in out.stderr and "Traceback" not in out.stderr
+        assert out.stderr == "error: base_z = 20j outside the declared z-domain\n"
 
     def test_non_finite_target_exits_2_without_a_warning(self):
         out = run_cli("potential", "--form", "gmix_n2", "--at", "0,0.1:0,0.1;inf,0:0,0")
@@ -516,6 +547,33 @@ class TestCliPotential:
                       "--catalog", str(path))
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == "error: catalog line 6: domain_z gives a point of C^1, not of C^2\n"
+
+    def test_a_repeated_coefficient_exits_2(self, tmp_path, capsys):
+        # the second coefficient line won: q was five times the built-in value, exit 0
+        from holodet.cli import main
+
+        path = tmp_path / "cat.txt"
+        path.write_text("\n".join([*FULL_BLOCK[:4], "  coefficient 5 0", *FULL_BLOCK[4:]]))
+        assert main(["potential", "--form", "full", "--at", "0,2;0,-2", "--catalog", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: catalog line 5: coefficient already given at line 4\n")
+
+    def test_a_catalog_that_redefines_a_builtin_leaves_the_builtins_as_they_are(self, tmp_path, capsys):
+        from holodet import extension
+        from holodet.cli import main
+
+        path = tmp_path / "cat.txt"
+        path.write_text("\n".join(FULL_BLOCK).replace("full", "wp_genus1").replace("1 0", "5 0"))
+        argv = ["potential", "--form", "wp_genus1", "--at", "0,2;0,-2"]
+        form = extension.genus1_pole_form()
+        assert main(argv) == 0
+        builtin = capsys.readouterr().out
+        assert main([*argv, "--catalog", str(path)]) == 0
+        redefined = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == builtin != redefined
+        assert BUILTIN_FORMS["wp_genus1"].coefficient == 1.0
+        assert extension.genus1_pole_form() is form
+        assert form.coeff([2j], [-2j])[0, 0, 0] == (4j) ** -2
 
     def test_custom_catalog(self, tmp_path):
         path = tmp_path / "cat.txt"
@@ -631,6 +689,44 @@ class TestCliExtend:
         out = run_cli("extend", "--point", "0,1;0,-1", "--recipe", str(path))
         assert out.returncode == 2
         assert out.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("constant -0.5\nf_mode eta\nconstant 3\n", "recipe line 3: constant already given at line 1"),
+        ("f_mode eta\n# C = -1/2\nconstant -0.5\nf_mode split\n",
+         "recipe line 4: f_mode already given at line 1"),
+    ], ids=["constant", "f_mode"])
+    def test_a_repeated_directive_names_both_lines(self, tmp_path, capsys, text, message):
+        # the last line won: the first recipe evaluated at C = 3 and exited 0
+        from holodet.cli import main
+
+        path = tmp_path / "recipe.txt"
+        path.write_text(text)
+        assert main(["extend", "--point", "0,1;0,-1", "--recipe", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("text, missing", [
+        ("f_mode eta\n", "constant"), ("constant -0.5\n", "f_mode"),
+        ("", "constant"), ("# no directive\n\n", "constant"),
+    ], ids=["constant", "f_mode", "empty", "comment-only"])
+    def test_a_missing_directive_is_named(self, tmp_path, capsys, text, missing):
+        # a missing line took the default: an empty recipe printed the period term alone, exit 0
+        from holodet.cli import main
+
+        path = tmp_path / "recipe.txt"
+        path.write_text(text)
+        assert main(["extend", "--point", "0,1;0,-1", "--recipe", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: recipe missing {missing}\n")
+
+    def test_the_zero_mode_written_out_is_the_period_term(self, tmp_path, capsys):
+        import cmath
+
+        from holodet.cli import main
+
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant 0\nf_mode zero\n")
+        assert main(["extend", "--point=0.5,1.2;-0.3,-0.8", "--recipe", str(path)]) == 0
+        value = complex(capsys.readouterr().out.strip().replace("i", "j"))
+        assert abs(value - cmath.log((0.5 + 1.2j - (-0.3 - 0.8j)) / 2j)) < 1e-14
 
     @pytest.mark.parametrize("text", ["constant nan\nf_mode zero\n", "constant inf\nf_mode eta\n",
                                       "constant -1e999\nf_mode split\n"],

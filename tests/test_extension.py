@@ -118,6 +118,15 @@ class TestWpForm:
         rule = contour(lambda z, w: np.log(z - w), 1j, -1j)
         assert abs(rule.modes[1, 1] - (-0.25)) < 1e-11
 
+    def test_the_pole_form_is_built_once_with_read_only_arrays(self):
+        form = genus1_pole_form()
+        assert genus1_pole_form() is form
+        for array in (form.base_z, form.base_w, form.domain.z_center, form.domain.w_center):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        assert form.base_z.tolist() == [1j] and form.domain.z_center.tolist() == [5j]
+
 
 class TestPluriharmonicSplit:
     def test_quadratic(self):

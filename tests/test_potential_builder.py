@@ -32,7 +32,7 @@ from holodet.torus_spectral import _gl_nodes
 from holodet.verify import boundary_check, form_contract_checks, mixed_derivative_check
 from holodet.wirtinger import NODES, contour
 
-HALF_PLANE_BALLS = ProductDomain.of_balls(5j, 4.9, -5j, 4.9)
+HALF_PLANE_BALLS = ProductDomain(5j, 4.9, -5j, 4.9)
 
 
 def nodes(Z, W) -> int:
@@ -67,7 +67,7 @@ def sum_pole_form(base_z, base_w):
             raise QuadratureError("point within 0.001 of a singularity of the form")
         return (d ** -2)[..., None, None]
 
-    dom = ProductDomain.of_balls(0j, 4.0, 0j, 4.0)
+    dom = ProductDomain(0j, 4.0, 0j, 4.0)
     return ClosedHoloForm(1, coeff, base_z, base_w, dom)
 
 
@@ -109,7 +109,7 @@ class TestConePotential:
 
     def test_mixed_second_synthetic_n2(self):
         g = PolyMap(2, {((2, 0), (3, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
-        dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+        dom = ProductDomain([0, 0], 1.5, [0, 0], 1.5)
         form = ClosedHoloForm(2, g.mixed_coefficient_evaluator(),
                               [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
         z = np.array([0.4 + 0.2j, -0.3 + 0.1j])
@@ -424,7 +424,7 @@ class TestBatchedCells:
         w = -z
         radius = max(0.999, abs(z - 1j), abs(w + 1j))
         form = dataclasses.replace(pole_power_form(c, k, 1j, -1j),
-                                   domain=ProductDomain.of_balls(1j, radius, -1j, radius))
+                                   domain=ProductDomain(1j, radius, -1j, radius))
         res = cone_potentials(form, [z], [w])
         exact = pole_power_closed_form_mp(c, k, z, w, 1j, -1j)
         assert abs(res.values[0] - exact) <= res.errors[0], (gap, res.cells[0])
@@ -461,12 +461,30 @@ class TestBatchedCells:
         (1, [1j, 0], 5j, -5j),
     ])
     def test_a_form_refuses_points_of_another_dimension(self, dim, base, z_center, w_center):
-        dom = ProductDomain.of_balls(z_center, 4.9, w_center, 4.9)
+        dom = ProductDomain(z_center, 4.9, w_center, 4.9)
         with pytest.raises(DomainError, match=f"bases and ball centers .*C\\^{dim}"):
             ClosedHoloForm(dim, lambda Z, W: pytest.fail("evaluated"), base, base, dom)
 
+    def test_points_of_unequal_sizes_are_named_by_their_sizes(self):
+        # numpy's ragged-array text named none of the four points
+        dom = ProductDomain([0, 0], 1.5, [0], 1.5)
+        with pytest.raises(DomainError) as info:
+            ClosedHoloForm(2, lambda Z, W: pytest.fail("evaluated"), [0.1, 0.1], [0.1, 0.1], dom)
+        assert str(info.value) == ("bases and ball centers are not points of C^2: "
+                                   "got points of sizes 1, 2")
+
+    def test_a_domain_names_the_first_point_outside_its_ball(self):
+        dom = ProductDomain(0j, 1.0, 0j, 1.0)
+        assert dom.z_center.shape == (1,) and type(dom.z_radius) is float
+        inside = np.array([[0.5], [0.5j]])
+        dom.require_inside(inside, inside)
+        with pytest.raises(DomainError, match=r"^w = 2j outside the declared w-domain$"):
+            dom.require_inside(inside, np.array([[0.5], [2j], [3j]]))
+        with pytest.raises(DomainError, match=r"^base_z = \(2\+0j\) outside the declared z-domain$"):
+            dom.require_inside(np.array([[2.0]]), np.array([[3.0]]), ("base_z", "base_w"))
+
     def test_a_form_refuses_a_center_that_is_not_finite(self):
-        dom = ProductDomain.of_balls(complex("nan"), 4.9, -5j, 4.9)
+        dom = ProductDomain(complex("nan"), 4.9, -5j, 4.9)
         with pytest.raises(DomainError, match="bases and ball centers must be finite"):
             ClosedHoloForm(1, lambda Z, W: pytest.fail("evaluated"), 1j, -1j, dom)
 
@@ -482,7 +500,7 @@ class TestBoundaryVanishing:
 
     def test_mixed_second_synthetic(self):
         g = PolyMap(2, {((1, 1), (2, 0)): 0.7 - 0.2j, ((0, 2), (1, 1)): 1.3j})
-        dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+        dom = ProductDomain([0, 0], 1.5, [0, 0], 1.5)
         form = ClosedHoloForm(2, g.mixed_coefficient_evaluator(), [0.1, 0.2j], [0.3, -0.1j], dom)
         pairs = [(np.array([0.4, 0.5j]), np.array([0.2j, -0.3])),
                  (np.array([-0.5j, 0.1]), np.array([0.6, 0.2]))]
@@ -507,7 +525,7 @@ class TestMixedDerivative:
         # below 1e-10
         g = PolyMap(2, {((2, 0), (3, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
         inner = g.mixed_coefficient_evaluator()
-        dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+        dom = ProductDomain([0, 0], 1.5, [0, 0], 1.5)
         pairs = [(np.array([0.3, 0.2j]), np.array([0.25j, -0.2]))]
         for amplitude in (0.8, 1e-9):
             def corrupted(Z, W):
@@ -543,7 +561,7 @@ class TestMixedDerivative:
         monkeypatch.setattr(potential_builder, "cone_potentials",
                             lambda form, Z, W: calls.append(len(Z)) or real(form, Z, W))
         g = random_polymap(dim, degree=3, n_terms=6, rng=np.random.default_rng(dim))
-        dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
+        dom = ProductDomain(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
         form = ClosedHoloForm(dim, g.mixed_coefficient_evaluator(),
                               np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
         pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
@@ -558,7 +576,7 @@ class TestClosedAndHolomorphic:
         rng = np.random.default_rng(7)
         for dim in (1, 2, 3):
             g = random_polymap(dim, degree=4, n_terms=8, rng=rng)
-            dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2,
+            dom = ProductDomain(np.zeros(dim, complex), 1.2,
                                          np.zeros(dim, complex), 1.2)
             form = ClosedHoloForm(dim, g.mixed_coefficient_evaluator(),
                                   np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
@@ -575,7 +593,7 @@ class TestClosedAndHolomorphic:
             out[..., 1, 1] = e
             return out
 
-        dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+        dom = ProductDomain([0, 0], 1.5, [0, 0], 1.5)
         form = ClosedHoloForm(2, coeff, [0.1, 0.1], [0.1, 0.1], dom)
         z = np.array([0.3 + 0.1j, 0.2])
         w = np.array([0.4, -0.2j])
@@ -601,7 +619,7 @@ class TestClosedAndHolomorphic:
             calls.append(nodes(Z, W))
             return inner(Z, W)
 
-        dom = ProductDomain.of_balls(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
+        dom = ProductDomain(np.zeros(dim, complex), 1.2, np.zeros(dim, complex), 1.2)
         form = ClosedHoloForm(dim, coeff, np.full(dim, 0.1 + 0.1j), np.full(dim, -0.1j), dom)
         pairs = [(np.full(dim, 0.4 + 0.2j) - 0.1 * m, np.full(dim, -0.3 + 0.3j) + 0.1j * m)
                  for m in range(K)]
@@ -614,7 +632,7 @@ class TestClosedAndHolomorphic:
             raise AssertionError("evaluated")
 
         form = ClosedHoloForm(2, coeff, [0.1, 0.1], [0.1, 0.1],
-                              ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5))
+                              ProductDomain([0, 0], 1.5, [0, 0], 1.5))
         for pairs, match in (([([0.1, 0.2], [complex("inf"), 0])], "w targets must be finite"),
                              ([([0.1, 0.2], [0.1])], "shape"),
                              ([([0.1, 0.2], [0.1, 0.2]), ([0.1], [0.1, 0.2])], "z targets")):
@@ -626,7 +644,7 @@ class TestClosedAndHolomorphic:
     def test_an_empty_pair_list_is_a_domain_error(self):
         g = PolyMap(2, {((1, 0), (0, 1)): 1.0})
         form2 = ClosedHoloForm(2, g.mixed_coefficient_evaluator(), [0.1, 0.1], [0.1, 0.1],
-                               ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5))
+                               ProductDomain([0, 0], 1.5, [0, 0], 1.5))
         for form in (pole_form(), form2):
             for check in (check_closed_and_holomorphic, verify_mixed_derivative,
                           verify_boundary_vanishing, boundary_check, mixed_derivative_check,
@@ -676,7 +694,7 @@ class TestSharedMechanisms:
 
 def synthetic_form_n2():
     g = PolyMap(2, {((2, 0), (3, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
-    dom = ProductDomain.of_balls([0, 0], 1.5, [0, 0], 1.5)
+    dom = ProductDomain([0, 0], 1.5, [0, 0], 1.5)
     return ClosedHoloForm(2, g.mixed_coefficient_evaluator(), [0.1 + 0.1j, 0.05j], [-0.1j, 0.2], dom)
 
 

@@ -313,11 +313,17 @@ def genus1_extension(point: ProductPoint):
     ``ProductPoint`` keeps Im z > 0 > Im w, so -pi*i*(z - w) has positive real
     part and the principal logarithm is continuous everywhere it is used; on
     the diagonal w = zbar the value is log((2 pi y)^(1/2) |eta(z)|^2), real.
-    The values at every point come from one ``log_eta`` call on z and wbar;
-    BudgetError names the first point where the value overflows.
+    The values at every point come from one ``log_eta`` call on z and on the
+    wbar that differ from z; a wbar equal to z, as on the diagonal, takes
+    log_eta(z).  BudgetError names the first point where the value overflows.
     """
     z, w = point.z, point.w
-    eta_z, eta_wbar = log_eta(np.stack([z, np.conj(w)]))
+    wbar = np.conj(w)
+    fresh = wbar != z
+    etas = log_eta(np.concatenate([z.ravel(), wbar[fresh]]))
+    eta_z = etas[:z.size].reshape(z.shape)
+    eta_wbar = eta_z.copy()
+    eta_wbar[fresh] = etas[z.size:]
     with np.errstate(all="ignore"):
         value = 0.5 * np.log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
     bad = ~np.isfinite(value)

@@ -73,11 +73,18 @@ def disc_samples(center: complex, radius: float, count: int) -> np.ndarray:
     points; for count = 2(D+1)^2 that is D+1 rings of 2D+2 points.
     """
     _check_disc(center, radius)
-    rings, per_ring = _ring_layout(count)
+    return complex(center) + radius * _unit_ring_grid(*_ring_layout(count))
+
+
+@lru_cache(maxsize=16)
+def _unit_ring_grid(rings: int, per_ring: int) -> np.ndarray:
+    """The read-only ring grid of ``disc_samples`` on the unit disc, ring by ring."""
     xs, _ = _gauss_legendre(rings)
     rho = np.sqrt(0.5 * (xs + 1.0))
     turn = np.exp(2j * np.pi * np.arange(per_ring) / per_ring)
-    return complex(center) + radius * (rho[:, None] * turn[None, :]).ravel()
+    grid = (rho[:, None] * turn[None, :]).ravel()
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,10 +153,23 @@ class PolarizedPolynomial:
 
         A complex at a point (z, w); at arrays z and w of one shape, the
         array of values, from one stacked product of the two power tables,
-        row by row in the order (u^a C) v^b, as at a point.
+        row by row in the order (u^a C) v^b, as at a point.  Points that are
+        not complex numbers, z and w of two shapes, or a point that is not
+        finite are a DomainError, raised before any power is taken.
         """
-        u = np.asarray(z, dtype=complex) - self.center
-        v = np.asarray(w, dtype=complex) - self.center.conjugate()
+        try:
+            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
+        except (TypeError, ValueError):  # not complex numbers
+            raise DomainError(f"z and w must be complex, got {z!r} and {w!r}") from None
+        if z.shape != w.shape:
+            raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
+        bad = ~(np.isfinite(z) & np.isfinite(w))
+        if bad.any():
+            i = np.argmax(bad.ravel())
+            raise DomainError(f"z and w must be finite, got {complex(z.ravel()[i])!r}, "
+                              f"{complex(w.ravel()[i])!r}")
+        u = z - self.center
+        v = w - self.center.conjugate()
         powers = np.arange(self.degree + 1)
         up = u[..., None, None] ** powers  # (..., 1, D+1)
         vp = v[..., None, None] ** powers

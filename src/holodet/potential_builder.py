@@ -18,6 +18,7 @@ fixing the centers, so nothing is lost by that choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -60,7 +61,8 @@ _ROUNDING = 16 * np.finfo(float).eps
 @dataclass(frozen=True)
 class ProductDomain:
     """Product of two balls, centers held as read-only complex arrays; star-shapedness
-    w.r.t. interior points is free."""
+    w.r.t. interior points is free.  A center that is not a complex point or array, or
+    a radius that is not a finite positive number, is a DomainError that names it."""
 
     z_center: np.ndarray
     z_radius: float
@@ -69,10 +71,20 @@ class ProductDomain:
 
     def __post_init__(self):
         for block in "zw":
-            center = np.array(getattr(self, f"{block}_center"), dtype=complex, ndmin=1)
-            center.flags.writeable = False
-            object.__setattr__(self, f"{block}_center", center)
-            object.__setattr__(self, f"{block}_radius", float(getattr(self, f"{block}_radius")))
+            center, radius = getattr(self, f"{block}_center"), getattr(self, f"{block}_radius")
+            try:
+                held = np.array(center, dtype=complex, ndmin=1)
+            except (TypeError, ValueError):  # ragged or non-numeric
+                raise DomainError(f"{block}_center is not a complex point: {center!r}") from None
+            try:
+                size = float(radius)
+            except (TypeError, ValueError):
+                size = math.nan
+            if not (math.isfinite(size) and size > 0):
+                raise DomainError(f"{block}_radius must be finite and positive, got {radius!r}")
+            held.flags.writeable = False
+            object.__setattr__(self, f"{block}_center", held)
+            object.__setattr__(self, f"{block}_radius", size)
 
     def require_inside(self, Z: np.ndarray, W: np.ndarray, names=("z", "w")) -> None:
         """Refuse points Z, W of shape (K, n) outside the z- and w-ball; the DomainError

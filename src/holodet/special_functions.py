@@ -30,11 +30,14 @@ whose numerator is 12 c s(d, c) - d + c n, since s(d, c) depends on d mod c
 only (log eta(z + n) = log eta(z) + pi i n/12).  So one row serves matching
 points in every unit cell: it reduces the x of one point not yet lifted,
 applies that row to the x of all the rest and keeps every point it lifts,
-until none is left; points of one disc share their few rows.  The law then
-runs only at the points a row lifted; a point already at height sqrt(3)/2
-takes c = 0, pi i z/12 + Log P(q).  ``eta`` is exp(log_eta), on a point or
-an array, and ``closed_form_log_det`` in ``torus_spectral`` uses
-2 Re log_eta, so neither underflows near a cusp.
+until none is left; points of one disc share their few rows, and a row reads
+only the points still left.  A point equal to an earlier one is lifted by the
+same row, so it seeds none, and its value has the earlier one's bits.  The
+law then runs only at the points a row lifted; a point already at height
+sqrt(3)/2 takes c = 0, pi i z/12 + Log P(q), and an array of such points
+takes no row.  ``eta`` is exp(log_eta), on a point or an array, and
+``closed_form_log_det`` in ``torus_spectral`` uses 2 Re log_eta, so neither
+underflows near a cusp.
 """
 
 from __future__ import annotations
@@ -177,32 +180,36 @@ def _log_eta_array(z) -> np.ndarray:
     flat = z.ravel()
     shift = np.floor(flat.real)  # _nearest, elementwise
     shift += flat.real - shift >= 0.5
-    zc = (flat.real - shift) + 1j * flat.imag  # each point's own point x + iy of the unit cell
+    zc = flat - shift  # each point's own point x + iy of the unit cell
     law = _PI_I_12 * flat  # Im z >= sqrt(3)/2: no row
     low = np.flatnonzero(flat.imag < _LIFTED)
-    x, y = zc.real[low], flat.imag[low]  # x exact, -1/2 <= x < 1/2
-    hi = 134217729.0 * x  # reduce's Dekker split
-    hi -= hi - x
-    lo = x - hi
-    # per point below height sqrt(3)/2: the bottom row (c, d) of a gamma acting on x,
-    # its a mod c and the law's numerator 12 c s(d, c) - d
-    c, d, a, num = (np.empty(low.size) for _ in range(4))
-    left = np.arange(low.size)  # the points no row lifts yet
-    while left.size:
-        seed = left[0]
-        (a_k, _, k, d_k), _, _ = reduce(complex(x[seed], y[seed]))  # k > 0: the seed lies below F
-        re, yk = (k * hi[left] + d_k) + k * lo[left], k * y[left]
-        keep = y[left] >= _LIFTED * (re * re + yk * yk)  # Im gamma z = y/|u|^2
-        keep[0] = True  # the seed, which reduce lifted
-        lifted = left[keep]
-        c[lifted], d[lifted], a[lifted], num[lifted] = k, d_k, a_k % k, _numerator(k, d_k)
-        left = left[~keep]
-    # the law at the lifted points, for gamma acting on z = x + shift: its row is
-    # (c, d - c shift), so the numerator is num + c shift, exact while |c shift| < 2^53
-    u = ((c * hi + d) + c * lo) + 1j * (c * y)
-    inv = 1.0 / (c * u)
-    zc[low] = a / c - inv
-    law[low] = _PI_I_12 * ((num + c * shift[low]) / c - inv) - 0.5 * np.log(-1j * u)
+    if low.size:
+        x, y = zc.real[low], flat.imag[low]  # x exact, -1/2 <= x < 1/2
+        hi = 134217729.0 * x  # reduce's Dekker split
+        hi -= hi - x
+        lo = x - hi
+        # per point below height sqrt(3)/2: the bottom row (c, d) of a gamma acting on x,
+        # its a mod c and the law's numerator 12 c s(d, c) - d
+        c, d, a, num = (np.empty(low.size) for _ in range(4))
+        left = np.arange(low.size)  # the points no row lifts yet, with their hi, lo and y
+        hl, ll, yl = hi, lo, y
+        while True:
+            (a_k, _, k, d_k), _, _ = reduce(complex(x[left[0]], yl[0]))  # k > 0: below F
+            re, yk = (k * hl + d_k) + k * ll, k * yl
+            keep = yl >= _LIFTED * (re * re + yk * yk)  # Im gamma z = y/|u|^2
+            keep[0] = True  # the seed, which reduce lifted
+            lifted = left if keep.all() else left[keep]
+            c[lifted], d[lifted], a[lifted], num[lifted] = k, d_k, a_k % k, _numerator(k, d_k)
+            if lifted is left:
+                break
+            rest = ~keep
+            left, hl, ll, yl = left[rest], hl[rest], ll[rest], yl[rest]
+        # the law at the lifted points, for gamma acting on z = x + shift: its row is
+        # (c, d - c shift), so the numerator is num + c shift, exact while |c shift| < 2^53
+        u = ((c * hi + d) + c * lo) + 1j * (c * y)
+        inv = 1.0 / (c * u)
+        zc[low] = a / c - inv
+        law[low] = _PI_I_12 * ((num + c * shift[low]) / c - inv) - 0.5 * np.log(-1j * u)
     zc -= np.floor(zc.real + 0.5)
     q = np.exp(_TWO_PI_I * zc)
     q2 = q * q

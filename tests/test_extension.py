@@ -22,6 +22,7 @@ from holodet.extension import (
     pluriharmonic_split,
     symmetrized_evaluator,
 )
+from holodet.polarization import disc_samples
 from holodet.potential_builder import cone_potential, cone_potentials
 from holodet.special_functions import log_eta
 from holodet.torus_spectral import closed_form_log_det
@@ -591,8 +592,36 @@ class TestGenus1Extension:
             genus1_extension(ProductPoint(1e308 + 1j, -1j))
 
 
+def _stacked_read(point):
+    """genus1_extension from one log_eta call on z and every wbar, copies included."""
+    z, w = point.z, point.w
+    eta_z, eta_wbar = log_eta(np.stack([z, np.conj(w)]))
+    return 0.5 * np.log(-1j * math.pi * (z - w)) + eta_z + np.conj(eta_wbar)
+
+
+_DISC = disc_samples(0.1 + 0.05j, 0.01, 162).reshape(9, 18)
+_OFF = (0.2 * np.exp(1j * np.arange(1, 163)) - 0.3j).reshape(9, 18)  # Im < 0
+
+
 class TestBatchedPoints:
     """ProductPoint and genus1_extension on arrays of points."""
+
+    @pytest.mark.parametrize("point, size", [
+        pytest.param(ProductPoint.diagonal(0.3 + 0.02j), 1, id="0d-diagonal"),
+        pytest.param(ProductPoint(0.3 + 0.02j, -1.1 - 0.4j), 2, id="0d-off-diagonal"),
+        pytest.param(ProductPoint.diagonal(_DISC), 162, id="diagonal"),
+        pytest.param(ProductPoint(_DISC, _DISC.conj() + _OFF), 324, id="off-diagonal"),
+        pytest.param(ProductPoint(_DISC, _DISC.conj() + _OFF * (np.arange(18) % 2)), 243,
+                     id="mixed"),
+    ])
+    def test_each_distinct_point_is_read_once(self, point, size, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(extension, "log_eta", lambda z: sizes.append(z.size) or log_eta(z))
+        value = genus1_extension(point)
+        assert sizes == [size]
+        reference = _stacked_read(point)
+        assert np.shape(value) == np.shape(reference) == point.z.shape
+        assert np.asarray(value).tobytes() == np.asarray(reference).tobytes()
 
     def test_array_extension_matches_the_pointwise_one(self):
         rng = np.random.default_rng(5)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -223,6 +224,20 @@ class TestBatchedCalls:
                                    for r, q in zip(z, w)]
 
 
+    @pytest.mark.parametrize("z, w, message", [
+        (np.ones(3) * 1j, np.ones(4) * 1j, "one shape, got (3,) and (4,)"),
+        (0.3, np.array([0.3, 0.4]), "one shape, got () and (2,)"),
+        (complex("nan"), 0j, "finite, got (nan+0j), 0j"),
+        (np.array([0.3, 0.4]), np.array([0.1, complex("inf")]), "finite, got (0.4+0j), (inf+0j)"),
+        ("a", 1, "must be complex, got 'a' and 1"),
+    ])
+    def test_evaluate_refuses_bad_points_before_any_power(self, z, w, message, monkeypatch):
+        fit = polarize_fit(DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 0.3, 0.5, 98), 6)
+        monkeypatch.setattr(np, "arange", lambda *a, **k: pytest.fail("powers taken"))
+        with pytest.raises(DomainError, match=re.escape(message)):
+            fit.evaluate(z, w)
+
+
 class TestUniqueness:
     def test_identical(self):
         f = lambda z, w: z * w
@@ -386,6 +401,16 @@ class TestSampling:
         d = np.abs(a[:, None] - a[None, :])
         np.fill_diagonal(d, np.inf)
         assert d.min() > 1e-3  # well dispersed
+
+    def test_each_call_returns_a_fresh_grid_over_one_read_only_unit_grid(self):
+        a = disc_samples(1 + 2j, 0.7, 162)
+        assert a.flags.writeable and a.flags.owndata
+        a[:] = 0
+        b = disc_samples(1 + 2j, 0.7, 162)
+        assert np.array_equal(b, 1 + 2j + 0.7 * polarization._unit_ring_grid(9, 18))
+        assert polarization._unit_ring_grid(9, 18) is polarization._unit_ring_grid(9, 18)
+        with pytest.raises(ValueError, match="read-only"):
+            polarization._unit_ring_grid(9, 18)[0] = 0
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_nonpositive_count_is_a_domain_error(self, count):

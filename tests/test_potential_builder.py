@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -482,6 +483,19 @@ class TestBatchedCells:
             dom.require_inside(inside, np.array([[0.5], [2j], [3j]]))
         with pytest.raises(DomainError, match=r"^base_z = \(2\+0j\) outside the declared z-domain$"):
             dom.require_inside(np.array([[2.0]]), np.array([[3.0]]), ("base_z", "base_w"))
+
+    @pytest.mark.parametrize("args, message", [
+        (([0, [1, 2]], 1.0, 0, 1.0), "z_center is not a complex point: [0, [1, 2]]"),
+        ((0, 1.0, "a", 1.0), "w_center is not a complex point: 'a'"),
+        ((0, "x", 0, 1.0), "z_radius must be finite and positive, got 'x'"),
+        ((0, float("nan"), 0, 1.0), "z_radius must be finite and positive, got nan"),
+        ((0, 0.0, 0, 1.0), "z_radius must be finite and positive, got 0.0"),
+        ((0, 1.0, 0, -1.0), "w_radius must be finite and positive, got -1.0"),
+        ((0, 1.0, 0, math.inf), "w_radius must be finite and positive, got inf"),
+    ])
+    def test_a_domain_names_a_center_or_radius_it_cannot_hold(self, args, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            ProductDomain(*args)
 
     def test_a_form_refuses_a_center_that_is_not_finite(self):
         dom = ProductDomain(complex("nan"), 4.9, -5j, 4.9)

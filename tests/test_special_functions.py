@@ -347,8 +347,29 @@ def assert_matches_the_scalar_one(points, rel=1e-14):
         assert abs(value - ref) <= rel * abs(ref), z
 
 
+def assert_a_copy_takes_its_original_s_bits(points):
+    # genus1_extension reads a wbar equal to z once, on the diagonal: that is the same
+    # as reading both, since a copy after its original is lifted by the original's row
+    once = log_eta(np.asarray(points))
+    twice = log_eta(np.concatenate([points, points]))
+    assert twice.tobytes() == np.concatenate([once, once]).tobytes()
+
+
 class TestArrayReduction:
     """The array log_eta, lifted by the rows of ``reduce``, checked against the scalar body."""
+
+    @pytest.mark.parametrize("height", [0.02, 0.05, 0.2, 1.0, 3.0])
+    def test_a_copy_takes_its_original_s_bits_on_disc_grids(self, height):
+        # diag_polarize's discs, at its three degrees
+        for x in np.linspace(-0.5, 0.5, 5):
+            for count in (98, 162, 242):
+                assert_a_copy_takes_its_original_s_bits(
+                    disc_samples(complex(x, height), 0.2 * height, count))
+
+    @given(st.lists(near_rationals(), min_size=1, max_size=20))
+    @settings(max_examples=30, deadline=None)
+    def test_a_copy_takes_its_original_s_bits_near_rationals(self, pairs):
+        assert_a_copy_takes_its_original_s_bits(np.array([z for z, _ in pairs]))
 
     def test_keeps_the_shape(self):
         z = np.array([[1j, 0.3 + 0.01j, -7.4 + 0.2j], [2.5 + 1e-5j, 1e200 + 1j, 0.5 + 0.5j]])

@@ -179,8 +179,12 @@ def _emit_grid(out, form, zs: np.ndarray, wc: complex) -> None:
 
 
 def _parse_recipe_file(path):
-    """A recipe from one ``constant`` and one ``f_mode`` line; a malformed or
-    repeated line is a DomainError naming it, and so is a missing directive."""
+    """The recipe of one ``constant`` and one ``f_mode`` line; a malformed or
+    repeated line is a DomainError naming it, and so is a missing directive.
+
+    The file is read and checked on every call; the recipe it names is
+    ``_recipe``'s, built once per process.
+    """
     opts, lines = {}, {}
     text = Path(path).read_text(encoding="utf-8", errors="replace")
     for lineno, key, values in directive_lines(text):
@@ -196,7 +200,13 @@ def _parse_recipe_file(path):
     for key in ("constant", "f_mode"):
         if key not in opts:
             raise DomainError(f"recipe missing {key}")
-    return genus1_recipe(opts["constant"], f_mode=opts["f_mode"])
+    return _recipe(opts["constant"], opts["f_mode"])
+
+
+@functools.lru_cache(maxsize=16)
+def _recipe(constant: float, f_mode: str):
+    """``genus1_recipe(constant, f_mode)``, built once per process; a build that raises is not kept."""
+    return genus1_recipe(constant, f_mode=f_mode)
 
 
 def cmd_extend(args) -> int:

@@ -44,7 +44,7 @@ from .potential_builder import (  # noqa: F401 -- bench/tests looks cone_potenti
     cone_potential,
     cone_potentials,
 )
-from .special_functions import log_eta
+from .special_functions import as_complex, log_eta
 from .torus_spectral import closed_form_log_det
 
 TWO_PI = 2.0 * math.pi
@@ -69,15 +69,16 @@ class ProductPoint:
     """Points (z, w) of the complexified model H x Hbar: both finite, Im(z) > 0 > Im(w).
 
     z and w are complex arrays of one shape S holding a point of H x Hbar at
-    each index; a single point is a 0-d array.  The DomainError names the
-    first point off H x Hbar.
+    each index; a single point is a 0-d array.  A z or w that is neither a
+    complex number nor an ndarray of numbers is ``as_complex``'s DomainError;
+    otherwise the DomainError names the first point off H x Hbar.
     """
 
     z: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        z, w = np.asarray(self.z, dtype=complex), np.asarray(self.w, dtype=complex)
+        z, w = np.asarray(as_complex(self.z, "z")), np.asarray(as_complex(self.w, "w"))
         if z.shape != w.shape:
             raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
         finite = np.isfinite(z) & np.isfinite(w)
@@ -96,7 +97,7 @@ class ProductPoint:
     @classmethod
     def diagonal(cls, z) -> "ProductPoint":
         """The points (z, zbar) of the diagonal, for a point or an array z."""
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(as_complex(z))
         return cls(z, z.conj())
 
 
@@ -150,9 +151,10 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     SPLIT_MAX_SAMPLES raises BudgetError.  |h - 2 Re f| > tol at the inner
     points raises NotPluriharmonicError, so only the sum need be
     pluriharmonic.  f takes an array of points, a point being a 0-d array,
-    and sums the series from one power table of phi/rho; outside the closed
-    disc, DomainError.  No parts, or a call of a part that returns no finite
-    real array of its points' shape, raises DomainError at once.
+    and sums the series from one power table of phi/rho, whose coefficients
+    are read-only; outside the closed disc, DomainError.  No parts, or a call
+    of a part that returns no finite real array of its points' shape, raises
+    DomainError at once.
     """
     parts = tuple(parts)
     if not parts:
@@ -222,6 +224,7 @@ def pluriharmonic_split(parts: Sequence[Callable[[np.ndarray], np.ndarray]], cen
     # c and the inner points lie in the disc; the shift leaves every real part as it is
     at = f(np.concatenate([[c], inner]))
     coeffs[0] -= 1j * at[0].imag
+    coeffs.flags.writeable = False  # one f may serve many callers
     res = float(np.max(np.abs(h_probe[SPLIT_PROBE_SAMPLES:] - 2.0 * at[1:].real)))
     if res > tol:
         raise NotPluriharmonicError(f"pluriharmonicity residual {res:.3e} exceeds {tol:.3e}")

@@ -43,10 +43,19 @@ SVD_CUTOFF = 1e-10
 
 
 def _check_disc(center, radius) -> None:
-    """A DomainError unless the disc has a finite center and a finite radius > 0."""
-    if not cmath.isfinite(center):
+    """A DomainError unless the disc has a finite center and a finite radius > 0.
+
+    A center that is not a complex number, or a radius that is not a real
+    one, is a DomainError that names both.
+    """
+    try:
+        center_ok, radius_ok = cmath.isfinite(center), math.isfinite(radius) and radius > 0
+    except TypeError:  # not numbers
+        raise DomainError(f"disc center and radius must be numbers, "
+                          f"got {center!r} and {radius!r}") from None
+    if not center_ok:
         raise DomainError(f"disc center must be finite, got {center!r}")
-    if not (math.isfinite(radius) and radius > 0):
+    if not radius_ok:
         raise DomainError(f"disc radius must be finite and positive, got {radius!r}")
 
 
@@ -127,8 +136,8 @@ class DiagonalSampleSet:
         scalar value is a constant, the same at every point.  The count and
         the disc are checked before ``diag`` is called.
         """
-        center, radius = complex(center), float(radius)
         pts = disc_samples(center, radius, count)
+        center, radius = complex(center), float(radius)
         vals = np.asarray(diag(pts), dtype=complex)
         if vals.ndim == 0:
             vals = np.full(pts.shape, vals)

@@ -57,20 +57,37 @@ _TWO_PI_I, _PI_I_12 = 2j * math.pi, 1j * math.pi / 12.0
 _LIFTED = math.sqrt(3) / 2 - 1e-11
 
 
+def as_complex(z, name: str = "z"):
+    """A point as a complex number, an ndarray of numbers as a complex array.
+
+    Anything else, a string, None or a list among them, is a DomainError that
+    names it; only the conversion is checked.
+    """
+    try:
+        if isinstance(z, np.ndarray):
+            if z.dtype.kind in "biufc":
+                return np.asarray(z, dtype=complex)
+        elif not isinstance(z, (str, bytes)):
+            return complex(z)
+    except (TypeError, ValueError):  # not a number
+        pass
+    raise DomainError(f"{name} must be a complex number or an ndarray of them, got {z!r}")
+
+
 def require_upper_half(z):
     """Validate that z is finite with Im(z) > 0 and return it as complex.
 
     A point comes back as a complex number; an ndarray as a complex array,
-    and the DomainError names its first offending point.
+    and the DomainError names its first offending point.  Anything else is
+    ``as_complex``'s DomainError.
     """
+    z = as_complex(z)
     if not isinstance(z, np.ndarray):
-        z = complex(z)
         if not cmath.isfinite(z):
             raise DomainError(f"z must be finite, got {z!r}")
         if not z.imag > 0.0:
             raise DomainError(f"Im(z) must be positive, got {z!r}")
         return z
-    z = np.asarray(z, dtype=complex)
     for bad, rule in ((~np.isfinite(z), "z must be finite"),
                       (~(z.imag > 0.0), "Im(z) must be positive")):
         if bad.any():
@@ -101,7 +118,7 @@ def reduce(z: complex):
     """
     if isinstance(z, np.ndarray) and z.ndim:
         raise DomainError(f"z must be one point, got an array of shape {z.shape}")
-    z = require_upper_half(complex(z))
+    z = complex(require_upper_half(z))
     shift = _nearest(z.real)
     w = z - shift  # exact
     x = w.real

@@ -766,6 +766,110 @@ class TestCliExtend:
         assert "Traceback" not in out.stderr
 
 
+class TestRecipeCache:
+    """``extend --recipe`` reads its file on every call and builds each recipe once per process."""
+
+    POINT = "--point=0.1,1.1;-0.2,-0.9"
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        # no recipe built under a spy leaks into a later test
+        from holodet import cli
+
+        cli._recipe.cache_clear()
+        yield
+        cli._recipe.cache_clear()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The number of ``pluriharmonic_split`` builds so far."""
+        from holodet import extension
+
+        count = [0]
+        split = extension.pluriharmonic_split
+
+        def counted(*args):
+            count[0] += 1
+            return split(*args)
+
+        monkeypatch.setattr(extension, "pluriharmonic_split", counted)
+        return count
+
+    def extend(self, path, capsys):
+        from holodet.cli import main
+
+        code = main(["extend", self.POINT, "--recipe", str(path)])
+        return code, capsys.readouterr().out
+
+    @staticmethod
+    def fresh_value(constant, f_mode):
+        from holodet.cli import fmt
+        from holodet.extension import ProductPoint, assemble_extension, genus1_recipe
+
+        point = ProductPoint(0.1 + 1.1j, -0.2 - 0.9j)
+        return fmt(assemble_extension(genus1_recipe(constant, f_mode), point)) + "\n"
+
+    def test_three_calls_make_one_split_build(self, tmp_path, capsys, builds):
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant -0.5\nf_mode split\n")
+        outs = [self.extend(path, capsys) for _ in range(3)]
+        assert builds[0] == 1
+        assert outs == [(0, outs[0][1])] * 3
+        assert outs[0][1] == self.fresh_value(-0.5, "split")
+
+    @pytest.mark.parametrize("before, after, expected", [
+        (("-0.5", "split"), ("-0.5", "eta"), 0),
+        (("-0.5", "eta"), ("1", "eta"), 0),
+        (("-0.5", "split"), ("0.25", "split"), 1),  # h is no longer pluriharmonic
+    ], ids=["f_mode", "constant", "constant-split"])
+    def test_a_rewritten_file_takes_effect_on_the_next_call(self, tmp_path, capsys, before, after,
+                                                           expected):
+        path = tmp_path / "recipe.txt"
+        outs = []
+        for constant, f_mode in (before, after):
+            path.write_text(f"constant {constant}\nf_mode {f_mode}\n")
+            outs.append(self.extend(path, capsys))
+        assert outs[0] == (0, self.fresh_value(float(before[0]), before[1]))
+        assert outs[1] == ((0, self.fresh_value(float(after[0]), after[1])) if expected == 0
+                           else (1, ""))
+        assert outs[0] != outs[1]
+
+    def test_a_build_that_raises_raises_on_every_call(self, tmp_path, capsys, builds):
+        path = tmp_path / "recipe.txt"
+        path.write_text("constant 5\nf_mode split\n")
+        for _ in range(2):
+            assert self.extend(path, capsys) == (1, "")
+        assert builds[0] == 2
+
+    @pytest.mark.parametrize("f_mode", ["eta", "zero"])
+    def test_signed_zero_constants_share_one_recipe(self, tmp_path, capsys, f_mode):
+        from holodet import cli
+
+        outs = []
+        for constant in ("0", "-0"):
+            path = tmp_path / f"{constant}.txt"
+            path.write_text(f"constant {constant}\nf_mode {f_mode}\n")
+            outs.append(self.extend(path, capsys))
+        assert outs == [(0, self.fresh_value(0.0, f_mode))] * 2
+        assert cli._recipe.cache_info()[:2] == (1, 1)  # one hit, one miss: one key
+
+    def test_signed_zero_split_recipes_exit_1(self, tmp_path, capsys):
+        for constant in ("0", "-0"):
+            path = tmp_path / f"{constant}.txt"
+            path.write_text(f"constant {constant}\nf_mode split\n")
+            assert self.extend(path, capsys) == (1, "")
+
+    def test_the_shared_split_cannot_be_changed(self, tmp_path):
+        import inspect
+
+        from holodet import cli
+
+        coeffs = inspect.getclosurevars(cli._recipe(-0.5, "split").f).nonlocals["coeffs"]
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs[0] = 0.0
+
+
 class TestCliPolarize:
     def make_csv(self, tmp_path, count=30):
         samples = DiagonalSampleSet.from_function(lambda z: abs(z) ** 2, 0, 1.0, count)

@@ -13,9 +13,18 @@ fails here before any caller sees it.
 """
 
 import ast
+import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import holodet
+from holodet.errors import DomainError
+from holodet.extension import ProductPoint
+from holodet.polarization import DiagonalSampleSet, disc_samples
+from holodet.special_functions import log_eta, reduce
+from holodet.torus_spectral import closed_form_log_det, zeta_log_det
 
 SRC = Path(holodet.__file__).parent
 
@@ -92,3 +101,44 @@ def test_only_main_and_the_argparse_types_catch():
     # subcommand or helper catches anything to turn it into an exit code
     handlers = _scopes(_parse(SRC / "cli.py"), lambda n: isinstance(n, ast.ExceptHandler))
     assert handlers <= CLI_HANDLERS and "main" in handlers
+
+
+#: the point checks, each a function of the one value it is given
+POINT_CHECKS = {
+    "log_eta": log_eta, "reduce": reduce, "zeta_log_det": zeta_log_det,
+    "closed_form_log_det": closed_form_log_det,
+    "ProductPoint.z": lambda z: ProductPoint(z, -1j),
+    "ProductPoint.w": lambda w: ProductPoint(1j, w),
+    "ProductPoint.diagonal": ProductPoint.diagonal,
+    "disc_samples.center": lambda c: disc_samples(c, 0.1, 10),
+    "disc_samples.radius": lambda r: disc_samples(1j, r, 10),
+    "from_function.center": lambda c: DiagonalSampleSet.from_function(abs, c, 0.1, 10),
+}
+
+
+@pytest.mark.parametrize("check, value, named", [
+    ("log_eta", "a", "'a'"),
+    ("reduce", "x", "'x'"),
+    ("zeta_log_det", "a", "'a'"),
+    ("log_eta", np.array(["a"]), "array(['a']"),
+    ("log_eta", np.array(["1+2j"]), "array(['1+2j']"),
+    ("log_eta", "1+2j", "'1+2j'"),
+    ("log_eta", None, "None"),
+    ("closed_form_log_det", None, "None"),
+    ("zeta_log_det", None, "None"),
+    ("log_eta", [1j, 2j], "[1j, 2j]"),
+    ("ProductPoint.z", "a", "'a'"),
+    ("ProductPoint.z", None, "None"),
+    ("ProductPoint.w", [0.5], "[0.5]"),
+    ("ProductPoint.diagonal", "a", "'a'"),
+    ("disc_samples.center", "a", "'a'"),
+    ("disc_samples.center", None, "None"),
+    ("disc_samples.radius", "a", "'a'"),
+    ("from_function.center", "a", "'a'"),
+    ("from_function.center", None, "None"),
+])
+def test_a_point_that_is_not_a_number_is_a_domain_error_naming_it(check, value, named):
+    """Points are complex numbers or ndarrays of them, as the docstrings say; nothing else is."""
+    # ValueError (a malformed string), TypeError (None, a list), or None read as NaN before
+    with pytest.raises(DomainError, match="got .*" + re.escape(named)):
+        POINT_CHECKS[check](value)

@@ -33,6 +33,7 @@ import numpy as np
 
 from .catalog import finite_floats
 from .errors import DomainError, FitRankError
+from .special_functions import as_complex
 from .torus_spectral import _gauss_legendre
 
 #: Entries of the pairwise-distance block the dispersion check holds at once.
@@ -45,17 +46,11 @@ SVD_CUTOFF = 1e-10
 def _check_disc(center, radius) -> None:
     """A DomainError unless the disc has a finite center and a finite radius > 0.
 
-    A center that is not a complex number, or a radius that is not a real
-    one, is a DomainError that names both.
+    A center that is not a complex number is ``as_complex``'s DomainError.
     """
-    try:
-        center_ok, radius_ok = cmath.isfinite(center), math.isfinite(radius) and radius > 0
-    except TypeError:  # not numbers
-        raise DomainError(f"disc center and radius must be numbers, "
-                          f"got {center!r} and {radius!r}") from None
-    if not center_ok:
+    if not cmath.isfinite(as_complex(center, "disc center")):
         raise DomainError(f"disc center must be finite, got {center!r}")
-    if not radius_ok:
+    if not (math.isfinite(radius) and radius > 0):
         raise DomainError(f"disc radius must be finite and positive, got {radius!r}")
 
 
@@ -113,7 +108,7 @@ class DiagonalSampleSet:
     layout: tuple[int, int] | None = field(default=None, init=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=complex).ravel()
+        pts = np.asarray(as_complex(self.points, "sample points")).ravel()
         vals = np.asarray(self.values, dtype=complex).ravel()
         if pts.shape != vals.shape:
             raise DomainError("points and values must have equal length")
@@ -163,13 +158,11 @@ class PolarizedPolynomial:
         A complex at a point (z, w); at arrays z and w of one shape, the
         array of values, from one stacked product of the two power tables,
         row by row in the order (u^a C) v^b, as at a point.  Points that are
-        not complex numbers, z and w of two shapes, or a point that is not
-        finite are a DomainError, raised before any power is taken.
+        not complex numbers or ndarrays of them (``as_complex``), z and w of two
+        shapes, or a point that is not finite are a DomainError, raised
+        before any power is taken.
         """
-        try:
-            z, w = np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
-        except (TypeError, ValueError):  # not complex numbers
-            raise DomainError(f"z and w must be complex, got {z!r} and {w!r}") from None
+        z, w = np.asarray(as_complex(z)), np.asarray(as_complex(w, "w"))
         if z.shape != w.shape:
             raise DomainError(f"z and w must have one shape, got {z.shape} and {w.shape}")
         bad = ~(np.isfinite(z) & np.isfinite(w))

@@ -177,8 +177,8 @@ def log_eta(z):
     """
     if isinstance(z, np.ndarray):
         return _log_eta_array(z)
-    z = require_upper_half(z)
-    (a, b, c, d), u, zc = reduce(z)
+    (a, b, c, d), u, zc = reduce(z)  # reduce checks z
+    z = complex(z)
     q = cmath.exp(_TWO_PI_I * zc)
     q2 = q * q
     value = cmath.log(1.0 - q - q2 + q2 * q2 * q * (1.0 + q2))

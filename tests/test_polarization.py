@@ -229,7 +229,7 @@ class TestBatchedCalls:
         (0.3, np.array([0.3, 0.4]), "one shape, got () and (2,)"),
         (complex("nan"), 0j, "finite, got (nan+0j), 0j"),
         (np.array([0.3, 0.4]), np.array([0.1, complex("inf")]), "finite, got (0.4+0j), (inf+0j)"),
-        ("a", 1, "must be complex, got 'a' and 1"),
+        ("a", 1, "z must be a complex number or an ndarray of them, got 'a'"),
     ])
     def test_evaluate_refuses_bad_points_before_any_power(self, z, w, message, monkeypatch):
         fit = polarize_fit(DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 0.3, 0.5, 98), 6)

@@ -22,7 +22,7 @@ import pytest
 import holodet
 from holodet.errors import DomainError
 from holodet.extension import ProductPoint
-from holodet.polarization import DiagonalSampleSet, disc_samples
+from holodet.polarization import DiagonalSampleSet, disc_samples, polarize_fit
 from holodet.special_functions import log_eta, reduce
 from holodet.torus_spectral import closed_form_log_det, zeta_log_det
 
@@ -103,6 +103,8 @@ def test_only_main_and_the_argparse_types_catch():
     assert handlers <= CLI_HANDLERS and "main" in handlers
 
 
+_FIT = polarize_fit(DiagonalSampleSet.from_function(lambda z: z * np.conj(z), 0.3, 0.5, 98), 6)
+
 #: the point checks, each a function of the one value it is given
 POINT_CHECKS = {
     "log_eta": log_eta, "reduce": reduce, "zeta_log_det": zeta_log_det,
@@ -111,8 +113,10 @@ POINT_CHECKS = {
     "ProductPoint.w": lambda w: ProductPoint(1j, w),
     "ProductPoint.diagonal": ProductPoint.diagonal,
     "disc_samples.center": lambda c: disc_samples(c, 0.1, 10),
-    "disc_samples.radius": lambda r: disc_samples(1j, r, 10),
     "from_function.center": lambda c: DiagonalSampleSet.from_function(abs, c, 0.1, 10),
+    "DiagonalSampleSet.points": lambda p: DiagonalSampleSet(p, np.ones(1), 0.3, 0.5),
+    "evaluate.z": lambda z: _FIT.evaluate(z, 0.3),
+    "evaluate.w": lambda w: _FIT.evaluate(0.3, w),
 }
 
 
@@ -133,9 +137,13 @@ POINT_CHECKS = {
     ("ProductPoint.diagonal", "a", "'a'"),
     ("disc_samples.center", "a", "'a'"),
     ("disc_samples.center", None, "None"),
-    ("disc_samples.radius", "a", "'a'"),
     ("from_function.center", "a", "'a'"),
     ("from_function.center", None, "None"),
+    ("DiagonalSampleSet.points", None, "None"),
+    ("DiagonalSampleSet.points", ["0.3"], "['0.3']"),
+    ("evaluate.z", "1+2j", "'1+2j'"),
+    ("evaluate.z", None, "None"),
+    ("evaluate.w", [0.3], "[0.3]"),
 ])
 def test_a_point_that_is_not_a_number_is_a_domain_error_naming_it(check, value, named):
     """Points are complex numbers or ndarrays of them, as the docstrings say; nothing else is."""
